@@ -72,17 +72,11 @@ from repro.analysis.report import (
     performance_report,
 )
 from repro.core.config import RRMConfig
-from repro.errors import (
-    ConfigError,
-    LedgerCorruptError,
-    ReproError,
-    TraceFormatError,
-)
+from repro.errors import ReproError
 from repro.lint import render_json, render_text, run_lint
 from repro.obs import (
     DEFAULT_RULES,
     KIND_RUN,
-    KIND_SWEEP,
     LedgerEntry,
     RunLedger,
     RunProgress,
@@ -222,11 +216,7 @@ def _telemetry_from_args(args) -> Optional[TelemetryConfig]:
 def cmd_run(args) -> int:
     config = _config_from_args(args)
     scheme = scheme_from_name(args.scheme)
-    try:
-        telemetry = _telemetry_from_args(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    telemetry = _telemetry_from_args(args)
     system = System(config, args.workload, scheme, telemetry=telemetry)
     progress = None
     if args.progress:
@@ -296,37 +286,24 @@ def cmd_sweep(args) -> int:
     reporter = (
         SweepProgress(len(workloads) * len(schemes)) if args.progress else None
     )
-    fabric = args.jobs > 1
-    if args.profile and not fabric:
-        # Serial sweep cells run inside supervisor subprocesses, where a
-        # sampler in this coordinator process would see nothing.
-        print(
-            "error: sweep --profile needs --jobs > 1 (fabric workers "
-            "sample themselves; serial cells run in subprocesses an "
-            "in-process sampler cannot see)",
-            file=sys.stderr,
-        )
-        return 2
     flight_dir = args.flight_dir
-    if flight_dir is None and fabric and args.journal:
-        # A journalled fabric sweep gets flight recorders by default so
-        # injected/real crashes stay explainable from the journal alone.
+    if flight_dir is None and args.journal:
+        # A journalled sweep that runs on the fabric gets flight
+        # recorders by default so injected/real crashes stay explainable
+        # from the journal alone.
         flight_dir = f"{args.journal}.flight"
     runner = ExperimentRunner(
         config,
         workloads=workloads,
         schemes=schemes,
-        n_workers=args.workers,
         n_jobs=args.jobs,
         timeout_s=args.timeout,
         retry=RetryPolicy(max_retries=args.retries),
         journal_path=args.journal,
-        # On the fabric, workers append per-worker ledger shards that are
-        # merged deterministically; serially the loop below appends.
-        ledger_path=args.ledger if fabric else None,
-        profile_path=args.profile if fabric else None,
+        ledger_path=args.ledger,
+        profile_path=args.profile,
         fault_plan=fault_plan,
-        recorder_dir=flight_dir if fabric else None,
+        recorder_dir=flight_dir,
         on_event=reporter.on_event if reporter is not None else None,
         **({"tracer": tracer} if tracer is not None else {}),
     )
@@ -345,18 +322,7 @@ def cmd_sweep(args) -> int:
         if reporter is not None:
             reporter.close()
     if args.ledger:
-        if not fabric:
-            ledger = RunLedger(args.ledger)
-            for (workload, scheme), result in sorted(
-                runner.results.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
-            ):
-                ledger.append(
-                    LedgerEntry.from_result(result, config, kind=KIND_SWEEP)
-                )
-        print(
-            f"{len(runner.results)} ledger entries appended to {args.ledger}",
-            file=sys.stderr,
-        )
+        print(f"ledger entries appended to {args.ledger}", file=sys.stderr)
     if runner.fabric_stats is not None:
         stats = runner.fabric_stats
         print(
@@ -418,7 +384,7 @@ def cmd_serve(args) -> int:
     )
     try:
         server.start()
-    except (ReproError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -433,64 +399,56 @@ def cmd_submit(args) -> int:
     """Submit a sweep spec to a running server; stream it by default."""
     from repro.fabric import FabricClient, SweepSpec
 
-    try:
-        spec = SweepSpec.make(
-            config_name=args.config,
-            seed=args.seed,
-            duration_s=args.duration,
-            workloads=args.workloads or None,
-            schemes=args.schemes or None,
-            max_events=args.max_events,
-            jobs=args.jobs,
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = SweepSpec.make(
+        config_name=args.config,
+        seed=args.seed,
+        duration_s=args.duration,
+        workloads=args.workloads or None,
+        schemes=args.schemes or None,
+        max_events=args.max_events,
+        jobs=args.jobs,
+    )
     client = FabricClient(args.address)
-    try:
-        if args.no_watch:
-            print(client.submit(spec))
-            return 0
-        outcome = None
-        for message in client.submit_and_watch(spec):
-            event = message.get("event")
-            if event is None:
-                print(f"submitted: {message.get('sweep')}", file=sys.stderr)
-            elif event == "ledger.entry":
-                entry = message.get("entry") or {}
-                metrics = entry.get("metrics") or {}
-                ipc = metrics.get("ipc")
-                print(
-                    f"  done: {entry.get('name')}"
-                    + (f"  ipc={ipc:.4f}" if isinstance(ipc, float) else "")
-                )
-            elif event in ("job.retry", "job.failed", "fabric.respawn"):
-                print(f"  {event}: {message}", file=sys.stderr)
-            elif event == "gate.verdict":
-                counts = message.get("counts") or {}
-                summary = ", ".join(
-                    f"{count} {name}" for name, count in sorted(counts.items())
-                )
-                print(f"gate: {summary or message.get('error', 'no verdicts')}")
-            elif event == "sweep.finished":
-                outcome = message
-        if outcome is None:
+    if args.no_watch:
+        print(client.submit(spec))
+        return 0
+    outcome = None
+    for message in client.submit_and_watch(spec):
+        event = message.get("event")
+        if event is None:
+            print(f"submitted: {message.get('sweep')}", file=sys.stderr)
+        elif event == "ledger.entry":
+            entry = message.get("entry") or {}
+            metrics = entry.get("metrics") or {}
+            ipc = metrics.get("ipc")
             print(
-                "server closed the stream before the sweep finished; "
-                "its journal has whatever settled",
-                file=sys.stderr,
+                f"  done: {entry.get('name')}"
+                + (f"  ipc={ipc:.4f}" if isinstance(ipc, float) else "")
             )
-            return 1
+        elif event in ("job.retry", "job.failed", "fabric.respawn"):
+            print(f"  {event}: {message}", file=sys.stderr)
+        elif event == "gate.verdict":
+            counts = message.get("counts") or {}
+            summary = ", ".join(
+                f"{count} {name}" for name, count in sorted(counts.items())
+            )
+            print(f"gate: {summary or message.get('error', 'no verdicts')}")
+        elif event == "sweep.finished":
+            outcome = message
+    if outcome is None:
         print(
-            f"{outcome.get('sweep')}: {outcome.get('state')} "
-            f"({outcome.get('completed', 0)} ok, {outcome.get('failed', 0)} "
-            f"failed)  journal={outcome.get('journal')}"
+            "server closed the stream before the sweep finished; "
+            "its journal has whatever settled",
+            file=sys.stderr,
         )
-        finished = outcome.get("state") == "finished"
-        return 0 if finished and outcome.get("completed", 0) else 1
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1
+    print(
+        f"{outcome.get('sweep')}: {outcome.get('state')} "
+        f"({outcome.get('completed', 0)} ok, {outcome.get('failed', 0)} "
+        f"failed)  journal={outcome.get('journal')}"
+    )
+    finished = outcome.get("state") == "finished"
+    return 0 if finished and outcome.get("completed", 0) else 1
 
 
 def cmd_status(args) -> int:
@@ -498,62 +456,58 @@ def cmd_status(args) -> int:
     from repro.fabric import FabricClient
 
     client = FabricClient(args.address)
-    try:
-        info = client.ping()
-        sweeps = client.status()
-        if args.json:
-            import json as _json
+    info = client.ping()
+    sweeps = client.status()
+    if args.json:
+        import json as _json
 
-            print(
-                _json.dumps(
-                    {
-                        "address": args.address,
-                        "protocol": info.get("version"),
-                        "sweeps": sweeps,
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
+        print(
+            _json.dumps(
+                {
+                    "address": args.address,
+                    "protocol": info.get("version"),
+                    "sweeps": sweeps,
+                },
+                indent=2,
+                sort_keys=True,
             )
-        else:
-            rows = []
-            for sweep in sweeps:
-                # Journals written before the throughput metric existed
-                # (or a 0.0 placeholder) render as "-", never None.
-                rate = sweep.get("sim_events_per_sec")
-                has_rate = (
-                    isinstance(rate, (int, float))
-                    and not isinstance(rate, bool)
-                    and rate > 0
-                )
-                rows.append(
-                    [
-                        sweep.get("sweep", "?"),
-                        sweep.get("state", "?"),
-                        f"{sweep.get('completed', 0)}/{sweep.get('jobs', 0)}",
-                        sweep.get("failed", 0),
-                        sweep.get("workers", 1),
-                        f"{rate:,.0f}" if has_rate else "-",
-                        sweep.get("error") or sweep.get("journal", "-"),
-                    ]
-                )
-            print(
-                format_table(
-                    ["sweep", "state", "done", "failed", "jobs", "ev/s",
-                     "journal / error"],
-                    rows,
-                    title=(
-                        f"server at {args.address}: protocol "
-                        f"v{info.get('version')}, {len(sweeps)} sweep(s)"
-                    ),
-                )
+        )
+    else:
+        rows = []
+        for sweep in sweeps:
+            # Journals written before the throughput metric existed
+            # (or a 0.0 placeholder) render as "-", never None.
+            rate = sweep.get("sim_events_per_sec")
+            has_rate = (
+                isinstance(rate, (int, float))
+                and not isinstance(rate, bool)
+                and rate > 0
             )
-        if args.shutdown:
-            client.shutdown()
-            print("shutdown requested", file=sys.stderr)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            rows.append(
+                [
+                    sweep.get("sweep", "?"),
+                    sweep.get("state", "?"),
+                    f"{sweep.get('completed', 0)}/{sweep.get('jobs', 0)}",
+                    sweep.get("failed", 0),
+                    sweep.get("workers", 1),
+                    f"{rate:,.0f}" if has_rate else "-",
+                    sweep.get("error") or sweep.get("journal", "-"),
+                ]
+            )
+        print(
+            format_table(
+                ["sweep", "state", "done", "failed", "jobs", "ev/s",
+                 "journal / error"],
+                rows,
+                title=(
+                    f"server at {args.address}: protocol "
+                    f"v{info.get('version')}, {len(sweeps)} sweep(s)"
+                ),
+            )
+        )
+    if args.shutdown:
+        client.shutdown()
+        print("shutdown requested", file=sys.stderr)
     return 0
 
 
@@ -561,13 +515,7 @@ def cmd_top(args) -> int:
     """Live TTY fleet view (heartbeats + sweep states) of a server."""
     from repro.obs.live.top import run_top
 
-    try:
-        return run_top(
-            args.address, interval_s=args.interval, once=args.once
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return run_top(args.address, interval_s=args.interval, once=args.once)
 
 
 def cmd_profile_run(args) -> int:
@@ -579,17 +527,13 @@ def cmd_profile_run(args) -> int:
     from repro.profiling import Profile, format_profile, render_flamegraph
 
     config = _config_from_args(args)
-    try:
-        scheme = scheme_from_name(args.scheme)
-        telemetry = TelemetryConfig(
-            profile=True,
-            trace=False,
-            profile_interval_s=parse_duration(args.interval),
-        )
-        system = System(config, args.workload, scheme, telemetry=telemetry)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    scheme = scheme_from_name(args.scheme)
+    telemetry = TelemetryConfig(
+        profile=True,
+        trace=False,
+        profile_interval_s=parse_duration(args.interval),
+    )
+    system = System(config, args.workload, scheme, telemetry=telemetry)
     if args.tracemalloc:
         import tracemalloc
 
@@ -626,11 +570,7 @@ def cmd_profile_report(args) -> int:
     """Render a saved profile artifact (text, flamegraph, folded)."""
     from repro.profiling import format_profile, load_profile, render_flamegraph
 
-    try:
-        prof = load_profile(args.file)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    prof = load_profile(args.file)
     print(format_profile(prof, top=args.top))
     if args.flamegraph:
         Path(args.flamegraph).write_text(
@@ -649,12 +589,8 @@ def cmd_profile_diff(args) -> int:
     """Compare two profile artifacts; --check turns drift into exit 1."""
     from repro.profiling import diff_profiles, format_diff, load_profile
 
-    try:
-        before = load_profile(args.a)
-        after = load_profile(args.b)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    before = load_profile(args.a)
+    after = load_profile(args.b)
     diff = diff_profiles(before, after)
     print(format_diff(diff, tolerance=args.tolerance))
     if args.check and not diff.within(args.tolerance):
@@ -668,11 +604,7 @@ def cmd_profile_fetch(args) -> int:
     from repro.profiling import Profile, format_profile
 
     client = FabricClient(args.address)
-    try:
-        payload = client.profile(args.duration)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    payload = client.profile(args.duration)
     prof = Profile.from_json_dict(payload)
     if args.out:
         prof.save(args.out)
@@ -777,7 +709,7 @@ def cmd_trace(args) -> int:
         try:
             events_a = load_trace(files[1])
             events_b = load_trace(files[2])
-        except (TraceFormatError, FileNotFoundError) as exc:
+        except FileNotFoundError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         diff = diff_traces(events_a, events_b)
@@ -796,7 +728,7 @@ def cmd_trace(args) -> int:
         return 2
     try:
         events = load_trace(files[0])
-    except (TraceFormatError, FileNotFoundError) as exc:
+    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not events:
@@ -827,19 +759,15 @@ def cmd_explain(args) -> int:
     heatmap. Exit codes: 0 report printed, 2 usage/configuration error.
     """
     config = _config_from_args(args)
-    try:
-        scheme = scheme_from_name(args.scheme)
-        system = System(
-            config,
-            args.workload,
-            scheme,
-            telemetry=TelemetryConfig(attribution=True, trace=False),
-        )
-        system.run()
-        report = system.attribution_report()
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    scheme = scheme_from_name(args.scheme)
+    system = System(
+        config,
+        args.workload,
+        scheme,
+        telemetry=TelemetryConfig(attribution=True, trace=False),
+    )
+    system.run()
+    report = system.attribution_report()
     print(
         format_report(
             report,
@@ -859,17 +787,13 @@ def cmd_lint(args) -> int:
     Exit codes follow the CLI convention: 0 clean, 1 findings (errors;
     with --strict, warnings too), 2 usage or internal error.
     """
-    try:
-        report = run_lint(
-            paths=args.paths or None,
-            baseline=args.baseline,
-            update_baseline=args.update_baseline,
-            select=args.select,
-            ignore=args.ignore,
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = run_lint(
+        paths=args.paths or None,
+        baseline=args.baseline,
+        update_baseline=args.update_baseline,
+        select=args.select,
+        ignore=args.ignore,
+    )
     if args.update_baseline:
         print(
             f"baseline written to {report.baseline_path} "
@@ -908,16 +832,12 @@ def cmd_table8(args) -> int:
 
 def cmd_obs_bench(args) -> int:
     """Run the pinned core micro-benchmark suite and record it."""
-    try:
-        outcome = run_core_suite(
-            ledger_path=args.ledger,
-            bench_json_path=args.bench_json,
-            baseline_out=args.baseline_out,
-            progress=lambda line: print(line, file=sys.stderr),
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    outcome = run_core_suite(
+        ledger_path=args.ledger,
+        bench_json_path=args.bench_json,
+        baseline_out=args.baseline_out,
+        progress=lambda line: print(line, file=sys.stderr),
+    )
     for entry in outcome.entries:
         ipc = entry.metrics.get("ipc")
         wall = entry.metrics.get("wall_time_s")
@@ -943,9 +863,6 @@ def _run_gate(args, *, report_only: bool) -> int:
         entries = RunLedger.load(args.ledger)
     except FileNotFoundError as exc:
         print(f"error: ledger not found: {exc.filename or exc}", file=sys.stderr)
-        return 2
-    except (ConfigError, LedgerCorruptError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     current = samples_from_entries(entries, last_n=args.last)
     report = compare_samples(baseline, current, rules=rules, seed=args.seed)
@@ -976,9 +893,6 @@ def cmd_obs_pin(args) -> int:
     except FileNotFoundError as exc:
         print(f"error: ledger not found: {exc.filename or exc}", file=sys.stderr)
         return 2
-    except LedgerCorruptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     samples = samples_from_entries(entries, last_n=args.last)
     if not samples:
         print("error: ledger has no entries to pin", file=sys.stderr)
@@ -995,16 +909,9 @@ def cmd_obs_dashboard(args) -> int:
     except FileNotFoundError as exc:
         print(f"error: ledger not found: {exc.filename or exc}", file=sys.stderr)
         return 2
-    except LedgerCorruptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     gate_report = None
     if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        baseline = load_baseline(args.baseline)
         gate_report = compare_samples(
             baseline,
             samples_from_entries(entries, last_n=args.last),
@@ -1014,11 +921,7 @@ def cmd_obs_dashboard(args) -> int:
     if args.profile:
         from repro.profiling import load_profile, render_flamegraph
 
-        try:
-            flamegraph_svg = render_flamegraph(load_profile(args.profile))
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        flamegraph_svg = render_flamegraph(load_profile(args.profile))
     html_text = render_dashboard(
         entries,
         gate_report=gate_report,
@@ -1076,15 +979,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_sweep)
     p_sweep.add_argument("--workloads", nargs="*", default=None)
     p_sweep.add_argument("--schemes", nargs="*", default=None)
-    p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument(
         "--jobs",
         type=int,
         default=1,
         metavar="N",
         help="shard the sweep across N worker processes on the "
-        "work-stealing fabric; results are bit-identical to --jobs 1 "
-        "(composes with --journal/--resume/--inject-faults)",
+        "work-stealing fabric; results are bit-identical to --jobs 1. "
+        "With --jobs 1 the sweep runs in-process unless --timeout, "
+        "--inject-faults or --profile asks for a worker "
+        "(composes with --journal/--resume)",
     )
     p_sweep.add_argument("--output", default=None, help="JSON output path")
     p_sweep.add_argument(
@@ -1149,15 +1053,16 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="sample every fabric worker's stacks and write the merged "
-        "profile artifact here (requires --jobs > 1; observational — "
-        "results stay bit-identical)",
+        "profile artifact here (runs the sweep on the fabric, one worker "
+        "with --jobs 1; observational — results stay bit-identical)",
     )
     p_sweep.add_argument(
         "--flight-dir",
         default=None,
         metavar="DIR",
-        help="per-worker crash flight-recorder directory (fabric only; "
-        "default: <journal>.flight when --journal is given)",
+        help="per-worker crash flight-recorder directory for sweeps that "
+        "run on the fabric (default: <journal>.flight when --journal is "
+        "given)",
     )
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -1705,8 +1610,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Parse *argv* and run the command; a :class:`ReproError` (a usage,
+    configuration or input problem) prints one ``error:`` line and
+    exits 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -302,6 +302,12 @@ def _fabric_worker_main(
                         )
                         if fault == "crash":
                             recorder.try_dump("injected-crash")
+                    if fault == "crash":
+                        # Flush the buffered lifecycle events too: exiting
+                        # mid-flush would lose them, or leave the shared
+                        # queue's writer lock held and silence the fleet.
+                        events.close()
+                        events.join_thread()
                     trigger_fault(fault)  # crash/hang never return
                 result = run_workload(
                     config, workload, Scheme(scheme_value),
@@ -772,16 +778,18 @@ class FabricExecutor:
     def _settle_orphan(self, journal, slot, kind, error_type, message):
         """Turn a dead worker's outstanding lease into a retry or failure."""
         contents = journal.load()
+        settled = contents.settled()
         orphans: List[Tuple[Key, int]] = []
-        if slot.active is not None:
+        if slot.active is not None and slot.active[0] not in settled:
             key, attempt, _ = slot.active
-            if key not in contents.settled():
-                orphans.append((key, attempt))
+            orphans.append((key, attempt))
         else:
-            # No attempt event reached us; recover the lease from the
-            # journal (the worker may have died right after claiming).
+            # No event for the current attempt reached us (the worker may
+            # have died right after claiming, or before its last events
+            # were drained, leaving *active* on a settled job); recover
+            # the lease from the journal.
             for key, claims in contents.claims.items():
-                if key in contents.settled():
+                if key in settled:
                     continue
                 releases = contents.releases.get(key, ())
                 if len(claims) > len(releases) and (

@@ -357,9 +357,8 @@ class FabricServer:
         with state.lock:
             state.failed = len(runner.failures)
             state.state = "finished"
-        # The fabric already merged worker ledger shards when spec.jobs
-        # > 1 and a ledger path was given; here the server owns the
-        # ledger and appends the entries it streamed, in sweep order.
+        # The runner is given no ledger path: the server owns the ledger
+        # and appends the entries it streamed, in sweep order.
         ledger = RunLedger(state.ledger_path)
         for entry in sorted(entries, key=lambda e: e.name):
             ledger.append(entry)

@@ -275,7 +275,7 @@ def merge_ledgers(
 
     Workers append in completion order, which varies run to run; the
     merge sorts by ``(kind, name)`` so the combined ledger is ordered
-    exactly like a serial sweep's (the CLI appends serial sweep entries
+    exactly like an in-process sweep's (the runner appends those entries
     sorted by workload/scheme). Lease-expiry races can make two workers
     record the same cell — with *dedupe* (the default) only the first
     entry per ``(kind, name)`` survives, matching the journal's

@@ -8,7 +8,7 @@ Two reporters, one line each, both opt-in via ``--progress``:
   unobserved one) and reports percent complete, simulated vs wall time,
   engine event throughput, a wall-clock ETA, and the memory-controller
   queue depths.
-- :class:`SweepProgress` consumes the supervisor's ``on_event`` stream
+- :class:`SweepProgress` consumes a sweep's ``on_event`` stream
   (``job.attempt`` / ``job.result`` / ``job.retry`` / ``job.failed``)
   and reports settled/failed/running counts across the sweep.
 
@@ -177,11 +177,13 @@ class RunProgress:
 
 
 class SweepProgress:
-    """Single-line sweep progress fed by supervisor lifecycle events.
+    """Single-line sweep progress fed by job lifecycle events.
 
     Wire :meth:`on_event` into
-    :class:`~repro.sim.runner.ExperimentRunner` (or directly into a
-    :class:`~repro.resilience.supervisor.JobSupervisor`).
+    :class:`~repro.sim.runner.ExperimentRunner`, which forwards the same
+    event names whether the sweep runs in-process
+    (:class:`~repro.resilience.supervisor.JobSupervisor`) or on the
+    fabric (:class:`~repro.fabric.executor.FabricExecutor`).
     """
 
     def __init__(

@@ -1,10 +1,11 @@
 """Resilient experiment orchestration.
 
 The pieces a long sweep needs to survive real infrastructure: supervised
-execution (per-job timeouts, bounded deterministic retries, worker-crash
-isolation), crash-safe JSONL checkpointing with resume, and a
-deterministic fault-injection harness used by tests and operational
-drills alike. See DESIGN.md, "Resilient sweeps".
+in-process execution (bounded deterministic retries, result validation,
+structured failure records), crash-safe JSONL checkpointing with resume,
+and a deterministic fault-injection harness used by tests and
+operational drills alike. Timeouts and worker-crash isolation come from
+the fabric (:mod:`repro.fabric`). See DESIGN.md, "Resilient sweeps".
 """
 
 from repro.resilience.faultinject import FaultPlan, FaultSpec

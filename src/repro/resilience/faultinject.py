@@ -1,8 +1,8 @@
-"""Deterministic fault injection for the job supervisor.
+"""Deterministic fault injection for fabric sweeps.
 
 A :class:`FaultPlan` decides, per (job, attempt), whether the worker
 should misbehave and how. Faults fire inside the worker process, so from
-the supervisor's point of view they are indistinguishable from real
+the coordinator's point of view they are indistinguishable from real
 infrastructure failures — which is exactly what makes them useful both in
 tests and in operational drills (``repro-rrm sweep --inject-faults ...``).
 
@@ -78,7 +78,7 @@ class FaultPlan:
     """A set of fault specs bound to a concrete job list.
 
     Index targets are resolved against the job-key order passed to
-    :meth:`bind` (the supervisor binds the sweep's job list before
+    :meth:`bind` (the executor binds the sweep's job list before
     launching), so ``crash:1`` always hits the same (workload, scheme)
     pair for a given sweep definition.
     """

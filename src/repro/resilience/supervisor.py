@@ -1,32 +1,23 @@
-"""Supervised job execution: timeouts, retries, and crash isolation.
+"""Supervised in-process job execution: retries, validation, failures.
 
-The supervisor replaces the bare ``ProcessPoolExecutor.map`` pattern,
-where one crashed or hung worker aborts the whole sweep and discards all
-completed work. Jobs are submitted individually to dedicated worker
-processes; each attempt gets a wall-clock deadline, each failure gets a
-bounded, deterministically-jittered retry (see
-:class:`~repro.resilience.policy.RetryPolicy`), and a job that exhausts
-its retries degrades to a structured :class:`FailedRun` record instead of
-an exception that unwinds the sweep.
+:class:`JobSupervisor` runs jobs one after another in the calling
+process. Each failed attempt gets a bounded, deterministically-jittered
+retry (see :class:`~repro.resilience.policy.RetryPolicy`), each result
+can be validated, and a job that exhausts its retries degrades to a
+structured :class:`FailedRun` record instead of an exception that
+unwinds the sweep.
 
-Execution modes:
-
-- **inline** — ``n_workers == 1`` with no timeout and no fault plan runs
-  jobs in-process (no fork overhead, same behaviour as the historical
-  serial path) while still converting exceptions into retries/failures;
-- **subprocess** — otherwise each attempt runs in its own
-  ``multiprocessing.Process`` with a result pipe, so the supervisor can
-  kill a hung attempt and observe a crashed one (non-zero exit) without
-  losing the pool.
+Isolation lives elsewhere: a sweep that needs a wall-clock timeout, a
+fault plan, or worker processes runs on the fabric
+(:class:`~repro.fabric.executor.FabricExecutor`), whose workers produce
+the same :class:`FailedRun` records (kinds ``timeout`` and ``crash``
+included). :meth:`repro.sim.runner.ExperimentRunner.run_all` picks one
+or the other.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import sys
 import time
-import traceback
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -35,24 +26,16 @@ from repro.errors import (
     JobCrashedError,
     JobTimeoutError,
 )
-from repro.resilience.faultinject import FaultPlan, corrupt_result, trigger_fault
 from repro.resilience.policy import RetryPolicy
-
-#: Seconds between supervisor poll sweeps; small enough that short test
-#: timeouts are honoured promptly, large enough not to spin.
-_POLL_INTERVAL_S = 0.01
-
-#: Grace period after SIGTERM before a hung worker is SIGKILL'd.
-_TERM_GRACE_S = 2.0
 
 
 @dataclass(frozen=True)
 class Job:
     """One supervised unit of work.
 
-    ``fn`` must be a module-level callable (it is pickled to workers) and
-    ``key`` identifies the job in results, failures, journals and fault
-    plans — for sweeps it is ``(workload, scheme_name)``.
+    ``fn`` is any callable, called in-process as ``fn(*args)``; ``key``
+    identifies the job in results, failures and journals — for sweeps it
+    is ``(workload, scheme_name)``.
     """
 
     key: Tuple
@@ -110,75 +93,18 @@ class FailedRun:
         )
 
 
-# ----------------------------------------------------------------------
-# Worker side
-# ----------------------------------------------------------------------
-def _worker_main(conn, fn, args, fault: Optional[str]) -> None:
-    """Subprocess entry point: run the job, send ("ok"|"error", payload)."""
-    try:
-        if fault is not None:
-            trigger_fault(fault)  # crash/hang never return; error raises
-        value = fn(*args)
-        if fault == "corrupt":
-            value = corrupt_result(value)
-        conn.send(("ok", value))
-    except BaseException as exc:  # noqa: BLE001 - must not escape the worker
-        try:
-            conn.send(
-                ("error", (type(exc).__name__, f"{exc}", traceback.format_exc()))
-            )
-        except Exception as send_exc:  # noqa: BLE001 - pipe already broken
-            # The supervisor will settle this attempt as a crash; leave
-            # the real error on stderr so the post-mortem has it.
-            from repro.obs.live.slog import StructuredLogger
-
-            StructuredLogger(sys.stderr).error(
-                "resilience.result_pipe.broken",
-                pipe_error=type(send_exc).__name__,
-                failure=f"{type(exc).__name__}: {exc}",
-            )
-    finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
-
-
-@dataclass
-class _Attempt:
-    """A queued (or running) try of one job."""
-
-    job: Job
-    attempt: int  # 1-based
-    not_before: float  # monotonic time gating backoff
-    first_started: Optional[float] = None
-
-
-@dataclass
-class _Running:
-    entry: _Attempt
-    process: multiprocessing.process.BaseProcess
-    conn: object
-    started: float
-    deadline: Optional[float]
-
-
 class JobSupervisor:
-    """Runs jobs to completion-or-structured-failure.
+    """Runs jobs in-process to completion-or-structured-failure.
 
     Args:
-        n_workers: concurrent worker slots (subprocess mode) or 1.
-        timeout_s: per-attempt wall-clock limit; ``None`` disables.
         retry: the :class:`RetryPolicy`; ``None`` uses defaults.
-        fault_plan: optional :class:`FaultPlan` (forces subprocess mode so
-            injected crashes kill a worker, not the orchestrator).
         seed: seeds the retry jitter schedule.
         validate: optional ``(key, value) -> Optional[str]``; a returned
-            message marks the result corrupt (runs supervisor-side).
+            message marks the result corrupt.
         sleep: injection point for tests; must accept seconds.
-        clock: monotonic clock used for backoff gates, deadlines, and
-            elapsed-time accounting; injectable so timeout/retry paths
-            are testable without sleeping (RL011).
+        clock: monotonic clock used for elapsed-time accounting;
+            injectable so retry paths are testable without sleeping
+            (RL011).
         on_event: optional ``(name, args) -> None`` observability hook
             fired on every lifecycle transition — ``job.attempt``,
             ``job.result``, ``job.retry``, ``job.failed`` — with a dict
@@ -189,25 +115,15 @@ class JobSupervisor:
 
     def __init__(
         self,
-        n_workers: int = 1,
         *,
-        timeout_s: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
-        fault_plan: Optional[FaultPlan] = None,
         seed: int = 0,
         validate: Optional[Callable[[Tuple, object], Optional[str]]] = None,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
         on_event: Optional[Callable[[str, dict], None]] = None,
     ) -> None:
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        if timeout_s is not None and timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
-        self.n_workers = n_workers
-        self.timeout_s = timeout_s
         self.retry = retry or RetryPolicy()
-        self.fault_plan = fault_plan
         self.seed = seed
         self.validate = validate
         self._sleep = sleep
@@ -235,24 +151,7 @@ class JobSupervisor:
         keys = [job.key for job in jobs]
         if len(set(keys)) != len(keys):
             raise ValueError("job keys must be unique")
-        if self.fault_plan:
-            self.fault_plan.bind(keys)
         self.retries_scheduled = []
-        if self._inline_mode():
-            return self._run_inline(jobs, on_result, on_failure)
-        return self._run_subprocess(jobs, on_result, on_failure)
-
-    def _inline_mode(self) -> bool:
-        return (
-            self.n_workers == 1
-            and self.timeout_s is None
-            and not self.fault_plan
-        )
-
-    # ------------------------------------------------------------------
-    # Inline mode
-    # ------------------------------------------------------------------
-    def _run_inline(self, jobs, on_result, on_failure):
         results: Dict[Tuple, object] = {}
         failures: Dict[Tuple, FailedRun] = {}
         for job in jobs:
@@ -303,176 +202,6 @@ class JobSupervisor:
                         on_failure(failed)
                     break
         return results, failures
-
-    # ------------------------------------------------------------------
-    # Subprocess mode
-    # ------------------------------------------------------------------
-    def _run_subprocess(self, jobs, on_result, on_failure):
-        ctx = multiprocessing.get_context()
-        results: Dict[Tuple, object] = {}
-        failures: Dict[Tuple, FailedRun] = {}
-        pending: "deque[_Attempt]" = deque(
-            _Attempt(job=job, attempt=1, not_before=0.0) for job in jobs
-        )
-        running: List[_Running] = []
-
-        def settle(entry: _Attempt, kind: str, error_type: str, message: str):
-            """Route one failed attempt to a retry or a FailedRun."""
-            if self.retry.should_retry(entry.attempt, error_type):
-                delay = self.retry.delay_s(entry.job.key, entry.attempt, self.seed)
-                self.retries_scheduled.append(
-                    (entry.job.key, entry.attempt, delay)
-                )
-                self._emit(
-                    "job.retry",
-                    key=list(entry.job.key),
-                    attempt=entry.attempt,
-                    delay_s=delay,
-                    error=error_type,
-                )
-                pending.append(
-                    _Attempt(
-                        job=entry.job,
-                        attempt=entry.attempt + 1,
-                        not_before=self._clock() + delay,
-                        first_started=entry.first_started,
-                    )
-                )
-                return
-            failed = FailedRun(
-                key=entry.job.key,
-                kind=kind,
-                message=message,
-                attempts=entry.attempt,
-                elapsed_s=self._clock() - (entry.first_started or 0.0),
-            )
-            failures[entry.job.key] = failed
-            self._emit("job.failed", **failed.as_dict())
-            if on_failure:
-                on_failure(failed)
-
-        try:
-            while pending or running:
-                now = self._clock()
-                # Launch into free slots, honouring backoff gates.
-                launched = True
-                while launched and len(running) < self.n_workers and pending:
-                    launched = False
-                    for _ in range(len(pending)):
-                        entry = pending.popleft()
-                        if entry.not_before <= now:
-                            running.append(self._launch(ctx, entry, now))
-                            launched = True
-                            break
-                        pending.append(entry)
-                # Harvest finished / dead / overdue workers.
-                progressed = False
-                for run in list(running):
-                    entry = run.entry
-                    if run.conn.poll(0):
-                        progressed = True
-                        running.remove(run)
-                        self._harvest(run, results, failures, settle, on_result)
-                    elif not run.process.is_alive():
-                        progressed = True
-                        running.remove(run)
-                        run.process.join()
-                        run.conn.close()
-                        settle(
-                            entry,
-                            "crash",
-                            "JobCrashedError",
-                            "worker died without a result "
-                            f"(exit code {run.process.exitcode})",
-                        )
-                    elif run.deadline is not None and now >= run.deadline:
-                        progressed = True
-                        running.remove(run)
-                        self._kill(run.process)
-                        run.conn.close()
-                        settle(
-                            entry,
-                            "timeout",
-                            "JobTimeoutError",
-                            f"exceeded {self.timeout_s:.3g}s wall-clock timeout",
-                        )
-                if not progressed:
-                    self._sleep(_POLL_INTERVAL_S)
-        finally:
-            for run in running:
-                self._kill(run.process)
-        return results, failures
-
-    def _launch(self, ctx, entry: _Attempt, now: float) -> _Running:
-        fault = (
-            self.fault_plan.fault_for(entry.job.key, entry.attempt)
-            if self.fault_plan
-            else None
-        )
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_worker_main,
-            args=(child_conn, entry.job.fn, entry.job.args, fault),
-            daemon=True,
-        )
-        if entry.first_started is None:
-            entry.first_started = now
-        self._emit("job.attempt", key=list(entry.job.key), attempt=entry.attempt)
-        process.start()
-        child_conn.close()
-        deadline = None if self.timeout_s is None else now + self.timeout_s
-        return _Running(
-            entry=entry,
-            process=process,
-            conn=parent_conn,
-            started=now,
-            deadline=deadline,
-        )
-
-    def _harvest(self, run: _Running, results, failures, settle, on_result):
-        entry = run.entry
-        try:
-            status, payload = run.conn.recv()
-        except (EOFError, OSError):
-            # The pipe hit EOF: the worker died before sending anything.
-            status, payload = None, None
-        run.process.join()
-        run.conn.close()
-        if status == "ok":
-            problem = (
-                self.validate(entry.job.key, payload) if self.validate else None
-            )
-            if problem is not None:
-                settle(entry, "corrupt", "CorruptResultError", problem)
-                return
-            results[entry.job.key] = payload
-            self._emit(
-                "job.result", key=list(entry.job.key), attempts=entry.attempt
-            )
-            if on_result:
-                on_result(entry.job.key, payload)
-        elif status == "error":
-            error_type, message, _tb = payload
-            settle(entry, "error", error_type, f"{error_type}: {message}")
-        else:
-            settle(
-                entry,
-                "crash",
-                "JobCrashedError",
-                "worker died without a result "
-                f"(exit code {run.process.exitcode})",
-            )
-
-    @staticmethod
-    def _kill(process) -> None:
-        if not process.is_alive():
-            process.join()
-            return
-        process.terminate()
-        process.join(_TERM_GRACE_S)
-        if process.is_alive():
-            process.kill()
-            process.join()
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,17 @@
 """Experiment orchestration: sweeps over workloads and schemes.
 
-Runs are independent, so the runner fans them out through the
-:mod:`repro.resilience` supervisor: each (workload, scheme) job gets a
-per-attempt wall-clock timeout, bounded deterministic retries, and crash
-isolation, so one bad job degrades to a structured :class:`FailedRun`
-instead of aborting the sweep. With a ``journal_path`` every settled job
-is checkpointed to an append-only JSONL journal, and :meth:`resume`
-restarts an interrupted sweep from its surviving results. Aggregation
-helpers follow the paper's reporting conventions and tolerate sweeps
-with failed cells.
+Runs are independent. A plain sweep runs them one by one in-process
+under the :mod:`repro.resilience` supervisor (bounded deterministic
+retries, result validation); a sweep that needs isolation — worker
+processes, a wall-clock timeout, injected faults, or per-worker
+profiling — runs on the fabric
+(:class:`~repro.fabric.executor.FabricExecutor`), with one worker when
+``n_jobs`` is 1. Either way one bad job degrades to a structured
+:class:`FailedRun` instead of aborting the sweep. With a
+``journal_path`` every settled job is checkpointed to an append-only
+JSONL journal, and :meth:`resume` restarts an interrupted sweep from its
+surviving results. Aggregation helpers follow the paper's reporting
+conventions and tolerate sweeps with failed cells.
 """
 
 from __future__ import annotations
@@ -62,14 +65,14 @@ def run_workload(
 
 
 def _run_job(config, workload, scheme_value, max_events) -> SimResult:
-    """Supervised-job entry point (must be module-level for pickling)."""
+    """Supervised-job entry point for the in-process sweep."""
     return run_workload(
         config, workload, Scheme(scheme_value), max_events=max_events
     )
 
 
 def _validate_sim_result(key, value) -> Optional[str]:
-    """Result validation run supervisor-side; non-None marks corruption."""
+    """Result validation for both executors; non-None marks corruption."""
     workload, scheme_value = key
     if not isinstance(value, SimResult):
         return f"expected a SimResult, got {type(value).__name__}"
@@ -86,29 +89,32 @@ def _validate_sim_result(key, value) -> Optional[str]:
 class ExperimentRunner:
     """Sweeps workloads x schemes and aggregates results.
 
+    Where a sweep runs is decided by one predicate
+    (:meth:`_runs_in_process`): in-process when ``n_jobs == 1`` and
+    there is no *timeout_s*, no *fault_plan* and no *profile_path*;
+    otherwise on ``FabricExecutor(n_jobs)``, one worker included.
+    Results are bit-identical either way for the same seeds.
+
     Args:
-        timeout_s: optional per-attempt wall-clock limit per job.
+        n_jobs: fabric worker processes; the N workers share the journal
+            as a work-stealing queue.
+        timeout_s: optional per-attempt wall-clock limit per job; a hung
+            attempt's worker is killed (runs on the fabric).
         retry: retry policy for failed jobs (default: 2 retries with
             exponential backoff and seeded jitter).
         journal_path: optional JSONL checkpoint journal; every settled
             job is appended atomically so a crashed sweep can resume.
-        n_jobs: when > 1, the sweep runs on the sharded fabric
-            (:class:`~repro.fabric.executor.FabricExecutor`): N worker
-            processes share the journal as a work-stealing queue.
-            Results are bit-identical to ``n_jobs=1`` for the same
-            seeds. Distinct from *n_workers*, which sizes the serial
-            supervisor's crash-isolation subprocess pool.
-        lease_s: fabric claim lease duration (ignored serially).
-        ledger_path: optional run ledger; fabric workers append their
-            cells to per-worker shards which are merged deterministically
-            when the sweep completes (ignored serially — the CLI appends
-            serial sweeps itself).
-        profile_path: optional sampling-profile artifact (fabric mode
-            only): each worker samples its own stacks and the merged
-            profile lands here when the sweep completes. Ignored
-            serially — serial cells run inside supervisor subprocesses,
-            where an in-coordinator sampler would see nothing.
-        fault_plan: optional fault-injection plan (tests / drills).
+        lease_s: fabric claim lease duration (unused in-process).
+        ledger_path: optional run ledger receiving one entry per cell
+            the sweep ran, sorted by workload then scheme. In-process
+            the runner appends them after the sweep; fabric workers
+            append per-worker shards that are merged in the same order.
+        profile_path: optional sampling-profile artifact (runs on the
+            fabric): each worker samples its own stacks and the merged
+            profile lands here when the sweep completes.
+        fault_plan: optional fault-injection plan (tests / drills; runs
+            on the fabric, so an injected crash kills a worker, not the
+            caller).
         tracer: optional wall-clock :class:`~repro.telemetry.Tracer`
             (``Tracer.wallclock()``); job lifecycle transitions and
             journal appends are recorded as instant events (category
@@ -118,8 +124,9 @@ class ExperimentRunner:
             / ``job.result`` / ``job.retry`` / ``job.failed``); used by
             :class:`~repro.obs.progress.SweepProgress`.
         recorder_dir: optional directory for per-worker crash flight
-            recorders (fabric mode only); crash/timeout failure records
-            then carry a ``recorder_path`` post-mortem pointer.
+            recorders when the sweep runs on the fabric; crash/timeout
+            failure records then carry a ``recorder_path`` post-mortem
+            pointer.
     """
 
     def __init__(
@@ -129,7 +136,6 @@ class ExperimentRunner:
         schemes: Optional[Iterable[Scheme]] = None,
         *,
         max_events: Optional[int] = None,
-        n_workers: int = 1,
         n_jobs: int = 1,
         timeout_s: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
@@ -142,8 +148,6 @@ class ExperimentRunner:
         on_event=None,
         recorder_dir=None,
     ) -> None:
-        if n_workers < 1:
-            raise ConfigError(f"n_workers must be >= 1, got {n_workers}")
         if n_jobs < 1:
             raise ConfigError(f"n_jobs must be >= 1, got {n_jobs}")
         if max_events is not None and max_events < 1:
@@ -154,7 +158,6 @@ class ExperimentRunner:
         self.workloads = list(workloads) if workloads else all_workload_names()
         self.schemes = list(schemes) if schemes else all_schemes()
         self.max_events = max_events
-        self.n_workers = n_workers
         self.n_jobs = n_jobs
         self.timeout_s = timeout_s
         self.retry = retry or RetryPolicy()
@@ -168,12 +171,12 @@ class ExperimentRunner:
         self.recorder_dir = recorder_dir
         self.results: Dict[ResultKey, SimResult] = {}
         self.failures: Dict[ResultKey, FailedRun] = {}
-        #: Live FabricStats during an n_jobs > 1 sweep (set before the
-        #: fleet starts, zeroed in place per sweep), so observers can
-        #: scrape mid-run.
+        #: Live FabricStats during a fabric sweep (set before the fleet
+        #: starts, zeroed in place per sweep), so observers can scrape
+        #: mid-run.
         self.fabric_stats = None
-        #: Live FleetStatus (aggregated worker heartbeats) during an
-        #: n_jobs > 1 sweep.
+        #: Live FleetStatus (aggregated worker heartbeats) during a
+        #: fabric sweep.
         self.fleet = None
         self._journal: Optional[ResultJournal] = None
         self._resumed = False
@@ -184,6 +187,20 @@ class ExperimentRunner:
         self.tracer.instant(name, "sweep", args=args)
         if self.on_event is not None:
             self.on_event(name, args)
+
+    def _runs_in_process(self) -> bool:
+        """Whether the sweep runs in this process rather than on the fabric.
+
+        Worker processes, timeouts, injected faults and per-worker
+        sampling all need a process to kill, crash or sample, so any of
+        them sends the sweep to the fabric.
+        """
+        return (
+            self.n_jobs == 1
+            and self.timeout_s is None
+            and not self.fault_plan
+            and self.profile_path is None
+        )
 
     # ------------------------------------------------------------------
     def run_all(self, progress=None) -> Dict[ResultKey, SimResult]:
@@ -199,7 +216,7 @@ class ExperimentRunner:
             progress: Optional callable ``(workload, scheme, result)``
                 invoked after each run (e.g. to print a line).
         """
-        if self.n_jobs > 1:
+        if not self._runs_in_process():
             return self._run_fabric(progress)
         jobs = [
             Job(
@@ -235,10 +252,7 @@ class ExperimentRunner:
                 journal.append_failure(workload, scheme_value, failed.as_dict())
 
         supervisor = JobSupervisor(
-            self.n_workers,
-            timeout_s=self.timeout_s,
             retry=self.retry,
-            fault_plan=self.fault_plan,
             seed=self.config.seed,
             validate=_validate_sim_result,
             on_event=(
@@ -248,7 +262,22 @@ class ExperimentRunner:
             ),
         )
         supervisor.run(jobs, on_result=on_result, on_failure=on_failure)
+        if self.ledger_path is not None:
+            self._append_ledger(job.key for job in jobs)
         return self.results
+
+    def _append_ledger(self, keys) -> None:
+        """Append the cells among *keys* that produced a result, sorted
+        by workload then scheme (the order the fabric's merge yields)."""
+        from repro.obs.ledger import KIND_SWEEP, LedgerEntry, RunLedger
+
+        ledger = RunLedger(self.ledger_path)
+        for workload, scheme_value in sorted(keys):
+            result = self.results.get((workload, Scheme(scheme_value)))
+            if result is not None:
+                ledger.append(
+                    LedgerEntry.from_result(result, self.config, kind=KIND_SWEEP)
+                )
 
     def _run_fabric(self, progress=None) -> Dict[ResultKey, SimResult]:
         """Route the sweep through the sharded multiprocess fabric."""

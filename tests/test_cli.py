@@ -21,10 +21,10 @@ class TestParser:
 
     def test_sweep_options(self):
         args = build_parser().parse_args(
-            ["sweep", "--workloads", "hmmer", "mcf", "--workers", "4"]
+            ["sweep", "--workloads", "hmmer", "mcf", "--jobs", "4"]
         )
         assert args.workloads == ["hmmer", "mcf"]
-        assert args.workers == 4
+        assert args.jobs == 4
 
     def test_sweep_resilience_options(self):
         args = build_parser().parse_args(
@@ -183,6 +183,40 @@ class TestCommands:
         )
         assert code == 2
         assert "--resume requires --journal" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--jobs", "0"], ["--inject-faults", "bogus:0:1"]],
+        ids=["jobs-0", "unknown-fault-kind"],
+    )
+    def test_sweep_config_error_is_one_line(self, capsys, flags):
+        code = main(
+            ["sweep", "--config", "tiny", "--workloads", "hmmer",
+             "--schemes", "static-7", *flags]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+
+    def test_sweep_ledger_order_independent_of_jobs(self, capsys, tmp_path):
+        from repro.obs.ledger import RunLedger
+
+        sequences = []
+        for jobs in ("1", "2"):
+            ledger = tmp_path / f"ledger-{jobs}.jsonl"
+            code = main(
+                ["sweep", "--config", "tiny", "--duration", "0.002",
+                 "--workloads", "hmmer", "GemsFDTD",
+                 "--schemes", "rrm", "static-7",
+                 "--jobs", jobs, "--ledger", str(ledger)]
+            )
+            assert code == 0
+            sequences.append(
+                [(e.kind, e.name) for e in RunLedger.load(ledger)]
+            )
+        assert len(sequences[0]) == 4
+        assert sequences[0] == sequences[1]
 
     def test_sweep_with_injected_crash_degrades(self, capsys, tmp_path):
         journal = tmp_path / "j.jsonl"
@@ -419,11 +453,18 @@ class TestProfileCommands:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
-    def test_serial_sweep_profile_guard(self, capsys, tmp_path):
-        code = main(
-            ["sweep", "--workloads", "hmmer", "--schemes", "rrm",
-             "--config", "tiny", "--duration", "0.01",
-             "--profile", str(tmp_path / "p.json")]
-        )
-        assert code == 2
-        assert "--jobs" in capsys.readouterr().err
+    def test_serial_sweep_profile_on_one_worker(self, capsys, tmp_path):
+        from repro.profiling import load_profile
+
+        sweep = ["sweep", "--workloads", "hmmer", "--schemes", "rrm",
+                 "static-7", "--config", "tiny", "--duration", "0.002",
+                 "--jobs", "1"]
+        plain, profiled = tmp_path / "plain.json", tmp_path / "profiled.json"
+        assert main([*sweep, "--output", str(plain)]) == 0
+        profile = tmp_path / "p.json"
+        assert main(
+            [*sweep, "--output", str(profiled), "--profile", str(profile)]
+        ) == 0
+        assert "merged worker profile written" in capsys.readouterr().err
+        assert load_profile(profile).meta["n_jobs"] == 1
+        assert json.loads(profiled.read_text()) == json.loads(plain.read_text())

@@ -173,13 +173,13 @@ class TestSharedJournal:
         path = tmp_path / "j.jsonl"
         SharedJournal(path).start({"seed": 1})
         keys = self.keys(12)
-        n_workers = 4
+        n_procs = 4
         procs = [
             multiprocessing.Process(
                 target=_hammer_claims,
-                args=(path, i, keys[i::n_workers], keys),
+                args=(path, i, keys[i::n_procs], keys),
             )
-            for i in range(n_workers)
+            for i in range(n_procs)
         ]
         for p in procs:
             p.start()
@@ -379,6 +379,27 @@ class TestFabricExecutor:
             key for key, claims in contents.claims.items() if len(claims) > 1
         )
         assert len(contents.claims[crashed_key]) == 2
+
+    def test_dead_worker_lease_recovered_despite_stale_attempt(self, tmp_path):
+        """A worker that dies before its last events are drained leaves
+        the coordinator's view on a job it already settled; the lease it
+        holds on its next job must still be released for a retry."""
+        from repro.fabric.executor import _WorkerSlot
+
+        done, next_job = ("hmmer", "Static-7-SETs"), ("hmmer", "RRM")
+        journal = SharedJournal(tmp_path / "j.jsonl")
+        journal.start({"seed": 1})
+        keys = [done, next_job]
+        assert journal.claim_next(0, keys, keys, lease_s=300.0).key == done
+        journal.append_failure(*done, {"kind": "corrupt"}, worker=0)
+        assert journal.claim_next(0, keys, keys, lease_s=300.0).key == next_job
+        slot = _WorkerSlot(worker_id=0, shard=keys, active=(done, 1, 0.0))
+        executor = FabricExecutor(1, retry=RetryPolicy(max_retries=1))
+        executor._settle_orphan(
+            journal, slot, "crash", "JobCrashedError", "worker died"
+        )
+        assert journal.load().releases[next_job][0]["reason"] == "crash"
+        assert executor.stats.releases == 1
 
     def test_exhausted_retries_become_failure(self, tmp_path):
         plan = FaultPlan.parse(["crash:0"])  # crash every attempt

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import time
 
 import pytest
 
@@ -37,7 +35,7 @@ QUICK_RETRY = RetryPolicy(max_retries=2, base_delay_s=0.001, max_delay_s=0.01)
 
 
 # ----------------------------------------------------------------------
-# Module-level worker functions (picklable / fork-able)
+# Job functions for the in-process supervisor
 # ----------------------------------------------------------------------
 def _double(x):
     return 2 * x
@@ -49,23 +47,6 @@ def _boom():
 
 def _bad_config():
     raise ConfigError("deterministically wrong")
-
-
-def _hard_exit():
-    os._exit(9)
-
-
-def _sleep_long():
-    time.sleep(600)
-
-
-def _fail_first_attempts(counter_path, n_failures, value):
-    """Crash the process until *counter_path* records n_failures attempts."""
-    count = int(counter_path.read_text()) if counter_path.exists() else 0
-    counter_path.write_text(str(count + 1))
-    if count < n_failures:
-        os._exit(7)
-    return value
 
 
 class TestRetryPolicy:
@@ -169,61 +150,6 @@ class TestSupervisorInline:
             run_with_retry(_boom, key=("x",), retry=NO_RETRY)
         assert run_with_retry(_double, (21,), key=("x",), retry=NO_RETRY) == 42
 
-
-class TestSupervisorSubprocess:
-    def test_worker_crash_is_isolated(self):
-        sup = JobSupervisor(2, retry=NO_RETRY)
-        results, failures = sup.run(
-            [
-                Job(key=("a",), fn=_double, args=(2,)),
-                Job(key=("dead",), fn=_hard_exit),
-                Job(key=("b",), fn=_double, args=(3,)),
-            ]
-        )
-        assert results == {("a",): 4, ("b",): 6}
-        failed = failures[("dead",)]
-        assert failed.kind == "crash"
-        assert isinstance(failed.to_error(), JobCrashedError)
-        assert isinstance(failed.to_error(), ResilienceError)
-        assert isinstance(failed.to_error(), ReproError)
-
-    def test_hang_hits_timeout(self):
-        sup = JobSupervisor(2, timeout_s=0.3, retry=NO_RETRY)
-        started = time.monotonic()
-        results, failures = sup.run(
-            [Job(key=("hung",), fn=_sleep_long), Job(key=("ok",), fn=_double, args=(1,))]
-        )
-        assert time.monotonic() - started < 30
-        assert results == {("ok",): 2}
-        failed = failures[("hung",)]
-        assert failed.kind == "timeout"
-        assert isinstance(failed.to_error(), JobTimeoutError)
-
-    def test_retry_then_succeed(self, tmp_path):
-        counter = tmp_path / "attempts"
-        sup = JobSupervisor(1, timeout_s=30, retry=QUICK_RETRY)
-        results, failures = sup.run(
-            [Job(key=("flaky",), fn=_fail_first_attempts, args=(counter, 2, 99))]
-        )
-        assert not failures
-        assert results == {("flaky",): 99}
-        assert counter.read_text() == "3"
-        assert [(key, attempt) for key, attempt, _ in sup.retries_scheduled] == [
-            (("flaky",), 1),
-            (("flaky",), 2),
-        ]
-
-    def test_corrupt_fault_caught_by_validation(self):
-        plan = FaultPlan.parse(["corrupt:0"])
-        sup = JobSupervisor(
-            1,
-            retry=NO_RETRY,
-            fault_plan=plan,
-            validate=lambda key, v: None if isinstance(v, int) else "not an int",
-        )
-        _, failures = sup.run([Job(key=("c",), fn=_double, args=(1,))])
-        assert failures[("c",)].kind == "corrupt"
-
     def test_duplicate_keys_rejected(self):
         sup = JobSupervisor(retry=NO_RETRY)
         with pytest.raises(ValueError):
@@ -282,11 +208,11 @@ class TestJournal:
 
 
 class TestRunnerValidation:
-    def test_n_workers_must_be_positive(self):
+    def test_n_jobs_must_be_positive(self):
         with pytest.raises(ConfigError):
-            ExperimentRunner(SystemConfig.tiny(), n_workers=0)
+            ExperimentRunner(SystemConfig.tiny(), n_jobs=0)
         with pytest.raises(ConfigError):
-            ExperimentRunner(SystemConfig.tiny(), n_workers=-2)
+            ExperimentRunner(SystemConfig.tiny(), n_jobs=-2)
 
     def test_max_events_must_be_positive(self):
         with pytest.raises(ConfigError):
@@ -378,6 +304,116 @@ class TestRunnerFailurePaths:
         contents = ResultJournal.load(journal)
         assert list(contents.results) == [("hmmer", "Static-7-SETs")]
         assert list(contents.failures) == [("hmmer", "Static-3-SETs")]
+
+
+# ----------------------------------------------------------------------
+# Isolation on the one-worker fabric
+# ----------------------------------------------------------------------
+#: Event cap that keeps each tiny cell around a tenth of a second.
+FAST = 5_000
+
+#: Per-attempt limit: an order of magnitude above a FAST cell's run
+#: time, short enough that the hung cell settles in a few seconds.
+HANG_TIMEOUT_S = 2.0
+
+
+@pytest.fixture(scope="module")
+def one_worker_sweep(tmp_path_factory):
+    """A 3x2 sweep with crash, hang and corrupt faults, ``n_jobs=1``.
+
+    The timeout and the fault plan send it to the fabric with a single
+    worker: hmmer/Static-7 crashes on every attempt, hmmer/Static-3
+    hangs, GemsFDTD/Static-7 returns a corrupt result, GemsFDTD/Static-3
+    crashes on its first attempt only, and both mcf cells are clean.
+    """
+    journal = tmp_path_factory.mktemp("one-worker") / "journal.jsonl"
+    events = []
+    runner = ExperimentRunner(
+        SystemConfig.tiny(),
+        workloads=["hmmer", "GemsFDTD", "mcf"],
+        schemes=[Scheme.STATIC_7, Scheme.STATIC_3],
+        max_events=FAST,
+        timeout_s=HANG_TIMEOUT_S,
+        retry=RetryPolicy(max_retries=1, base_delay_s=0.001, max_delay_s=0.01),
+        fault_plan=FaultPlan.parse(
+            [
+                "crash:hmmer/static-7",
+                "hang:hmmer/static-3",
+                "corrupt:GemsFDTD/static-7",
+                "crash:GemsFDTD/static-3:1",
+            ]
+        ),
+        journal_path=journal,
+        on_event=lambda name, args: events.append((name, args)),
+    )
+    runner.run_all()
+    return runner, journal, events
+
+
+class TestOneWorkerFabric:
+    def test_runs_on_one_worker(self, one_worker_sweep):
+        runner, _, _ = one_worker_sweep
+        assert runner.fabric_stats.n_workers == 1
+        assert runner.fabric_stats.respawns >= 1
+
+    def test_worker_crash_is_isolated(self, one_worker_sweep):
+        runner, _, _ = one_worker_sweep
+        failed = runner.failures[("hmmer", Scheme.STATIC_7)]
+        assert failed.kind == "crash"
+        assert failed.attempts == 2
+        assert isinstance(failed.to_error(), JobCrashedError)
+        assert isinstance(failed.to_error(), ResilienceError)
+        assert isinstance(failed.to_error(), ReproError)
+        # The respawned worker went on to finish the clean cells.
+        assert runner.has_result("mcf", Scheme.STATIC_7)
+        assert runner.has_result("mcf", Scheme.STATIC_3)
+
+    def test_hang_hits_timeout(self, one_worker_sweep):
+        runner, _, _ = one_worker_sweep
+        failed = runner.failures[("hmmer", Scheme.STATIC_3)]
+        assert failed.kind == "timeout"
+        assert failed.attempts == 2
+        assert isinstance(failed.to_error(), JobTimeoutError)
+
+    def test_corrupt_fault_caught_by_validation(self, one_worker_sweep):
+        runner, _, _ = one_worker_sweep
+        failed = runner.failures[("GemsFDTD", Scheme.STATIC_7)]
+        assert failed.kind == "corrupt"
+        assert "CorruptResultError" in failed.message
+
+    def test_retry_then_succeed(self, one_worker_sweep):
+        runner, journal, events = one_worker_sweep
+        key = ("GemsFDTD", Scheme.STATIC_3.value)
+        assert ("GemsFDTD", Scheme.STATIC_3) not in runner.failures
+        retried = [
+            args["attempt"]
+            for name, args in events
+            if name == "job.retry" and tuple(args["key"]) == key
+        ]
+        assert retried == [1]
+        assert len(ResultJournal.load(journal).claims[key]) == 2
+        # The retried cell is the same simulation the in-process path runs.
+        expected = run_workload(
+            SystemConfig.tiny(), "GemsFDTD", Scheme.STATIC_3, max_events=FAST
+        )
+        assert runner.result("GemsFDTD", Scheme.STATIC_3).as_dict() == (
+            expected.as_dict()
+        )
+
+    def test_journal_records_every_outcome(self, one_worker_sweep):
+        _, journal, _ = one_worker_sweep
+        contents = ResultJournal.load(journal)
+        assert set(contents.results) == {
+            ("GemsFDTD", Scheme.STATIC_3.value),
+            ("mcf", Scheme.STATIC_7.value),
+            ("mcf", Scheme.STATIC_3.value),
+        }
+        kinds = {key: record["kind"] for key, record in contents.failures.items()}
+        assert kinds == {
+            ("hmmer", Scheme.STATIC_7.value): "crash",
+            ("hmmer", Scheme.STATIC_3.value): "timeout",
+            ("GemsFDTD", Scheme.STATIC_7.value): "corrupt",
+        }
 
 
 class TestRunnerResume:

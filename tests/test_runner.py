@@ -87,22 +87,3 @@ class TestPersistence:
         assert {r["scheme"] for r in records} == {"Static-7-SETs", "Static-3-SETs"}
         for record in records:
             assert "ipc" in record and "lifetime_years" in record
-
-
-class TestParallel:
-    def test_process_pool_matches_serial(self):
-        serial = ExperimentRunner(
-            SystemConfig.tiny(), workloads=["hmmer"], schemes=[Scheme.STATIC_7]
-        )
-        serial.run_all()
-        parallel = ExperimentRunner(
-            SystemConfig.tiny(),
-            workloads=["hmmer"],
-            schemes=[Scheme.STATIC_7],
-            n_workers=2,
-        )
-        parallel.run_all()
-        a = serial.result("hmmer", Scheme.STATIC_7)
-        b = parallel.result("hmmer", Scheme.STATIC_7)
-        assert a.ipc == pytest.approx(b.ipc)
-        assert a.writes == b.writes
