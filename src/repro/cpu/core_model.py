@@ -136,6 +136,9 @@ class CoreModel:
         self._end_time_ns = end_time_ns
         self._rng = random.Random(seed * 7919 + core_id)
 
+        #: Derived from the frozen params once, off the hot loop.
+        self._ns_per_instruction = params.ns_per_instruction
+
         self._t = 0.0  # core-local time cursor (ns)
         self._outstanding = 0
         self._wait = _W_NONE
@@ -162,10 +165,14 @@ class CoreModel:
         if self._wait not in (_W_NONE, _W_TIME):
             return  # a stale wake-up; the real wake path will re-enter
         self._wait = _W_NONE
+        sim = self.sim
+        end_time_ns = self._end_time_ns
         while True:
-            if self._end_time_ns is not None and self._t >= self._end_time_ns:
+            if end_time_ns is not None and self._t >= end_time_ns:
                 return  # park: the measurement window is over for this core
 
+            # The event in hand is parked in _pending (its gap already
+            # retired) whenever the loop returns before consuming it.
             event = self._pending
             if event is None:
                 try:
@@ -175,16 +182,17 @@ class CoreModel:
                     return
                 kind, gap, block, dirty = event
                 if gap:
-                    self._t += gap * self.params.ns_per_instruction
+                    self._t += gap * self._ns_per_instruction
                     self.stats.retired_instructions += gap
-                event = (kind, 0, block, dirty)
-            self._pending = event
-            kind, _, block, dirty = event
+                    event = (kind, 0, block, dirty)
+            else:
+                kind, _, block, dirty = event
 
             # Anything with a time cost must happen at the cursor time.
-            if self._t > self.sim.now:
+            if self._t > sim.now:
+                self._pending = event
                 self._wait = _W_TIME
-                self.sim.schedule_at(self._t, self._wake_time)
+                sim.schedule_at(self._t, self._wake_time)
                 return
 
             if kind == EV_REGISTER:
@@ -197,7 +205,8 @@ class CoreModel:
             if kind == EV_READ:
                 status = self._try_read(block)
                 if status == _READ_RETRY:
-                    return  # event stays pending; a wake path will retry
+                    self._pending = event
+                    return  # a wake path will retry
                 self._pending = None
                 if status == _READ_BLOCKED:
                     return  # read issued; core waits for its data
@@ -205,6 +214,7 @@ class CoreModel:
 
             if kind == EV_WRITE:
                 if not self._try_write(block):
+                    self._pending = event
                     return
                 self._pending = None
                 continue

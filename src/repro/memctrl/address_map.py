@@ -21,9 +21,13 @@ from repro.pcm.device import BLOCK_BYTES
 from repro.utils.mathx import log2_int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DecodedAddress:
-    """A physical block address decoded into device coordinates."""
+    """A physical block address decoded into device coordinates.
+
+    Slotted and mutable so that the one built per enqueued request costs
+    a plain constructor call; nothing mutates it after decoding.
+    """
 
     block: int
     channel: int
@@ -94,7 +98,7 @@ class AddressMap:
         remainder >>= self._col_bits
         bank = remainder & self._bank_mask
         row = remainder >> self._bank_bits
-        return DecodedAddress(block=block, channel=channel, bank=bank, row=row, column=column)
+        return DecodedAddress(block, channel, bank, row, column)
 
     def channel_of_block(self, block: int) -> int:
         """Channel of a block index (cheap path for queue admission)."""

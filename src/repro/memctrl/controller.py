@@ -166,12 +166,15 @@ class MemoryController:
         self._priority_queues = [
             tuple(qs.in_priority_order()) for qs in self._queues
         ]
+        #: SET count -> (latency_ns, set_boundaries_ns) of each write mode.
+        self._write_timing: Dict[int, Tuple[float, Tuple[float, ...]]] = {
+            mode.n_sets: (mode.latency_ns, mode.set_boundaries_ns)
+            for mode in device.modes
+        }
         if attribution is not None:
             for queue_set in self._queues:
                 for queue in queue_set.in_priority_order():
                     queue.issue_observer = attribution.on_dequeue
-        #: Space waiters per (channel, request class name).
-        self._space_waiters: Dict[Tuple[int, str], List[Callable[[], None]]] = {}
         self._completion_listeners: List[CompletionListener] = []
         #: Optional latency histograms (telemetry detail metrics).
         self._read_latency_hist = None
@@ -202,23 +205,22 @@ class MemoryController:
                 "memctrl.write_latency_hist_ns", bounds
             )
 
-    def channel_of(self, block: int) -> int:
-        return self.address_map.channel_of_block(block)
-
     def can_accept(self, rtype: RequestType, block: int) -> bool:
         """Whether the queue a (*rtype*, *block*) request maps to has room."""
         channel = self.address_map.channel_of_block(block)
-        return not self._queues[channel].queue_for(rtype).full
+        queue = self._queues[channel].by_type[rtype]
+        return len(queue._entries) < queue.capacity
 
     def enqueue(self, request: MemRequest) -> None:
         """Accept a request. The caller must have checked :meth:`can_accept`."""
         request.decoded = decoded = self.address_map.decode_block(request.block)
-        request.bank_index = decoded.channel * self._banks_per_channel + decoded.bank
+        channel = decoded.channel
+        request.bank_index = channel * self._banks_per_channel + decoded.bank
         request.issue_time_ns = self.sim.now
         if self._attribution is not None:
             self._attribution.on_enqueue(request)
-        self._queues[decoded.channel].queue_for(request.rtype).push(request)
-        self._kick(decoded.channel)
+        self._queues[channel].by_type[request.rtype].push(request)
+        self._kick(channel)
 
     def notify_space(self, rtype: RequestType, block: int, callback: Callable[[], None]) -> None:
         """Invoke *callback* once the queue for (*rtype*, *block*) frees a slot.
@@ -226,9 +228,8 @@ class MemoryController:
         One-shot: the callback is dropped after firing and should re-check
         :meth:`can_accept` (another producer may have raced for the slot).
         """
-        channel = self.channel_of(block)
-        key = (channel, self._queues[channel].queue_for(rtype).name)
-        self._space_waiters.setdefault(key, []).append(callback)
+        channel = self.address_map.channel_of_block(block)
+        self._queues[channel].by_type[rtype].space_waiters.append(callback)
 
     def pending_requests(self) -> int:
         """Requests sitting in any queue (not yet issued to a bank)."""
@@ -248,103 +249,107 @@ class MemoryController:
     def _kick(self, channel: int) -> None:
         """Issue every request that can be serviced on *channel* right now.
 
-        Hot path: the per-queue scan is inlined (no per-entry callback) and
-        queues other than the read queue are skipped outright when every
-        bank on the channel is busy — only reads can still start, by
-        pausing an in-flight write.
+        Hot path, so everything the scan needs is hoisted into locals and
+        the per-queue scan is inlined (no per-entry callback). The scan is
+        FR-FCFS over at most ``SCHED_WINDOW`` entries per queue: the
+        oldest entry whose bank is free wins, or a read whose bank holds
+        one pausable write. Queues other than the read queue are skipped
+        outright when every bank on the channel is busy — only reads can
+        still start, by pausing an in-flight write. Writes issue only while
+        the channel drains writes (watermark hysteresis, updated once per
+        kick) or when no refresh or read waits.
+
+        Issuing wakes space waiters, whose producers may enqueue and kick
+        this channel re-entrantly; so queue contents, in-flight counts and
+        the drain flag are re-read after every issue.
         """
         queues = self._queues[channel]
+        priority_queues = self._priority_queues[channel]
+        refresh_entries = queues.refresh_queue._entries
         read_queue = queues.read_queue
+        read_entries = read_queue._entries
+        write_queue = queues.write_queue
+        draining = self._draining_writes
+        channel_inflight = self._channel_inflight
+        n_banks = self._banks_per_channel
         now = self.sim.now
         inflight = self._bank_inflight
         banks = self._banks_flat
         window = self.SCHED_WINDOW
         read_type = RequestType.READ
 
-        self._update_drain_state(channel)
+        occupancy = len(write_queue._entries)
+        if occupancy >= self._write_drain_high:
+            draining[channel] = True
+        elif occupancy <= self._write_drain_low:
+            draining[channel] = False
 
         while True:
-            free_banks = self._banks_per_channel - self._channel_inflight[channel]
-            issued = False
-            for queue in self._priority_queues[channel]:
-                if free_banks == 0 and queue is not read_queue:
-                    continue
+            all_busy = channel_inflight[channel] == n_banks
+            for queue in priority_queues:
                 entries = queue._entries
                 if not entries:
                     continue
-                if queue is queues.write_queue and not self._write_issue_allowed(channel):
-                    continue
+                if queue is not read_queue:
+                    if all_busy:
+                        continue
+                    if queue is write_queue and not (
+                        draining[channel] or not (read_entries or refresh_entries)
+                    ):
+                        continue
                 pick = -1
-                limit = min(len(entries), window)
-                for i in range(limit):
-                    req = entries[i]
-                    n = inflight[req.bank_index]
+                i = 0
+                for request in entries:
+                    if i == window:
+                        break
+                    n = inflight[request.bank_index]
                     if n == 0:
                         pick = i
                         break
-                    if n == 1 and req.rtype is read_type:
-                        bank = banks[req.bank_index]
-                        # A single in-flight pausable write lets a read cut in.
-                        if bank.read_start_time(now) < bank.available_at(now):
+                    if n == 1 and request.rtype is read_type:
+                        bank = banks[request.bank_index]
+                        # A single in-flight pausable write lets a read cut
+                        # in: the read starts before the bank frees.
+                        if bank.read_start_time(now) < bank.busy_until:
                             pick = i
                             break
+                    i += 1
                 if pick >= 0:
-                    request = entries[pick]
                     del entries[pick]
                     if self._attribution is not None:
                         queue.note_issue(request, pick)
                     self._issue(channel, request)
-                    self._wake_space_waiters(channel, queue.name)
-                    issued = True
+                    waiters = queue.space_waiters
+                    if waiters:
+                        queue.space_waiters = []
+                        for callback in waiters:
+                            callback()
                     break  # restart from the highest-priority queue
-            if not issued:
+            else:
                 return
 
-    def _write_issue_allowed(self, channel: int) -> bool:
-        """Writes issue when draining or when no higher-priority work waits."""
-        queues = self._queues[channel]
-        if self._draining_writes[channel]:
-            return True
-        return queues.read_queue.empty and queues.refresh_queue.empty
-
-    def _update_drain_state(self, channel: int) -> None:
-        occupancy = len(self._queues[channel].write_queue)
-        if occupancy >= self._write_drain_high:
-            self._draining_writes[channel] = True
-        elif occupancy <= self._write_drain_low:
-            self._draining_writes[channel] = False
-
-    def _bank_ready(self, request: MemRequest, now: float) -> bool:
-        """Whether *request*'s bank can take it (free, or pausable for
-        reads). Kept as the documented single-request predicate; the kick
-        loop inlines the same logic."""
-        inflight = self._bank_inflight[request.bank_index]
-        if inflight == 0:
-            return True
-        if request.rtype is RequestType.READ and inflight == 1:
-            bank = self._banks_flat[request.bank_index]
-            return bank.read_start_time(now) < bank.available_at(now)
-        return False
-
     def _issue(self, channel: int, request: MemRequest) -> None:
-        decoded = request.decoded
-        bank = self.device.bank(decoded.channel, decoded.bank)
+        bank_index = request.bank_index
+        bank = self._banks_flat[bank_index]
         now = self.sim.now
+        row = request.decoded.row
 
         is_write = request.rtype is not RequestType.READ
         if not is_write:
-            start, finish, hit = bank.schedule_read(now, decoded.row)
+            start, finish, hit = bank.schedule_read(now, row)
             if hit:
                 self.stats.row_hits += 1
             else:
                 self.stats.row_misses += 1
         else:
-            if request.n_sets is None:
-                raise SimulationError(f"write request without a mode: {request}")
-            mode = self.device.modes.mode(request.n_sets)
-            start, finish = bank.schedule_write(
-                now, decoded.row, mode.latency_ns, mode.set_boundaries_ns
-            )
+            n_sets = request.n_sets
+            timing = None if n_sets is None else self._write_timing.get(n_sets)
+            if timing is None:
+                raise SimulationError(
+                    f"write request without a supported mode: {request}"
+                )
+            latency_ns, set_boundaries_ns = timing
+            start, finish = bank.schedule_write(now, row, latency_ns, set_boundaries_ns)
 
         request.start_time_ns = start
         request.finish_time_ns = finish
@@ -353,11 +358,11 @@ class MemoryController:
                 self._attribution.on_write_issue(request)
             else:
                 self._attribution.on_read_issue(request, hit)
-        self._bank_inflight[request.bank_index] += 1
+        self._bank_inflight[bank_index] += 1
         self._channel_inflight[channel] += 1
-        event = self.sim.schedule_at(finish, lambda: self._complete(channel, request))
+        event = self.sim.schedule_at(finish, self._complete, channel, request)
         if is_write:
-            self._inflight_write[request.bank_index] = (request, event)
+            self._inflight_write[bank_index] = (request, event)
         else:
             self._reschedule_paused_write(channel, request, bank)
 
@@ -373,41 +378,43 @@ class MemoryController:
             return
         event.cancel()
         write_request.finish_time_ns = new_end
-        new_event = self.sim.schedule_at(
-            new_end, lambda: self._complete(channel, write_request)
-        )
+        new_event = self.sim.schedule_at(new_end, self._complete, channel, write_request)
         self._inflight_write[read_request.bank_index] = (write_request, new_event)
         if self._attribution is not None:
             self._attribution.on_write_paused(write_request, read_request, new_end)
 
     def _complete(self, channel: int, request: MemRequest) -> None:
-        self._bank_inflight[request.bank_index] -= 1
+        bank_index = request.bank_index
+        inflight = self._bank_inflight
+        inflight[bank_index] -= 1
         self._channel_inflight[channel] -= 1
-        if self._bank_inflight[request.bank_index] < 0:
+        if inflight[bank_index] < 0:
             raise SimulationError("bank in-flight count went negative")
-        entry = self._inflight_write[request.bank_index]
+        entry = self._inflight_write[bank_index]
         if entry is not None and entry[0] is request:
-            self._inflight_write[request.bank_index] = None
+            self._inflight_write[bank_index] = None
 
         finish = request.finish_time_ns
         assert finish is not None
         latency = finish - request.issue_time_ns
 
-        if request.rtype is RequestType.READ:
-            self.stats.reads_completed += 1
-            self.stats.read_latency_sum_ns += latency
+        stats = self.stats
+        rtype = request.rtype
+        if rtype is RequestType.READ:
+            stats.reads_completed += 1
+            stats.read_latency_sum_ns += latency
             if self._read_latency_hist is not None:
                 self._read_latency_hist.record(latency)
-        elif request.rtype is RequestType.WRITE:
-            self.stats.writes_completed += 1
-            self.stats.write_latency_sum_ns += latency
+        elif rtype is RequestType.WRITE:
+            stats.writes_completed += 1
+            stats.write_latency_sum_ns += latency
             if self._write_latency_hist is not None:
                 self._write_latency_hist.record(latency)
             self._count_write_mode(request)
-        elif request.rtype is RequestType.RRM_REFRESH:
-            self.stats.rrm_refreshes_completed += 1
+        elif rtype is RequestType.RRM_REFRESH:
+            stats.rrm_refreshes_completed += 1
         else:
-            self.stats.rrm_slow_refreshes_completed += 1
+            stats.rrm_slow_refreshes_completed += 1
 
         violated = request.deadline_ns is not None and finish > request.deadline_ns
         if violated:
@@ -460,10 +467,3 @@ class MemoryController:
             self.stats.fast_writes += 1
         elif request.n_sets == self.device.modes.slow.n_sets:
             self.stats.slow_writes += 1
-
-    def _wake_space_waiters(self, channel: int, queue_name: str) -> None:
-        waiters = self._space_waiters.pop((channel, queue_name), None)
-        if not waiters:
-            return
-        for callback in waiters:
-            callback()

@@ -3,15 +3,16 @@
 Each channel owns a :class:`QueueSet`: an RRM refresh queue (64 entries,
 highest priority), a read queue (32 entries, middle priority) and a write
 queue (64 entries, lowest priority). Queues are FIFO within a class; the
-scheduler may still pick a younger request whose bank is free (FR-FCFS
-style) via :meth:`BoundedQueue.pop_first_ready`.
+controller's scheduler (``MemoryController._kick``) may still pick a
+younger request whose bank is free, FR-FCFS style, by scanning a bounded
+window of :attr:`BoundedQueue._entries` in place.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Iterable, List, Optional
+from typing import Callable, Deque, Dict, Iterable, List, Optional
 
 from repro.errors import QueueFullError
 from repro.memctrl.request import MemRequest, RequestType
@@ -32,6 +33,10 @@ class BoundedQueue:
     #: controller only when latency attribution is enabled, so the hot
     #: path pays nothing by default.
     issue_observer: Optional[Callable[["BoundedQueue", MemRequest, int], None]] = None
+    #: One-shot producer callbacks waiting for a free slot, in arrival
+    #: order; the controller swaps in a fresh list and fires these when
+    #: it issues an entry out of this queue.
+    space_waiters: List[Callable[[], None]] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -39,10 +44,6 @@ class BoundedQueue:
     @property
     def full(self) -> bool:
         return len(self._entries) >= self.capacity
-
-    @property
-    def empty(self) -> bool:
-        return not self._entries
 
     def push(self, request: MemRequest) -> None:
         """Enqueue; raises :class:`QueueFullError` if at capacity.
@@ -63,20 +64,6 @@ class BoundedQueue:
 
     def peek(self) -> Optional[MemRequest]:
         return self._entries[0] if self._entries else None
-
-    def pop_first_ready(
-        self, is_ready: Callable[[MemRequest], bool], window: int = 8
-    ) -> Optional[MemRequest]:
-        """Remove and return the oldest request satisfying *is_ready*,
-        searching at most *window* entries from the head (FR-FCFS with a
-        bounded associative search, like real schedulers)."""
-        for index, request in enumerate(self._entries):
-            if index >= window:
-                break
-            if is_ready(request):
-                del self._entries[index]
-                return request
-        return None
 
     def note_issue(self, request: MemRequest, n_bypassed: int) -> None:
         """Report an out-of-queue pick to the issue observer, if any.
@@ -111,14 +98,13 @@ class QueueSet:
         self.refresh_queue = BoundedQueue(self.refresh_capacity, name="rrm-refresh-q")
         self.read_queue = BoundedQueue(self.read_capacity, name="read-q")
         self.write_queue = BoundedQueue(self.write_capacity, name="write-q")
-
-    def queue_for(self, rtype: RequestType) -> BoundedQueue:
-        """The queue a request class maps to."""
-        if rtype in (RequestType.RRM_REFRESH, RequestType.RRM_SLOW_REFRESH):
-            return self.refresh_queue
-        if rtype is RequestType.READ:
-            return self.read_queue
-        return self.write_queue
+        #: The queue each request class maps to.
+        self.by_type: Dict[RequestType, BoundedQueue] = {
+            RequestType.RRM_REFRESH: self.refresh_queue,
+            RequestType.RRM_SLOW_REFRESH: self.refresh_queue,
+            RequestType.READ: self.read_queue,
+            RequestType.WRITE: self.write_queue,
+        }
 
     def in_priority_order(self) -> List[BoundedQueue]:
         """Queues from highest to lowest scheduling priority."""

@@ -22,10 +22,18 @@ class RequestType(enum.Enum):
     #: Demand write (LLC dirty writeback).
     WRITE = "write"
 
+    # Members are singletons compared by identity, so the identity hash
+    # is consistent with equality; it spares every per-class queue lookup
+    # the Python-level ``Enum.__hash__``.
+    __hash__ = object.__hash__
 
-@dataclass
+
+@dataclass(slots=True)
 class MemRequest:
     """One block-granularity memory request.
+
+    Slotted: one is built per memory access, and the scheduler reads its
+    fields on every queue scan.
 
     Attributes:
         rtype: Traffic class.
@@ -46,7 +54,7 @@ class MemRequest:
     deadline_ns: Optional[float] = None
     core: Optional[int] = None
     on_complete: Optional[Callable[[float], None]] = None
-    req_id: int = field(default_factory=lambda: next(_request_ids))
+    req_id: int = field(default_factory=_request_ids.__next__)
 
     start_time_ns: Optional[float] = None
     finish_time_ns: Optional[float] = None

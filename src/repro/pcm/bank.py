@@ -51,13 +51,13 @@ class RowBuffer:
         registry.derived(f"{prefix}.hit_rate", lambda: self.hit_rate)
 
 
-@dataclass
+@dataclass(slots=True)
 class _InFlightWrite:
     """Book-keeping for a write currently occupying the bank."""
 
     start_ns: float
     end_ns: float
-    #: Absolute times at which the write may be paused.
+    #: Absolute times at which the write may be paused, ascending.
     boundaries_ns: Tuple[float, ...]
     pauses: int = 0
 
@@ -93,15 +93,16 @@ class Bank:
 
     def read_start_time(self, now: float) -> float:
         """Earliest time a *read* could start, exploiting write pausing."""
+        write = self._in_flight_write
         if (
-            self.allow_write_pausing
-            and self._in_flight_write is not None
-            and now < self._in_flight_write.end_ns
-            and self._in_flight_write.pauses < self.max_pauses_per_write
+            write is not None
+            and now < write.end_ns
+            and write.pauses < self.max_pauses_per_write
+            and self.allow_write_pausing
         ):
             boundary = self._next_pause_boundary(now)
             if boundary is not None:
-                return max(now, boundary)
+                return boundary
         return self.available_at(now)
 
     def schedule_read(self, now: float, row: int) -> Tuple[float, float, bool]:
@@ -113,18 +114,17 @@ class Bank:
         """
         write = self._in_flight_write
         paused = False
+        boundary = None
         if (
-            self.allow_write_pausing
-            and write is not None
+            write is not None
             and now < write.end_ns
             and write.pauses < self.max_pauses_per_write
+            and self.allow_write_pausing
         ):
             boundary = self._next_pause_boundary(now)
-            if boundary is not None:
-                start = max(now, boundary)
-                paused = True
-            else:
-                start = self.available_at(now)
+        if boundary is not None:
+            start = boundary
+            paused = True
         else:
             start = self.available_at(now)
 
@@ -140,7 +140,7 @@ class Bank:
             write.pauses += 1
             # Shift the not-yet-executed boundaries past the read.
             write.boundaries_ns = tuple(
-                b + service if b > start else b for b in write.boundaries_ns
+                [b + service if b > start else b for b in write.boundaries_ns]
             )
             self.write_pauses += 1
             self.pause_time_ns += service
@@ -170,7 +170,7 @@ class Bank:
         self._in_flight_write = _InFlightWrite(
             start_ns=start,
             end_ns=finish,
-            boundaries_ns=tuple(start + b for b in pause_boundaries_ns),
+            boundaries_ns=tuple([start + b for b in pause_boundaries_ns]),
         )
         self.busy_until = finish
         self.writes_served += 1
@@ -188,12 +188,18 @@ class Bank:
         return self._in_flight_write.end_ns
 
     def _next_pause_boundary(self, now: float) -> Optional[float]:
-        """Next absolute pause point of the in-flight write at/after *now*."""
+        """Next absolute pause point of the in-flight write at/after *now*.
+
+        Boundaries are ascending (a pause shifts every later one by the
+        same amount), so the first one at/after *now* is the earliest.
+        """
         write = self._in_flight_write
         if write is None:
             return None
-        candidates = [b for b in write.boundaries_ns if b >= now and b < write.end_ns]
-        return min(candidates) if candidates else None
+        for boundary in write.boundaries_ns:
+            if boundary >= now:
+                return boundary if boundary < write.end_ns else None
+        return None
 
     def utilization(self, elapsed_ns: float) -> float:
         """Fraction of *elapsed_ns* the bank spent busy."""

@@ -189,3 +189,96 @@ class TestIdleness:
         controller.enqueue(read(0))
         sim.run()
         assert controller.stats.avg_read_latency_ns > 0
+
+
+class TestFrFcfsWindow:
+    """The FR-FCFS scan looks at most ``SCHED_WINDOW`` entries deep."""
+
+    @staticmethod
+    def _bank1_block(controller):
+        amap = controller.address_map
+        block = amap.blocks_per_row * amap.n_channels
+        assert (amap.decode_block(block).channel, amap.decode_block(block).bank) == (0, 1)
+        return block
+
+    def test_ready_request_beyond_window_waits(self, sim, small_device):
+        controller = MemoryController(sim, small_device, read_queue_capacity=16)
+        busy = read(0)
+        controller.enqueue(busy)  # bank 0 now serving a read
+        # The scan looks 8 entries deep (SCHED_WINDOW, Table V's FR-FCFS).
+        blocked = [read(0) for _ in range(8)]
+        for r in blocked:
+            controller.enqueue(r)
+        late = read(self._bank1_block(controller))
+        controller.enqueue(late)
+        # Bank 1 is idle, but the 8 bank-blocked reads ahead fill the window.
+        assert late.start_time_ns is None
+        assert all(r.start_time_ns is None for r in blocked)
+        sim.run()
+        # Bank 0's first completion pulls one blocked read out of the
+        # queue, which brings the late read inside the window.
+        assert late.start_time_ns == busy.finish_time_ns
+        assert blocked[0].start_time_ns == busy.finish_time_ns
+
+    def test_younger_ready_request_inside_window_issues(self, sim, small_device):
+        controller = MemoryController(sim, small_device, read_queue_capacity=16)
+        busy = read(0)
+        controller.enqueue(busy)
+        blocked = [read(0) for _ in range(3)]
+        for r in blocked:
+            controller.enqueue(r)
+        young = read(self._bank1_block(controller))
+        controller.enqueue(young)
+        assert young.start_time_ns == 0.0
+        assert all(r.start_time_ns is None for r in blocked)
+        sim.run()
+        assert controller.stats.reads_completed == 5
+
+
+class TestWritePauseChain:
+    """Successive reads pause one 7-SET write up to the per-write cap."""
+
+    def test_pauses_extend_write_until_cap(self, sim, controller):
+        bank = controller.device.bank(0, 0)
+        cap = bank.max_pauses_per_write
+        w = write(0, n_sets=7)
+        write_done = []
+        w.on_complete = write_done.append
+        controller.enqueue(w)
+
+        reads = []
+        # Write end seen right after each read issues, and the bank's own.
+        ends = []
+        # Requests still queued right after each read's enqueue.
+        queued = []
+
+        def issue_next(_finish=None):
+            if len(reads) == cap + 1:
+                return
+            r = read(0)
+            r.on_complete = issue_next
+            reads.append(r)
+            controller.enqueue(r)
+            ends.append((w.finish_time_ns, bank.write_end_time()))
+            queued.append(controller.pending_requests())
+
+        sim.schedule_at(40.0, issue_next)
+        sim.run()
+
+        pausing, fifth = reads[:cap], reads[cap]
+        services = [r.finish_time_ns - r.start_time_ns for r in pausing]
+        expected = [1150.0 + sum(services[: i + 1]) for i in range(cap)]
+        # Each pausing read pushes the completion to the bank's new end.
+        assert [controller_end for controller_end, _ in ends[:cap]] == expected
+        assert [bank_end for _, bank_end in ends[:cap]] == expected
+        assert all(r.start_time_ns < expected[-1] for r in pausing)
+        assert bank.write_pauses == cap
+        # The fifth read finds the cap reached and waits in the queue for
+        # the write to finish.
+        assert queued == [0] * cap + [1]
+        assert fifth.start_time_ns == expected[-1]
+        # The pushed-back completion fires exactly once, at the final end.
+        assert write_done == [expected[-1]]
+        assert w.finish_time_ns == expected[-1]
+        assert controller.stats.writes_completed == 1
+        assert controller.stats.reads_completed == cap + 1

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine import owner_label
 from repro.errors import SimulationError
 
 
@@ -48,6 +49,33 @@ class TestScheduling:
             sim.schedule_at(t, lambda: None)
         sim.run()
         assert sim.events_processed == 3
+
+
+class TestCallbackArgs:
+    def test_schedule_at_passes_args(self, sim):
+        log = []
+        sim.schedule_at(5.0, lambda *args: log.append(args), "a", 2)
+        sim.schedule_at(6.0, log.append, ("b",))
+        sim.run()
+        assert log == [("a", 2), ("b",)]
+
+    def test_args_and_owner_under_cost_accounting(self, sim):
+        class Widget:
+            def __init__(self):
+                self.seen = []
+
+            def poke(self, a, b):
+                self.seen.append((a, b))
+
+        accounting = sim.enable_cost_accounting()
+        widget = Widget()
+        event = sim.schedule_at(1.0, widget.poke, 1, b"x")
+        sim.run()
+        assert widget.seen == [(1, b"x")]
+        # The label names the defining class, not the instance.
+        assert event.owner == owner_label(Widget.poke)
+        assert event.owner.endswith(".<locals>.Widget.poke")
+        assert accounting.counts == {event.owner: 1}
 
 
 class TestRunBounds:
@@ -102,6 +130,33 @@ class TestCancellation:
         sim.run()
         assert log == []
 
+    def test_cancel_handle_with_args(self, sim):
+        log = []
+        event = sim.schedule_at(1.0, log.append, "x")
+        sim.schedule_at(1.0, log.append, "y")
+        event.cancel()
+        assert event.cancelled
+        sim.run()
+        assert log == ["y"]
+        assert sim.events_processed == 1
+        assert sim.events_cancelled == 1
+
+    def test_tombstones_do_not_count_toward_max_events(self, sim):
+        log = []
+        for t in range(1, 7):
+            event = sim.schedule_at(float(t), log.append, t)
+            if t % 2:
+                event.cancel()
+        sim.run(max_events=2)
+        assert log == [2, 4]
+        # Tombstones at t=1, 3 and 5 are discarded as they reach the head,
+        # t=5 before the cap ends the run.
+        assert sim.events_processed == 2
+        assert sim.events_cancelled == 3
+        sim.run(max_events=2)
+        assert log == [2, 4, 6]
+        assert sim.events_cancelled == 3
+
     def test_pending_events_ignores_cancelled(self, sim):
         event = sim.schedule_at(1.0, lambda: None)
         sim.schedule_at(2.0, lambda: None)
@@ -133,6 +188,22 @@ class TestPeriodic:
         sim.schedule_periodic(1.0, tick)
         sim.run(until=100.0)
         assert len(ticks) == 3
+
+    def test_counters_are_current_inside_periodic_tick(self, sim):
+        seen = []
+        sim.schedule_periodic(
+            10.0,
+            lambda: seen.append(
+                (sim.now, sim.events_processed, sim.events_cancelled)
+            ),
+        )
+        for t in (5.0, 15.0, 25.0):
+            sim.schedule_at(t, lambda: None)
+        sim.schedule_at(12.0, lambda: None).cancel()
+        sim.run(until=30.0)
+        # Each tick sees every earlier dispatch and discarded tombstone;
+        # its own dispatch is counted once it returns.
+        assert seen == [(10.0, 1, 0), (20.0, 3, 1), (30.0, 5, 1)]
 
     def test_zero_period_rejected(self, sim):
         with pytest.raises(SimulationError):

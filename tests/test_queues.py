@@ -47,34 +47,14 @@ class TestBoundedQueue:
         assert q.total_enqueued == 3
         assert q.peak_occupancy == 3
 
-    def test_pop_first_ready_skips_unready(self):
-        q = BoundedQueue(4)
-        a, b = req(1), req(2)
-        q.push(a)
-        q.push(b)
-        got = q.pop_first_ready(lambda r: r.block == 2)
-        assert got is b
-        assert list(q) == [a]
-
-    def test_pop_first_ready_window_limits_search(self):
-        q = BoundedQueue(8)
-        for i in range(5):
-            q.push(req(i))
-        got = q.pop_first_ready(lambda r: r.block == 4, window=2)
-        assert got is None
-        assert len(q) == 5
-
-    def test_pop_first_ready_none_when_empty(self):
-        assert BoundedQueue(2).pop_first_ready(lambda r: True) is None
-
 
 class TestQueueSet:
     def test_request_type_routing(self):
         qs = QueueSet()
-        assert qs.queue_for(RequestType.READ) is qs.read_queue
-        assert qs.queue_for(RequestType.WRITE) is qs.write_queue
-        assert qs.queue_for(RequestType.RRM_REFRESH) is qs.refresh_queue
-        assert qs.queue_for(RequestType.RRM_SLOW_REFRESH) is qs.refresh_queue
+        assert qs.by_type[RequestType.READ] is qs.read_queue
+        assert qs.by_type[RequestType.WRITE] is qs.write_queue
+        assert qs.by_type[RequestType.RRM_REFRESH] is qs.refresh_queue
+        assert qs.by_type[RequestType.RRM_SLOW_REFRESH] is qs.refresh_queue
 
     def test_priority_order(self):
         qs = QueueSet()

@@ -1,0 +1,85 @@
+"""Differential result net: one committed digest per (workload, scheme, seed).
+
+Every one of the 11 workloads (9 benchmarks and 2 mixes, the mixes with
+the 4 cores they define) runs under all 6 schemes at seeds 1-3 on
+``SystemConfig.tiny`` for the first 4000 engine events. Each cell's
+``SimResult`` is reduced to the sha256 of its canonical JSON, less the
+fields that depend on the host or on instrumentation, and compared with
+``tests/data/result_digests.json``.
+
+A hot-path optimisation must keep every digest. The committed file is
+only ever rewritten by a change that means to alter simulated results::
+
+    PYTHONPATH=src python tests/test_result_digests.py
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.sim.config import SystemConfig
+from repro.sim.schemes import Scheme, all_schemes
+from repro.sim.system import System
+from repro.workloads.mixes import MIXES, all_workload_names
+
+DIGESTS = Path(__file__).parent / "data" / "result_digests.json"
+SEEDS = (1, 2, 3)
+MAX_EVENTS = 4_000
+#: ``SimResult.to_json_dict`` fields that depend on the host or on
+#: instrumentation.
+HOST_FIELDS = ("wall_time_s", "sim_events", "attribution", "profile")
+
+CELLS = [
+    (workload, scheme.value, seed)
+    for workload in all_workload_names()
+    for scheme in all_schemes()
+    for seed in SEEDS
+]
+
+
+def cell_key(workload: str, scheme: str, seed: int) -> str:
+    return f"{workload}/{scheme}/{seed}"
+
+
+def cell_digest(workload: str, scheme: str, seed: int) -> str:
+    """sha256 of the cell's canonical result JSON, host fields removed."""
+    config = SystemConfig.tiny(seed)
+    if workload in MIXES:
+        config = dataclasses.replace(config, n_cores=len(MIXES[workload]))
+    system = System(config, workload, Scheme(scheme))
+    record = system.run(max_events=MAX_EVENTS).to_json_dict()
+    for field in HOST_FIELDS:
+        record.pop(field, None)
+    blob = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def expected() -> dict:
+    return json.loads(DIGESTS.read_text())
+
+
+def test_digest_file_covers_the_matrix(expected):
+    assert sorted(expected) == sorted(cell_key(*cell) for cell in CELLS)
+
+
+@pytest.mark.parametrize(
+    "workload,scheme,seed", CELLS, ids=[cell_key(*cell) for cell in CELLS]
+)
+def test_result_digest(expected, workload, scheme, seed):
+    assert cell_digest(workload, scheme, seed) == expected[
+        cell_key(workload, scheme, seed)
+    ]
+
+
+if __name__ == "__main__":
+    DIGESTS.parent.mkdir(exist_ok=True)
+    DIGESTS.write_text(
+        json.dumps({cell_key(*c): cell_digest(*c) for c in CELLS}, indent=1) + "\n"
+    )
+    print(f"wrote {len(CELLS)} digests to {DIGESTS}")
