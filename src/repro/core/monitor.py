@@ -118,6 +118,11 @@ class RegionRetentionMonitor:
         self.tracer = tracer
         self.tags = RRMTagArray(config)
         self.stats = RRMStats()
+        # Read on every registration and write decision; the config is
+        # frozen, so they are copied out of it once.
+        self._blocks_per_region = config.blocks_per_region
+        self._hot_threshold = config.hot_threshold
+        self._streaming_filter = config.streaming_filter
 
         fast_retention = modes.mode(config.fast_n_sets).retention_s
         #: Interval between short-retention interrupts: the fast mode's
@@ -160,26 +165,30 @@ class RegionRetentionMonitor:
         filters spatial-only locality out of the hotness statistics.
         (``config.streaming_filter=False`` disables this, for ablation.)
         """
-        if not was_dirty and self.config.streaming_filter:
-            self.stats.clean_writes_filtered += 1
+        stats = self.stats
+        if not was_dirty and self._streaming_filter:
+            stats.clean_writes_filtered += 1
             return
-        self.stats.registrations += 1
+        stats.registrations += 1
 
-        region = self.config.region_of_block(block)
-        entry = self.tags.lookup(region)
+        # Region and vector-bit index; the offset is in range by
+        # construction, so the bit is set without the entry's check.
+        region, offset = divmod(block, self._blocks_per_region)
+        tags = self.tags
+        entry = tags.lookup(region)
         if entry is None:
-            entry, victim = self.tags.allocate(region)
+            entry, victim = tags.allocate(region)
             if victim is not None:
                 self._handle_eviction(victim)
 
-        if entry.record_dirty_write(self.config.hot_threshold):
-            self.stats.promotions += 1
+        if entry.record_dirty_write(self._hot_threshold):
+            stats.promotions += 1
             if self.tracer.enabled:
                 self.tracer.instant(
                     "promotion", "monitor", args={"region": region}
                 )
         if entry.hot:
-            entry.set_vector_bit(self.config.block_offset(block))
+            entry.short_retention_vector |= 1 << offset
 
     # ------------------------------------------------------------------
     # Input 2 / Output 1: memory write mode decision (Section IV-E)
@@ -192,9 +201,9 @@ class RegionRetentionMonitor:
         does not disturb LRU (it is a read of the retention array, not a
         registration).
         """
-        region = self.config.region_of_block(block)
+        region, offset = divmod(block, self._blocks_per_region)
         entry = self.tags.lookup(region, touch=False)
-        if entry is not None and entry.vector_bit(self.config.block_offset(block)):
+        if entry is not None and entry.short_retention_vector >> offset & 1:
             self.stats.fast_decisions += 1
             return self.config.fast_n_sets
         self.stats.slow_decisions += 1

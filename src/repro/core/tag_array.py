@@ -23,6 +23,9 @@ class RRMTagArray:
         #: Per-set map of region -> entry. Dict preserves O(1) lookup; the
         #: LRU order lives in the entries' ``last_use`` stamps.
         self._sets: List[Dict[int, RRMEntry]] = [dict() for _ in range(config.n_sets)]
+        #: ``config.set_index`` as a mask (n_sets is a power of two), off
+        #: the per-registration lookup's call path.
+        self._set_mask = config.n_sets - 1
         self._use_clock = 0
         self.lookups = 0
         self.hits = 0
@@ -32,7 +35,7 @@ class RRMTagArray:
     def lookup(self, region: int, touch: bool = True) -> Optional[RRMEntry]:
         """Find the entry for *region*; updates LRU recency when *touch*."""
         self.lookups += 1
-        entry = self._sets[self.config.set_index(region)].get(region)
+        entry = self._sets[region & self._set_mask].get(region)
         if entry is not None:
             self.hits += 1
             if touch:
@@ -48,7 +51,7 @@ class RRMTagArray:
         region that is already present is a protocol error — callers must
         lookup first.
         """
-        set_index = self.config.set_index(region)
+        set_index = region & self._set_mask
         bucket = self._sets[set_index]
         if region in bucket:
             raise SimulationError(f"region {region} already present in set {set_index}")
@@ -72,7 +75,7 @@ class RRMTagArray:
 
     def invalidate(self, region: int) -> Optional[RRMEntry]:
         """Remove and return the entry for *region*, if present."""
-        entry = self._sets[self.config.set_index(region)].pop(region, None)
+        entry = self._sets[region & self._set_mask].pop(region, None)
         if entry is not None:
             entry.valid = False
         return entry

@@ -17,8 +17,10 @@ completion or queue space), so execution is fully event-driven.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Optional, Tuple
 
 from repro.engine import Simulator
@@ -28,6 +30,11 @@ from repro.memctrl.request import MemRequest, RequestType
 from repro.workloads.events import EV_READ, EV_REGISTER, EV_WRITE
 
 WorkloadEvent = Tuple[int, int, int, bool]
+
+# Enum member access runs Python code in the enum machinery on every
+# lookup; the per-request paths below use these module constants.
+_READ = RequestType.READ
+_WRITE = RequestType.WRITE
 
 
 @dataclass(frozen=True)
@@ -162,64 +169,76 @@ class CoreModel:
     # Event loop
     # ------------------------------------------------------------------
     def _run(self) -> None:
+        """Execute events until the core must wait or parks.
+
+        Hot path: the time cursor, the stats, the stream's ``__next__``
+        and the register sink live in locals; ``_t`` and ``_pending`` are
+        written back on every way out (the ``finally``). Nothing reached
+        from here reads them meanwhile: completions run as separate
+        engine events, and the space waiters that an enqueue's scheduler
+        kick may fire belong to other producers, since a running core has
+        none registered.
+        """
         if self._wait not in (_W_NONE, _W_TIME):
             return  # a stale wake-up; the real wake path will re-enter
         self._wait = _W_NONE
         sim = self.sim
-        end_time_ns = self._end_time_ns
-        while True:
-            if end_time_ns is not None and self._t >= end_time_ns:
-                return  # park: the measurement window is over for this core
+        now = sim.now
+        end = self._end_time_ns
+        if end is None:
+            end = math.inf
+        stats = self.stats
+        next_event = self._events.__next__
+        register = self._register
+        ns_per_instruction = self._ns_per_instruction
+        t = self._t
+        # The event in hand is parked in ``pending`` (its gap already
+        # retired) whenever the loop returns before consuming it.
+        pending = self._pending
+        try:
+            # Past the end time the core parks: the measurement window is
+            # over for it.
+            while t < end:
+                if pending is None:
+                    try:
+                        kind, gap, block, dirty = next_event()
+                    except StopIteration:
+                        self._exhausted = True
+                        return
+                    if gap:
+                        t += gap * ns_per_instruction
+                        stats.retired_instructions += gap
+                else:
+                    kind, _, block, dirty = pending
+                    pending = None
 
-            # The event in hand is parked in _pending (its gap already
-            # retired) whenever the loop returns before consuming it.
-            event = self._pending
-            if event is None:
-                try:
-                    event = next(self._events)
-                except StopIteration:
-                    self._exhausted = True
+                # Anything with a time cost must happen at the cursor time.
+                if t > now:
+                    pending = (kind, 0, block, dirty)
+                    self._wait = _W_TIME
+                    sim.schedule_at(t, self._wake_time)
                     return
-                kind, gap, block, dirty = event
-                if gap:
-                    self._t += gap * self._ns_per_instruction
-                    self.stats.retired_instructions += gap
-                    event = (kind, 0, block, dirty)
-            else:
-                kind, _, block, dirty = event
 
-            # Anything with a time cost must happen at the cursor time.
-            if self._t > sim.now:
-                self._pending = event
-                self._wait = _W_TIME
-                sim.schedule_at(self._t, self._wake_time)
-                return
-
-            if kind == EV_REGISTER:
-                if self._register is not None:
-                    self._register(block, dirty)
-                self.stats.registrations += 1
-                self._pending = None
-                continue
-
-            if kind == EV_READ:
-                status = self._try_read(block)
-                if status == _READ_RETRY:
-                    self._pending = event
-                    return  # a wake path will retry
-                self._pending = None
-                if status == _READ_BLOCKED:
-                    return  # read issued; core waits for its data
-                continue
-
-            if kind == EV_WRITE:
-                if not self._try_write(block):
-                    self._pending = event
-                    return
-                self._pending = None
-                continue
-
-            raise SimulationError(f"unknown workload event kind: {kind}")
+                if kind == EV_REGISTER:
+                    if register is not None:
+                        register(block, dirty)
+                    stats.registrations += 1
+                elif kind == EV_READ:
+                    status = self._try_read(block)
+                    if status == _READ_RETRY:
+                        pending = (kind, 0, block, dirty)
+                        return  # a wake path will retry
+                    if status == _READ_BLOCKED:
+                        return  # read issued; core waits for its data
+                elif kind == EV_WRITE:
+                    if not self._try_write(block):
+                        pending = (kind, 0, block, dirty)
+                        return
+                else:
+                    raise SimulationError(f"unknown workload event kind: {kind}")
+        finally:
+            self._t = t
+            self._pending = pending
 
     def _wake_time(self) -> None:
         if self._wait == _W_TIME:
@@ -234,17 +253,15 @@ class CoreModel:
             self._wait = _W_MLP
             self.stats.mlp_stalls += 1
             return _READ_RETRY
-        if not self._controller.can_accept(RequestType.READ, block):
+        if not self._controller.can_accept(_READ, block):
             self._wait = _W_SPACE
             self.stats.read_queue_stalls += 1
-            self._controller.notify_space(RequestType.READ, block, self._wake_space)
+            self._controller.notify_space(_READ, block, self._wake_space)
             return _READ_RETRY
 
         blocking = self._rng.random() < self.params.blocking_load_fraction
-        request = MemRequest(rtype=RequestType.READ, block=block, core=self.core_id)
-        request.on_complete = lambda finish: self._on_read_complete(
-            request.req_id, finish
-        )
+        request = MemRequest(rtype=_READ, block=block, core=self.core_id)
+        request.on_complete = partial(self._on_read_complete, request.req_id)
         if blocking:
             self._blocking_req_id = request.req_id
         self._controller.enqueue(request)
@@ -276,21 +293,39 @@ class CoreModel:
     # Writes
     # ------------------------------------------------------------------
     def _try_write(self, block: int) -> bool:
-        if not self._controller.can_accept(RequestType.WRITE, block):
+        if not self._controller.can_accept(_WRITE, block):
             self._wait = _W_SPACE
             self.stats.write_queue_stalls += 1
-            self._controller.notify_space(RequestType.WRITE, block, self._wake_space)
+            self._controller.notify_space(_WRITE, block, self._wake_space)
             return False
         n_sets = self._choose_mode(block)
         request = MemRequest(
-            rtype=RequestType.WRITE, block=block, n_sets=n_sets, core=self.core_id
+            rtype=_WRITE, block=block, n_sets=n_sets, core=self.core_id
         )
         self._controller.enqueue(request)
         self.stats.writes_issued += 1
         return True
 
     def _wake_space(self) -> None:
-        if self._wait == _W_SPACE:
-            self._wait = _W_NONE
-            self._t = max(self._t, self.sim.now)
-            self._run()
+        """Queue-space wake-up: retry the parked request.
+
+        A parked write is retried right here, and ``_run`` is entered
+        only once the controller accepts it; a refused retry (another
+        producer took the slot) re-registers and counts one more
+        ``write_queue_stalls``, exactly as a pass through ``_run`` would.
+        That is exact because a core waiting on space has ``_t <= now``:
+        it stalled at its cursor time, and nothing moves the cursor
+        while it waits.
+        """
+        if self._wait != _W_SPACE:
+            return
+        self._wait = _W_NONE
+        now = self.sim.now
+        self._t = now
+        event = self._pending
+        end = self._end_time_ns
+        if event[0] == EV_WRITE and (end is None or now < end):
+            if not self._try_write(event[2]):
+                return
+            self._pending = None
+        self._run()

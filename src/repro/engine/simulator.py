@@ -198,13 +198,13 @@ class Simulator:
         self,
         delay: float,
         callback: EventCallback,
-        *,
+        *args: Any,
         owner: Optional[str] = None,
     ) -> Event:
-        """Schedule *callback* after *delay* ns from now."""
+        """Schedule ``callback(*args)`` after *delay* ns from now."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self.schedule_at(self.now + delay, callback, owner=owner)
+        return self.schedule_at(self.now + delay, callback, *args, owner=owner)
 
     def schedule_periodic(
         self,
@@ -264,14 +264,16 @@ class Simulator:
         )
         try:
             while queue and not self._stopped:
-                time, _, event = queue[0]
+                # Pop first: the entry goes back only when the run stops
+                # short of it, once per run rather than a peek per event.
+                entry = heappop(queue)
+                time, _, event = entry
                 if event.cancelled:
-                    heappop(queue)
                     self.events_cancelled += 1
                     continue
                 if time > horizon or self.events_processed >= last:
+                    heappush(queue, entry)
                     break
-                heappop(queue)
                 self.now = time
                 if accounting is None:
                     event.callback(*event.args)

@@ -15,10 +15,19 @@ Scheduling policy (paper Table V):
   real controllers avoid both read interference and write-queue deadlock.
 
 Backpressure is explicit: producers must call :meth:`MemoryController.can_accept`
-first; when a queue is full they register a callback with
-:meth:`MemoryController.notify_space` and are woken when space frees. This
-is the mechanism through which long write latencies reach the CPU: the
-write queue backs up, the LLC cannot evict, and the core stalls.
+first; when a queue is full they register a one-shot callback with
+:meth:`MemoryController.notify_space`. Every issue out of a queue wakes
+all of that queue's waiters, in registration order, before the scheduler
+looks for the next issue; the first to retry takes the slot, and the
+rest find the queue full and register again. This is the mechanism
+through which long write latencies reach the CPU: the write queue backs
+up, the LLC cannot evict, and the core stalls.
+
+Scans are skipped when they cannot issue anything: a channel whose last
+scan found nothing is *settled* until an issue or a completion touches
+it. An enqueue on a settled channel rescans only if write draining has
+just switched on; otherwise the new request is the only candidate, and
+it is issued directly if it can issue (DESIGN.md §4).
 """
 
 from __future__ import annotations
@@ -98,6 +107,12 @@ class ControllerStats:
 
 CompletionListener = Callable[[MemRequest], None]
 
+# Enum member access runs Python code in the enum machinery on every
+# lookup; the per-request paths below use these module constants.
+_READ = RequestType.READ
+_WRITE = RequestType.WRITE
+_RRM_REFRESH = RequestType.RRM_REFRESH
+
 
 class MemoryController:
     """Schedules memory requests onto the PCM device banks."""
@@ -152,6 +167,10 @@ class MemoryController:
         if not 0 <= self._write_drain_low <= self._write_drain_high <= write_queue_capacity:
             raise ConfigError("write drain watermarks out of order")
         self._draining_writes = [False] * device.n_channels
+        #: Per channel: the last scan issued nothing and nothing has
+        #: happened since that could make an entry issuable (see
+        #: :meth:`_kick`). Cleared by every issue and every completion.
+        self._settled = [False] * device.n_channels
         #: Issued-but-unfinished request count per flat bank index.
         self._bank_inflight: List[int] = [0] * device.n_banks
         #: Issued-but-unfinished request count per channel.
@@ -220,7 +239,7 @@ class MemoryController:
         if self._attribution is not None:
             self._attribution.on_enqueue(request)
         self._queues[channel].by_type[request.rtype].push(request)
-        self._kick(channel)
+        self._kick(channel, request)
 
     def notify_space(self, rtype: RequestType, block: int, callback: Callable[[], None]) -> None:
         """Invoke *callback* once the queue for (*rtype*, *block*) frees a slot.
@@ -246,7 +265,7 @@ class MemoryController:
     # ------------------------------------------------------------------
     # Scheduler core
     # ------------------------------------------------------------------
-    def _kick(self, channel: int) -> None:
+    def _kick(self, channel: int, pushed: Optional[MemRequest] = None) -> None:
         """Issue every request that can be serviced on *channel* right now.
 
         Hot path, so everything the scan needs is hoisted into locals and
@@ -254,79 +273,130 @@ class MemoryController:
         FR-FCFS over at most ``SCHED_WINDOW`` entries per queue: the
         oldest entry whose bank is free wins, or a read whose bank holds
         one pausable write. Queues other than the read queue are skipped
-        outright when every bank on the channel is busy — only reads can
-        still start, by pausing an in-flight write. Writes issue only while
+        outright while the channel has as many requests in flight as it
+        has banks — usually every bank busy, where only reads can still
+        start, by pausing an in-flight write. Writes issue only while
         the channel drains writes (watermark hysteresis, updated once per
         kick) or when no refresh or read waits.
 
+        A settled channel is rescanned only if write draining has just
+        switched on. Otherwise the only entry a scan could pick is
+        *pushed*, the request just enqueued: it is issued directly if it
+        can issue, and nothing is done if not (see DESIGN.md §4).
+
         Issuing wakes space waiters, whose producers may enqueue and kick
         this channel re-entrantly; so queue contents, in-flight counts and
-        the drain flag are re-read after every issue.
+        the drain flag are re-read after every issue. If the channel is
+        settled once the waiters return, a nested scan already found
+        nothing issuable, so this one stops too.
         """
         queues = self._queues[channel]
+        write_queue = queues.write_queue
+        draining = self._draining_writes
+        settled = self._settled
+        was_draining = draining[channel]
+        occupancy = len(write_queue._entries)
+        if occupancy >= self._write_drain_high:
+            draining[channel] = True
+        elif occupancy <= self._write_drain_low:
+            draining[channel] = False
+        # The request the scan is known to pick, if any: on a settled
+        # channel it can only be *pushed*, so the scan is skipped.
+        direct = None
+        if settled[channel] and (was_draining or not draining[channel]):
+            # Nothing was issuable at the last scan, and since then no
+            # issue or completion touched the channel: only *pushed* can
+            # be new. Older entries kept their window, bank and in-flight
+            # gating, a pushed read or refresh only tightens write
+            # gating, and the time that passed only retired pause
+            # boundaries. The checks below are the scan's, for *pushed*.
+            if pushed is None:
+                return
+            queue = queues.by_type[pushed.rtype]
+            if len(queue._entries) > self.SCHED_WINDOW:
+                return
+            n = self._bank_inflight[pushed.bank_index]
+            if pushed.rtype is _READ:
+                if n > 1:
+                    return
+                if n == 1:
+                    bank = self._banks_flat[pushed.bank_index]
+                    if not bank.read_start_time(self.sim.now) < bank.busy_until:
+                        return
+            elif n or self._channel_inflight[channel] == self._banks_per_channel:
+                return
+            elif queue is write_queue and not draining[channel] and (
+                queues.read_queue._entries or queues.refresh_queue._entries
+            ):
+                return
+            direct = pushed
+
         priority_queues = self._priority_queues[channel]
         refresh_entries = queues.refresh_queue._entries
         read_queue = queues.read_queue
         read_entries = read_queue._entries
-        write_queue = queues.write_queue
-        draining = self._draining_writes
         channel_inflight = self._channel_inflight
         n_banks = self._banks_per_channel
         now = self.sim.now
         inflight = self._bank_inflight
         banks = self._banks_flat
         window = self.SCHED_WINDOW
-        read_type = RequestType.READ
-
-        occupancy = len(write_queue._entries)
-        if occupancy >= self._write_drain_high:
-            draining[channel] = True
-        elif occupancy <= self._write_drain_low:
-            draining[channel] = False
+        read_type = _READ
 
         while True:
-            all_busy = channel_inflight[channel] == n_banks
-            for queue in priority_queues:
+            if direct is not None:
+                # Just pushed, so last in ``queue``, set by the checks.
+                request, direct = direct, None
                 entries = queue._entries
-                if not entries:
-                    continue
-                if queue is not read_queue:
-                    if all_busy:
+                pick = len(entries) - 1
+            else:
+                all_busy = channel_inflight[channel] == n_banks
+                for queue in priority_queues:
+                    entries = queue._entries
+                    if not entries:
                         continue
-                    if queue is write_queue and not (
-                        draining[channel] or not (read_entries or refresh_entries)
-                    ):
-                        continue
-                pick = -1
-                i = 0
-                for request in entries:
-                    if i == window:
-                        break
-                    n = inflight[request.bank_index]
-                    if n == 0:
-                        pick = i
-                        break
-                    if n == 1 and request.rtype is read_type:
-                        bank = banks[request.bank_index]
-                        # A single in-flight pausable write lets a read cut
-                        # in: the read starts before the bank frees.
-                        if bank.read_start_time(now) < bank.busy_until:
+                    if queue is not read_queue:
+                        if all_busy:
+                            continue
+                        if queue is write_queue and not (
+                            draining[channel] or not (read_entries or refresh_entries)
+                        ):
+                            continue
+                    pick = -1
+                    i = 0
+                    for request in entries:
+                        if i == window:
+                            break
+                        n = inflight[request.bank_index]
+                        if n == 0:
                             pick = i
                             break
-                    i += 1
-                if pick >= 0:
-                    del entries[pick]
-                    if self._attribution is not None:
-                        queue.note_issue(request, pick)
-                    self._issue(channel, request)
-                    waiters = queue.space_waiters
-                    if waiters:
-                        queue.space_waiters = []
-                        for callback in waiters:
-                            callback()
-                    break  # restart from the highest-priority queue
-            else:
-                return
+                        if n == 1 and request.rtype is read_type:
+                            bank = banks[request.bank_index]
+                            # A single in-flight pausable write lets a read
+                            # cut in: the read starts before the bank frees.
+                            if bank.read_start_time(now) < bank.busy_until:
+                                pick = i
+                                break
+                        i += 1
+                    if pick >= 0:
+                        break
+                else:
+                    settled[channel] = True
+                    return
+            del entries[pick]
+            settled[channel] = False
+            if self._attribution is not None:
+                queue.note_issue(request, pick)
+            self._issue(channel, request)
+            waiters = queue.space_waiters
+            if waiters:
+                queue.space_waiters = []
+                for callback in waiters:
+                    callback()
+                if settled[channel]:
+                    return
+            # Restart from the highest-priority queue.
 
     def _issue(self, channel: int, request: MemRequest) -> None:
         bank_index = request.bank_index
@@ -334,7 +404,7 @@ class MemoryController:
         now = self.sim.now
         row = request.decoded.row
 
-        is_write = request.rtype is not RequestType.READ
+        is_write = request.rtype is not _READ
         if not is_write:
             start, finish, hit = bank.schedule_read(now, row)
             if hit:
@@ -363,16 +433,13 @@ class MemoryController:
         event = self.sim.schedule_at(finish, self._complete, channel, request)
         if is_write:
             self._inflight_write[bank_index] = (request, event)
-        else:
+        elif self._inflight_write[bank_index] is not None:
             self._reschedule_paused_write(channel, request, bank)
 
     def _reschedule_paused_write(self, channel: int, read_request: MemRequest, bank) -> None:
-        """If the read just issued paused this bank's in-flight write, move
-        the write's completion event to the extended finish time."""
-        entry = self._inflight_write[read_request.bank_index]
-        if entry is None:
-            return
-        write_request, event = entry
+        """The bank holds an in-flight write: if the read just issued paused
+        it, move the write's completion event to the extended finish time."""
+        write_request, event = self._inflight_write[read_request.bank_index]
         new_end = bank.write_end_time()
         if new_end is None or new_end <= write_request.finish_time_ns:
             return
@@ -388,6 +455,9 @@ class MemoryController:
         inflight = self._bank_inflight
         inflight[bank_index] -= 1
         self._channel_inflight[channel] -= 1
+        # A freed bank can make a queued entry issuable, and the callbacks
+        # below may enqueue before the closing kick runs.
+        self._settled[channel] = False
         if inflight[bank_index] < 0:
             raise SimulationError("bank in-flight count went negative")
         entry = self._inflight_write[bank_index]
@@ -400,18 +470,18 @@ class MemoryController:
 
         stats = self.stats
         rtype = request.rtype
-        if rtype is RequestType.READ:
+        if rtype is _READ:
             stats.reads_completed += 1
             stats.read_latency_sum_ns += latency
             if self._read_latency_hist is not None:
                 self._read_latency_hist.record(latency)
-        elif rtype is RequestType.WRITE:
+        elif rtype is _WRITE:
             stats.writes_completed += 1
             stats.write_latency_sum_ns += latency
             if self._write_latency_hist is not None:
                 self._write_latency_hist.record(latency)
             self._count_write_mode(request)
-        elif rtype is RequestType.RRM_REFRESH:
+        elif rtype is _RRM_REFRESH:
             stats.rrm_refreshes_completed += 1
         else:
             stats.rrm_slow_refreshes_completed += 1

@@ -51,12 +51,15 @@ class BoundedQueue:
         Callers that model backpressure must check :attr:`full` first —
         an unchecked overflow is a protocol bug, not a hardware behaviour.
         """
-        if self.full:
+        entries = self._entries
+        depth = len(entries)
+        if depth >= self.capacity:
             self.rejected += 1
             raise QueueFullError(f"{self.name} full at {self.capacity} entries")
-        self._entries.append(request)
+        entries.append(request)
         self.total_enqueued += 1
-        self.peak_occupancy = max(self.peak_occupancy, len(self._entries))
+        if depth >= self.peak_occupancy:
+            self.peak_occupancy = depth + 1
 
     def pop(self) -> MemRequest:
         """Dequeue the oldest request."""

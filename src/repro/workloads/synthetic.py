@@ -25,6 +25,7 @@ produces the identical stream.
 from __future__ import annotations
 
 import bisect
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterator, List, Optional
@@ -137,8 +138,6 @@ def _log_spread_cdf(n: int, rng: random.Random) -> List[float]:
     that at the default hot_threshold a majority of warm regions qualify
     as hot while a meaningful population sits just below (giving the
     threshold sweep its gradient)."""
-    import math
-
     weights = [math.exp(rng.uniform(math.log(0.5), math.log(6.0))) for _ in range(n)]
     total = sum(weights)
     cdf = []
@@ -218,9 +217,6 @@ class RegionTrafficGenerator:
         # popular never do. This is what gives the hot_threshold sweep
         # (paper Fig. 11) its smooth performance/lifetime gradient.
         self._warm_cdf = _log_spread_cdf(len(self._warm), shuffler) if self._warm else []
-        self._stream_block = 0
-        self._reads_emitted = 0
-        self._writes_emitted = 0
         self.phase_changes = 0
 
     # ------------------------------------------------------------------
@@ -228,69 +224,142 @@ class RegionTrafficGenerator:
         return self._generate()
 
     def _generate(self) -> Iterator[WorkloadEvent]:
+        """The event stream, one LLC-miss cycle per loop iteration.
+
+        Hot path: one event per core step, so the whole cycle — gap draw,
+        read pick and write group — is inlined here, with profile
+        constants and bound RNG methods held in locals. The RNG draws
+        happen in a fixed order per cycle, which is what makes a
+        (profile, seed) pair reproduce its stream exactly:
+
+        1. the gap (plus one burst draw when ``gap_cv_shape > 1``);
+        2. the read tier roll, then the tier's block draws;
+        3. the writeback roll; for a write group, the tier roll, the
+           tier's block draws (plus the dirty draw for cold blocks), then
+           the fractional-registration draw.
+
+        ``_rotate_phase`` swaps regions in place, so the ``_hot`` and
+        ``_cold_ids`` aliases below stay current. The stream is meant to
+        be iterated once: the streaming cursor and the write count live
+        in this loop.
+        """
+        p = self.profile
         rng = self._rng
-        p = self.profile
-        mean_gap = p.mean_gap
+        rand = rng.random
+        randbelow = rng._randbelow  # randrange(n) for n > 0, minus checks
+        log = math.log
+        bisect_left = bisect.bisect_left
+        rotate_phase = self._rotate_phase
+
+        lambd = 1.0 / p.mean_gap
+        gap_cv_shape = p.gap_cv_shape
+        bursty = gap_cv_shape > 1.0
+        read_hot_share = p.read_hot_share
+        read_stream_share = p.read_hot_share + p.streaming_fraction
+        writeback_per_miss = p.writeback_per_miss
+        hot_share = p.hot_write_share
+        warm_share = p.hot_write_share + p.warm_write_share
+        stream_share = warm_share + p.streaming_fraction
+        cold_dirty_fraction = p.cold_dirty_fraction
+        hot_working_blocks = p.hot_working_blocks
+        regs_base = int(p.registrations_per_write)
+        regs_extra = p.registrations_per_write - regs_base
+        phase_interval = p.phase_interval_writes
+
+        base_block = self.base_block
+        hot = self._hot
+        hot_cdf = self._hot_cdf
+        hot_last = len(hot) - 1
+        hot_cursor = self._hot_cursor
+        warm = self._warm
+        warm_cdf = self._warm_cdf
+        warm_last = len(warm) - 1
+        cold_ids = self._cold_ids
+        n_cold = len(cold_ids)
+        # With no cold regions, randrange(0) raises where _randbelow(0)
+        # would spin.
+        pick_cold = randbelow if n_cold else rng.randrange
+        n_stream_regions = max(1, n_cold)
+        stream_block = 0
+        writes = 0
+
         while True:
-            gap = self._draw_gap(rng, mean_gap)
-            yield (EV_READ, gap, self._pick_read_block(rng), False)
-            self._reads_emitted += 1
-            if rng.random() < p.writeback_per_miss:
-                yield from self._write_group(rng)
+            # Gap: exponential with mean ``mean_gap`` (expovariate's own
+            # formula), stretched for an occasional burst.
+            gap = -log(1.0 - rand()) / lambd
+            if bursty and rand() < 0.05:
+                gap *= gap_cv_shape
+            gap = int(gap)
 
-    def _draw_gap(self, rng: random.Random, mean_gap: float) -> int:
-        gap = rng.expovariate(1.0 / mean_gap) if mean_gap > 0 else 0.0
-        if self.profile.gap_cv_shape > 1.0 and rng.random() < 0.05:
-            gap *= self.profile.gap_cv_shape
-        return max(1, int(gap))
+            # Read: hot tier (Zipf), streaming sweep, or uniform cold.
+            roll = rand()
+            if roll < read_hot_share and hot:
+                region = hot[min(bisect_left(hot_cdf, rand()), hot_last)]
+                offset = randbelow(BLOCKS_PER_REGION)
+            elif roll < read_stream_share:
+                # The streaming pointer sweeps the cold part of the
+                # footprint.
+                region = cold_ids[
+                    (stream_block // BLOCKS_PER_REGION) % n_stream_regions
+                ]
+                offset = stream_block % BLOCKS_PER_REGION
+                stream_block += 1
+            else:
+                region = cold_ids[pick_cold(n_cold)]
+                offset = randbelow(BLOCKS_PER_REGION)
+            yield (
+                EV_READ,
+                gap if gap > 1 else 1,
+                base_block + region * BLOCKS_PER_REGION + offset,
+                False,
+            )
 
-    # ------------------------------------------------------------------
-    # Read side
-    # ------------------------------------------------------------------
-    def _pick_read_block(self, rng: random.Random) -> int:
-        p = self.profile
-        roll = rng.random()
-        if roll < p.read_hot_share and self._hot:
-            region = self._pick_hot_region(rng)
-            offset = rng.randrange(BLOCKS_PER_REGION)
-        elif roll < p.read_hot_share + p.streaming_fraction:
-            region, offset = self._advance_stream()
-        else:
-            region = self._cold_ids[rng.randrange(len(self._cold_ids))]
-            offset = rng.randrange(BLOCKS_PER_REGION)
-        return self._block_of(region, offset)
+            if rand() >= writeback_per_miss:
+                continue
 
-    # ------------------------------------------------------------------
-    # Write side
-    # ------------------------------------------------------------------
-    def _write_group(self, rng: random.Random) -> Iterator[WorkloadEvent]:
-        p = self.profile
-        roll = rng.random()
-        if roll < p.hot_write_share and self._hot:
-            block = self._next_hot_write_block(rng)
-            dirty = True
-        elif roll < p.hot_write_share + p.warm_write_share and self._warm:
-            block = self._next_warm_write_block(rng)
-            dirty = True
-        elif roll < p.hot_write_share + p.warm_write_share + p.streaming_fraction:
-            region, offset = self._advance_stream()
-            block = self._block_of(region, offset)
-            dirty = False  # streaming lines are written once: never dirty
-        else:
-            region = self._cold_ids[rng.randrange(len(self._cold_ids))]
-            block = self._block_of(region, rng.randrange(BLOCKS_PER_REGION))
-            dirty = rng.random() < p.cold_dirty_fraction
+            # Write group: pick the tier and block, then the LLC store
+            # registrations and the memory writeback.
+            roll = rand()
+            if roll < hot_share and hot:
+                index = min(bisect_left(hot_cdf, rand()), hot_last)
+                region = hot[index]
+                # Cycle over the region's working blocks with slight
+                # jitter so the short_retention_vector fills
+                # progressively, as in real reuse.
+                offset = hot_cursor[index]
+                hot_cursor[index] = (offset + 1) % hot_working_blocks
+                if rand() < 0.1:
+                    offset = randbelow(hot_working_blocks)
+                dirty = True
+            elif roll < warm_share and warm:
+                region = warm[min(bisect_left(warm_cdf, rand()), warm_last)]
+                # Warm writes spread over the whole region: halving the
+                # entry coverage size halves each entry's dirty-write
+                # accumulation rate, which is the paper's stated reason
+                # 2KB entries underperform.
+                offset = randbelow(BLOCKS_PER_REGION)
+                dirty = True
+            elif roll < stream_share:
+                region = cold_ids[
+                    (stream_block // BLOCKS_PER_REGION) % n_stream_regions
+                ]
+                offset = stream_block % BLOCKS_PER_REGION
+                stream_block += 1
+                dirty = False  # streaming lines are written once: never dirty
+            else:
+                region = cold_ids[pick_cold(n_cold)]
+                offset = randbelow(BLOCKS_PER_REGION)
+                dirty = rand() < cold_dirty_fraction
+            block = base_block + region * BLOCKS_PER_REGION + offset
 
-        n_regs = self._registration_count(rng)
-        for _ in range(n_regs):
-            yield (EV_REGISTER, 0, block, dirty)
-        yield (EV_WRITE, 0, block, False)
-        self._writes_emitted += 1
-        if (
-            p.phase_interval_writes
-            and self._writes_emitted % p.phase_interval_writes == 0
-        ):
-            self._rotate_phase(rng)
+            n_regs = regs_base + 1 if rand() < regs_extra else regs_base
+            register = (EV_REGISTER, 0, block, dirty)
+            for _ in range(n_regs):
+                yield register
+            yield (EV_WRITE, 0, block, False)
+            writes += 1
+            if phase_interval and writes % phase_interval == 0:
+                rotate_phase(rng)
 
     def _rotate_phase(self, rng: random.Random) -> None:
         """Program phase change: retire part of the hot tier into the cold
@@ -308,50 +377,6 @@ class RegionTrafficGenerator:
             )
             self._hot_cursor[hot_index] = 0
         self.phase_changes += 1
-
-    def _registration_count(self, rng: random.Random) -> int:
-        mean = self.profile.registrations_per_write
-        base = int(mean)
-        return base + (1 if rng.random() < (mean - base) else 0)
-
-    def _pick_hot_region(self, rng: random.Random) -> int:
-        index = bisect.bisect_left(self._hot_cdf, rng.random())
-        index = min(index, len(self._hot) - 1)
-        return self._hot[index]
-
-    def _next_hot_write_block(self, rng: random.Random) -> int:
-        index = bisect.bisect_left(self._hot_cdf, rng.random())
-        index = min(index, len(self._hot) - 1)
-        region = self._hot[index]
-        # Cycle over the region's working blocks with slight jitter so the
-        # short_retention_vector fills progressively, as in real reuse.
-        cursor = self._hot_cursor[index]
-        self._hot_cursor[index] = (cursor + 1) % self.profile.hot_working_blocks
-        offset = cursor
-        if rng.random() < 0.1:
-            offset = rng.randrange(self.profile.hot_working_blocks)
-        return self._block_of(region, offset)
-
-    def _next_warm_write_block(self, rng: random.Random) -> int:
-        index = bisect.bisect_left(self._warm_cdf, rng.random())
-        index = min(index, len(self._warm) - 1)
-        region = self._warm[index]
-        # Warm writes spread over the whole region: halving the entry
-        # coverage size halves each entry's dirty-write accumulation rate,
-        # which is the paper's stated reason 2KB entries underperform.
-        offset = rng.randrange(BLOCKS_PER_REGION)
-        return self._block_of(region, offset)
-
-    def _advance_stream(self) -> "tuple[int, int]":
-        # The streaming pointer sweeps the cold portion of the footprint.
-        n_cold = max(1, len(self._cold_ids))
-        index = (self._stream_block // BLOCKS_PER_REGION) % n_cold
-        offset = self._stream_block % BLOCKS_PER_REGION
-        self._stream_block += 1
-        return self._cold_ids[index], offset
-
-    def _block_of(self, region: int, offset: int) -> int:
-        return self.base_block + region * BLOCKS_PER_REGION + offset
 
     # ------------------------------------------------------------------
     @property

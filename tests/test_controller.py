@@ -1,9 +1,14 @@
 """Tests for the memory controller scheduler."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.engine import Simulator
 from repro.memctrl.controller import MemoryController
 from repro.memctrl.request import MemRequest, RequestType
+from repro.pcm.device import PCMDevice
+from repro.utils.units import parse_size
 
 
 def read(block, **kw):
@@ -282,3 +287,217 @@ class TestWritePauseChain:
         assert w.finish_time_ns == expected[-1]
         assert controller.stats.writes_completed == 1
         assert controller.stats.reads_completed == cap + 1
+
+
+# ----------------------------------------------------------------------
+# Enqueue-time scheduling: an enqueue must never hide an issuable entry.
+# ----------------------------------------------------------------------
+def four_bank_controller(sim, cls=MemoryController, **kwargs):
+    """One channel of four banks, so several banks can free at once."""
+    device = PCMDevice(size_bytes=parse_size("16MB"), n_channels=1, banks_per_channel=4)
+    return cls(sim, device, **kwargs)
+
+
+def on_bank(controller, bank, row=0):
+    """A block of channel 0 that maps to *bank* and *row*."""
+    return controller.address_map.encode(0, bank, row, 0)
+
+
+def record_issues(controller):
+    """Log ``(time, request)`` of every issue, in issue order."""
+    issued = []
+    issue = controller._issue
+
+    def recording(channel, request):
+        issued.append((controller.sim.now, request))
+        issue(channel, request)
+
+    controller._issue = recording
+    return issued
+
+
+class TestEnqueueScheduling:
+    def test_enqueue_from_completion_lets_older_request_issue_first(self, sim):
+        controller = four_bank_controller(sim)
+        issued = record_issues(controller)
+        busy_other = write(on_bank(controller, 1), n_sets=7)
+        controller.enqueue(busy_other)  # bank 1 busy for the whole test
+        first = read(on_bank(controller, 0))
+        older = read(on_bank(controller, 0))
+        # A write cannot cut into bank 1, and it waits behind queued reads.
+        newer = write(on_bank(controller, 1, row=1))
+        seen_at_enqueue = []
+
+        def enqueue_newer(_finish):
+            controller.enqueue(newer)
+            seen_at_enqueue.append(older.start_time_ns)
+
+        first.on_complete = enqueue_newer
+        controller.enqueue(first)
+        controller.enqueue(older)
+        sim.run()
+        # The older read takes the freed bank 0 during the completion's
+        # own enqueue, not later, and the newer write waits for bank 1.
+        assert seen_at_enqueue == [first.finish_time_ns]
+        assert older.start_time_ns == first.finish_time_ns
+        assert newer.start_time_ns >= busy_other.finish_time_ns
+        order = [request for _, request in issued]
+        assert order.index(older) < order.index(newer)
+
+    def test_enqueue_from_completion_to_freed_bank_queues_behind_older(self, sim):
+        controller = four_bank_controller(sim)
+        first = read(on_bank(controller, 0))
+        older = read(on_bank(controller, 0, row=1))
+        newer = read(on_bank(controller, 0, row=2))
+        first.on_complete = lambda _finish: controller.enqueue(newer)
+        controller.enqueue(first)
+        controller.enqueue(older)
+        sim.run()
+        assert older.start_time_ns == first.finish_time_ns
+        assert newer.start_time_ns == older.finish_time_ns
+
+    def test_space_waiter_enqueue_keeps_fr_fcfs_order(self, sim):
+        controller = four_bank_controller(
+            sim, read_queue_capacity=4, write_queue_capacity=4,
+            write_drain_high=3, write_drain_low=0,
+        )
+        issued = record_issues(controller)
+        # Bank 0 serves a read and holds a second one queued, so writes
+        # wait below the high watermark.
+        controller.enqueue(read(on_bank(controller, 0)))
+        controller.enqueue(read(on_bank(controller, 0)))
+        writes = [write(on_bank(controller, bank)) for bank in (1, 2, 3)]
+        late = write(on_bank(controller, 1, row=1))
+        woken = []
+
+        def waiter():
+            woken.append(sim.now)
+            controller.enqueue(late)  # bank 1 is busy again by now
+
+        controller.notify_space(RequestType.WRITE, writes[0].block, waiter)
+        for w in writes:
+            controller.enqueue(w)
+        # Crossing the watermark drains all three writes at once, in
+        # queue order, although the first issue woke a producer whose
+        # write cannot issue.
+        assert woken == [0.0]
+        assert [request for _, request in issued[1:]] == writes
+        assert all(w.start_time_ns == 0.0 for w in writes)
+        assert late.start_time_ns is None
+        sim.run()
+        assert late.start_time_ns >= writes[0].finish_time_ns
+
+    def test_write_crossing_high_watermark_issues_older_writes(self, sim):
+        controller = four_bank_controller(
+            sim, read_queue_capacity=4, write_queue_capacity=8,
+            write_drain_high=3, write_drain_low=0,
+        )
+        controller.enqueue(read(on_bank(controller, 0)))
+        controller.enqueue(read(on_bank(controller, 0)))  # waits: writes held
+        held = [write(on_bank(controller, 1)), write(on_bank(controller, 2))]
+        for w in held:
+            controller.enqueue(w)
+        assert all(w.start_time_ns is None for w in held)
+        crossing = write(on_bank(controller, 0, row=1))  # its bank is busy
+        controller.enqueue(crossing)
+        assert [w.start_time_ns for w in held] == [0.0, 0.0]
+        assert crossing.start_time_ns is None
+        sim.run()
+        assert controller.stats.writes_completed == 3
+
+
+class NeverSettled(list):
+    """Per-channel flags that always read False and ignore writes."""
+
+    def __getitem__(self, channel):
+        return False
+
+    def __setitem__(self, channel, value):
+        pass
+
+
+class FullScanController(MemoryController):
+    """Reference scheduler: no channel ever counts as settled, so every
+    enqueue and completion rescans in full, and a kick always rescans
+    after firing its space waiters."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._settled = NeverSettled()
+
+
+KINDS = st.sampled_from(["read", "read", "write", "fast-write", "refresh"])
+
+#: (arrival gap ns, class, bank, row, the (class, bank) of a request
+#: offered from this one's completion callback, or None)
+request_streams = st.lists(
+    st.tuples(
+        st.sampled_from([0, 0, 10, 50, 120, 400]),
+        KINDS,
+        st.integers(0, 3),
+        st.integers(0, 2),
+        st.none() | st.tuples(KINDS, st.integers(0, 3)),
+    ),
+    max_size=40,
+)
+
+
+def issue_sequence(controller_cls, stream):
+    """``(time, stream index, bank index)`` of every issue, and where in
+    that sequence each completion callback ended, when *stream* is
+    offered to a small controller by producers that honour backpressure
+    (wait for space, then retry)."""
+    sim = Simulator()
+    controller = four_bank_controller(
+        sim, controller_cls, refresh_queue_capacity=2, read_queue_capacity=2,
+        write_queue_capacity=4, write_drain_high=3, write_drain_low=1,
+    )
+    issued = record_issues(controller)
+    #: (issues so far, stream index) at the end of each completion callback
+    marks = []
+    index_of = {}
+
+    def make(index, kind, bank, row, then):
+        block = on_bank(controller, bank, row)
+        if kind == "read":
+            request = read(block)
+        elif kind == "refresh":
+            request = refresh(block)
+        else:
+            request = write(block, n_sets=3 if kind == "fast-write" else 7)
+        index_of[request.req_id] = index
+
+        def completed(_finish):
+            if then is not None:
+                offer(make(index + 1000, then[0], then[1], row, None))
+            # Issues made from inside the callback land before this mark.
+            marks.append((len(issued), index))
+
+        request.on_complete = completed
+        return request
+
+    def offer(request):
+        if controller.can_accept(request.rtype, request.block):
+            controller.enqueue(request)
+        else:
+            controller.notify_space(
+                request.rtype, request.block, lambda: offer(request)
+            )
+
+    t = 0.0
+    for index, (gap, kind, bank, row, then) in enumerate(stream):
+        t += gap
+        sim.schedule_at(t, offer, make(index, kind, bank, row, then))
+    sim.run()
+    assert controller.idle()
+    return [
+        (time, index_of[r.req_id], r.bank_index) for time, r in issued
+    ], marks
+
+
+@settings(max_examples=150, deadline=None)
+@given(request_streams)
+def test_enqueue_issues_like_a_full_scan_every_time(stream):
+    assert issue_sequence(MemoryController, stream) == issue_sequence(
+        FullScanController, stream
+    )

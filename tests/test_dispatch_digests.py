@@ -1,0 +1,118 @@
+"""Differential dispatch-order net: one committed digest per cell.
+
+The result digests (``tests/test_result_digests.py``) catch a change in
+what a run computes; these catch a change in *how* it gets there. For the
+same 198 cells (11 workloads x 6 schemes x seeds 1-3 on
+``SystemConfig.tiny``, first 4000 engine events), every callback the
+engine dispatches is recorded as ``(time, module:qualname)``, in dispatch
+order. The cell's digest is the sha256 over that sequence plus the final
+``events_processed``, ``events_scheduled`` and ``events_cancelled``.
+
+Recording happens outside the run loop: ``Simulator.schedule_at`` is
+wrapped so that each scheduled callback is itself wrapped in a recorder,
+the way ``benchmarks/speed/speed_trace.py`` traces dispatch. The run loop
+and the simulated results are untouched.
+
+A hot-path optimisation must keep every digest. The committed file is
+only ever rewritten by a change that means to alter the event order::
+
+    PYTHONPATH=src python tests/test_dispatch_digests.py
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+from typing import Callable, List
+
+import pytest
+
+from repro.engine.simulator import Simulator, owner_label
+from repro.sim.config import SystemConfig
+from repro.sim.schemes import Scheme, all_schemes
+from repro.sim.system import System
+from repro.workloads.mixes import MIXES, all_workload_names
+
+DIGESTS = Path(__file__).parent / "data" / "dispatch_digests.json"
+SEEDS = (1, 2, 3)
+MAX_EVENTS = 4_000
+
+CELLS = [
+    (workload, scheme.value, seed)
+    for workload in all_workload_names()
+    for scheme in all_schemes()
+    for seed in SEEDS
+]
+
+
+def cell_key(workload: str, scheme: str, seed: int) -> str:
+    return f"{workload}/{scheme}/{seed}"
+
+
+def recording_schedule_at(log: List[str]) -> Callable:
+    """A ``Simulator.schedule_at`` that wraps every callback so its
+    dispatch appends ``time label`` to *log*."""
+    original = Simulator.schedule_at
+
+    def schedule_at(self, time, callback, *args, owner=None):
+        label = owner_label(callback)
+
+        def recorded(*call_args):
+            log.append(f"{self.now!r} {label}")
+            callback(*call_args)
+
+        return original(self, time, recorded, *args, owner=owner)
+
+    return schedule_at
+
+
+def cell_digest(workload: str, scheme: str, seed: int) -> str:
+    """sha256 of the cell's dispatch sequence and final event counts.
+
+    Patches ``Simulator.schedule_at`` for the duration of the cell only.
+    """
+    log: List[str] = []
+    original = Simulator.schedule_at
+    Simulator.schedule_at = recording_schedule_at(log)
+    try:
+        config = SystemConfig.tiny(seed)
+        if workload in MIXES:
+            config = dataclasses.replace(config, n_cores=len(MIXES[workload]))
+        system = System(config, workload, Scheme(scheme))
+        system.run(max_events=MAX_EVENTS)
+    finally:
+        Simulator.schedule_at = original
+    sim = system.sim
+    log.append(
+        f"processed={sim.events_processed} scheduled={sim.events_scheduled} "
+        f"cancelled={sim.events_cancelled}"
+    )
+    return hashlib.sha256("\n".join(log).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def expected() -> dict:
+    return json.loads(DIGESTS.read_text())
+
+
+def test_digest_file_covers_the_matrix(expected):
+    assert sorted(expected) == sorted(cell_key(*cell) for cell in CELLS)
+
+
+@pytest.mark.parametrize(
+    "workload,scheme,seed", CELLS, ids=[cell_key(*cell) for cell in CELLS]
+)
+def test_dispatch_digest(expected, workload, scheme, seed):
+    assert cell_digest(workload, scheme, seed) == expected[
+        cell_key(workload, scheme, seed)
+    ]
+
+
+if __name__ == "__main__":
+    DIGESTS.parent.mkdir(exist_ok=True)
+    DIGESTS.write_text(
+        json.dumps({cell_key(*c): cell_digest(*c) for c in CELLS}, indent=1) + "\n"
+    )
+    print(f"wrote {len(CELLS)} digests to {DIGESTS}")

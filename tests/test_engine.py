@@ -59,6 +59,24 @@ class TestCallbackArgs:
         sim.run()
         assert log == [("a", 2), ("b",)]
 
+    def test_schedule_after_passes_args(self, sim):
+        log = []
+        sim.schedule_at(
+            10.0, lambda: sim.schedule_after(5.0, log.append, (sim.now, "x"))
+        )
+        sim.schedule_after(1.0, lambda *args: log.append(args), "a", 2)
+        sim.run()
+        assert log == [("a", 2), (10.0, "x")]
+
+    def test_schedule_after_args_and_owner_under_cost_accounting(self, sim):
+        accounting = sim.enable_cost_accounting()
+        log = []
+        event = sim.schedule_after(3.0, log.append, 7, owner="custom")
+        sim.run()
+        assert log == [7]
+        assert event.owner == "custom"
+        assert accounting.counts == {"custom": 1}
+
     def test_args_and_owner_under_cost_accounting(self, sim):
         class Widget:
             def __init__(self):

@@ -1,7 +1,17 @@
-"""Tests for the region-tier synthetic traffic generator."""
+"""Tests for the region-tier synthetic traffic generator.
 
+The pinned-stream digests at the end are rewritten only by a change that
+means to alter the generated traffic::
+
+    PYTHONPATH=src python tests/test_synthetic.py
+"""
+
+import dataclasses
+import hashlib
 import itertools
+import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -250,3 +260,96 @@ class TestValidation:
             + profile.streaming_fraction
         )
         assert profile.cold_write_share == pytest.approx(expected)
+
+
+# ----------------------------------------------------------------------
+# Pinned streams: the exact events each workload's generators emit.
+# ----------------------------------------------------------------------
+STREAM_DIGESTS = Path(__file__).parent / "data" / "generator_streams.json"
+STREAM_EVENTS = 50_000
+#: Write groups between phase changes in the rotating variant, short
+#: enough that the first STREAM_EVENTS events cross several rotations.
+ROTATING_INTERVAL = 1_000
+
+
+def built_generators(workload):
+    """``(profile, kwargs)`` of every generator ``System._build_streams``
+    constructs for *workload* on the tiny config at seed 1."""
+    import repro.sim.system as system_module
+    from repro.sim.config import SystemConfig
+    from repro.sim.schemes import Scheme
+    from repro.workloads.mixes import MIXES
+
+    built = []
+
+    def recording(profile, **kwargs):
+        built.append((profile, kwargs))
+        return RegionTrafficGenerator(profile, **kwargs)
+
+    config = SystemConfig.tiny(1)
+    if workload in MIXES:
+        config = dataclasses.replace(config, n_cores=len(MIXES[workload]))
+    original = system_module.RegionTrafficGenerator
+    system_module.RegionTrafficGenerator = recording
+    try:
+        system_module.System(config, workload, Scheme.RRM)
+    finally:
+        system_module.RegionTrafficGenerator = original
+    return built
+
+
+def stream_digest(generator):
+    """sha256 over the repr of the generator's first STREAM_EVENTS events."""
+    digest = hashlib.sha256()
+    for event in itertools.islice(iter(generator), STREAM_EVENTS):
+        digest.update(repr(event).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def pinned_streams():
+    """Stream key -> generator: cores 0 and 1 of every workload, plus core
+    0 with phase rotation every ROTATING_INTERVAL write groups."""
+    from repro.workloads.mixes import all_workload_names
+
+    streams = {}
+    for workload in all_workload_names():
+        built = built_generators(workload)
+        for core in (0, 1):
+            profile, kwargs = built[core]
+            streams[f"{workload}/core{core}"] = RegionTrafficGenerator(
+                profile, **kwargs
+            )
+        profile, kwargs = built[0]
+        rotating = dataclasses.replace(
+            profile, phase_interval_writes=ROTATING_INTERVAL
+        )
+        streams[f"{workload}/core0/rotating"] = RegionTrafficGenerator(
+            rotating, **kwargs
+        )
+    return streams
+
+
+class TestPinnedStreams:
+    """A generator rewrite must keep every stream event for event."""
+
+    def test_streams_match_committed_digests(self):
+        expected = json.loads(STREAM_DIGESTS.read_text())
+        streams = pinned_streams()
+        assert sorted(streams) == sorted(expected)
+        for key, generator in streams.items():
+            assert stream_digest(generator) == expected[key], key
+            if key.endswith("/rotating"):
+                assert generator.phase_changes > 0, key
+
+
+if __name__ == "__main__":
+    STREAM_DIGESTS.parent.mkdir(exist_ok=True)
+    STREAM_DIGESTS.write_text(
+        json.dumps(
+            {key: stream_digest(g) for key, g in pinned_streams().items()},
+            indent=1,
+        )
+        + "\n"
+    )
+    print(f"wrote stream digests to {STREAM_DIGESTS}")
