@@ -15,6 +15,7 @@ Layout of a block index (low bits to high bits)::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.errors import ConfigError
 from repro.pcm.device import BLOCK_BYTES
@@ -23,11 +24,7 @@ from repro.utils.mathx import log2_int
 
 @dataclass(slots=True)
 class DecodedAddress:
-    """A physical block address decoded into device coordinates.
-
-    Slotted and mutable so that the one built per enqueued request costs
-    a plain constructor call; nothing mutates it after decoding.
-    """
+    """A physical block address decoded into device coordinates."""
 
     block: int
     channel: int
@@ -64,8 +61,8 @@ class AddressMap:
             raise ConfigError(
                 "device size must be a whole number of rows per bank per channel"
             )
-        # Precompute the bit-slicing constants: decode_block is the hottest
-        # function in the simulator (called per scheduler scan).
+        # Precompute the bit-slicing constants: locate_block runs once per
+        # enqueued request.
         object.__setattr__(self, "_ch_bits", log2_int(self.n_channels))
         object.__setattr__(self, "_ch_mask", self.n_channels - 1)
         object.__setattr__(self, "_col_bits", log2_int(self.blocks_per_row))
@@ -86,19 +83,29 @@ class AddressMap:
     def rows_per_bank(self) -> int:
         return self.n_blocks // (self.n_channels * self.banks_per_channel * self.blocks_per_row)
 
-    def decode_block(self, block: int) -> DecodedAddress:
-        """Decode a block index (byte address >> 6)."""
+    def locate_block(self, block: int) -> Tuple[int, int, int, int]:
+        """``(channel, bank, row, column)`` of a block index.
+
+        The one bit-slicing routine: the controller calls it per enqueued
+        request and keeps the plain tuple's fields on the request.
+        """
         if not 0 <= block < self._n_blocks:
             raise ConfigError(
                 f"block {block} out of range for {self._n_blocks}-block device"
             )
-        channel = block & self._ch_mask
         remainder = block >> self._ch_bits
         column = remainder & self._col_mask
         remainder >>= self._col_bits
-        bank = remainder & self._bank_mask
-        row = remainder >> self._bank_bits
-        return DecodedAddress(block, channel, bank, row, column)
+        return (
+            block & self._ch_mask,
+            remainder & self._bank_mask,
+            remainder >> self._bank_bits,
+            column,
+        )
+
+    def decode_block(self, block: int) -> DecodedAddress:
+        """Decode a block index (byte address >> 6)."""
+        return DecodedAddress(block, *self.locate_block(block))
 
     def channel_of_block(self, block: int) -> int:
         """Channel of a block index (cheap path for queue admission)."""

@@ -23,11 +23,18 @@ rest find the queue full and register again. This is the mechanism
 through which long write latencies reach the CPU: the write queue backs
 up, the LLC cannot evict, and the core stalls.
 
+Refresh and write queues are gated while a channel has as many requests
+in flight as banks. The gate counts requests, not busy banks: a read
+that pauses a write adds a second request on one bank, so the gate can
+hold while a bank is free, and lifts when the next read issues.
+
 Scans are skipped when they cannot issue anything: a channel whose last
-scan found nothing is *settled* until an issue or a completion touches
-it. An enqueue on a settled channel rescans only if write draining has
-just switched on; otherwise the new request is the only candidate, and
-it is issued directly if it can issue (DESIGN.md §4).
+scan found nothing is *settled* until a scan issues or a completion
+touches it. An enqueue on a settled channel rescans only if write
+draining has just switched on; otherwise the new request is the only
+candidate, and it is issued directly if it can issue, leaving the
+channel settled. A scan that issues resumes at the issued position, not
+at the top, unless the issue lifted the gate (DESIGN.md §4).
 """
 
 from __future__ import annotations
@@ -149,6 +156,10 @@ class MemoryController:
             row_bytes=device.row_bytes,
             size_bytes=device.size_bytes,
         )
+        #: The address map's bit-slicing routine and channel mask (the
+        #: map's channel count is a power of two).
+        self._locate_block = self.address_map.locate_block
+        self._channel_mask = self.address_map.n_channels - 1
         self.stats = ControllerStats()
         self._queues: List[QueueSet] = [
             QueueSet(
@@ -169,7 +180,8 @@ class MemoryController:
         self._draining_writes = [False] * device.n_channels
         #: Per channel: the last scan issued nothing and nothing has
         #: happened since that could make an entry issuable (see
-        #: :meth:`_kick`). Cleared by every issue and every completion.
+        #: :meth:`_kick`). Cleared by every completion and by every issue
+        #: except a direct one that leaves the in-flight gate shut.
         self._settled = [False] * device.n_channels
         #: Issued-but-unfinished request count per flat bank index.
         self._bank_inflight: List[int] = [0] * device.n_banks
@@ -185,6 +197,9 @@ class MemoryController:
         self._priority_queues = [
             tuple(qs.in_priority_order()) for qs in self._queues
         ]
+        #: SET counts of the fast and slow modes, for the write-mode stats.
+        self._fast_n_sets = device.modes.fast.n_sets
+        self._slow_n_sets = device.modes.slow.n_sets
         #: SET count -> (latency_ns, set_boundaries_ns) of each write mode.
         self._write_timing: Dict[int, Tuple[float, Tuple[float, ...]]] = {
             mode.n_sets: (mode.latency_ns, mode.set_boundaries_ns)
@@ -226,15 +241,13 @@ class MemoryController:
 
     def can_accept(self, rtype: RequestType, block: int) -> bool:
         """Whether the queue a (*rtype*, *block*) request maps to has room."""
-        channel = self.address_map.channel_of_block(block)
-        queue = self._queues[channel].by_type[rtype]
+        queue = self._queues[block & self._channel_mask].by_type[rtype]
         return len(queue._entries) < queue.capacity
 
     def enqueue(self, request: MemRequest) -> None:
         """Accept a request. The caller must have checked :meth:`can_accept`."""
-        request.decoded = decoded = self.address_map.decode_block(request.block)
-        channel = decoded.channel
-        request.bank_index = channel * self._banks_per_channel + decoded.bank
+        channel, bank, request.row, _ = self._locate_block(request.block)
+        request.bank_index = channel * self._banks_per_channel + bank
         request.issue_time_ns = self.sim.now
         if self._attribution is not None:
             self._attribution.on_enqueue(request)
@@ -247,8 +260,8 @@ class MemoryController:
         One-shot: the callback is dropped after firing and should re-check
         :meth:`can_accept` (another producer may have raced for the slot).
         """
-        channel = self.address_map.channel_of_block(block)
-        self._queues[channel].by_type[rtype].space_waiters.append(callback)
+        queue = self._queues[block & self._channel_mask].by_type[rtype]
+        queue.space_waiters.append(callback)
 
     def pending_requests(self) -> int:
         """Requests sitting in any queue (not yet issued to a bank)."""
@@ -269,51 +282,64 @@ class MemoryController:
         """Issue every request that can be serviced on *channel* right now.
 
         Hot path, so everything the scan needs is hoisted into locals and
-        the per-queue scan is inlined (no per-entry callback). The scan is
-        FR-FCFS over at most ``SCHED_WINDOW`` entries per queue: the
-        oldest entry whose bank is free wins, or a read whose bank holds
-        one pausable write. Queues other than the read queue are skipped
-        outright while the channel has as many requests in flight as it
-        has banks — usually every bank busy, where only reads can still
-        start, by pausing an in-flight write. Writes issue only while
-        the channel drains writes (watermark hysteresis, updated once per
-        kick) or when no refresh or read waits.
+        each queue has its own inlined window loop. The scan is FR-FCFS
+        over at most ``SCHED_WINDOW`` entries per queue, in priority
+        order: the oldest entry whose bank has nothing in flight wins, or,
+        in the read queue only, a read whose bank holds one pausable
+        write. The refresh and write queues are gated: they are skipped
+        while the channel has as many requests in flight as it has banks.
+        The gate counts requests, not busy banks, so it can hold while a
+        bank is free, and a read that pauses a write lifts it. Writes
+        issue only while the channel drains writes (watermark hysteresis,
+        updated once per kick) or when no refresh or read waits.
+
+        After an issue the scan resumes in the issued queue at the issued
+        position: the entries before it and the higher-priority queues
+        were just found not issuable, and an issue only makes the channel
+        busier. The exception is an issue at the gate, which lifts it, so
+        the scan restarts from the refresh queue.
 
         A settled channel is rescanned only if write draining has just
         switched on. Otherwise the only entry a scan could pick is
         *pushed*, the request just enqueued: it is issued directly if it
-        can issue, and nothing is done if not (see DESIGN.md §4).
+        can issue, and the channel stays settled unless that issue lifts
+        the gate (see DESIGN.md §4).
 
         Issuing wakes space waiters, whose producers may enqueue and kick
-        this channel re-entrantly; so queue contents, in-flight counts and
-        the drain flag are re-read after every issue. If the channel is
-        settled once the waiters return, a nested scan already found
-        nothing issuable, so this one stops too.
+        this channel re-entrantly, and every kick ends with the channel
+        settled. So if the channel is settled once the waiters return, a
+        nested scan already found nothing issuable and this one stops;
+        if not, no waiter touched the channel and the scan resumes.
         """
         queues = self._queues[channel]
-        write_queue = queues.write_queue
+        write_entries = queues.write_queue._entries
         draining = self._draining_writes
         settled = self._settled
         was_draining = draining[channel]
-        occupancy = len(write_queue._entries)
+        occupancy = len(write_entries)
         if occupancy >= self._write_drain_high:
             draining[channel] = True
         elif occupancy <= self._write_drain_low:
             draining[channel] = False
-        # The request the scan is known to pick, if any: on a settled
-        # channel it can only be *pushed*, so the scan is skipped.
-        direct = None
+        channel_inflight = self._channel_inflight
+        n_banks = self._banks_per_channel
+        refresh_entries = queues.refresh_queue._entries
+        read_entries = queues.read_queue._entries
+        # Scan position: queue (0 refresh, 1 read, 2 write) and index.
+        stage = i = 0
+        direct = False
         if settled[channel] and (was_draining or not draining[channel]):
             # Nothing was issuable at the last scan, and since then no
-            # issue or completion touched the channel: only *pushed* can
-            # be new. Older entries kept their window, bank and in-flight
-            # gating, a pushed read or refresh only tightens write
+            # completion or scan issue touched the channel: only *pushed*
+            # can be new. Older entries kept their window, bank and
+            # in-flight gating (a direct issue only added a request in
+            # flight), a pushed read or refresh only tightens write
             # gating, and the time that passed only retired pause
             # boundaries. The checks below are the scan's, for *pushed*.
             if pushed is None:
                 return
-            queue = queues.by_type[pushed.rtype]
-            if len(queue._entries) > self.SCHED_WINDOW:
+            i = len(queues.by_type[pushed.rtype]._entries) - 1
+            if i >= self.SCHED_WINDOW:
                 return
             n = self._bank_inflight[pushed.bank_index]
             if pushed.rtype is _READ:
@@ -323,86 +349,104 @@ class MemoryController:
                     bank = self._banks_flat[pushed.bank_index]
                     if not bank.read_start_time(self.sim.now) < bank.busy_until:
                         return
-            elif n or self._channel_inflight[channel] == self._banks_per_channel:
+                stage = 1
+            elif n or channel_inflight[channel] == n_banks:
                 return
-            elif queue is write_queue and not draining[channel] and (
-                queues.read_queue._entries or queues.refresh_queue._entries
-            ):
+            elif pushed.rtype is not _WRITE:
+                stage = 0
+            elif not draining[channel] and (read_entries or refresh_entries):
                 return
-            direct = pushed
+            else:
+                stage = 2
+            direct = True
 
         priority_queues = self._priority_queues[channel]
-        refresh_entries = queues.refresh_queue._entries
-        read_queue = queues.read_queue
-        read_entries = read_queue._entries
-        channel_inflight = self._channel_inflight
-        n_banks = self._banks_per_channel
         now = self.sim.now
         inflight = self._bank_inflight
         banks = self._banks_flat
         window = self.SCHED_WINDOW
-        read_type = _READ
 
         while True:
-            if direct is not None:
-                # Just pushed, so last in ``queue``, set by the checks.
-                request, direct = direct, None
-                entries = queue._entries
-                pick = len(entries) - 1
-            else:
-                all_busy = channel_inflight[channel] == n_banks
-                for queue in priority_queues:
-                    entries = queue._entries
-                    if not entries:
-                        continue
-                    if queue is not read_queue:
-                        if all_busy:
-                            continue
-                        if queue is write_queue and not (
-                            draining[channel] or not (read_entries or refresh_entries)
-                        ):
-                            continue
-                    pick = -1
-                    i = 0
-                    for request in entries:
-                        if i == window:
-                            break
+            if not direct:
+                if stage == 0:
+                    if refresh_entries and channel_inflight[channel] != n_banks:
+                        end = len(refresh_entries)
+                        if end > window:
+                            end = window
+                        while i < end:
+                            if not inflight[refresh_entries[i].bank_index]:
+                                break
+                            i += 1
+                        else:
+                            stage = 1
+                            i = 0
+                    else:
+                        stage = 1
+                        i = 0
+                if stage == 1:
+                    end = len(read_entries)
+                    if end > window:
+                        end = window
+                    while i < end:
+                        request = read_entries[i]
                         n = inflight[request.bank_index]
-                        if n == 0:
-                            pick = i
+                        if not n:
                             break
-                        if n == 1 and request.rtype is read_type:
+                        if n == 1:
                             bank = banks[request.bank_index]
                             # A single in-flight pausable write lets a read
                             # cut in: the read starts before the bank frees.
                             if bank.read_start_time(now) < bank.busy_until:
-                                pick = i
                                 break
                         i += 1
-                    if pick >= 0:
-                        break
-                else:
-                    settled[channel] = True
-                    return
-            del entries[pick]
-            settled[channel] = False
+                    else:
+                        stage = 2
+                        i = 0
+                if stage == 2:
+                    if not (
+                        write_entries
+                        and channel_inflight[channel] != n_banks
+                        and (draining[channel] or not (read_entries or refresh_entries))
+                    ):
+                        settled[channel] = True
+                        return
+                    end = len(write_entries)
+                    if end > window:
+                        end = window
+                    while i < end:
+                        if not inflight[write_entries[i].bank_index]:
+                            break
+                        i += 1
+                    else:
+                        settled[channel] = True
+                        return
+            queue = priority_queues[stage]
+            entries = queue._entries
+            request = entries[i]
+            del entries[i]
+            # Only a read issues at the gate, and it lifts the gate.
+            lifts_gate = channel_inflight[channel] == n_banks
+            if lifts_gate or not direct:
+                settled[channel] = False
+            direct = False
             if self._attribution is not None:
-                queue.note_issue(request, pick)
+                queue.note_issue(request, i)
             self._issue(channel, request)
             waiters = queue.space_waiters
             if waiters:
                 queue.space_waiters = []
                 for callback in waiters:
                     callback()
-                if settled[channel]:
-                    return
-            # Restart from the highest-priority queue.
+            if settled[channel]:
+                return
+            if lifts_gate:
+                stage = i = 0
 
     def _issue(self, channel: int, request: MemRequest) -> None:
         bank_index = request.bank_index
         bank = self._banks_flat[bank_index]
         now = self.sim.now
-        row = request.decoded.row
+        row = request.row
 
         is_write = request.rtype is not _READ
         if not is_write:
@@ -480,7 +524,11 @@ class MemoryController:
             stats.write_latency_sum_ns += latency
             if self._write_latency_hist is not None:
                 self._write_latency_hist.record(latency)
-            self._count_write_mode(request)
+            n_sets = request.n_sets
+            if n_sets == self._fast_n_sets:
+                stats.fast_writes += 1
+            elif n_sets == self._slow_n_sets:
+                stats.slow_writes += 1
         elif rtype is _RRM_REFRESH:
             stats.rrm_refreshes_completed += 1
         else:
@@ -488,7 +536,7 @@ class MemoryController:
 
         violated = request.deadline_ns is not None and finish > request.deadline_ns
         if violated:
-            self.stats.retention_violations += 1
+            stats.retention_violations += 1
 
         anatomy_args = None
         if self._attribution is not None:
@@ -531,9 +579,3 @@ class MemoryController:
             listener(request)
 
         self._kick(channel)
-
-    def _count_write_mode(self, request: MemRequest) -> None:
-        if request.n_sets == self.device.modes.fast.n_sets:
-            self.stats.fast_writes += 1
-        elif request.n_sets == self.device.modes.slow.n_sets:
-            self.stats.slow_writes += 1

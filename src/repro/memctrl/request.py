@@ -58,12 +58,12 @@ class MemRequest:
 
     start_time_ns: Optional[float] = None
     finish_time_ns: Optional[float] = None
-    #: Decoded device coordinates, filled once by the controller at
-    #: enqueue so scheduler scans never re-decode.
-    decoded: object = None
-    #: Flat bank index (channel * banks_per_channel + bank), also filled
-    #: at enqueue; lets the scheduler's ready-scan use a list lookup.
+    #: Flat bank index (channel * banks_per_channel + bank), filled once
+    #: by the controller at enqueue; lets the scheduler's ready-scan use
+    #: a list lookup.
     bank_index: int = -1
+    #: Device row of the block, also filled at enqueue.
+    row: int = -1
     #: When the producer created the request, if before it could reach
     #: the controller (RRM refreshes held back by a full refresh queue);
     #: issue_time_ns - generated_time_ns is the pre-queue backpressure.

@@ -87,12 +87,28 @@ class Bank:
 
     _in_flight_write: Optional[_InFlightWrite] = None
 
+    def __post_init__(self) -> None:
+        # Read service times, summed once: PCMTimings is frozen, and its
+        # properties add floats on every access.
+        self._row_hit_read_ns = self.timings.row_hit_read_ns
+        self._row_miss_read_ns = self.timings.row_miss_read_ns
+
     def available_at(self, now: float) -> float:
         """Earliest time the bank can begin a new non-preempting operation."""
         return max(now, self.busy_until)
 
     def read_start_time(self, now: float) -> float:
-        """Earliest time a *read* could start, exploiting write pausing."""
+        """Earliest time a *read* could start, exploiting write pausing.
+
+        A pausable in-flight write yields its next pause boundary at or
+        after *now*. Boundaries are ascending (a pause shifts every later
+        one by the same amount), so the first one at/after *now* is the
+        earliest; the write cannot pause at or past its end. Otherwise the
+        read waits for the bank to free.
+
+        The bank never frees before its in-flight write ends, so a read
+        start before :attr:`busy_until` is exactly a pause.
+        """
         write = self._in_flight_write
         if (
             write is not None
@@ -100,10 +116,13 @@ class Bank:
             and write.pauses < self.max_pauses_per_write
             and self.allow_write_pausing
         ):
-            boundary = self._next_pause_boundary(now)
-            if boundary is not None:
-                return boundary
-        return self.available_at(now)
+            for boundary in write.boundaries_ns:
+                if boundary >= now:
+                    if boundary < write.end_ns:
+                        return boundary
+                    break
+        busy_until = self.busy_until
+        return busy_until if busy_until > now else now
 
     def schedule_read(self, now: float, row: int) -> Tuple[float, float, bool]:
         """Schedule a block read of *row* at or after *now*.
@@ -112,27 +131,22 @@ class Bank:
         flight, the read preempts it at the next SET boundary and the write
         is pushed back by the read's service time.
         """
-        write = self._in_flight_write
-        paused = False
-        boundary = None
-        if (
-            write is not None
-            and now < write.end_ns
-            and write.pauses < self.max_pauses_per_write
-            and self.allow_write_pausing
-        ):
-            boundary = self._next_pause_boundary(now)
-        if boundary is not None:
-            start = boundary
-            paused = True
+        start = self.read_start_time(now)
+        row_buffer = self.row_buffer
+        if row_buffer.open_row == row:
+            row_buffer.hits += 1
+            hit = True
+            service = self._row_hit_read_ns
         else:
-            start = self.available_at(now)
-
-        hit = self.row_buffer.access(row)
-        service = self.timings.row_hit_read_ns if hit else self.timings.row_miss_read_ns
+            row_buffer.misses += 1
+            row_buffer.open_row = row
+            hit = False
+            service = self._row_miss_read_ns
         finish = start + service
 
-        if paused and write is not None:
+        write = self._in_flight_write
+        if write is not None and start < self.busy_until:
+            # A pause (see read_start_time).
             remaining = write.end_ns - start
             if remaining < 0:
                 raise SimulationError("pause boundary after write end")
@@ -146,7 +160,7 @@ class Bank:
             self.pause_time_ns += service
             self.busy_until = write.end_ns
         else:
-            self.busy_until = max(self.busy_until, finish)
+            self.busy_until = finish
 
         self.reads_served += 1
         self.busy_time_ns += service
@@ -186,20 +200,6 @@ class Bank:
         if self._in_flight_write is None:
             return None
         return self._in_flight_write.end_ns
-
-    def _next_pause_boundary(self, now: float) -> Optional[float]:
-        """Next absolute pause point of the in-flight write at/after *now*.
-
-        Boundaries are ascending (a pause shifts every later one by the
-        same amount), so the first one at/after *now* is the earliest.
-        """
-        write = self._in_flight_write
-        if write is None:
-            return None
-        for boundary in write.boundaries_ns:
-            if boundary >= now:
-                return boundary if boundary < write.end_ns else None
-        return None
 
     def utilization(self, elapsed_ns: float) -> float:
         """Fraction of *elapsed_ns* the bank spent busy."""

@@ -34,6 +34,12 @@ from repro.utils.units import s_to_ns
 from repro.workloads.mixes import workload_profiles
 from repro.workloads.synthetic import BLOCKS_PER_REGION, RegionTrafficGenerator
 
+# Enum member access runs Python code in the enum machinery on every
+# lookup; the per-request completion path uses these module constants.
+_READ = RequestType.READ
+_WRITE = RequestType.WRITE
+_RRM_REFRESH = RequestType.RRM_REFRESH
+
 
 class System:
     """One simulated machine running one workload under one scheme."""
@@ -216,15 +222,15 @@ class System:
     # ------------------------------------------------------------------
     def _on_completion(self, request: MemRequest) -> None:
         rtype = request.rtype
-        if rtype is RequestType.READ:
+        if rtype is _READ:
             self.energy.record_read()
-        elif rtype is RequestType.WRITE:
+        elif rtype is _WRITE:
             assert request.n_sets is not None
             self.wear.record_demand_write(request.block)
             self.energy.record_write(request.n_sets)
             if self._write_trace_sink is not None:
                 self._write_trace_sink(request.finish_time_ns, request.block)
-        elif rtype is RequestType.RRM_REFRESH:
+        elif rtype is _RRM_REFRESH:
             self.wear.record_rrm_refresh(request.block)
             self.energy.record_rrm_refresh(request.n_sets or 3)
         else:  # RRM slow refresh (demotion rewrite)

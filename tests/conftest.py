@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core.config import RRMConfig
 from repro.engine import Simulator
@@ -11,6 +12,12 @@ from repro.pcm.device import PCMDevice
 from repro.pcm.write_modes import WriteModeTable
 from repro.sim.config import SystemConfig
 from repro.utils.units import parse_size
+
+#: ``pytest --hypothesis-profile thorough`` runs every property that
+#: scales its example count with ``settings.default`` ten times as long.
+settings.register_profile(
+    "thorough", max_examples=10 * settings.get_profile("default").max_examples
+)
 
 
 @pytest.fixture

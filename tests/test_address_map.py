@@ -1,5 +1,7 @@
 """Tests for physical address decoding."""
 
+import random
+
 import pytest
 
 from repro.errors import ConfigError
@@ -56,6 +58,24 @@ class TestDecode:
     def test_channel_of_block_fast_path(self, amap):
         for block in (0, 1, 17, 12345):
             assert amap.channel_of_block(block) == amap.decode_block(block).channel
+
+
+class TestLocateBlock:
+    """``locate_block`` is the one bit-slicing routine; ``decode_block``
+    wraps it."""
+
+    def test_agrees_with_decode_block_on_random_blocks(self, amap):
+        rng = random.Random(7)
+        for block in [0, amap.n_blocks - 1] + [
+            rng.randrange(amap.n_blocks) for _ in range(500)
+        ]:
+            d = amap.decode_block(block)
+            assert amap.locate_block(block) == (d.channel, d.bank, d.row, d.column)
+
+    def test_out_of_range_rejected(self, amap):
+        for block in (-1, amap.n_blocks, amap.n_blocks + 1000):
+            with pytest.raises(ConfigError):
+                amap.locate_block(block)
 
 
 class TestEncodeRoundtrip:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.pcm.bank import Bank, RowBuffer
+from repro.pcm.timing import PCMTimings
 
 
 @pytest.fixture
@@ -144,6 +145,42 @@ class TestWritePausing:
         start, _, _ = bank.schedule_read(write_end + 10, row=1)
         assert start == pytest.approx(write_end + 10)
         assert bank.write_pauses == 0
+
+
+class TestReadPath:
+    def test_stored_service_times_equal_the_timing_properties(self):
+        timings = PCMTimings(t_rcd_ns=100.0, t_cas_ns=3.0, data_burst_ns=17.5)
+        for bank in (Bank(), Bank(timings=timings)):
+            assert bank._row_hit_read_ns == bank.timings.row_hit_read_ns
+            assert bank._row_miss_read_ns == bank.timings.row_miss_read_ns
+
+    def test_read_start_time_matches_the_scheduled_start(self, mode7):
+        for now in (0.0, 40.0, 100.0, 260.0, 1100.0, 1200.0):
+            bank = Bank()
+            bank.schedule_write(
+                0.0, row=1, latency_ns=mode7.latency_ns,
+                pause_boundaries_ns=mode7.set_boundaries_ns,
+            )
+            expected = bank.read_start_time(now)
+            start, _, _ = bank.schedule_read(now, row=2)
+            assert start == expected
+
+    def test_pausing_read_shifts_only_the_later_boundaries(self, bank, mode7):
+        bank.schedule_write(
+            0.0, row=1, latency_ns=mode7.latency_ns,
+            pause_boundaries_ns=mode7.set_boundaries_ns,
+        )
+        before = bank._in_flight_write.boundaries_ns
+        start, finish, _ = bank.schedule_read(260.0, row=1)
+        service = finish - start
+        after = bank._in_flight_write.boundaries_ns
+        assert start == 400.0
+        assert [b for b in after if b <= start] == [b for b in before if b <= start]
+        assert [b for b in after if b > start] == [
+            b + service for b in before if b > start
+        ]
+        # The pause point itself stays: the write resumes there.
+        assert start in after
 
 
 class TestUtilization:

@@ -406,24 +406,86 @@ class TestEnqueueScheduling:
         assert controller.stats.writes_completed == 3
 
 
-class NeverSettled(list):
-    """Per-channel flags that always read False and ignore writes."""
+class TestInflightGate:
+    """Refresh and write queues wait while a channel has as many
+    requests in flight as banks. The gate counts requests, not busy
+    banks, so a read that pauses a write lifts it again."""
 
-    def __getitem__(self, channel):
-        return False
-
-    def __setitem__(self, channel, value):
-        pass
+    def test_pausing_read_lifts_the_gate_for_a_queued_write(self, sim):
+        controller = four_bank_controller(sim)
+        writes = [write(on_bank(controller, bank)) for bank in (0, 1, 2)]
+        late = write(on_bank(controller, 3))
+        for w in writes:
+            sim.schedule_at(0.0, controller.enqueue, w)
+        sim.schedule_at(1.0, controller.enqueue, read(on_bank(controller, 0, row=1)))
+        sim.schedule_at(2.0, controller.enqueue, late)
+        states = []
+        sim.schedule_at(
+            2.5,
+            lambda: states.append(
+                (controller._channel_inflight[0], late.start_time_ns)
+            ),
+        )
+        sim.schedule_at(3.0, controller.enqueue, read(on_bank(controller, 1, row=1)))
+        sim.run()
+        # At t=2 four requests are in flight on four banks, one of them
+        # a paused write's read, so bank 3 is free but the write waits.
+        assert states == [(4, None)]
+        # The second pausing read takes the count to five: the gate
+        # lifts, and the queued write issues at once.
+        assert late.start_time_ns == 3.0
 
 
 class FullScanController(MemoryController):
-    """Reference scheduler: no channel ever counts as settled, so every
-    enqueue and completion rescans in full, and a kick always rescans
-    after firing its space waiters."""
+    """Reference scheduler: the literal FR-FCFS loop, with no settled
+    flag, no direct issue and no resumed scan. Every kick updates the
+    drain flag once, then scans the queues from the top in priority
+    order, and restarts from the top after every issue and its space
+    waiters."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._settled = NeverSettled()
+    def _kick(self, channel, pushed=None):
+        queues = self._queues[channel]
+        occupancy = len(queues.write_queue)
+        if occupancy >= self._write_drain_high:
+            self._draining_writes[channel] = True
+        elif occupancy <= self._write_drain_low:
+            self._draining_writes[channel] = False
+        while True:
+            found = self._first_issuable(channel, queues)
+            if found is None:
+                return
+            queue, pick = found
+            request = queue._entries[pick]
+            del queue._entries[pick]
+            self._issue(channel, request)
+            waiters, queue.space_waiters = queue.space_waiters, []
+            for callback in waiters:
+                callback()
+
+    def _first_issuable(self, channel, queues):
+        """``(queue, position)`` of the entry a full FR-FCFS scan picks."""
+        now = self.sim.now
+        all_busy = self._channel_inflight[channel] == self._banks_per_channel
+        for queue in queues.in_priority_order():
+            if queue is not queues.read_queue:
+                if all_busy:
+                    continue
+                if queue is queues.write_queue and not (
+                    self._draining_writes[channel]
+                    or not (len(queues.read_queue) or len(queues.refresh_queue))
+                ):
+                    continue
+            for pick, request in enumerate(queue._entries):
+                if pick == self.SCHED_WINDOW:
+                    break
+                n = self._bank_inflight[request.bank_index]
+                if n == 0:
+                    return queue, pick
+                if n == 1 and request.rtype is RequestType.READ:
+                    bank = self._banks_flat[request.bank_index]
+                    if bank.read_start_time(now) < bank.busy_until:
+                        return queue, pick
+        return None
 
 
 KINDS = st.sampled_from(["read", "read", "write", "fast-write", "refresh"])
@@ -439,6 +501,35 @@ request_streams = st.lists(
         st.none() | st.tuples(KINDS, st.integers(0, 3)),
     ),
     max_size=40,
+)
+
+
+def crowded(banks, steps, tail):
+    """Writes on three banks at t=0, then *steps*, then *tail*.
+
+    Each step ``(gap, class, pick)`` is a read to the *pick*-th written
+    bank, which pauses its write, or any other class to the fourth,
+    free bank. Pausing reads take the in-flight count to the bank count
+    while a bank is free, and then past it.
+    """
+    written, free = banks[:3], banks[3]
+    head = [(0, "write", bank, 0, None) for bank in written]
+    for gap, kind, pick in steps:
+        bank = written[pick] if kind == "read" else free
+        head.append((gap, kind, bank, 1, None))
+    return head + tail
+
+
+#: Streams biased towards more requests in flight than banks.
+crowded_streams = st.builds(
+    crowded,
+    st.permutations(range(4)),
+    st.lists(
+        st.tuples(st.sampled_from([1, 2, 10]), KINDS, st.integers(0, 2)),
+        min_size=1,
+        max_size=6,
+    ),
+    request_streams,
 )
 
 
@@ -495,8 +586,10 @@ def issue_sequence(controller_cls, stream):
     ], marks
 
 
-@settings(max_examples=150, deadline=None)
-@given(request_streams)
+#: 150 examples in tier-1, ten times as many under the ``thorough``
+#: hypothesis profile (tests/conftest.py).
+@settings(max_examples=settings.default.max_examples * 3 // 2, deadline=None)
+@given(request_streams | crowded_streams)
 def test_enqueue_issues_like_a_full_scan_every_time(stream):
     assert issue_sequence(MemoryController, stream) == issue_sequence(
         FullScanController, stream

@@ -2,10 +2,11 @@
 
 The result digests (``tests/test_result_digests.py``) catch a change in
 what a run computes; these catch a change in *how* it gets there. For the
-same 198 cells (11 workloads x 6 schemes x seeds 1-3 on
-``SystemConfig.tiny``, first 4000 engine events), every callback the
-engine dispatches is recorded as ``(time, module:qualname)``, in dispatch
-order. The cell's digest is the sha256 over that sequence plus the final
+same cells (11 workloads x 6 schemes x seeds 1-3 on ``SystemConfig.tiny``,
+plus the paper-width leg of 11 workloads x {Static-7-SETs, RRM} x seeds
+1-3 on ``SystemConfig.paper``, keyed ``paper/...``; first 4000 engine
+events each), every callback the engine dispatches is recorded as
+``(time, module:qualname)``, in dispatch order. The cell's digest is the sha256 over that sequence plus the final
 ``events_processed``, ``events_scheduled`` and ``events_cancelled``.
 
 Recording happens outside the run loop: ``Simulator.schedule_at`` is
@@ -39,16 +40,23 @@ DIGESTS = Path(__file__).parent / "data" / "dispatch_digests.json"
 SEEDS = (1, 2, 3)
 MAX_EVENTS = 4_000
 
+#: Configuration legs: cell-key prefix -> (``SystemConfig`` preset, schemes).
+LEGS = {
+    "": (SystemConfig.tiny, [scheme.value for scheme in all_schemes()]),
+    "paper/": (SystemConfig.paper, [Scheme.STATIC_7.value, Scheme.RRM.value]),
+}
+
 CELLS = [
-    (workload, scheme.value, seed)
+    (prefix, workload, scheme, seed)
+    for prefix, (_, schemes) in LEGS.items()
     for workload in all_workload_names()
-    for scheme in all_schemes()
+    for scheme in schemes
     for seed in SEEDS
 ]
 
 
-def cell_key(workload: str, scheme: str, seed: int) -> str:
-    return f"{workload}/{scheme}/{seed}"
+def cell_key(prefix: str, workload: str, scheme: str, seed: int) -> str:
+    return f"{prefix}{workload}/{scheme}/{seed}"
 
 
 def recording_schedule_at(log: List[str]) -> Callable:
@@ -68,7 +76,7 @@ def recording_schedule_at(log: List[str]) -> Callable:
     return schedule_at
 
 
-def cell_digest(workload: str, scheme: str, seed: int) -> str:
+def cell_digest(prefix: str, workload: str, scheme: str, seed: int) -> str:
     """sha256 of the cell's dispatch sequence and final event counts.
 
     Patches ``Simulator.schedule_at`` for the duration of the cell only.
@@ -77,7 +85,7 @@ def cell_digest(workload: str, scheme: str, seed: int) -> str:
     original = Simulator.schedule_at
     Simulator.schedule_at = recording_schedule_at(log)
     try:
-        config = SystemConfig.tiny(seed)
+        config = LEGS[prefix][0](seed)
         if workload in MIXES:
             config = dataclasses.replace(config, n_cores=len(MIXES[workload]))
         system = System(config, workload, Scheme(scheme))
@@ -102,11 +110,11 @@ def test_digest_file_covers_the_matrix(expected):
 
 
 @pytest.mark.parametrize(
-    "workload,scheme,seed", CELLS, ids=[cell_key(*cell) for cell in CELLS]
+    "prefix,workload,scheme,seed", CELLS, ids=[cell_key(*cell) for cell in CELLS]
 )
-def test_dispatch_digest(expected, workload, scheme, seed):
-    assert cell_digest(workload, scheme, seed) == expected[
-        cell_key(workload, scheme, seed)
+def test_dispatch_digest(expected, prefix, workload, scheme, seed):
+    assert cell_digest(prefix, workload, scheme, seed) == expected[
+        cell_key(prefix, workload, scheme, seed)
     ]
 
 

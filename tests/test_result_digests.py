@@ -2,10 +2,14 @@
 
 Every one of the 11 workloads (9 benchmarks and 2 mixes, the mixes with
 the 4 cores they define) runs under all 6 schemes at seeds 1-3 on
-``SystemConfig.tiny`` for the first 4000 engine events. Each cell's
-``SimResult`` is reduced to the sha256 of its canonical JSON, less the
-fields that depend on the host or on instrumentation, and compared with
-``tests/data/result_digests.json``.
+``SystemConfig.tiny`` for the first 4000 engine events. A second,
+paper-width leg runs the same workloads under Static-7-SETs and RRM at
+seeds 1-3 on ``SystemConfig.paper`` (4 channels x 16 banks), where more
+than two requests per channel can be in flight. Each cell's ``SimResult``
+is reduced to the sha256 of its canonical JSON, less the fields that
+depend on the host or on instrumentation, and compared with
+``tests/data/result_digests.json``. Tiny cells are keyed
+``workload/scheme/seed`` and paper-width cells ``paper/workload/scheme/seed``.
 
 A hot-path optimisation must keep every digest. The committed file is
 only ever rewritten by a change that means to alter simulated results::
@@ -34,24 +38,36 @@ MAX_EVENTS = 4_000
 #: instrumentation.
 HOST_FIELDS = ("wall_time_s", "sim_events", "attribution", "profile")
 
+#: Configuration legs: cell-key prefix -> (``SystemConfig`` preset, schemes).
+LEGS = {
+    "": (SystemConfig.tiny, [scheme.value for scheme in all_schemes()]),
+    "paper/": (SystemConfig.paper, [Scheme.STATIC_7.value, Scheme.RRM.value]),
+}
+
 CELLS = [
-    (workload, scheme.value, seed)
+    (prefix, workload, scheme, seed)
+    for prefix, (_, schemes) in LEGS.items()
     for workload in all_workload_names()
-    for scheme in all_schemes()
+    for scheme in schemes
     for seed in SEEDS
 ]
 
 
-def cell_key(workload: str, scheme: str, seed: int) -> str:
-    return f"{workload}/{scheme}/{seed}"
+def cell_key(prefix: str, workload: str, scheme: str, seed: int) -> str:
+    return f"{prefix}{workload}/{scheme}/{seed}"
 
 
-def cell_digest(workload: str, scheme: str, seed: int) -> str:
-    """sha256 of the cell's canonical result JSON, host fields removed."""
-    config = SystemConfig.tiny(seed)
+def leg_config(prefix: str, workload: str, seed: int) -> SystemConfig:
+    """The cell's configuration: its leg's preset, with a mix's cores."""
+    config = LEGS[prefix][0](seed)
     if workload in MIXES:
         config = dataclasses.replace(config, n_cores=len(MIXES[workload]))
-    system = System(config, workload, Scheme(scheme))
+    return config
+
+
+def cell_digest(prefix: str, workload: str, scheme: str, seed: int) -> str:
+    """sha256 of the cell's canonical result JSON, host fields removed."""
+    system = System(leg_config(prefix, workload, seed), workload, Scheme(scheme))
     record = system.run(max_events=MAX_EVENTS).to_json_dict()
     for field in HOST_FIELDS:
         record.pop(field, None)
@@ -69,11 +85,11 @@ def test_digest_file_covers_the_matrix(expected):
 
 
 @pytest.mark.parametrize(
-    "workload,scheme,seed", CELLS, ids=[cell_key(*cell) for cell in CELLS]
+    "prefix,workload,scheme,seed", CELLS, ids=[cell_key(*cell) for cell in CELLS]
 )
-def test_result_digest(expected, workload, scheme, seed):
-    assert cell_digest(workload, scheme, seed) == expected[
-        cell_key(workload, scheme, seed)
+def test_result_digest(expected, prefix, workload, scheme, seed):
+    assert cell_digest(prefix, workload, scheme, seed) == expected[
+        cell_key(prefix, workload, scheme, seed)
     ]
 
 
