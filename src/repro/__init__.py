@@ -16,26 +16,31 @@ Quickstart::
     print(result.summary())
 """
 
-from repro.core import RRMConfig, RegionRetentionMonitor
-from repro.pcm import DriftModel, DriftParameters, WriteMode, WriteModeTable
-from repro.resilience import FailedRun, FaultPlan, ResultJournal, RetryPolicy
-from repro.sim import (
-    ExperimentRunner,
-    MemoryConfig,
-    Scheme,
-    SimResult,
-    System,
-    SystemConfig,
-    run_workload,
-)
-from repro.telemetry import (
-    MetricRegistry,
-    Profiler,
-    Telemetry,
-    TelemetryConfig,
-    Tracer,
-)
-from repro.workloads import BENCHMARKS, MIXES, get_benchmark
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core import RegionRetentionMonitor, RRMConfig
+    from repro.pcm import DriftModel, DriftParameters, WriteMode, WriteModeTable
+    from repro.resilience import FailedRun, FaultPlan, ResultJournal, RetryPolicy
+    from repro.sim import (
+        ExperimentRunner,
+        MemoryConfig,
+        Scheme,
+        SimResult,
+        System,
+        SystemConfig,
+        run_workload,
+    )
+    from repro.telemetry import (
+        MetricRegistry,
+        Profiler,
+        Telemetry,
+        TelemetryConfig,
+        Tracer,
+    )
+    from repro.workloads import BENCHMARKS, MIXES, get_benchmark
 
 __version__ = "1.8.0"
 
@@ -67,3 +72,31 @@ __all__ = [
     "get_benchmark",
     "__version__",
 ]
+
+# Each name resolves through its subpackage, so ``import repro`` loads no
+# subpackage until one of its names is used.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core": ("RegionRetentionMonitor", "RRMConfig"),
+        "repro.pcm": ("DriftModel", "DriftParameters", "WriteMode", "WriteModeTable"),
+        "repro.resilience": ("FailedRun", "FaultPlan", "ResultJournal", "RetryPolicy"),
+        "repro.sim": (
+            "ExperimentRunner",
+            "MemoryConfig",
+            "Scheme",
+            "SimResult",
+            "System",
+            "SystemConfig",
+            "run_workload",
+        ),
+        "repro.telemetry": (
+            "MetricRegistry",
+            "Profiler",
+            "Telemetry",
+            "TelemetryConfig",
+            "Tracer",
+        ),
+        "repro.workloads": ("BENCHMARKS", "MIXES", "get_benchmark"),
+    },
+)

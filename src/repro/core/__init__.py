@@ -15,11 +15,16 @@ memory controller. It:
    blocks with the long-retention mode.
 """
 
-from repro.core.config import RRMConfig
-from repro.core.entry import RRMEntry
-from repro.core.tag_array import RRMTagArray
-from repro.core.monitor import RegionRetentionMonitor, RRMStats
-from repro.core.multimode import TieredRetentionMonitor, TieredRRMConfig
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.config import RRMConfig
+    from repro.core.entry import RRMEntry
+    from repro.core.monitor import RegionRetentionMonitor, RRMStats
+    from repro.core.multimode import TieredRetentionMonitor, TieredRRMConfig
+    from repro.core.tag_array import RRMTagArray
 
 __all__ = [
     "RRMConfig",
@@ -30,3 +35,14 @@ __all__ = [
     "TieredRetentionMonitor",
     "TieredRRMConfig",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.config": ("RRMConfig",),
+        "repro.core.entry": ("RRMEntry",),
+        "repro.core.monitor": ("RegionRetentionMonitor", "RRMStats"),
+        "repro.core.multimode": ("TieredRetentionMonitor", "TieredRRMConfig"),
+        "repro.core.tag_array": ("RRMTagArray",),
+    },
+)

@@ -12,19 +12,24 @@ This package models the phase-change-memory substrate the paper depends on:
   the assembled multi-channel device with its self-refresh circuit.
 """
 
-from repro.pcm.drift import DriftModel, DriftParameters
-from repro.pcm.write_modes import (
-    RESET_LATENCY_NS,
-    SET_ITERATION_LATENCY_NS,
-    WriteMode,
-    WriteModeTable,
-)
-from repro.pcm.timing import PCMTimings
-from repro.pcm.energy import EnergyModel, EnergyBreakdown
-from repro.pcm.endurance import EnduranceModel, WearTracker, WearBreakdown
-from repro.pcm.bank import Bank, RowBuffer
-from repro.pcm.device import PCMDevice
-from repro.pcm.wear_leveling import LeveledWearSimulator, StartGapLeveler
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.pcm.bank import Bank, RowBuffer
+    from repro.pcm.device import PCMDevice
+    from repro.pcm.drift import DriftModel, DriftParameters
+    from repro.pcm.endurance import EnduranceModel, WearBreakdown, WearTracker
+    from repro.pcm.energy import EnergyBreakdown, EnergyModel
+    from repro.pcm.timing import PCMTimings
+    from repro.pcm.wear_leveling import LeveledWearSimulator, StartGapLeveler
+    from repro.pcm.write_modes import (
+        RESET_LATENCY_NS,
+        SET_ITERATION_LATENCY_NS,
+        WriteMode,
+        WriteModeTable,
+    )
 
 __all__ = [
     "DriftModel",
@@ -45,3 +50,22 @@ __all__ = [
     "LeveledWearSimulator",
     "StartGapLeveler",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.pcm.bank": ("Bank", "RowBuffer"),
+        "repro.pcm.device": ("PCMDevice",),
+        "repro.pcm.drift": ("DriftModel", "DriftParameters"),
+        "repro.pcm.endurance": ("EnduranceModel", "WearBreakdown", "WearTracker"),
+        "repro.pcm.energy": ("EnergyBreakdown", "EnergyModel"),
+        "repro.pcm.timing": ("PCMTimings",),
+        "repro.pcm.wear_leveling": ("LeveledWearSimulator", "StartGapLeveler"),
+        "repro.pcm.write_modes": (
+            "RESET_LATENCY_NS",
+            "SET_ITERATION_LATENCY_NS",
+            "WriteMode",
+            "WriteModeTable",
+        ),
+    },
+)

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.attribution import AttributionCollector
-from repro.attribution.report import AttributionReport
 from repro.core.monitor import RegionRetentionMonitor
 from repro.cpu.multicore import Multicore
 from repro.engine import Simulator
@@ -25,7 +23,6 @@ from repro.pcm.drift import DriftModel, DriftParameters
 from repro.pcm.endurance import EnduranceModel, WearTracker
 from repro.pcm.energy import EnergyModel
 from repro.pcm.write_modes import WriteModeTable
-from repro.profiling import SamplingProfiler, take_census
 from repro.sim.config import SystemConfig
 from repro.sim.metrics import EnergyReport, SimResult, WearReport
 from repro.sim.schemes import Scheme
@@ -33,6 +30,11 @@ from repro.telemetry import Telemetry, TelemetryConfig
 from repro.utils.units import s_to_ns
 from repro.workloads.mixes import workload_profiles
 from repro.workloads.synthetic import BLOCKS_PER_REGION, RegionTrafficGenerator
+
+if TYPE_CHECKING:
+    # Instrumentation loads in System.__init__, and only when switched on.
+    from repro.attribution import AttributionCollector, AttributionReport
+    from repro.profiling import SamplingProfiler
 
 # Enum member access runs Python code in the enum machinery on every
 # lookup; the per-request completion path uses these module constants.
@@ -79,8 +81,15 @@ class System:
         self.scheme = scheme
         self.sim = Simulator()
         self.telemetry = Telemetry(telemetry, clock=lambda: self.sim.now)
+        # Instrumentation modules are imported here, when switched on, and
+        # never inside run(), whose wall time must not absorb an import.
         self._profiler: Optional[SamplingProfiler] = None
         if telemetry is not None and telemetry.profile:
+            import repro.profiling
+
+            self._profiler = repro.profiling.SamplingProfiler(
+                interval_s=telemetry.profile_interval_s
+            )
             # Enabled before any event is scheduled so every owner
             # resolves; the clock is passed as a reference — the engine
             # itself never calls a wall clock it wasn't handed (RL001).
@@ -101,7 +110,9 @@ class System:
         )
         self.attribution: Optional[AttributionCollector] = None
         if telemetry is not None and telemetry.attribution:
-            self.attribution = AttributionCollector(
+            import repro.attribution
+
+            self.attribution = repro.attribution.AttributionCollector(
                 n_banks=self.device.n_banks,
                 banks_per_channel=self.device.banks_per_channel,
                 fast_n_sets=self.modes.fast.n_sets,
@@ -161,6 +172,11 @@ class System:
         )
         self._ran = False
         self._register_metrics()
+        if telemetry is not None and telemetry.metrics_interval_s is not None:
+            # Started in run(); built here so its module loads with the rest.
+            self.telemetry.make_profiler(
+                self.sim, s_to_ns(telemetry.metrics_interval_s)
+            )
 
     # ------------------------------------------------------------------
     def _register_metrics(self) -> None:
@@ -182,6 +198,8 @@ class System:
             self.attribution.register_metrics(registry)
         if self.sim.cost_accounting is not None:
             self.sim.cost_accounting.register_metrics(registry)
+        if self._profiler is not None:
+            self._profiler.register_metrics(registry)
 
     # ------------------------------------------------------------------
     def _build_streams(self) -> List:
@@ -217,7 +235,9 @@ class System:
                 "attribution is not enabled; pass "
                 "TelemetryConfig(attribution=True)"
             )
-        return AttributionReport.from_collector(self.attribution)
+        import repro.attribution  # loaded with the collector in __init__
+
+        return repro.attribution.AttributionReport.from_collector(self.attribution)
 
     # ------------------------------------------------------------------
     def _on_completion(self, request: MemRequest) -> None:
@@ -249,21 +269,13 @@ class System:
         if telemetry.enabled:
             for bank in range(self.device.n_banks):
                 telemetry.tracer.set_thread_name(bank, f"bank{bank}")
-        tcfg = telemetry.config
-        if tcfg is not None and tcfg.metrics_interval_s is not None:
-            telemetry.make_profiler(
-                self.sim, s_to_ns(tcfg.metrics_interval_s)
-            ).start()
+        if telemetry.profiler is not None:
+            telemetry.profiler.start()
 
         if self.rrm is not None:
             self.rrm.start()
         self.multicore.start()
         duration_ns = s_to_ns(self.config.duration_s)
-        if tcfg is not None and tcfg.profile:
-            self._profiler = SamplingProfiler(
-                interval_s=tcfg.profile_interval_s
-            )
-            self._profiler.register_metrics(self.telemetry.registry)
         if self._profiler is not None:
             # Context manager: the sampler thread is joined even when a
             # model callback raises mid-run.
@@ -356,6 +368,8 @@ class System:
         """Assemble the run's host-profile artifact (sampler + engine
         accounting + memory census)."""
         assert self._profiler is not None
+        import repro.profiling  # loaded with the sampler in __init__
+
         prof = self._profiler.build_profile()
         accounting = self.sim.cost_accounting
         if accounting is not None:
@@ -376,7 +390,7 @@ class System:
             "attribution": self.attribution,
             "telemetry": self.telemetry,
         }
-        prof.memory = take_census(
+        prof.memory = repro.profiling.take_census(
             roots, touched_regions=self._footprint_regions
         )
         prof.meta = {

@@ -27,10 +27,10 @@ Usage::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
+from repro._lazy import lazy_exports
 from repro.errors import ConfigError
-from repro.telemetry.profiler import Profiler
 from repro.telemetry.registry import (
     Counter,
     Derived,
@@ -40,14 +40,6 @@ from repro.telemetry.registry import (
     MetricRegistry,
     Snapshot,
 )
-from repro.telemetry.summary import (
-    TraceSummary,
-    flatten_args,
-    format_summary,
-    load_trace,
-    summarize_trace,
-    validate_chrome_trace,
-)
 from repro.telemetry.trace import (
     NULL_TRACER,
     TRACE_MODES,
@@ -55,6 +47,17 @@ from repro.telemetry.trace import (
     TraceEvent,
     Tracer,
 )
+
+if TYPE_CHECKING:
+    from repro.telemetry.profiler import Profiler
+    from repro.telemetry.summary import (
+        TraceSummary,
+        flatten_args,
+        format_summary,
+        load_trace,
+        summarize_trace,
+        validate_chrome_trace,
+    )
 
 __all__ = [
     "Counter",
@@ -79,6 +82,23 @@ __all__ = [
     "summarize_trace",
     "validate_chrome_trace",
 ]
+
+# Trace files and periodic sampling are opt-in, so their modules load on
+# first use; the registry and tracer above serve every run.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.telemetry.profiler": ("Profiler",),
+        "repro.telemetry.summary": (
+            "TraceSummary",
+            "flatten_args",
+            "format_summary",
+            "load_trace",
+            "summarize_trace",
+            "validate_chrome_trace",
+        ),
+    },
+)
 
 
 @dataclass(frozen=True)
@@ -169,6 +189,8 @@ class Telemetry:
 
     def make_profiler(self, sim, interval_ns: float) -> Profiler:
         """Build (and remember) the profiler; the caller starts it."""
+        from repro.telemetry.profiler import Profiler
+
         self.profiler = Profiler(
             sim, self.registry, self.tracer, interval_ns=interval_ns
         )

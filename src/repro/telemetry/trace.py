@@ -24,15 +24,16 @@ lets hot paths skip argument construction entirely.
 
 from __future__ import annotations
 
-import json
 import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.errors import ConfigError
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 TRACE_MODES = ("full", "ring", "sample")
 
@@ -274,12 +275,19 @@ class Tracer:
 
     def export_chrome(self, path) -> Path:
         """Write the Chrome-trace JSON; open in Perfetto/chrome://tracing."""
+        # File output is opt-in: its modules load on the first export.
+        import json
+        from pathlib import Path
+
         path = Path(path)
         path.write_text(json.dumps(self.chrome_trace()), encoding="utf-8")
         return path
 
     def export_jsonl(self, path) -> Path:
         """Write one JSON record per event (nanosecond timestamps)."""
+        import json
+        from pathlib import Path
+
         path = Path(path)
         with path.open("w", encoding="utf-8") as fh:
             for event in self._events:
@@ -288,6 +296,8 @@ class Tracer:
 
     def export(self, path) -> Path:
         """Export by extension: ``.jsonl`` → JSONL, anything else → Chrome."""
+        from pathlib import Path
+
         path = Path(path)
         if path.suffix == ".jsonl":
             return self.export_jsonl(path)

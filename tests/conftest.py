@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+from typing import Callable
+
 import pytest
 from hypothesis import settings
 
+import repro
 from repro.core.config import RRMConfig
 from repro.engine import Simulator
 from repro.memctrl.controller import MemoryController
@@ -59,3 +66,28 @@ def rrm_config() -> RRMConfig:
 @pytest.fixture
 def tiny_config() -> SystemConfig:
     return SystemConfig.tiny()
+
+
+@pytest.fixture
+def fresh_python() -> Callable[[str], str]:
+    """Run code in a fresh interpreter (this one has imported everything
+    long ago) with this checkout's ``src`` first on the path; returns its
+    stdout and fails the test if the code fails."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        path for path in (src, env.get("PYTHONPATH")) if path
+    )
+
+    def run(code: str) -> str:
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    return run
