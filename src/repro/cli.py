@@ -36,14 +36,7 @@ Examples::
     # Parallel sweeps on the sharded fabric (bit-identical to --jobs 1)
     repro-rrm sweep --config tiny --jobs 4 --journal sweep.jsonl
 
-    # Batch service: serve sweeps over a local socket
-    repro-rrm serve --address .repro-rrm.sock --journal-dir fabric-journals
-    repro-rrm submit --address .repro-rrm.sock --config tiny --jobs 4
-    repro-rrm status --address .repro-rrm.sock
-
-    # Live fleet observability: scrape metrics, watch workers
-    repro-rrm serve --address .repro-rrm.sock --http 127.0.0.1:9100
-    repro-rrm top --address .repro-rrm.sock
+    # Fleet observability: a final metrics snapshot and crash flight recorders
     repro-rrm sweep --config tiny --jobs 4 --journal sweep.jsonl \\
         --metrics-out metrics.prom --flight-dir sweep.flight
 
@@ -51,7 +44,6 @@ Examples::
     repro-rrm profile run --config tiny --out prof.json --flamegraph prof.svg
     repro-rrm profile report prof.json
     repro-rrm profile diff before.json after.json --check
-    repro-rrm profile fetch --address .repro-rrm.sock --duration 2
     repro-rrm sweep --config tiny --jobs 4 --profile sweep-prof.json
 """
 
@@ -369,155 +361,6 @@ def cmd_sweep(args) -> int:
     return 0 if runner.results else 1
 
 
-def cmd_serve(args) -> int:
-    """Run the fabric batch service in the foreground until interrupted."""
-    from repro.fabric import FabricServer
-    from repro.obs.live.slog import StructuredLogger
-
-    logger = StructuredLogger(sys.stderr, fields={"component": "serve"})
-    server = FabricServer(
-        args.address,
-        args.journal_dir,
-        baseline_path=args.baseline,
-        logger=logger,
-        http_address=args.http,
-    )
-    try:
-        server.start()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        server.wait()
-    except KeyboardInterrupt:
-        print("interrupted; stopping", file=sys.stderr)
-        server.stop()
-    return 0
-
-
-def cmd_submit(args) -> int:
-    """Submit a sweep spec to a running server; stream it by default."""
-    from repro.fabric import FabricClient, SweepSpec
-
-    spec = SweepSpec.make(
-        config_name=args.config,
-        seed=args.seed,
-        duration_s=args.duration,
-        workloads=args.workloads or None,
-        schemes=args.schemes or None,
-        max_events=args.max_events,
-        jobs=args.jobs,
-    )
-    client = FabricClient(args.address)
-    if args.no_watch:
-        print(client.submit(spec))
-        return 0
-    outcome = None
-    for message in client.submit_and_watch(spec):
-        event = message.get("event")
-        if event is None:
-            print(f"submitted: {message.get('sweep')}", file=sys.stderr)
-        elif event == "ledger.entry":
-            entry = message.get("entry") or {}
-            metrics = entry.get("metrics") or {}
-            ipc = metrics.get("ipc")
-            print(
-                f"  done: {entry.get('name')}"
-                + (f"  ipc={ipc:.4f}" if isinstance(ipc, float) else "")
-            )
-        elif event in ("job.retry", "job.failed", "fabric.respawn"):
-            print(f"  {event}: {message}", file=sys.stderr)
-        elif event == "gate.verdict":
-            counts = message.get("counts") or {}
-            summary = ", ".join(
-                f"{count} {name}" for name, count in sorted(counts.items())
-            )
-            print(f"gate: {summary or message.get('error', 'no verdicts')}")
-        elif event == "sweep.finished":
-            outcome = message
-    if outcome is None:
-        print(
-            "server closed the stream before the sweep finished; "
-            "its journal has whatever settled",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"{outcome.get('sweep')}: {outcome.get('state')} "
-        f"({outcome.get('completed', 0)} ok, {outcome.get('failed', 0)} "
-        f"failed)  journal={outcome.get('journal')}"
-    )
-    finished = outcome.get("state") == "finished"
-    return 0 if finished and outcome.get("completed", 0) else 1
-
-
-def cmd_status(args) -> int:
-    """Ping a running server and list its sweeps (table, or raw --json)."""
-    from repro.fabric import FabricClient
-
-    client = FabricClient(args.address)
-    info = client.ping()
-    sweeps = client.status()
-    if args.json:
-        import json as _json
-
-        print(
-            _json.dumps(
-                {
-                    "address": args.address,
-                    "protocol": info.get("version"),
-                    "sweeps": sweeps,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        rows = []
-        for sweep in sweeps:
-            # Journals written before the throughput metric existed
-            # (or a 0.0 placeholder) render as "-", never None.
-            rate = sweep.get("sim_events_per_sec")
-            has_rate = (
-                isinstance(rate, (int, float))
-                and not isinstance(rate, bool)
-                and rate > 0
-            )
-            rows.append(
-                [
-                    sweep.get("sweep", "?"),
-                    sweep.get("state", "?"),
-                    f"{sweep.get('completed', 0)}/{sweep.get('jobs', 0)}",
-                    sweep.get("failed", 0),
-                    sweep.get("workers", 1),
-                    f"{rate:,.0f}" if has_rate else "-",
-                    sweep.get("error") or sweep.get("journal", "-"),
-                ]
-            )
-        print(
-            format_table(
-                ["sweep", "state", "done", "failed", "jobs", "ev/s",
-                 "journal / error"],
-                rows,
-                title=(
-                    f"server at {args.address}: protocol "
-                    f"v{info.get('version')}, {len(sweeps)} sweep(s)"
-                ),
-            )
-        )
-    if args.shutdown:
-        client.shutdown()
-        print("shutdown requested", file=sys.stderr)
-    return 0
-
-
-def cmd_top(args) -> int:
-    """Live TTY fleet view (heartbeats + sweep states) of a server."""
-    from repro.obs.live.top import run_top
-
-    return run_top(args.address, interval_s=args.interval, once=args.once)
-
-
 def cmd_profile_run(args) -> int:
     """Profile one simulation: sampled stacks, deterministic event-cost
     accounting, and a memory census. Profiling is observational — the
@@ -595,21 +438,6 @@ def cmd_profile_diff(args) -> int:
     print(format_diff(diff, tolerance=args.tolerance))
     if args.check and not diff.within(args.tolerance):
         return 1
-    return 0
-
-
-def cmd_profile_fetch(args) -> int:
-    """Sample a running 'serve' instance and report where its time goes."""
-    from repro.fabric import FabricClient
-    from repro.profiling import Profile, format_profile
-
-    client = FabricClient(args.address)
-    payload = client.profile(args.duration)
-    prof = Profile.from_json_dict(payload)
-    if args.out:
-        prof.save(args.out)
-        print(f"profile written to {args.out}", file=sys.stderr)
-    print(format_profile(prof, top=args.top))
     return 0
 
 
@@ -1066,113 +894,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_serve = sub.add_parser(
-        "serve",
-        help="batch sweep service: accept sweep specs over a local "
-        "socket, run them on the fabric, stream progress/ledger/gate "
-        "events to watchers",
-    )
-    p_serve.add_argument(
-        "--address",
-        default=".repro-rrm.sock",
-        help="unix socket path, or host:port for TCP "
-        "(default: .repro-rrm.sock)",
-    )
-    p_serve.add_argument(
-        "--journal-dir",
-        default="fabric-journals",
-        metavar="DIR",
-        help="directory for per-sweep journals/ledgers (sweep-001.jsonl, "
-        "...); an interrupted sweep resumes with 'repro-rrm sweep "
-        "--resume --journal DIR/sweep-NNN.jsonl --jobs N' "
-        "(default: fabric-journals)",
-    )
-    p_serve.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="stream a gate.verdict event per sweep against this pinned "
-        "baseline",
-    )
-    p_serve.add_argument(
-        "--http",
-        default=None,
-        metavar="HOST:PORT",
-        help="also expose GET /metrics (Prometheus text format) on this "
-        "plain-HTTP address (e.g. 127.0.0.1:9100; port 0 picks a free "
-        "port); the same text is always available as the 'metrics' op "
-        "on the line-JSON socket",
-    )
-    p_serve.set_defaults(func=cmd_serve)
-
-    p_submit = sub.add_parser(
-        "submit", help="submit a sweep spec to a running 'serve' instance"
-    )
-    _add_common(p_submit)
-    p_submit.add_argument(
-        "--address", default=".repro-rrm.sock", help="server address"
-    )
-    p_submit.add_argument("--workloads", nargs="*", default=None)
-    p_submit.add_argument("--schemes", nargs="*", default=None)
-    p_submit.add_argument(
-        "--max-events", type=int, default=None, metavar="N"
-    )
-    p_submit.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fabric worker processes for this sweep (default: 1)",
-    )
-    p_submit.add_argument(
-        "--no-watch",
-        action="store_true",
-        help="queue the sweep and return its id immediately instead of "
-        "streaming it",
-    )
-    p_submit.set_defaults(func=cmd_submit)
-
-    p_status = sub.add_parser(
-        "status", help="ping a running 'serve' instance and list its sweeps"
-    )
-    p_status.add_argument(
-        "--address", default=".repro-rrm.sock", help="server address"
-    )
-    p_status.add_argument(
-        "--shutdown",
-        action="store_true",
-        help="ask the server to shut down after reporting",
-    )
-    p_status.add_argument(
-        "--json",
-        action="store_true",
-        help="dump the raw status payload as JSON instead of the table",
-    )
-    p_status.set_defaults(func=cmd_status)
-
-    p_top = sub.add_parser(
-        "top",
-        help="live fleet view of a running 'serve' instance: per-worker "
-        "heartbeats (job, events/s, RSS, staleness) plus sweep states, "
-        "refreshed in place on a TTY",
-    )
-    p_top.add_argument(
-        "--address", default=".repro-rrm.sock", help="server address"
-    )
-    p_top.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="refresh period (default: 2.0)",
-    )
-    p_top.add_argument(
-        "--once",
-        action="store_true",
-        help="print one frame and exit (scriptable snapshot)",
-    )
-    p_top.set_defaults(func=cmd_top)
-
     p_prof = sub.add_parser(
         "profile",
         help="hot-path microscope: sample a run's host stacks, account "
@@ -1273,31 +994,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 1 when any subsystem's share moved beyond --tolerance",
     )
     p_prof_diff.set_defaults(func=cmd_profile_diff)
-
-    p_prof_fetch = prof_sub.add_parser(
-        "fetch",
-        help="sample a running 'serve' process for a few seconds and "
-        "report where its time goes",
-    )
-    p_prof_fetch.add_argument(
-        "--address", default=".repro-rrm.sock", help="server address"
-    )
-    p_prof_fetch.add_argument(
-        "--duration",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="sampling window (default: 2.0, server-clamped to 60)",
-    )
-    p_prof_fetch.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="also save the fetched profile artifact",
-    )
-    p_prof_fetch.add_argument(
-        "--top", type=int, default=15, metavar="N",
-        help="hottest functions to list (default: 15)",
-    )
-    p_prof_fetch.set_defaults(func=cmd_profile_fetch)
 
     p_sens = sub.add_parser(
         "sensitivity", help="RRM sensitivity sweeps (paper Figs. 11-13)"

@@ -71,8 +71,7 @@ class FabricError(ReproError):
     """Base class for sharded-sweep-fabric failures.
 
     These describe problems with the parallel execution fabric — worker
-    fleets, journal leases, the serve socket — not with the simulated
-    system itself."""
+    fleets and journal leases — not with the simulated system itself."""
 
 
 class LockTimeoutError(FabricError):
@@ -81,11 +80,6 @@ class LockTimeoutError(FabricError):
     Either another process is wedged while holding the lock, or the
     lease file is stale (e.g. left behind by a SIGKILL'd coordinator on
     a filesystem without ``flock`` support)."""
-
-
-class ProtocolError(FabricError):
-    """A ``repro-rrm serve`` client or server received a malformed or
-    out-of-sequence message on the line-delimited JSON wire protocol."""
 
 
 class LedgerCorruptError(ReproError):

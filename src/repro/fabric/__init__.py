@@ -1,45 +1,21 @@
-"""The sharded sweep fabric: multiprocess execution and batch serving.
+"""The sharded sweep fabric: multiprocess sweep execution.
 
-Two layers over the same journal:
-
-- :class:`FabricExecutor` fans one sweep out across N worker processes
-  that share the checkpoint journal as a work-stealing queue
-  (:class:`SharedJournal`), keeping results bit-identical to serial
-  execution while crashes, timeouts, fault injection and ``--resume``
-  keep composing;
-- :class:`FabricServer` / :class:`FabricClient` wrap the executor in a
-  thin line-delimited-JSON batch service (``repro-rrm serve`` /
-  ``submit`` / ``status``) that streams progress events, ledger entries
-  and gate verdicts.
+:class:`FabricExecutor` fans one sweep out across N worker processes
+that share the checkpoint journal as a work-stealing queue
+(:class:`SharedJournal`), keeping results bit-identical to serial
+execution while crashes, timeouts, fault injection and ``--resume``
+keep composing.
 """
 
-from repro.fabric.client import FabricClient
 from repro.fabric.executor import FabricExecutor, FabricOutcome, FabricStats
 from repro.fabric.locking import FileLock
-from repro.fabric.protocol import (
-    PROTOCOL_VERSION,
-    LineChannel,
-    connect,
-    listen,
-    parse_address,
-)
-from repro.fabric.server import FabricServer
 from repro.fabric.sharedjournal import Claim, SharedJournal
-from repro.fabric.spec import SweepSpec
 
 __all__ = [
-    "PROTOCOL_VERSION",
     "Claim",
-    "FabricClient",
     "FabricExecutor",
     "FabricOutcome",
-    "FabricServer",
     "FabricStats",
     "FileLock",
-    "LineChannel",
     "SharedJournal",
-    "SweepSpec",
-    "connect",
-    "listen",
-    "parse_address",
 ]

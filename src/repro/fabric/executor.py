@@ -87,8 +87,8 @@ class FabricStats:
         """Zero every counter in place for a new sweep.
 
         In place rather than rebinding a fresh instance so that holders
-        of a live reference (``repro-rrm serve`` scraping mid-sweep, the
-        runner's telemetry registration) keep seeing current numbers.
+        of a live reference (the runner's telemetry registration) keep
+        seeing current numbers.
         """
         self.n_workers = n_workers
         self.jobs_total = jobs_total

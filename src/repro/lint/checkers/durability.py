@@ -136,7 +136,7 @@ _BROAD_TYPES = frozenset({"Exception", "BaseException"})
 class SilentSwallowChecker(Checker):
     """RL012: broad exception handlers must leave evidence.
 
-    ``except Exception: pass`` in a worker or serve loop converts a
+    ``except Exception: pass`` in a worker or coordinator loop converts a
     crash into a silent hang or silently-wrong sweep. Broad handlers in
     orchestration code must raise, log, emit an event, write a failure
     record, bump a counter, or store the error — anything a post-mortem

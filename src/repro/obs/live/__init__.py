@@ -4,17 +4,14 @@ Everything under ``repro.obs.live`` watches the system *while it runs*,
 in contrast to the post-hoc ledger/gate/dashboard layers:
 
 - :mod:`~repro.obs.live.exposition` — Prometheus-style text rendering of
-  a :class:`~repro.telemetry.registry.MetricRegistry`;
+  a :class:`~repro.telemetry.registry.MetricRegistry` (``sweep
+  --metrics-out``);
 - :mod:`~repro.obs.live.slog` — structured JSONL logging with bound
   correlation fields (sweep → job → worker → attempt);
 - :mod:`~repro.obs.live.heartbeat` — per-worker heartbeat records and
   the :class:`FleetStatus` aggregate with stale-worker detection;
 - :mod:`~repro.obs.live.flightrecorder` — per-process bounded ring of
-  recent records, dumped atomically on crash or SIGTERM;
-- :mod:`~repro.obs.live.httpmetrics` — minimal plain-HTTP ``/metrics``
-  endpoint for scraping;
-- :mod:`~repro.obs.live.top` — the ``repro-rrm top`` TTY fleet view
-  (imported directly by the CLI to keep fabric imports lazy).
+  recent records, dumped atomically on crash or SIGTERM.
 
 None of these touch the simulation path: observing a run must leave its
 :class:`~repro.sim.metrics.SimResult` bit-identical.

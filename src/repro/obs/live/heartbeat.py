@@ -28,8 +28,8 @@ __all__ = [
 ]
 
 #: Event-channel name heartbeat records travel under. The coordinator's
-#: dispatcher routes it to :meth:`FleetStatus.observe`; foreign
-#: consumers (``serve`` watchers) can filter on it.
+#: dispatcher routes it to :meth:`FleetStatus.observe`; ``on_event``
+#: listeners can filter on it.
 HEARTBEAT_EVENT = "fabric.heartbeat"
 
 
@@ -93,8 +93,8 @@ class FleetStatus:
             deterministically (the RL011 discipline: no wall-clock
             reads in staleness logic).
 
-    Thread-safe: the coordinator thread observes while server request
-    threads read ``as_dict()``.
+    Thread-safe: the coordinator thread observes while other threads
+    may read ``workers()``/``totals()``.
     """
 
     def __init__(
@@ -183,12 +183,4 @@ class FleetStatus:
             "sim_events": sim_events,
             "sim_events_per_sec": (sim_events / busy_s) if busy_s > 0 else 0.0,
             "rss_bytes": sum(r.get("rss_bytes", 0) for r in records),
-        }
-
-    def as_dict(self) -> Dict[str, Any]:
-        """Wire/JSON form: workers, totals, and the staleness horizon."""
-        return {
-            "stale_after_s": self.stale_after_s,
-            "workers": self.workers(),
-            "totals": self.totals(),
         }

@@ -49,10 +49,10 @@ class _LineWriter:
     """Single-line emitter: redraw-in-place on TTYs, append elsewhere.
 
     Emission is serialized under a lock: the fabric pumps events from a
-    coordinator thread while ``serve`` watchers may redraw from socket
-    threads, and an unserialized ``\\r`` redraw interleaves two updates
-    into one torn line. Each ``emit`` is a single buffered write under
-    the lock, so concurrent callers produce whole lines in some order.
+    coordinator thread while other threads may redraw too, and an
+    unserialized ``\\r`` redraw interleaves two updates into one torn
+    line. Each ``emit`` is a single buffered write under the lock, so
+    concurrent callers produce whole lines in some order.
     """
 
     def __init__(self, stream=None) -> None:

@@ -38,7 +38,7 @@ from repro.profiling.profile import (
     merge_profiles,
     subsystem_of,
 )
-from repro.profiling.sampler import SamplingProfiler, profile_self
+from repro.profiling.sampler import SamplingProfiler
 
 __all__ = [
     "DEFAULT_DIFF_TOLERANCE",
@@ -51,7 +51,6 @@ __all__ = [
     "format_profile",
     "load_profile",
     "merge_profiles",
-    "profile_self",
     "render_flamegraph",
     "subsystem_of",
     "take_census",

@@ -42,14 +42,12 @@ def _frame_label(frame) -> str:
 
 
 class SamplingProfiler:
-    """Sample the process's Python stacks into a bounded ring.
+    """Sample the Python stack of the thread that called ``start()``
+    into a bounded ring — the right scope for profiling a ``System.run``.
 
     Args:
         interval_s: Host-time gap between samples.
         max_samples: Ring bound; older samples are evicted first.
-        all_threads: Sample every thread (minus the sampler itself);
-            default samples only the thread that called ``start()`` —
-            the right scope for profiling a ``System.run``.
         clock: Injected monotonic clock used for the profile's duration
             stamp, so tests can drive it without sleeping.
     """
@@ -59,7 +57,6 @@ class SamplingProfiler:
         interval_s: float = 0.005,
         max_samples: int = 100_000,
         *,
-        all_threads: bool = False,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if interval_s <= 0:
@@ -67,7 +64,6 @@ class SamplingProfiler:
         if max_samples <= 0:
             raise ConfigError(f"max_samples must be positive, got {max_samples}")
         self.interval_s = interval_s
-        self.all_threads = all_threads
         self._clock = clock
         self._ring: deque = deque(maxlen=max_samples)
         self._stop = threading.Event()
@@ -144,24 +140,18 @@ class SamplingProfiler:
         """
         if own_tid is None:
             own_tid = threading.get_ident()
-        frames = sys._current_frames()
-        recorded = 0
-        for tid, frame in frames.items():
-            if tid == own_tid:
-                continue
-            if not self.all_threads and tid != self._target_tid:
-                continue
-            stack = []
-            depth = 0
-            while frame is not None and depth < MAX_STACK_DEPTH:
-                stack.append(_frame_label(frame))
-                frame = frame.f_back
-                depth += 1
-            if stack:
-                self._ring.append(tuple(reversed(stack)))
-                recorded += 1
-        self.samples_taken += recorded
-        return recorded
+        if self._target_tid == own_tid:
+            return 0
+        frame = sys._current_frames().get(self._target_tid)
+        stack = []
+        while frame is not None and len(stack) < MAX_STACK_DEPTH:
+            stack.append(_frame_label(frame))
+            frame = frame.f_back
+        if not stack:
+            return 0
+        self._ring.append(tuple(reversed(stack)))
+        self.samples_taken += 1
+        return 1
 
     # ------------------------------------------------------------------
     def build_profile(self) -> Profile:
@@ -179,29 +169,6 @@ class SamplingProfiler:
             retained=len(self._ring),
             folded=folded,
         )
-
-
-def profile_self(
-    duration_s: float,
-    interval_s: float = 0.005,
-    *,
-    max_samples: int = 100_000,
-    sleep: Callable[[float], None] = time.sleep,
-) -> Profile:
-    """Sample every thread of *this* process for *duration_s* seconds.
-
-    The serve loop's ``OP_PROFILE`` handler uses this to let operators
-    profile a live fabric server without attaching a debugger. Thread
-    creation stays inside this module (the sampler's loop is lock-free)
-    rather than in the server, which also forks workers.
-    """
-    duration_s = max(0.0, min(duration_s, 60.0))
-    profiler = SamplingProfiler(
-        interval_s=interval_s, max_samples=max_samples, all_threads=True
-    )
-    with profiler:
-        sleep(duration_s)
-    return profiler.build_profile()
 
 
 def sampled_stacks(profiler: SamplingProfiler) -> Tuple[Tuple[str, ...], ...]:

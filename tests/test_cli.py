@@ -444,15 +444,6 @@ class TestProfileCommands:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
-    def test_profile_fetch_dead_socket_exit_2(self, capsys, tmp_path):
-        code = main(
-            ["profile", "fetch", "--address", str(tmp_path / "no.sock")]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "Traceback" not in err
-
     def test_serial_sweep_profile_on_one_worker(self, capsys, tmp_path):
         from repro.profiling import load_profile
 

@@ -1,5 +1,5 @@
 """Tests for the sharded sweep fabric: locking, shared journal, executor,
-serve protocol, and the satellite observability pieces."""
+and the satellite observability pieces."""
 
 from __future__ import annotations
 
@@ -15,18 +15,8 @@ from repro.errors import (
     CheckpointCorruptError,
     ConfigError,
     LockTimeoutError,
-    ProtocolError,
 )
-from repro.fabric import (
-    Claim,
-    FabricClient,
-    FabricExecutor,
-    FabricServer,
-    FileLock,
-    SharedJournal,
-    SweepSpec,
-    parse_address,
-)
+from repro.fabric import Claim, FabricExecutor, FileLock, SharedJournal
 from repro.obs.gate import GateRule, compare_samples
 from repro.obs.ledger import KIND_SWEEP, LedgerEntry, RunLedger, merge_ledgers
 from repro.obs.progress import SweepProgress, _LineWriter
@@ -614,150 +604,3 @@ class TestSweepProgressConcurrency:
         writer.emit("hello")
         writer.close()
         assert stream.getvalue().endswith("\n")
-
-
-# ----------------------------------------------------------------------
-# SweepSpec
-# ----------------------------------------------------------------------
-class TestSweepSpec:
-    def test_round_trips_through_json(self):
-        spec = SweepSpec.make(
-            config_name="tiny", seed=3, workloads=["hmmer"],
-            schemes=["rrm"], max_events=1000, jobs=4,
-        )
-        again = SweepSpec.from_json_dict(spec.to_json_dict())
-        assert again == spec
-        assert spec.keys() == [("hmmer", Scheme.RRM.value)]
-
-    def test_defaults_to_full_matrix(self):
-        spec = SweepSpec.make(config_name="tiny")
-        assert len(spec.workloads) > 1 and len(spec.schemes) > 1
-
-    def test_rejects_bad_specs(self):
-        with pytest.raises(ConfigError):
-            SweepSpec.make(config_name="nope")
-        with pytest.raises(ConfigError):
-            SweepSpec.make(config_name="tiny", jobs=0)
-        with pytest.raises(ConfigError):
-            SweepSpec.from_json_dict({"config": "tiny", "bogus": 1})
-        with pytest.raises(ConfigError):
-            SweepSpec.from_json_dict({"schemes": ["not-a-scheme"]})
-
-    def test_build_config_applies_duration_and_seed(self):
-        spec = SweepSpec.make(config_name="tiny", seed=9, duration_s=0.001)
-        config = spec.build_config()
-        assert config.seed == 9
-        assert config.duration_s == pytest.approx(0.001)
-
-
-# ----------------------------------------------------------------------
-# Protocol + serve round-trip
-# ----------------------------------------------------------------------
-class TestProtocol:
-    def test_parse_address(self):
-        assert parse_address("/tmp/x.sock") == ("unix", "/tmp/x.sock")
-        assert parse_address("127.0.0.1:9000") == ("tcp", ("127.0.0.1", 9000))
-        assert parse_address(":9000") == ("tcp", ("127.0.0.1", 9000))
-        with pytest.raises(ProtocolError):
-            parse_address("host:notaport")
-        with pytest.raises(ProtocolError):
-            parse_address("")
-
-
-class TestServe:
-    def test_submit_watch_status_shutdown(self, tmp_path):
-        address = tmp_path / "srv.sock"
-        server = FabricServer(address, tmp_path / "journals").start()
-        try:
-            client = FabricClient(address, timeout_s=120)
-            assert client.ping()["version"] == 1
-            spec = SweepSpec.make(
-                config_name="tiny", workloads=["hmmer"],
-                schemes=["static-7"], max_events=FAST, jobs=2,
-            )
-            messages = list(client.submit_and_watch(spec))
-            acknowledgement = messages[0]
-            assert acknowledgement["ok"] and acknowledgement["sweep"] == "sweep-001"
-            names = [m.get("event") for m in messages[1:]]
-            assert names[0] == "sweep.queued"
-            assert "sweep.started" in names
-            assert "ledger.entry" in names
-            assert names[-1] == "sweep.finished"
-            ledger_events = [
-                m for m in messages if m.get("event") == "ledger.entry"
-            ]
-            assert ledger_events[0]["entry"]["metrics"]["ipc"] > 0
-
-            # A late watcher replays the full history.
-            replay = list(client.watch("sweep-001"))
-            assert [m.get("event") for m in replay[1:]] == names
-
-            status = client.status()
-            assert status[0]["state"] == "finished"
-            assert status[0]["completed"] == 1
-            journal = tmp_path / "journals" / "sweep-001.jsonl"
-            assert journal.exists()
-            contents = ResultJournal.load(journal)
-            assert len(contents.results) == 1
-            assert (tmp_path / "journals" / "sweep-001.ledger.jsonl").exists()
-
-            client.shutdown()
-            server.wait(10)
-        finally:
-            server.stop()
-
-    def test_bad_requests_get_errors_not_disconnects(self, tmp_path):
-        from repro.fabric import LineChannel, connect
-
-        address = tmp_path / "srv.sock"
-        server = FabricServer(address, tmp_path / "journals").start()
-        try:
-            client = FabricClient(address, timeout_s=30)
-            with pytest.raises(ProtocolError, match="unknown sweep"):
-                list(client.watch("sweep-999"))
-            # Malformed requests get structured errors and the
-            # connection stays usable for the next request.
-            with LineChannel(connect(address, timeout_s=30)) as channel:
-                channel.send({"op": "submit", "spec": {"config": "nope"}})
-                response = channel.recv()
-                assert response["ok"] is False
-                assert "unknown config" in response["error"]
-                channel.send({"op": "bogus"})
-                response = channel.recv()
-                assert response["ok"] is False
-                assert "unknown op" in response["error"]
-                channel.send({"op": "ping"})
-                assert channel.recv()["ok"] is True
-        finally:
-            server.stop()
-
-    def test_gate_verdict_streams_with_baseline(self, tmp_path):
-        from repro.obs.gate import write_baseline
-
-        # A baseline whose ipc is absurdly high forces a regression
-        # verdict; the event must still stream and the sweep still
-        # finishes (the gate reports, the server doesn't fail sweeps).
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(
-            baseline_path,
-            {"hmmer/Static-7-SETs": {"ipc": [1e9]}},
-        )
-        address = tmp_path / "srv.sock"
-        server = FabricServer(
-            address, tmp_path / "journals", baseline_path=baseline_path
-        ).start()
-        try:
-            client = FabricClient(address, timeout_s=120)
-            spec = SweepSpec.make(
-                config_name="tiny", workloads=["hmmer"],
-                schemes=["static-7"], max_events=FAST,
-            )
-            messages = list(client.submit_and_watch(spec))
-            verdicts = [
-                m for m in messages if m.get("event") == "gate.verdict"
-            ]
-            assert len(verdicts) == 1
-            assert verdicts[0]["counts"].get("regression", 0) >= 1
-            assert messages[-1]["state"] == "finished"
-        finally:
-            server.stop()

@@ -1,6 +1,6 @@
 """Tests for the live fleet observability layer (repro.obs.live):
-exposition, structured logs, heartbeats, flight recorder, metrics/fleet
-serve ops, the HTTP scrape endpoint, and `repro-rrm top` rendering."""
+exposition, structured logs, heartbeats, the flight recorder, and the
+``sweep --metrics-out`` snapshot."""
 
 from __future__ import annotations
 
@@ -13,8 +13,6 @@ import time
 
 import pytest
 
-from repro.errors import ConfigError
-from repro.fabric import FabricClient, FabricServer, SweepSpec
 from repro.obs.live import (
     HEARTBEAT_EVENT,
     FleetStatus,
@@ -26,9 +24,7 @@ from repro.obs.live import (
     render_exposition,
     sanitize_metric_name,
 )
-from repro.obs.live.httpmetrics import MetricsHTTPServer
 from repro.obs.live.slog import parse_log_line
-from repro.obs.live.top import format_fleet_lines, render_frame, run_top
 from repro.resilience import FaultPlan, ResultJournal, RetryPolicy
 from repro.sim.config import SystemConfig
 from repro.sim.runner import ExperimentRunner
@@ -189,7 +185,7 @@ class TestFleetStatus:
         fleet.forget(0)
         assert [r["worker"] for r in fleet.workers()] == [1]
         fleet.clear()
-        assert fleet.as_dict()["workers"] == []
+        assert fleet.workers() == []
 
     def test_register_metrics_exposes_totals(self):
         fleet = FleetStatus(clock=lambda: 0.0)
@@ -365,146 +361,31 @@ class TestFabricIntegration:
 
 
 # ----------------------------------------------------------------------
-# Serve: metrics/fleet ops + HTTP endpoint + top
+# sweep --metrics-out on the fabric
 # ----------------------------------------------------------------------
-class TestServeObservability:
-    def test_metrics_fleet_ops_and_http(self, tmp_path):
-        address = tmp_path / "srv.sock"
-        server = FabricServer(
-            address, tmp_path / "journals", http_address="127.0.0.1:0"
-        ).start()
-        try:
-            client = FabricClient(address, timeout_s=120)
-            # Before any sweep: scrapeable, no fleet.
-            text = client.metrics()
-            assert "# TYPE repro_serve_sweeps_submitted gauge" in text
-            assert client.fleet()["workers"] == []
+class TestSweepMetricsOut:
+    def test_snapshot_reconciles_with_journal(self, tmp_path, capsys):
+        from repro.cli import main
 
-            spec = SweepSpec.make(
-                config_name="tiny", workloads=["hmmer"],
-                schemes=["static-7"], max_events=FAST, jobs=2,
-            )
-            messages = list(client.submit_and_watch(spec))
-            assert messages[-1]["state"] == "finished"
-
-            text = client.metrics()
-            assert "repro_fabric_jobs_completed 1" in text
-            assert "repro_serve_sweeps_submitted 1" in text
-            assert "repro_fleet_jobs_done 1" in text
-            # Counters reconcile with the settled journal.
-            journal = ResultJournal.load(
-                tmp_path / "journals" / "sweep-001.jsonl"
-            )
-            assert len(journal.results) == 1
-
-            fleet = client.fleet()
-            assert fleet["totals"]["jobs_done"] == 1
-            assert len(fleet["workers"]) == 2
-
-            # The plain-HTTP endpoint serves the same exposition text.
-            import urllib.request
-
-            port = server._http.port
-            scraped = urllib.request.urlopen(
-                f"http://127.0.0.1:{port}/metrics", timeout=10
-            )
-            assert scraped.status == 200
-            assert "text/plain" in scraped.headers["Content-Type"]
-            body = scraped.read().decode()
-            assert "repro_fabric_jobs_completed 1" in body
-            with pytest.raises(urllib.error.HTTPError):
-                urllib.request.urlopen(
-                    f"http://127.0.0.1:{port}/other", timeout=10
-                )
-
-            # Heartbeats are fleet telemetry, not watch history.
-            replayed = list(client.watch("sweep-001"))
-            assert not any(
-                m.get("event") == HEARTBEAT_EVENT for m in replayed
-            )
-            # status surfaces the fleet throughput trend metric.
-            assert client.status()[0]["sim_events_per_sec"] > 0
-
-            # `top --once` renders a frame from the same wire payloads.
-            out = io.StringIO()
-            assert run_top(str(address), once=True, stream=out) == 0
-            frame = out.getvalue()
-            assert "fleet: 2 worker(s)" in frame
-            assert "sweep-001" in frame
-        finally:
-            server.stop()
-
-    def test_http_server_standalone(self):
-        server = MetricsHTTPServer("127.0.0.1:0", lambda: "x 1\n")
-        server.start()
-        try:
-            import urllib.request
-
-            body = urllib.request.urlopen(
-                f"http://127.0.0.1:{server.port}/metrics", timeout=10
-            ).read()
-            assert body == b"x 1\n"
-            assert server.requests_served == 1
-        finally:
-            server.stop()
-
-    def test_http_rejects_bad_address(self):
-        with pytest.raises(ConfigError):
-            MetricsHTTPServer("no-port", lambda: "")
-
-
-# ----------------------------------------------------------------------
-# SweepSpec faults
-# ----------------------------------------------------------------------
-class TestSweepSpecFaults:
-    def test_faults_round_trip(self):
-        spec = SweepSpec.make(
-            config_name="tiny", workloads=["hmmer"], schemes=["rrm"],
-            jobs=2, faults=["crash:0:1"],
+        journal_path = tmp_path / "sweep.jsonl"
+        metrics_path = tmp_path / "metrics.prom"
+        code = main(
+            [
+                "sweep", "--config", "tiny", "--duration", "0.002",
+                "--workloads", "hmmer", "--schemes", "static-7",
+                "--jobs", "2",
+                "--journal", str(journal_path),
+                "--metrics-out", str(metrics_path),
+            ]
         )
-        again = SweepSpec.from_json_dict(spec.to_json_dict())
-        assert again == spec
-        plan = again.build_fault_plan()
-        assert plan is not None
-
-    def test_no_faults_means_no_plan(self):
-        spec = SweepSpec.make(config_name="tiny")
-        assert spec.build_fault_plan() is None
-
-    def test_rejects_malformed_fault(self):
-        with pytest.raises(ConfigError):
-            SweepSpec.make(config_name="tiny", faults=["explode:everything"])
-
-
-# ----------------------------------------------------------------------
-# top rendering (pure)
-# ----------------------------------------------------------------------
-class TestTopRendering:
-    def test_frame_from_wire_payloads(self):
-        fleet = {
-            "totals": {
-                "workers": 2, "stale_workers": 1, "jobs_done": 3,
-                "sim_events_per_sec": 1500.0, "rss_bytes": 2 << 20,
-            },
-            "workers": [
-                {"worker": 0, "pid": 10, "job": "hmmer/RRM", "attempt": 1,
-                 "jobs_done": 2, "busy_s": 2.0, "sim_events": 3000,
-                 "rss_bytes": 1 << 20, "age_s": 0.5, "stale": False},
-                {"worker": 1, "pid": 11, "job": None, "attempt": 0,
-                 "jobs_done": 1, "busy_s": 0.0, "sim_events": 0,
-                 "rss_bytes": 1 << 20, "age_s": 30.0, "stale": True},
-            ],
-        }
-        sweeps = [
-            {"sweep": "sweep-001", "state": "running", "jobs": 4,
-             "completed": 3, "failed": 1},
-        ]
-        frame = render_frame(fleet, sweeps)
-        assert "fleet: 2 worker(s), 1 stale" in frame
-        assert "hmmer/RRM" in frame
-        assert "STALE" in frame
-        assert "1 FAILED" in frame
-
-    def test_empty_fleet_renders_placeholder(self):
-        lines = format_fleet_lines({"totals": {}, "workers": []})
-        assert lines[-1] == "  (no worker heartbeats yet)"
+        assert code == 0
+        capsys.readouterr()
+        lines = metrics_path.read_text(encoding="utf-8").splitlines()
+        assert "repro_fabric_jobs_completed 1" in lines
+        assert "repro_fleet_jobs_done 1" in lines
+        assert "repro_fleet_workers 2" in lines
+        # The snapshot's counters agree with what the journal settled.
+        journal = ResultJournal.load(journal_path)
+        assert f"repro_fabric_jobs_completed {len(journal.results)}" in lines
+        assert f"repro_fabric_jobs_failed {len(journal.failures)}" in lines
+        assert f"repro_fleet_jobs_done {len(journal.results)}" in lines

@@ -23,7 +23,6 @@ from repro.profiling import (
     format_profile,
     load_profile,
     merge_profiles,
-    profile_self,
     render_flamegraph,
     subsystem_of,
     take_census,
@@ -86,13 +85,12 @@ class TestSamplerLifecycle:
             SamplingProfiler(max_samples=0)
 
     def test_ring_respects_bound(self):
-        profiler = SamplingProfiler(
-            interval_s=1.0, max_samples=4, all_threads=True
-        )
-        # Drive capture directly (no daemon thread): spoofing own_tid
-        # makes the calling thread sampleable.
-        for _ in range(10):
-            assert profiler.sample_once(own_tid=-1) >= 1
+        # Drive capture directly: the long interval keeps the daemon
+        # thread idle, start() makes this thread the target, and
+        # spoofing own_tid makes it sampleable from itself.
+        with SamplingProfiler(interval_s=60.0, max_samples=4) as profiler:
+            for _ in range(10):
+                assert profiler.sample_once(own_tid=-1) >= 1
         assert profiler.retained <= 4
         assert profiler.samples_taken >= 10
         prof = profiler.build_profile()
@@ -100,16 +98,11 @@ class TestSamplerLifecycle:
         assert prof.samples == profiler.samples_taken
 
     def test_sampled_stack_labels_this_test(self):
-        profiler = SamplingProfiler(interval_s=1.0, all_threads=True)
-        profiler.sample_once(own_tid=-1)
+        with SamplingProfiler(interval_s=60.0) as profiler:
+            profiler.sample_once(own_tid=-1)
         prof = profiler.build_profile()
         leaves = [s.rsplit(";", 1)[-1] for s in prof.folded]
         assert any("sample_once" in leaf or "test_" in leaf for leaf in leaves)
-
-    def test_profile_self_collects_samples(self):
-        prof = profile_self(0.05, interval_s=0.002)
-        assert prof.samples >= 1
-        assert prof.duration_s > 0
 
     def test_empty_profile_formats_cleanly(self):
         prof = SamplingProfiler(interval_s=1.0).build_profile()
