@@ -123,6 +123,12 @@ class RegionRetentionMonitor:
         self._blocks_per_region = config.blocks_per_region
         self._hot_threshold = config.hot_threshold
         self._streaming_filter = config.streaming_filter
+        self._fast_n_sets = config.fast_n_sets
+        self._slow_n_sets = config.slow_n_sets
+        # The tag array's sets and set mask, for the lookups inlined into
+        # the two per-write paths below.
+        self._tag_sets = self.tags._sets
+        self._set_mask = self.tags._set_mask
 
         fast_retention = modes.mode(config.fast_n_sets).retention_s
         #: Interval between short-retention interrupts: the fast mode's
@@ -174,19 +180,33 @@ class RegionRetentionMonitor:
         # Region and vector-bit index; the offset is in range by
         # construction, so the bit is set without the entry's check.
         region, offset = divmod(block, self._blocks_per_region)
+        # One frame per registration: ``tags.lookup(region)`` (count,
+        # LRU touch) and ``entry.record_dirty_write`` are inlined.
         tags = self.tags
-        entry = tags.lookup(region)
+        tags.lookups += 1
+        entry = self._tag_sets[region & self._set_mask].get(region)
         if entry is None:
             entry, victim = tags.allocate(region)
             if victim is not None:
                 self._handle_eviction(victim)
+        else:
+            tags.hits += 1
+            use = tags._use_clock + 1
+            tags._use_clock = use
+            entry.last_use = use
 
-        if entry.record_dirty_write(self._hot_threshold):
-            stats.promotions += 1
-            if self.tracer.enabled:
-                self.tracer.instant(
-                    "promotion", "monitor", args={"region": region}
-                )
+        hot_threshold = self._hot_threshold
+        counter = entry.dirty_write_counter
+        if counter < hot_threshold:
+            counter += 1
+            entry.dirty_write_counter = counter
+            if counter == hot_threshold and not entry.hot:
+                entry.hot = True
+                stats.promotions += 1
+                if self.tracer.enabled:
+                    self.tracer.instant(
+                        "promotion", "monitor", args={"region": region}
+                    )
         if entry.hot:
             entry.short_retention_vector |= 1 << offset
 
@@ -202,12 +222,17 @@ class RegionRetentionMonitor:
         registration).
         """
         region, offset = divmod(block, self._blocks_per_region)
-        entry = self.tags.lookup(region, touch=False)
-        if entry is not None and entry.short_retention_vector >> offset & 1:
-            self.stats.fast_decisions += 1
-            return self.config.fast_n_sets
+        # ``tags.lookup(region, touch=False)``, inlined.
+        tags = self.tags
+        tags.lookups += 1
+        entry = self._tag_sets[region & self._set_mask].get(region)
+        if entry is not None:
+            tags.hits += 1
+            if entry.short_retention_vector >> offset & 1:
+                self.stats.fast_decisions += 1
+                return self._fast_n_sets
         self.stats.slow_decisions += 1
-        return self.config.slow_n_sets
+        return self._slow_n_sets
 
     # ------------------------------------------------------------------
     # Output 2: selective fast refresh (Section IV-F)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterator, Optional, Tuple
 
 from repro.engine import Simulator
@@ -260,8 +259,10 @@ class CoreModel:
             return _READ_RETRY
 
         blocking = self._rng.random() < self.params.blocking_load_fraction
-        request = MemRequest(rtype=_READ, block=block, core=self.core_id)
-        request.on_complete = partial(self._on_read_complete, request.req_id)
+        request = MemRequest(
+            rtype=_READ, block=block, core=self.core_id,
+            on_complete=self._on_read_complete,
+        )
         if blocking:
             self._blocking_req_id = request.req_id
         self._controller.enqueue(request)
@@ -273,12 +274,12 @@ class CoreModel:
             return _READ_BLOCKED
         return _READ_ISSUED
 
-    def _on_read_complete(self, req_id: int, finish_ns: float) -> None:
+    def _on_read_complete(self, request: MemRequest, finish_ns: float) -> None:
         self._outstanding -= 1
         if self._outstanding < 0:
             raise SimulationError("core outstanding-read count went negative")
         if self._wait == _W_BLOCKING:
-            if req_id != self._blocking_req_id:
+            if request.req_id != self._blocking_req_id:
                 return  # still waiting for the dependent load's data
             self._blocking_req_id = None
             self._wait = _W_NONE
@@ -296,7 +297,9 @@ class CoreModel:
         if not self._controller.can_accept(_WRITE, block):
             self._wait = _W_SPACE
             self.stats.write_queue_stalls += 1
-            self._controller.notify_space(_WRITE, block, self._wake_space)
+            self._controller.notify_space(
+                _WRITE, block, self._wake_space, self._space_refused
+            )
             return False
         n_sets = self._choose_mode(block)
         request = MemRequest(
@@ -315,7 +318,8 @@ class CoreModel:
         ``write_queue_stalls``, exactly as a pass through ``_run`` would.
         That is exact because a core waiting on space has ``_t <= now``:
         it stalled at its cursor time, and nothing moves the cursor
-        while it waits.
+        while it waits. A write-queue wake-up that the controller knows
+        will be refused goes to :meth:`_space_refused` instead.
         """
         if self._wait != _W_SPACE:
             return
@@ -329,3 +333,26 @@ class CoreModel:
                 return
             self._pending = None
         self._run()
+
+    def _space_refused(self) -> bool:
+        """Write-queue refusal hook: the slot this wake-up offered is gone.
+
+        The controller calls this instead of :meth:`_wake_space` when it
+        reaches this core's registration with the write queue full again,
+        and keeps the registration if it returns True. It is what the
+        full wake-up would do there, minus the retry's ``can_accept`` and
+        ``notify_space`` calls: a stale registration is dropped, a core
+        at or past its end time parks for good with no stall, and any
+        other core moves its cursor to now and counts one more
+        ``write_queue_stalls``.
+        """
+        if self._wait != _W_SPACE:
+            return False
+        now = self.sim.now
+        end = self._end_time_ns
+        if end is not None and now >= end:
+            self._wake_space()
+            return False
+        self._t = now
+        self.stats.write_queue_stalls += 1
+        return True

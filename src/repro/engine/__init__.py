@@ -5,10 +5,10 @@ heap; ties break on insertion order so the simulation is deterministic.
 """
 
 from repro.engine.simulator import (
-    Event,
     EventCostAccounting,
+    EventHandle,
     Simulator,
     owner_label,
 )
 
-__all__ = ["Event", "EventCostAccounting", "Simulator", "owner_label"]
+__all__ = ["EventCostAccounting", "EventHandle", "Simulator", "owner_label"]

@@ -1,7 +1,8 @@
 """Heap-based discrete-event simulator.
 
-The engine is intentionally minimal: a priority queue of ``(time, seq,
-event)`` entries, a current-time cursor, and helpers for periodic events.
+The engine is intentionally minimal: a priority queue of ``[time, seq,
+callback, args]`` entries, a current-time cursor, and helpers for
+periodic events.
 All higher-level behaviour (memory scheduling, refresh interrupts, decay
 ticks) is built from these primitives.
 """
@@ -10,37 +11,17 @@ from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import SimulationError
 
 EventCallback = Callable[..., None]
 
 
-class Event:
-    """Handle of a scheduled callback.
-
-    The heap orders ``(time, seq, event)`` tuples, so simultaneous events
-    fire in the order they were scheduled — this keeps runs
-    deterministic, which the test suite relies on — and the comparison
-    never reaches the handle. The handle carries the callback, its
-    arguments and the cancellation flag.
-    """
-
-    __slots__ = ("callback", "args", "cancelled", "owner")
-
-    def __init__(self, callback: EventCallback, args: Tuple[Any, ...]) -> None:
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        #: ``module:qualname`` of the scheduling owner; populated only
-        #: while cost accounting is enabled (never consulted by the run
-        #: loop's ordering, so accounting cannot perturb the simulation).
-        self.owner: Optional[str] = None
-
-    def cancel(self) -> None:
-        """Mark the event so the engine skips it when popped."""
-        self.cancelled = True
+#: A scheduled event, and its cancel handle: ``[time, seq, callback,
+#: args]``, plus the owner label while cost accounting is on.
+#: :meth:`Simulator.cancel` sets the callback to None.
+EventHandle = List[Any]
 
 
 def owner_label(callback: Callable) -> str:
@@ -86,16 +67,18 @@ class EventCostAccounting:
         registry.gauge(f"{prefix}.dispatches_total", lambda: self.dispatches_total)
         registry.gauge(f"{prefix}.owners", lambda: len(self.counts))
 
-    def dispatch(self, event: Event) -> None:
-        """Run *event*'s callback, charging its owner."""
-        owner = event.owner or "?"
+    def dispatch(self, event: EventHandle) -> None:
+        """Run *event*'s callback, charging its owner (``?`` for an event
+        scheduled before accounting was on)."""
+        owner = event[4] if len(event) > 4 else "?"
+        callback = event[2]
         clock = self._clock
         if clock is None:
-            event.callback(*event.args)
+            callback(*event[3])
         else:
             t0 = clock()
             try:
-                event.callback(*event.args)
+                callback(*event[3])
             finally:
                 self.host_ns[owner] = (
                     self.host_ns.get(owner, 0.0) + (clock() - t0) * 1e9
@@ -118,7 +101,7 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._queue: list[Tuple[float, int, Event]] = []
+        self._queue: List[EventHandle] = []
         #: Current simulation time in nanoseconds.
         self.now = 0.0
         self._seq = 0
@@ -138,7 +121,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of queued (non-cancelled) events."""
-        return sum(1 for _, _, e in self._queue if not e.cancelled)
+        return sum(1 for event in self._queue if event[2] is not None)
 
     def register_metrics(self, registry, prefix: str = "engine") -> None:
         """Publish the engine's counters into a telemetry registry."""
@@ -171,9 +154,9 @@ class Simulator:
         callback: EventCallback,
         *args: Any,
         owner: Optional[str] = None,
-    ) -> Event:
+    ) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute *time* (ns). Returns
-        the event.
+        the heap entry, which is also the handle :meth:`cancel` takes.
 
         Passing a bound method and its arguments, rather than a closure,
         spares the hot paths one function object per event. *owner*
@@ -186,13 +169,21 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event in the past: {time} < now {self.now}"
             )
-        event = Event(callback, args)
-        if self._accounting is not None:
-            event.owner = owner if owner is not None else owner_label(callback)
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._queue, (time, seq, event))
+        # ``seq`` is unique, so the heap's list comparison is decided by
+        # ``(time, seq)`` and never reaches the callback.
+        event: EventHandle = [time, seq, callback, args]
+        if self._accounting is not None:
+            event.append(owner if owner is not None else owner_label(callback))
+        heappush(self._queue, event)
         return event
+
+    @staticmethod
+    def cancel(event: EventHandle) -> None:
+        """Cancel a scheduled *event*: the run loop discards it when it
+        reaches the head, counting it in ``events_cancelled``."""
+        event[2] = None
 
     def schedule_after(
         self,
@@ -200,7 +191,7 @@ class Simulator:
         callback: EventCallback,
         *args: Any,
         owner: Optional[str] = None,
-    ) -> Event:
+    ) -> EventHandle:
         """Schedule ``callback(*args)`` after *delay* ns from now."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
@@ -212,7 +203,7 @@ class Simulator:
         callback: EventCallback,
         *,
         start: Optional[float] = None,
-    ) -> Event:
+    ) -> EventHandle:
         """Schedule *callback* to repeat every *period* ns.
 
         The first firing is at *start* (default: one period from now). The
@@ -246,10 +237,13 @@ class Simulator:
         """Process events until the queue empties, *until* is reached, or
         *max_events* callbacks have run. Returns the final simulation time.
 
-        When *until* is given, time advances exactly to *until* even if the
-        last event fires earlier, so rate computations (events / elapsed
-        time) are well defined. Cancelled events are discarded without
-        counting toward *max_events*.
+        When *until* is given and no event at or before it is left, time
+        advances exactly to *until* even if the last event fired earlier,
+        so rate computations (events / elapsed time) are well defined. A
+        run cut short by *max_events* or :meth:`stop` leaves the clock at
+        the last dispatched event, so a later run never moves time
+        backwards. Cancelled events are discarded without counting toward
+        *max_events*.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
@@ -267,21 +261,26 @@ class Simulator:
                 # Pop first: the entry goes back only when the run stops
                 # short of it, once per run rather than a peek per event.
                 entry = heappop(queue)
-                time, _, event = entry
-                if event.cancelled:
+                callback = entry[2]
+                if callback is None:
                     self.events_cancelled += 1
                     continue
+                time = entry[0]
                 if time > horizon or self.events_processed >= last:
                     heappush(queue, entry)
                     break
                 self.now = time
                 if accounting is None:
-                    event.callback(*event.args)
+                    callback(*entry[3])
                 else:
-                    accounting.dispatch(event)
+                    accounting.dispatch(entry)
                 self.events_processed += 1
         finally:
             self._running = False
-        if until is not None and not self._stopped:
+        # A live entry left at the head is the next event: the clock moves
+        # to *until* only if that event lies past it.
+        if until is not None and not self._stopped and (
+            not queue or queue[0][0] > until
+        ):
             self.now = max(self.now, until)
         return self.now

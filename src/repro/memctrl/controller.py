@@ -16,12 +16,15 @@ Scheduling policy (paper Table V):
 
 Backpressure is explicit: producers must call :meth:`MemoryController.can_accept`
 first; when a queue is full they register a one-shot callback with
-:meth:`MemoryController.notify_space`. Every issue out of a queue wakes
-all of that queue's waiters, in registration order, before the scheduler
-looks for the next issue; the first to retry takes the slot, and the
-rest find the queue full and register again. This is the mechanism
-through which long write latencies reach the CPU: the write queue backs
-up, the LLC cannot evict, and the core stalls.
+:meth:`MemoryController.notify_space`. Every issue out of a queue hands
+the freed slot to that queue's waiters, in registration order, before
+the scheduler looks for the next issue. A waiter reached while the queue
+has room is woken; the first to retry takes the slot. A waiter reached
+while the queue is full again gets its refusal hook instead, if it
+registered one, and stays registered without retrying (see
+:meth:`MemoryController.notify_space`). This is the mechanism through
+which long write latencies reach the CPU: the write queue backs up, the
+LLC cannot evict, and the core stalls.
 
 Refresh and write queues are gated while a channel has as many requests
 in flight as banks. The gate counts requests, not busy banks: a read
@@ -254,14 +257,28 @@ class MemoryController:
         self._queues[channel].by_type[request.rtype].push(request)
         self._kick(channel, request)
 
-    def notify_space(self, rtype: RequestType, block: int, callback: Callable[[], None]) -> None:
+    def notify_space(
+        self,
+        rtype: RequestType,
+        block: int,
+        callback: Callable[[], None],
+        refuse: Optional[Callable[[], bool]] = None,
+    ) -> None:
         """Invoke *callback* once the queue for (*rtype*, *block*) frees a slot.
 
         One-shot: the callback is dropped after firing and should re-check
         :meth:`can_accept` (another producer may have raced for the slot).
+
+        *refuse*, if given, stands in for that retry when the slot is
+        already gone: a waiter reached while the queue is full again gets
+        one ``refuse()`` call instead of *callback*. The hook does what a
+        refused retry would do besides re-registering, and returns whether
+        the waiter still waits; if it does, the controller keeps it
+        registered, in the place a fresh :meth:`notify_space` would give
+        it. That is exact only if a refused retry changes no queue state.
         """
         queue = self._queues[block & self._channel_mask].by_type[rtype]
-        queue.space_waiters.append(callback)
+        queue.space_waiters.append((callback, refuse))
 
     def pending_requests(self) -> int:
         """Requests sitting in any queue (not yet issued to a bank)."""
@@ -435,8 +452,16 @@ class MemoryController:
             waiters = queue.space_waiters
             if waiters:
                 queue.space_waiters = []
-                for callback in waiters:
-                    callback()
+                # Hand the slot on: wake waiters while the queue has room
+                # (an accepted waiter's nested kick may free more), and
+                # give each one reached while it is full its refusal hook.
+                capacity = queue.capacity
+                for waiter in waiters:
+                    callback, refuse = waiter
+                    if refuse is None or len(entries) < capacity:
+                        callback()
+                    elif refuse():
+                        queue.space_waiters.append(waiter)
             if settled[channel]:
                 return
             if lifts_gate:
@@ -487,7 +512,7 @@ class MemoryController:
         new_end = bank.write_end_time()
         if new_end is None or new_end <= write_request.finish_time_ns:
             return
-        event.cancel()
+        self.sim.cancel(event)
         write_request.finish_time_ns = new_end
         new_event = self.sim.schedule_at(new_end, self._complete, channel, write_request)
         self._inflight_write[read_request.bank_index] = (write_request, new_event)
@@ -574,7 +599,7 @@ class MemoryController:
                 )
 
         if request.on_complete is not None:
-            request.on_complete(finish)
+            request.on_complete(request, finish)
         for listener in self._completion_listeners:
             listener(request)
 

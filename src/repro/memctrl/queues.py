@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Iterable, List, Optional
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import QueueFullError
 from repro.memctrl.request import MemRequest, RequestType
@@ -33,10 +33,13 @@ class BoundedQueue:
     #: controller only when latency attribution is enabled, so the hot
     #: path pays nothing by default.
     issue_observer: Optional[Callable[["BoundedQueue", MemRequest, int], None]] = None
-    #: One-shot producer callbacks waiting for a free slot, in arrival
-    #: order; the controller swaps in a fresh list and fires these when
-    #: it issues an entry out of this queue.
-    space_waiters: List[Callable[[], None]] = field(default_factory=list)
+    #: One-shot ``(callback, refuse)`` producer registrations waiting for
+    #: a free slot, in arrival order; the controller swaps in a fresh
+    #: list and hands the slot on when it issues an entry out of this
+    #: queue (``MemoryController.notify_space``).
+    space_waiters: List[
+        Tuple[Callable[[], None], Optional[Callable[[], bool]]]
+    ] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self._entries)

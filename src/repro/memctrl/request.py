@@ -44,7 +44,8 @@ class MemRequest:
             retention expiry time; the controller records violations).
         core: Originating core id for demand traffic (stats only).
         on_complete: Callback fired when service finishes, with the
-            completion time — used by the CPU model to unblock loads.
+            request and its completion time — used by the CPU model to
+            unblock loads (one bound method serves all of a core's reads).
     """
 
     rtype: RequestType
@@ -53,7 +54,7 @@ class MemRequest:
     issue_time_ns: float = 0.0
     deadline_ns: Optional[float] = None
     core: Optional[int] = None
-    on_complete: Optional[Callable[[float], None]] = None
+    on_complete: Optional[Callable[[MemRequest, float], None]] = None
     req_id: int = field(default_factory=_request_ids.__next__)
 
     start_time_ns: Optional[float] = None

@@ -68,16 +68,12 @@ class EnergyModel:
 
     def record_write(self, n_sets: int, count: int = 1) -> None:
         """Account *count* demand block writes using *n_sets* SETs."""
-        # Once per completed write: the count check is inlined.
-        if count < 0:
-            raise ValueError(f"negative operation count: {count}")
+        self._check_count(count)
         self.breakdown.write_energy += self.modes.mode(n_sets).normalized_energy * count
 
     def record_read(self, count: int = 1) -> None:
         """Account *count* demand block reads."""
-        # Once per completed read: the count check is inlined.
-        if count < 0:
-            raise ValueError(f"negative operation count: {count}")
+        self._check_count(count)
         self.breakdown.read_energy += self.read_energy_units * count
 
     def record_rrm_refresh(self, n_sets: int, count: int = 1) -> None:

@@ -136,6 +136,18 @@ class System:
             wear_leveling_efficiency=config.memory.wear_leveling_efficiency,
         )
         self._write_trace_sink = write_trace_sink
+        # What the energy and wear models' record_read, record_write and
+        # record_demand_write would update, for _on_completion to update
+        # directly; each mode's write energy is read from the table once.
+        self._energy_breakdown = self.energy.breakdown
+        self._wear_breakdown = self.wear.breakdown
+        self._per_block_wear = (
+            self.wear.per_block if self.wear.track_per_block else None
+        )
+        self._read_energy = self.energy.read_energy_units
+        self._write_energy = {
+            mode.n_sets: mode.normalized_energy for mode in self.modes
+        }
         self.controller.add_completion_listener(self._on_completion)
 
         # --- Scheme -------------------------------------------------------
@@ -241,13 +253,23 @@ class System:
 
     # ------------------------------------------------------------------
     def _on_completion(self, request: MemRequest) -> None:
+        """Per-completion energy and wear bookkeeping, in one frame.
+
+        Demand reads and writes update the breakdowns directly, as
+        ``record_read()``, ``record_demand_write(block)`` and
+        ``record_write(n_sets)`` would (each adds its per-operation
+        energy times a count of 1, and ``x * 1 == x``).
+        """
         rtype = request.rtype
         if rtype is _READ:
-            self.energy.record_read()
+            self._energy_breakdown.read_energy += self._read_energy
         elif rtype is _WRITE:
-            assert request.n_sets is not None
-            self.wear.record_demand_write(request.block)
-            self.energy.record_write(request.n_sets)
+            n_sets = request.n_sets
+            assert n_sets is not None
+            self._wear_breakdown.demand_writes += 1
+            if self._per_block_wear is not None:
+                self._per_block_wear[request.block] += 1
+            self._energy_breakdown.write_energy += self._write_energy[n_sets]
             if self._write_trace_sink is not None:
                 self._write_trace_sink(request.finish_time_ns, request.block)
         elif rtype is _RRM_REFRESH:

@@ -247,6 +247,9 @@ class RegionTrafficGenerator:
         rng = self._rng
         rand = rng.random
         randbelow = rng._randbelow  # randrange(n) for n > 0, minus checks
+        # randbelow(BLOCKS_PER_REGION) is inlined at its four sites below
+        # as CPython's own rejection loop: 7-bit draws until one is < 64.
+        getrandbits = rng.getrandbits
         log = math.log
         bisect_left = bisect.bisect_left
         rotate_phase = self._rotate_phase
@@ -295,7 +298,9 @@ class RegionTrafficGenerator:
             roll = rand()
             if roll < read_hot_share and hot:
                 region = hot[min(bisect_left(hot_cdf, rand()), hot_last)]
-                offset = randbelow(BLOCKS_PER_REGION)
+                offset = getrandbits(7)
+                while offset >= BLOCKS_PER_REGION:
+                    offset = getrandbits(7)
             elif roll < read_stream_share:
                 # The streaming pointer sweeps the cold part of the
                 # footprint.
@@ -306,7 +311,9 @@ class RegionTrafficGenerator:
                 stream_block += 1
             else:
                 region = cold_ids[pick_cold(n_cold)]
-                offset = randbelow(BLOCKS_PER_REGION)
+                offset = getrandbits(7)
+                while offset >= BLOCKS_PER_REGION:
+                    offset = getrandbits(7)
             yield (
                 EV_READ,
                 gap if gap > 1 else 1,
@@ -337,7 +344,9 @@ class RegionTrafficGenerator:
                 # entry coverage size halves each entry's dirty-write
                 # accumulation rate, which is the paper's stated reason
                 # 2KB entries underperform.
-                offset = randbelow(BLOCKS_PER_REGION)
+                offset = getrandbits(7)
+                while offset >= BLOCKS_PER_REGION:
+                    offset = getrandbits(7)
                 dirty = True
             elif roll < stream_share:
                 region = cold_ids[
@@ -348,7 +357,9 @@ class RegionTrafficGenerator:
                 dirty = False  # streaming lines are written once: never dirty
             else:
                 region = cold_ids[pick_cold(n_cold)]
-                offset = randbelow(BLOCKS_PER_REGION)
+                offset = getrandbits(7)
+                while offset >= BLOCKS_PER_REGION:
+                    offset = getrandbits(7)
                 dirty = rand() < cold_dirty_fraction
             block = base_block + region * BLOCKS_PER_REGION + offset
 

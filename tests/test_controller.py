@@ -27,7 +27,7 @@ class TestBasicService:
     def test_single_read_completes(self, sim, controller):
         done = []
         r = read(0)
-        r.on_complete = done.append
+        r.on_complete = lambda _request, finish: done.append(finish)
         controller.enqueue(r)
         sim.run()
         assert len(done) == 1
@@ -248,7 +248,7 @@ class TestWritePauseChain:
         cap = bank.max_pauses_per_write
         w = write(0, n_sets=7)
         write_done = []
-        w.on_complete = write_done.append
+        w.on_complete = lambda _request, finish: write_done.append(finish)
         controller.enqueue(w)
 
         reads = []
@@ -257,7 +257,7 @@ class TestWritePauseChain:
         # Requests still queued right after each read's enqueue.
         queued = []
 
-        def issue_next(_finish=None):
+        def issue_next(_request=None, _finish=None):
             if len(reads) == cap + 1:
                 return
             r = read(0)
@@ -328,7 +328,7 @@ class TestEnqueueScheduling:
         newer = write(on_bank(controller, 1, row=1))
         seen_at_enqueue = []
 
-        def enqueue_newer(_finish):
+        def enqueue_newer(_request, _finish):
             controller.enqueue(newer)
             seen_at_enqueue.append(older.start_time_ns)
 
@@ -349,7 +349,7 @@ class TestEnqueueScheduling:
         first = read(on_bank(controller, 0))
         older = read(on_bank(controller, 0, row=1))
         newer = read(on_bank(controller, 0, row=2))
-        first.on_complete = lambda _finish: controller.enqueue(newer)
+        first.on_complete = lambda _request, _finish: controller.enqueue(newer)
         controller.enqueue(first)
         controller.enqueue(older)
         sim.run()
@@ -441,7 +441,7 @@ class FullScanController(MemoryController):
     flag, no direct issue and no resumed scan. Every kick updates the
     drain flag once, then scans the queues from the top in priority
     order, and restarts from the top after every issue and its space
-    waiters."""
+    waiters, each woken through its full wake callback."""
 
     def _kick(self, channel, pushed=None):
         queues = self._queues[channel]
@@ -459,7 +459,7 @@ class FullScanController(MemoryController):
             del queue._entries[pick]
             self._issue(channel, request)
             waiters, queue.space_waiters = queue.space_waiters, []
-            for callback in waiters:
+            for callback, _refuse in waiters:
                 callback()
 
     def _first_issuable(self, channel, queues):
@@ -558,7 +558,7 @@ def issue_sequence(controller_cls, stream):
             request = write(block, n_sets=3 if kind == "fast-write" else 7)
         index_of[request.req_id] = index
 
-        def completed(_finish):
+        def completed(_request, _finish):
             if then is not None:
                 offer(make(index + 1000, then[0], then[1], row, None))
             # Issues made from inside the callback land before this mark.

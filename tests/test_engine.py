@@ -74,7 +74,8 @@ class TestCallbackArgs:
         event = sim.schedule_after(3.0, log.append, 7, owner="custom")
         sim.run()
         assert log == [7]
-        assert event.owner == "custom"
+        # The owner label rides on the heap entry, after the arguments.
+        assert event[4] == "custom"
         assert accounting.counts == {"custom": 1}
 
     def test_args_and_owner_under_cost_accounting(self, sim):
@@ -91,9 +92,10 @@ class TestCallbackArgs:
         sim.run()
         assert widget.seen == [(1, b"x")]
         # The label names the defining class, not the instance.
-        assert event.owner == owner_label(Widget.poke)
-        assert event.owner.endswith(".<locals>.Widget.poke")
-        assert accounting.counts == {event.owner: 1}
+        owner = event[4]
+        assert owner == owner_label(Widget.poke)
+        assert owner.endswith(".<locals>.Widget.poke")
+        assert accounting.counts == {owner: 1}
 
 
 class TestRunBounds:
@@ -122,6 +124,23 @@ class TestRunBounds:
         sim.run(max_events=4)
         assert len(log) == 4
 
+    def test_max_events_stop_leaves_clock_at_last_event(self, sim):
+        log = []
+        sim.schedule_at(10.0, log.append, 10.0)
+        sim.schedule_at(20.0, log.append, 20.0)
+        assert sim.run(until=100.0, max_events=1) == 10.0
+        # The event at 20 is still pending, so time must not pass it.
+        assert sim.now == 10.0
+        sim.run()
+        assert log == [10.0, 20.0]
+        assert sim.now == 20.0
+
+    def test_max_events_stop_advances_when_next_event_is_past_until(self, sim):
+        sim.schedule_at(10.0, lambda: None)
+        sim.schedule_at(200.0, lambda: None)
+        sim.run(until=100.0, max_events=1)
+        assert sim.now == 100.0
+
     def test_stop_ends_run(self, sim):
         log = []
         sim.schedule_at(1.0, lambda: (log.append(1), sim.stop()))
@@ -144,7 +163,7 @@ class TestCancellation:
     def test_cancelled_event_skipped(self, sim):
         log = []
         event = sim.schedule_at(1.0, lambda: log.append("x"))
-        event.cancel()
+        sim.cancel(event)
         sim.run()
         assert log == []
 
@@ -152,11 +171,34 @@ class TestCancellation:
         log = []
         event = sim.schedule_at(1.0, log.append, "x")
         sim.schedule_at(1.0, log.append, "y")
-        event.cancel()
-        assert event.cancelled
+        sim.cancel(event)
+        assert sim.pending_events == 1
         sim.run()
         assert log == ["y"]
         assert sim.events_processed == 1
+        assert sim.events_cancelled == 1
+
+    def test_cancelled_tie_never_compares_callbacks(self, sim):
+        # Bound methods do not order: a heap comparison that reached the
+        # callback slot would raise TypeError. Ties break on ``seq``.
+        class Sink:
+            def __init__(self):
+                self.log = []
+
+            def take(self, item):
+                self.log.append(item)
+
+        first, second = Sink(), Sink()
+        doomed = sim.schedule_at(5.0, first.take, "x")
+        sim.cancel(doomed)
+        for n in range(4):
+            sim.schedule_at(5.0, second.take, n)
+            sim.schedule_at(5.0, first.take, -n)
+        sim.run()
+        assert first.log == [0, -1, -2, -3]
+        assert second.log == [0, 1, 2, 3]
+        assert sim.events_scheduled == 9
+        assert sim.events_processed == 8
         assert sim.events_cancelled == 1
 
     def test_tombstones_do_not_count_toward_max_events(self, sim):
@@ -164,7 +206,7 @@ class TestCancellation:
         for t in range(1, 7):
             event = sim.schedule_at(float(t), log.append, t)
             if t % 2:
-                event.cancel()
+                sim.cancel(event)
         sim.run(max_events=2)
         assert log == [2, 4]
         # Tombstones at t=1, 3 and 5 are discarded as they reach the head,
@@ -178,7 +220,7 @@ class TestCancellation:
     def test_pending_events_ignores_cancelled(self, sim):
         event = sim.schedule_at(1.0, lambda: None)
         sim.schedule_at(2.0, lambda: None)
-        event.cancel()
+        sim.cancel(event)
         assert sim.pending_events == 1
 
 
@@ -217,7 +259,7 @@ class TestPeriodic:
         )
         for t in (5.0, 15.0, 25.0):
             sim.schedule_at(t, lambda: None)
-        sim.schedule_at(12.0, lambda: None).cancel()
+        sim.cancel(sim.schedule_at(12.0, lambda: None))
         sim.run(until=30.0)
         # Each tick sees every earlier dispatch and discarded tombstone;
         # its own dispatch is counted once it returns.

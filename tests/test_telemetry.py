@@ -315,7 +315,7 @@ class TestSimulatorMetrics:
         sim = Simulator()
         sim.schedule_at(10.0, lambda: None)
         doomed = sim.schedule_at(20.0, lambda: None)
-        doomed.cancel()
+        sim.cancel(doomed)
         sim.run()
         assert sim.events_scheduled == 2
         assert sim.events_processed == 1
