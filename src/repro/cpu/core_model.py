@@ -93,11 +93,6 @@ class CoreStats:
         return self.retired_instructions / cycles if cycles > 0 else 0.0
 
 
-# Outcomes of attempting to issue a read.
-_READ_RETRY = 0    # could not issue; keep the event pending and wait
-_READ_ISSUED = 1   # issued; the core continues executing
-_READ_BLOCKED = 2  # issued, but the core must wait for the data
-
 # Wait reasons (why the core's event loop is parked).
 _W_NONE = 0
 _W_BLOCKING = 1  # waiting for a specific read's data
@@ -170,13 +165,15 @@ class CoreModel:
     def _run(self) -> None:
         """Execute events until the core must wait or parks.
 
-        Hot path: the time cursor, the stats, the stream's ``__next__``
-        and the register sink live in locals; ``_t`` and ``_pending`` are
-        written back on every way out (the ``finally``). Nothing reached
-        from here reads them meanwhile: completions run as separate
-        engine events, and the space waiters that an enqueue's scheduler
-        kick may fire belong to other producers, since a running core has
-        none registered.
+        Hot path: the time cursor, the stats, the stream's ``__next__``,
+        the register sink and the controller live in locals, and the read
+        and write attempts (MLP check, ``can_accept``, the blocking draw,
+        the request and its ``enqueue``) run in this frame. ``_t`` and
+        ``_pending`` are written back on every way out (the ``finally``).
+        Nothing reached from here reads them meanwhile: completions run
+        as separate engine events, and the space waiters that an
+        enqueue's scheduler kick may fire belong to other producers,
+        since a running core has none registered.
         """
         if self._wait not in (_W_NONE, _W_TIME):
             return  # a stale wake-up; the real wake path will re-enter
@@ -190,6 +187,11 @@ class CoreModel:
         next_event = self._events.__next__
         register = self._register
         ns_per_instruction = self._ns_per_instruction
+        controller = self._controller
+        params = self.params
+        mlp = params.mlp
+        blocking_fraction = params.blocking_load_fraction
+        core_id = self.core_id
         t = self._t
         # The event in hand is parked in ``pending`` (its gap already
         # retired) whenever the loop returns before consuming it.
@@ -223,16 +225,50 @@ class CoreModel:
                         register(block, dirty)
                     stats.registrations += 1
                 elif kind == EV_READ:
-                    status = self._try_read(block)
-                    if status == _READ_RETRY:
+                    if self._outstanding >= mlp:
+                        self._wait = _W_MLP
+                        stats.mlp_stalls += 1
                         pending = (kind, 0, block, dirty)
-                        return  # a wake path will retry
-                    if status == _READ_BLOCKED:
-                        return  # read issued; core waits for its data
+                        return  # a read completion will retry
+                    if not controller.can_accept(_READ, block):
+                        self._wait = _W_SPACE
+                        stats.read_queue_stalls += 1
+                        controller.notify_space(_READ, block, self._wake_space)
+                        pending = (kind, 0, block, dirty)
+                        return  # a space wake-up will retry
+                    blocking = self._rng.random() < blocking_fraction
+                    # Positional, in MemRequest's field order: rtype,
+                    # block, n_sets, issue_time_ns, deadline_ns, core,
+                    # on_complete (the keyword form costs twice as much).
+                    request = MemRequest(
+                        _READ, block, None, 0.0, None, core_id,
+                        self._on_read_complete,
+                    )
+                    if blocking:
+                        self._blocking_req_id = request.req_id
+                    controller.enqueue(request)
+                    self._outstanding += 1
+                    stats.reads_issued += 1
+                    if blocking:
+                        self._wait = _W_BLOCKING
+                        stats.blocking_stalls += 1
+                        return  # the core waits for this read's data
                 elif kind == EV_WRITE:
-                    if not self._try_write(block):
+                    if not controller.can_accept(_WRITE, block):
+                        self._wait = _W_SPACE
+                        stats.write_queue_stalls += 1
+                        controller.notify_space(
+                            _WRITE, block, self._wake_space, self._space_refused
+                        )
                         pending = (kind, 0, block, dirty)
-                        return
+                        return  # a space wake-up will retry
+                    controller.enqueue(
+                        MemRequest(
+                            _WRITE, block, self._choose_mode(block), 0.0, None,
+                            core_id,
+                        )
+                    )
+                    stats.writes_issued += 1
                 else:
                     raise SimulationError(f"unknown workload event kind: {kind}")
         finally:
@@ -245,35 +281,8 @@ class CoreModel:
             self._run()
 
     # ------------------------------------------------------------------
-    # Reads
+    # Wake paths
     # ------------------------------------------------------------------
-    def _try_read(self, block: int) -> int:
-        if self._outstanding >= self.params.mlp:
-            self._wait = _W_MLP
-            self.stats.mlp_stalls += 1
-            return _READ_RETRY
-        if not self._controller.can_accept(_READ, block):
-            self._wait = _W_SPACE
-            self.stats.read_queue_stalls += 1
-            self._controller.notify_space(_READ, block, self._wake_space)
-            return _READ_RETRY
-
-        blocking = self._rng.random() < self.params.blocking_load_fraction
-        request = MemRequest(
-            rtype=_READ, block=block, core=self.core_id,
-            on_complete=self._on_read_complete,
-        )
-        if blocking:
-            self._blocking_req_id = request.req_id
-        self._controller.enqueue(request)
-        self._outstanding += 1
-        self.stats.reads_issued += 1
-        if blocking:
-            self._wait = _W_BLOCKING
-            self.stats.blocking_stalls += 1
-            return _READ_BLOCKED
-        return _READ_ISSUED
-
     def _on_read_complete(self, request: MemRequest, finish_ns: float) -> None:
         self._outstanding -= 1
         if self._outstanding < 0:
@@ -290,48 +299,20 @@ class CoreModel:
             self._t = max(self._t, finish_ns)
             self._run()
 
-    # ------------------------------------------------------------------
-    # Writes
-    # ------------------------------------------------------------------
-    def _try_write(self, block: int) -> bool:
-        if not self._controller.can_accept(_WRITE, block):
-            self._wait = _W_SPACE
-            self.stats.write_queue_stalls += 1
-            self._controller.notify_space(
-                _WRITE, block, self._wake_space, self._space_refused
-            )
-            return False
-        n_sets = self._choose_mode(block)
-        request = MemRequest(
-            rtype=_WRITE, block=block, n_sets=n_sets, core=self.core_id
-        )
-        self._controller.enqueue(request)
-        self.stats.writes_issued += 1
-        return True
-
     def _wake_space(self) -> None:
-        """Queue-space wake-up: retry the parked request.
+        """Queue-space wake-up: re-enter the event loop at the current time.
 
-        A parked write is retried right here, and ``_run`` is entered
-        only once the controller accepts it; a refused retry (another
-        producer took the slot) re-registers and counts one more
-        ``write_queue_stalls``, exactly as a pass through ``_run`` would.
-        That is exact because a core waiting on space has ``_t <= now``:
-        it stalled at its cursor time, and nothing moves the cursor
-        while it waits. A write-queue wake-up that the controller knows
-        will be refused goes to :meth:`_space_refused` instead.
+        The loop retries the parked request. Moving the cursor to now is
+        exact because a core waiting on space has ``_t <= now``: it
+        stalled at its cursor time, and nothing moves the cursor while it
+        waits. The controller wakes a write waiter only while the write
+        queue has room, so the retry is accepted; a write waiter reached
+        with the queue full again gets :meth:`_space_refused` instead.
         """
         if self._wait != _W_SPACE:
             return
         self._wait = _W_NONE
-        now = self.sim.now
-        self._t = now
-        event = self._pending
-        end = self._end_time_ns
-        if event[0] == EV_WRITE and (end is None or now < end):
-            if not self._try_write(event[2]):
-                return
-            self._pending = None
+        self._t = self.sim.now
         self._run()
 
     def _space_refused(self) -> bool:
@@ -339,12 +320,12 @@ class CoreModel:
 
         The controller calls this instead of :meth:`_wake_space` when it
         reaches this core's registration with the write queue full again,
-        and keeps the registration if it returns True. It is what the
-        full wake-up would do there, minus the retry's ``can_accept`` and
-        ``notify_space`` calls: a stale registration is dropped, a core
-        at or past its end time parks for good with no stall, and any
-        other core moves its cursor to now and counts one more
-        ``write_queue_stalls``.
+        and keeps the registration if it returns True. It is what a pass
+        through :meth:`_run` would do there, minus the refused retry's
+        ``can_accept`` and ``notify_space`` calls: a stale registration
+        is dropped, a core at or past its end time parks for good with
+        no stall, and any other core moves its cursor to now and counts
+        one more ``write_queue_stalls``.
         """
         if self._wait != _W_SPACE:
             return False

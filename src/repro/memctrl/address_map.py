@@ -61,8 +61,7 @@ class AddressMap:
             raise ConfigError(
                 "device size must be a whole number of rows per bank per channel"
             )
-        # Precompute the bit-slicing constants: locate_block runs once per
-        # enqueued request.
+        # Precompute the bit-slicing constants.
         object.__setattr__(self, "_ch_bits", log2_int(self.n_channels))
         object.__setattr__(self, "_ch_mask", self.n_channels - 1)
         object.__setattr__(self, "_col_bits", log2_int(self.blocks_per_row))
@@ -86,8 +85,9 @@ class AddressMap:
     def locate_block(self, block: int) -> Tuple[int, int, int, int]:
         """``(channel, bank, row, column)`` of a block index.
 
-        The one bit-slicing routine: the controller calls it per enqueued
-        request and keeps the plain tuple's fields on the request.
+        The bit-slicing routine behind :meth:`decode_block`.
+        ``MemoryController.enqueue`` repeats its range check and slicing
+        inline, once per request; a layout change must change both.
         """
         if not 0 <= block < self._n_blocks:
             raise ConfigError(

@@ -8,14 +8,20 @@ Scheduling policy (paper Table V):
   searched within a small associative window;
 - open-page row-buffer policy for reads; writes are write-through and
   bypass the row buffer;
-- write pausing: reads may preempt an in-flight write at SET boundaries;
+- write pausing: reads may preempt an in-flight write at SET boundaries,
+  and ``_issue`` moves the paused write's completion to its new end; a
+  read's cut-in is tested only on a bank whose one in-flight request is
+  a write;
 - watermark-based write drain: because writes have the lowest priority,
   they issue only when no reads are waiting or when the write queue climbs
   above a high watermark (hysteresis down to a low watermark), which is how
   real controllers avoid both read interference and write-queue deadlock.
 
 Backpressure is explicit: producers must call :meth:`MemoryController.can_accept`
-first; when a queue is full they register a one-shot callback with
+first (:meth:`MemoryController.enqueue` applies the address range check
+and the full-queue check of ``AddressMap.locate_block`` and
+``BoundedQueue.push`` inline and raises on a violation); when a queue is
+full they register a one-shot callback with
 :meth:`MemoryController.notify_space`. Every issue out of a queue hands
 the freed slot to that queue's waiters, in registration order, before
 the scheduler looks for the next issue. A waiter reached while the queue
@@ -46,12 +52,13 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.engine import Simulator
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError, QueueFullError, SimulationError
 from repro.memctrl.address_map import AddressMap
 from repro.memctrl.queues import QueueSet
 from repro.memctrl.request import MemRequest, RequestType
 from repro.pcm.device import PCMDevice
 from repro.telemetry.trace import NULL_TRACER
+from repro.utils.mathx import log2_int
 
 
 @dataclass
@@ -159,10 +166,15 @@ class MemoryController:
             row_bytes=device.row_bytes,
             size_bytes=device.size_bytes,
         )
-        #: The address map's bit-slicing routine and channel mask (the
-        #: map's channel count is a power of two).
-        self._locate_block = self.address_map.locate_block
-        self._channel_mask = self.address_map.n_channels - 1
+        #: ``AddressMap.locate_block``'s bit slicing, for ``enqueue``: the
+        #: channel mask, the shift past the channel and column bits, and
+        #: the bank mask and bit count (every dimension is a power of two).
+        amap = self.address_map
+        self._n_blocks = amap.n_blocks
+        self._channel_mask = amap.n_channels - 1
+        self._bank_shift = log2_int(amap.n_channels) + log2_int(amap.blocks_per_row)
+        self._bank_mask = amap.banks_per_channel - 1
+        self._bank_bits = log2_int(amap.banks_per_channel)
         self.stats = ControllerStats()
         self._queues: List[QueueSet] = [
             QueueSet(
@@ -248,13 +260,37 @@ class MemoryController:
         return len(queue._entries) < queue.capacity
 
     def enqueue(self, request: MemRequest) -> None:
-        """Accept a request. The caller must have checked :meth:`can_accept`."""
-        channel, bank, request.row, _ = self._locate_block(request.block)
-        request.bank_index = channel * self._banks_per_channel + bank
+        """Accept a request. The caller must have checked :meth:`can_accept`.
+
+        Raises :class:`ConfigError` for a block outside the device and
+        :class:`QueueFullError` when the queue is full, as
+        :meth:`AddressMap.locate_block` and :meth:`BoundedQueue.push` do;
+        both run inline here, once per request.
+        """
+        block = request.block
+        if not 0 <= block < self._n_blocks:
+            raise ConfigError(
+                f"block {block} out of range for {self._n_blocks}-block device"
+            )
+        channel = block & self._channel_mask
+        block >>= self._bank_shift
+        request.bank_index = (
+            channel * self._banks_per_channel + (block & self._bank_mask)
+        )
+        request.row = block >> self._bank_bits
         request.issue_time_ns = self.sim.now
         if self._attribution is not None:
             self._attribution.on_enqueue(request)
-        self._queues[channel].by_type[request.rtype].push(request)
+        queue = self._queues[channel].by_type[request.rtype]
+        entries = queue._entries
+        depth = len(entries)
+        if depth >= queue.capacity:
+            queue.rejected += 1
+            raise QueueFullError(f"{queue.name} full at {queue.capacity} entries")
+        entries.append(request)
+        queue.total_enqueued += 1
+        if depth >= queue.peak_occupancy:
+            queue.peak_occupancy = depth + 1
         self._kick(channel, request)
 
     def notify_space(
@@ -363,6 +399,10 @@ class MemoryController:
                 if n > 1:
                     return
                 if n == 1:
+                    # The one request in flight must be a write that the
+                    # read can pause.
+                    if self._inflight_write[pushed.bank_index] is None:
+                        return
                     bank = self._banks_flat[pushed.bank_index]
                     if not bank.read_start_time(self.sim.now) < bank.busy_until:
                         return
@@ -380,6 +420,7 @@ class MemoryController:
         priority_queues = self._priority_queues[channel]
         now = self.sim.now
         inflight = self._bank_inflight
+        inflight_write = self._inflight_write
         banks = self._banks_flat
         window = self.SCHED_WINDOW
 
@@ -405,12 +446,12 @@ class MemoryController:
                     if end > window:
                         end = window
                     while i < end:
-                        request = read_entries[i]
-                        n = inflight[request.bank_index]
+                        bank_index = read_entries[i].bank_index
+                        n = inflight[bank_index]
                         if not n:
                             break
-                        if n == 1:
-                            bank = banks[request.bank_index]
+                        if n == 1 and inflight_write[bank_index] is not None:
+                            bank = banks[bank_index]
                             # A single in-flight pausable write lets a read
                             # cut in: the read starts before the bank frees.
                             if bank.read_start_time(now) < bank.busy_until:
@@ -470,7 +511,8 @@ class MemoryController:
     def _issue(self, channel: int, request: MemRequest) -> None:
         bank_index = request.bank_index
         bank = self._banks_flat[bank_index]
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
         row = request.row
 
         is_write = request.rtype is not _READ
@@ -499,25 +541,27 @@ class MemoryController:
                 self._attribution.on_read_issue(request, hit)
         self._bank_inflight[bank_index] += 1
         self._channel_inflight[channel] += 1
-        event = self.sim.schedule_at(finish, self._complete, channel, request)
+        event = sim.schedule_at(finish, self._complete, channel, request)
         if is_write:
             self._inflight_write[bank_index] = (request, event)
-        elif self._inflight_write[bank_index] is not None:
-            self._reschedule_paused_write(channel, request, bank)
-
-    def _reschedule_paused_write(self, channel: int, read_request: MemRequest, bank) -> None:
-        """The bank holds an in-flight write: if the read just issued paused
-        it, move the write's completion event to the extended finish time."""
-        write_request, event = self._inflight_write[read_request.bank_index]
+            return
+        inflight_write = self._inflight_write[bank_index]
+        if inflight_write is None:
+            return
+        # The bank holds an in-flight write: if this read paused it, move
+        # the write's completion event to the extended finish time.
+        write_request, event = inflight_write
         new_end = bank.write_end_time()
         if new_end is None or new_end <= write_request.finish_time_ns:
             return
-        self.sim.cancel(event)
+        sim.cancel(event)
         write_request.finish_time_ns = new_end
-        new_event = self.sim.schedule_at(new_end, self._complete, channel, write_request)
-        self._inflight_write[read_request.bank_index] = (write_request, new_event)
+        self._inflight_write[bank_index] = (
+            write_request,
+            sim.schedule_at(new_end, self._complete, channel, write_request),
+        )
         if self._attribution is not None:
-            self._attribution.on_write_paused(write_request, read_request, new_end)
+            self._attribution.on_write_paused(write_request, request, new_end)
 
     def _complete(self, channel: int, request: MemRequest) -> None:
         bank_index = request.bank_index

@@ -53,6 +53,8 @@ class BoundedQueue:
 
         Callers that model backpressure must check :attr:`full` first —
         an unchecked overflow is a protocol bug, not a hardware behaviour.
+        ``MemoryController.enqueue`` applies the same check and counters
+        inline, once per request.
         """
         entries = self._entries
         depth = len(entries)

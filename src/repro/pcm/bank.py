@@ -93,10 +93,6 @@ class Bank:
         self._row_hit_read_ns = self.timings.row_hit_read_ns
         self._row_miss_read_ns = self.timings.row_miss_read_ns
 
-    def available_at(self, now: float) -> float:
-        """Earliest time the bank can begin a new non-preempting operation."""
-        return max(now, self.busy_until)
-
     def read_start_time(self, now: float) -> float:
         """Earliest time a *read* could start, exploiting write pausing.
 
@@ -131,7 +127,13 @@ class Bank:
         flight, the read preempts it at the next SET boundary and the write
         is pushed back by the read's service time.
         """
-        start = self.read_start_time(now)
+        write = self._in_flight_write
+        if write is not None and now < write.end_ns:
+            start = self.read_start_time(now)
+        else:
+            # No write can pause: the read waits for the bank to free.
+            busy_until = self.busy_until
+            start = busy_until if busy_until > now else now
         row_buffer = self.row_buffer
         if row_buffer.open_row == row:
             row_buffer.hits += 1
@@ -144,7 +146,6 @@ class Bank:
             service = self._row_miss_read_ns
         finish = start + service
 
-        write = self._in_flight_write
         if write is not None and start < self.busy_until:
             # A pause (see read_start_time).
             remaining = write.end_ns - start
@@ -179,12 +180,14 @@ class Bank:
         write may later be paused by a read (the write mode's SET
         boundaries).
         """
-        start = self.available_at(now)
+        busy_until = self.busy_until
+        start = busy_until if busy_until > now else now
         finish = start + latency_ns
+        # Positional (start_ns, end_ns, boundaries_ns): a keyword call
+        # costs more. A list comprehension builds the shifted boundaries
+        # faster than ``map(start.__add__, ...)`` on CPython 3.11.
         self._in_flight_write = _InFlightWrite(
-            start_ns=start,
-            end_ns=finish,
-            boundaries_ns=tuple([start + b for b in pause_boundaries_ns]),
+            start, finish, tuple([start + b for b in pause_boundaries_ns])
         )
         self.busy_until = finish
         self.writes_served += 1

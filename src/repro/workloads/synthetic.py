@@ -246,9 +246,10 @@ class RegionTrafficGenerator:
         p = self.profile
         rng = self._rng
         rand = rng.random
-        randbelow = rng._randbelow  # randrange(n) for n > 0, minus checks
-        # randbelow(BLOCKS_PER_REGION) is inlined at its four sites below
-        # as CPython's own rejection loop: 7-bit draws until one is < 64.
+        # randrange(n) is inlined at its seven sites below as CPython's own
+        # rejection loop (Random._randbelow): n.bit_length()-bit draws
+        # until one is below n, which gives the identical stream. For
+        # BLOCKS_PER_REGION those are 7-bit draws until one is < 64.
         getrandbits = rng.getrandbits
         log = math.log
         bisect_left = bisect.bisect_left
@@ -277,11 +278,10 @@ class RegionTrafficGenerator:
         warm = self._warm
         warm_cdf = self._warm_cdf
         warm_last = len(warm) - 1
+        jitter_bits = hot_working_blocks.bit_length()
         cold_ids = self._cold_ids
         n_cold = len(cold_ids)
-        # With no cold regions, randrange(0) raises where _randbelow(0)
-        # would spin.
-        pick_cold = randbelow if n_cold else rng.randrange
+        cold_bits = n_cold.bit_length()
         n_stream_regions = max(1, n_cold)
         stream_block = 0
         writes = 0
@@ -310,7 +310,14 @@ class RegionTrafficGenerator:
                 offset = stream_block % BLOCKS_PER_REGION
                 stream_block += 1
             else:
-                region = cold_ids[pick_cold(n_cold)]
+                if not n_cold:
+                    # randrange(0)'s ValueError, where the loop below
+                    # would spin on getrandbits(0).
+                    rng.randrange(n_cold)
+                index = getrandbits(cold_bits)
+                while index >= n_cold:
+                    index = getrandbits(cold_bits)
+                region = cold_ids[index]
                 offset = getrandbits(7)
                 while offset >= BLOCKS_PER_REGION:
                     offset = getrandbits(7)
@@ -336,7 +343,9 @@ class RegionTrafficGenerator:
                 offset = hot_cursor[index]
                 hot_cursor[index] = (offset + 1) % hot_working_blocks
                 if rand() < 0.1:
-                    offset = randbelow(hot_working_blocks)
+                    offset = getrandbits(jitter_bits)
+                    while offset >= hot_working_blocks:
+                        offset = getrandbits(jitter_bits)
                 dirty = True
             elif roll < warm_share and warm:
                 region = warm[min(bisect_left(warm_cdf, rand()), warm_last)]
@@ -356,7 +365,12 @@ class RegionTrafficGenerator:
                 stream_block += 1
                 dirty = False  # streaming lines are written once: never dirty
             else:
-                region = cold_ids[pick_cold(n_cold)]
+                if not n_cold:
+                    rng.randrange(n_cold)  # raises, as for reads above
+                index = getrandbits(cold_bits)
+                while index >= n_cold:
+                    index = getrandbits(cold_bits)
+                region = cold_ids[index]
                 offset = getrandbits(7)
                 while offset >= BLOCKS_PER_REGION:
                     offset = getrandbits(7)

@@ -1,10 +1,14 @@
 """Tests for the memory controller scheduler."""
 
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Simulator
+from repro.errors import ConfigError, QueueFullError
 from repro.memctrl.controller import MemoryController
 from repro.memctrl.request import MemRequest, RequestType
 from repro.pcm.device import PCMDevice
@@ -162,6 +166,91 @@ class TestBackpressure:
         )
         self._fill_read_queue(controller, 0)  # channel 0 read queue full
         assert controller.can_accept(RequestType.READ, 1)  # channel 1 free
+
+
+def queue_state(controller):
+    """Every queue's entries and counters, channel by channel."""
+    return [
+        (list(queue), queue.total_enqueued, queue.peak_occupancy, queue.rejected)
+        for queue_set in controller._queues
+        for queue in queue_set.in_priority_order()
+    ]
+
+
+class TestEnqueueChecks:
+    """``enqueue`` keeps the address map's range check and the bounded
+    queue's full check and counters."""
+
+    @pytest.mark.parametrize(
+        "n_channels, banks_per_channel, row_bytes",
+        [(1, 2, 1024), (2, 2, 1024), (4, 16, 1024), (2, 8, 4096)],
+    )
+    def test_bank_and_row_match_the_address_map(
+        self, sim, n_channels, banks_per_channel, row_bytes
+    ):
+        device = PCMDevice(
+            size_bytes=parse_size("64MB"), n_channels=n_channels,
+            banks_per_channel=banks_per_channel, row_bytes=row_bytes,
+        )
+        controller = MemoryController(sim, device, read_queue_capacity=256)
+        amap = controller.address_map
+        rng = random.Random(n_channels * 100 + banks_per_channel)
+        blocks = [0, amap.n_blocks - 1]
+        blocks += [rng.randrange(amap.n_blocks) for _ in range(120)]
+        for block in blocks:
+            request = read(block)
+            controller.enqueue(request)
+            channel, bank, row, _ = amap.locate_block(block)
+            assert request.bank_index == channel * banks_per_channel + bank
+            assert request.row == row
+
+    @pytest.mark.parametrize("past_end", [0, 1, None])
+    def test_out_of_range_block_changes_nothing(self, sim, controller, past_end):
+        controller.enqueue(read(0))
+        controller.enqueue(write(0))
+        controller.enqueue(write(0))
+        before = queue_state(controller)
+        stats = dataclasses.asdict(controller.stats)
+        counts = (controller.pending_requests(), controller.inflight_requests())
+        scheduled = sim.events_scheduled
+        n_blocks = controller.address_map.n_blocks
+        block = -1 if past_end is None else n_blocks + past_end
+        with pytest.raises(ConfigError, match="out of range"):
+            controller.enqueue(read(block))
+        assert queue_state(controller) == before
+        assert dataclasses.asdict(controller.stats) == stats
+        assert (controller.pending_requests(), controller.inflight_requests()) == counts
+        assert sim.events_scheduled == scheduled
+
+    def test_full_queue_raises_and_counts_one_rejection(self, sim, controller):
+        # Bank 0 serves one write; the next eight fill the queue behind it.
+        for _ in range(9):
+            controller.enqueue(write(0))
+        queue = controller._queues[0].write_queue
+        assert len(queue) == queue.capacity
+        entries = list(queue)
+        with pytest.raises(QueueFullError):
+            controller.enqueue(write(0))
+        assert queue.rejected == 1
+        assert list(queue) == entries
+        assert queue.total_enqueued == 9
+        assert queue.peak_occupancy == queue.capacity
+
+    def test_counters_advance_on_every_accepted_enqueue(self, sim, controller):
+        queue = controller._queues[0].write_queue
+        peak = 0
+        for accepted in range(1, queue.capacity + 1):
+            depth = len(queue)
+            controller.enqueue(write(0))
+            peak = max(peak, depth + 1)
+            assert queue.total_enqueued == accepted
+            assert queue.peak_occupancy == peak
+        assert peak == queue.capacity - 1  # one of them is in flight
+        sim.run()
+        controller.enqueue(write(0))
+        assert queue.total_enqueued == queue.capacity + 1
+        assert queue.peak_occupancy == peak
+        assert queue.rejected == 0
 
 
 class TestDeadlines:

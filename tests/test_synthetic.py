@@ -261,6 +261,37 @@ class TestValidation:
         )
         assert profile.cold_write_share == pytest.approx(expected)
 
+    def test_empty_cold_tier_raises_at_first_cold_read(self, fresh_python):
+        """With every region hot or warm and no streaming, the first cold
+        read draws from an empty tier and raises ``randrange(0)``'s
+        ValueError. ``getrandbits(0)`` is always 0, so a rejection loop
+        inlined without the check would spin for ever; the fixture's
+        timeout turns that hang into a failure."""
+        out = fresh_python(
+            "import json\n"
+            "from repro.workloads.events import EV_READ\n"
+            "from repro.workloads.synthetic import (\n"
+            "    BLOCKS_PER_REGION, RegionProfile, RegionTrafficGenerator)\n"
+            "profile = RegionProfile(\n"
+            "    mpki=10.0, footprint_regions=64, hot_regions=16,\n"
+            "    warm_regions=48, hot_write_share=0.8, warm_write_share=0.2,\n"
+            "    streaming_fraction=0.0)\n"
+            "generator = RegionTrafficGenerator(profile, seed=1)\n"
+            "read_regions = []\n"
+            "try:\n"
+            "    for kind, _gap, block, _dirty in generator:\n"
+            "        if kind == EV_READ:\n"
+            "            read_regions.append(block // BLOCKS_PER_REGION)\n"
+            "except ValueError as exc:\n"
+            "    print(json.dumps({'error': str(exc), 'reads': read_regions,\n"
+            "                      'hot': generator._hot}))\n"
+        )
+        report = json.loads(out)
+        assert "randrange" in report["error"]
+        # Every read before the error came from the hot tier: the
+        # error is the first cold read's.
+        assert set(report["reads"]) <= set(report["hot"])
+
 
 # ----------------------------------------------------------------------
 # Pinned streams: the exact events each workload's generators emit.
