@@ -1,88 +1,104 @@
-"""Pinned observability baseline: the core suite feeding the run ledger.
+"""Pinned core suite: a fresh run must reproduce the committed BENCH_core.json.
 
 Not a paper figure — this bench is the *performance contract* of the
 repo itself. It runs the fixed ``repro.obs.benchsuite.CORE_SUITE``
-matrix (tiny config, seed 1), appends every cell to the repo-root run
-ledger, refreshes ``BENCH_core.json``, and gates the fresh numbers
-against the committed baseline in ``benchmarks/obs_baseline.json``.
+matrix (tiny config, seed 1), appends every cell to a run ledger, writes
+a fresh ``BENCH_core.json`` and requires its payload to equal the
+committed repo-root file exactly.
 
 Because the simulation is deterministic per seed, any metric drift on an
 unchanged configuration is a code change. When a change is *intentional*
-(an optimisation, a model fix), re-pin with::
+(an optimisation that reorders float sums, a model fix), regenerate with::
 
-    repro-rrm obs bench --ledger obs-ledger.jsonl \
-        --baseline-out benchmarks/obs_baseline.json
+    repro-rrm obs bench --ledger obs-ledger.jsonl
 
-and commit the refreshed baseline + BENCH_core.json alongside the code.
+and commit the refreshed BENCH_core.json alongside the code, naming the
+metrics that moved and why.
 
-Runs standalone (``python benchmarks/bench_obs_baseline.py``) or under
+Runs standalone (``python benchmarks/bench_obs_baseline.py``, which
+refreshes the repo-root file and exits 1 if it changed) or under
 pytest-benchmark (``pytest benchmarks/bench_obs_baseline.py``).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
+from typing import Dict, List
 
 from benchmarks.common import write_report
-from repro.obs import (
-    compare_samples,
-    load_baseline,
-    run_core_suite,
-    samples_from_entries,
-)
+from repro.obs import run_core_suite
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_BASELINE = Path(__file__).parent / "obs_baseline.json"
+COMMITTED_BENCH_JSON = REPO_ROOT / "BENCH_core.json"
 
 
-def run_suite(
-    *,
-    ledger_path=None,
-    bench_json_path=None,
-    baseline_path=DEFAULT_BASELINE,
-    pin: bool = False,
-):
-    """Run the pinned suite; returns ``(outcome, gate_report_or_None)``."""
-    outcome = run_core_suite(
+def _load(path) -> Dict:
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def payload_differences(expected: Dict, actual: Dict) -> List[str]:
+    """One line per top-level field, cell or metric where *actual*
+    departs from *expected* (empty when the payloads are equal)."""
+    diffs = [
+        f"{key}: {expected.get(key)!r} -> {actual.get(key)!r}"
+        for key in sorted(set(expected) | set(actual))
+        if key != "results" and expected.get(key) != actual.get(key)
+    ]
+    want = {c["name"]: c["metrics"] for c in expected.get("results", [])}
+    got = {c["name"]: c["metrics"] for c in actual.get("results", [])}
+    if list(want) != list(got):
+        diffs.append(f"cells: {list(want)} -> {list(got)}")
+    for name in want.keys() & got.keys():
+        for metric in sorted(want[name].keys() | got[name].keys()):
+            before, after = want[name].get(metric), got[name].get(metric)
+            if before != after:
+                diffs.append(f"{name} {metric}: {before!r} -> {after!r}")
+    return diffs
+
+
+def run_suite(*, ledger_path=None, bench_json_path):
+    """Run the pinned suite, writing the ledger and the summary."""
+    return run_core_suite(
         ledger_path=ledger_path,
         bench_json_path=bench_json_path,
-        baseline_out=baseline_path if pin else None,
         progress=lambda line: print(line, file=sys.stderr),
     )
-    report = None
-    if not pin and Path(baseline_path).exists():
-        report = compare_samples(
-            load_baseline(baseline_path),
-            samples_from_entries(outcome.entries),
-        )
-    return outcome, report
 
 
 def bench_obs_baseline(benchmark, tmp_path):
-    """Pytest entry: suite runs once, and must gate green vs the pinned
-    baseline (wall_time_s aside, the metrics are deterministic)."""
+    """Pytest entry: the suite runs once, and its fresh BENCH_core.json
+    must equal the committed one (host-dependent metrics are not in it)."""
 
     state = {}
+    fresh_path = tmp_path / "BENCH_core.json"
 
     def once():
-        state["outcome"], state["report"] = run_suite(
+        state["outcome"] = run_suite(
             ledger_path=tmp_path / "obs-ledger.jsonl",
-            bench_json_path=tmp_path / "BENCH_core.json",
+            bench_json_path=fresh_path,
         )
 
     benchmark.pedantic(once, rounds=1, iterations=1)
-    outcome, report = state["outcome"], state["report"]
+    outcome = state["outcome"]
     assert len(outcome.entries) == 4
+    committed = _load(COMMITTED_BENCH_JSON)
+    fresh = _load(fresh_path)
+    assert fresh == committed, "BENCH_core.json drifted:\n" + "\n".join(
+        payload_differences(committed, fresh)
+    )
+    n_metrics = sum(len(cell["metrics"]) for cell in fresh["results"])
     lines = [
         f"{e.name:<32} ipc={e.metrics.get('ipc', 0.0):.4f}"
         for e in outcome.entries
     ]
-    if report is not None:
-        lines.append("")
-        lines.append(report.format_text())
-        assert not report.regressions, report.format_text()
+    lines.append("")
+    lines.append(
+        f"BENCH_core.json: equal to the committed file "
+        f"({len(fresh['results'])} cells, {n_metrics} metrics)"
+    )
     write_report("obs_baseline", "\n".join(lines))
 
 
@@ -95,36 +111,23 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--bench-json",
-        default=str(REPO_ROOT / "BENCH_core.json"),
+        default=str(COMMITTED_BENCH_JSON),
         help="suite summary to write (default: repo-root BENCH_core.json)",
     )
-    parser.add_argument(
-        "--baseline",
-        default=str(DEFAULT_BASELINE),
-        help="gate baseline to compare against (or to write with --pin)",
-    )
-    parser.add_argument(
-        "--pin",
-        action="store_true",
-        help="re-pin the baseline from this run instead of gating",
-    )
     args = parser.parse_args(argv)
-    outcome, report = run_suite(
-        ledger_path=args.ledger,
-        bench_json_path=args.bench_json,
-        baseline_path=args.baseline,
-        pin=args.pin,
-    )
+    committed = _load(COMMITTED_BENCH_JSON)
+    outcome = run_suite(ledger_path=args.ledger, bench_json_path=args.bench_json)
     for entry in outcome.entries:
         print(f"  {entry.name:<32} ipc={entry.metrics.get('ipc', 0.0):.4f}")
-    if args.pin:
-        print(f"baseline pinned: {args.baseline}")
-        return 0
-    if report is None:
-        print(f"no baseline at {args.baseline}; run with --pin to create it")
-        return 0
-    print(report.format_text())
-    return report.exit_code()
+    diffs = payload_differences(committed, _load(args.bench_json))
+    for line in diffs:
+        print(f"  drift: {line}")
+    print(
+        f"{args.bench_json}: "
+        + ("differs from" if diffs else "equal to")
+        + " the committed BENCH_core.json"
+    )
+    return 1 if diffs else 0
 
 
 if __name__ == "__main__":

@@ -324,8 +324,8 @@ class AttributionCollector:
     @property
     def read_refresh_share(self) -> float:
         """Fraction of total read latency blamed on RRM refresh traffic
-        occupying the bank — the paper's interference cost, made
-        gateable."""
+        occupying the bank — the paper's interference cost, pinned in
+        ``BENCH_core.json``."""
         total = self.read_latency_total_ns
         return self.read_refresh_blame_ns / total if total else 0.0
 

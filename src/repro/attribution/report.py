@@ -4,7 +4,8 @@ The collector accumulates blame during the run; this module freezes it
 into an :class:`AttributionReport` — the JSON-able summary attached to a
 :class:`~repro.sim.metrics.SimResult`, rendered by ``repro-rrm
 explain``, and flattened into ``attr_*`` run-ledger metrics so
-refresh-interference share is gateable like any other number.
+refresh-interference share is pinned in ``BENCH_core.json`` like any
+other deterministic number.
 """
 
 from __future__ import annotations
@@ -125,8 +126,8 @@ class AttributionReport:
         """Flat ``attr_*`` metrics merged into run-ledger entries.
 
         Every value is a deterministic function of the simulation, so
-        ledger-driven artifacts (BENCH_core.json, gate baselines) stay
-        reproducible per seed.
+        ledger-driven artifacts (BENCH_core.json) stay reproducible per
+        seed.
         """
         metrics: Dict[str, float] = {
             "attr_requests": float(self.requests),
@@ -302,7 +303,7 @@ def format_report(
 
 
 def refresh_share_of(metrics: Dict[str, float]) -> float:
-    """The gateable refresh-interference share from flat ledger metrics."""
+    """The refresh-interference share from flat ledger metrics."""
     return metrics.get("attr_read_refresh_share", 0.0)
 
 

@@ -28,9 +28,8 @@ Examples::
     repro-rrm explain --workload GemsFDTD --scheme rrm --top 5
     repro-rrm explain --config tiny --json anatomy.json
 
-    # Performance observability: pinned suite, regression gate, dashboard
+    # Performance observability: pinned suite (writes BENCH_core.json), dashboard
     repro-rrm obs bench --ledger obs-ledger.jsonl
-    repro-rrm obs gate --ledger obs-ledger.jsonl --baseline benchmarks/obs_baseline.json
     repro-rrm obs dashboard --ledger obs-ledger.jsonl --out obs-dashboard.html
 
     # Parallel sweeps on the sharded fabric (bit-identical to --jobs 1)
@@ -67,22 +66,15 @@ from repro.core.config import RRMConfig
 from repro.errors import ReproError
 from repro.lint import render_json, render_text, run_lint
 from repro.obs import (
-    DEFAULT_RULES,
     KIND_RUN,
     LedgerEntry,
     RunLedger,
     RunProgress,
     SweepProgress,
-    compare_samples,
     diff_traces,
-    environment_fingerprint,
     format_trace_diff,
-    load_baseline,
-    load_rules,
     render_dashboard,
     run_core_suite,
-    samples_from_entries,
-    write_baseline,
 )
 from repro.profiling import DEFAULT_DIFF_TOLERANCE
 from repro.resilience import FaultPlan, RetryPolicy
@@ -663,7 +655,6 @@ def cmd_obs_bench(args) -> int:
     outcome = run_core_suite(
         ledger_path=args.ledger,
         bench_json_path=args.bench_json,
-        baseline_out=args.baseline_out,
         progress=lambda line: print(line, file=sys.stderr),
     )
     for entry in outcome.entries:
@@ -678,73 +669,16 @@ def cmd_obs_bench(args) -> int:
         print(f"ledger: {outcome.ledger_path}", file=sys.stderr)
     if outcome.bench_json_path:
         print(f"summary: {outcome.bench_json_path}", file=sys.stderr)
-    if outcome.baseline_path:
-        print(f"baseline pinned: {outcome.baseline_path}", file=sys.stderr)
-    return 0
-
-
-def _run_gate(args, *, report_only: bool) -> int:
-    """Shared body of ``obs compare`` (always 0) and ``obs gate`` (0/1)."""
-    try:
-        baseline = load_baseline(args.baseline)
-        rules = load_rules(args.rules) if args.rules else DEFAULT_RULES
-        entries = RunLedger.load(args.ledger)
-    except FileNotFoundError as exc:
-        print(f"error: ledger not found: {exc.filename or exc}", file=sys.stderr)
-        return 2
-    current = samples_from_entries(entries, last_n=args.last)
-    report = compare_samples(baseline, current, rules=rules, seed=args.seed)
-    print(report.format_text(verbose=args.verbose))
-    if args.json:
-        import json as _json
-
-        Path(args.json).write_text(
-            _json.dumps(report.to_json_dict(), indent=2) + "\n",
-            encoding="utf-8",
-        )
-        print(f"verdicts written to {args.json}", file=sys.stderr)
-    return report.exit_code(report_only=report_only)
-
-
-def cmd_obs_compare(args) -> int:
-    return _run_gate(args, report_only=True)
-
-
-def cmd_obs_gate(args) -> int:
-    return _run_gate(args, report_only=args.report_only)
-
-
-def cmd_obs_pin(args) -> int:
-    """Pin the ledger's latest samples as a gate baseline file."""
-    try:
-        entries = RunLedger.load(args.ledger)
-    except FileNotFoundError as exc:
-        print(f"error: ledger not found: {exc.filename or exc}", file=sys.stderr)
-        return 2
-    samples = samples_from_entries(entries, last_n=args.last)
-    if not samples:
-        print("error: ledger has no entries to pin", file=sys.stderr)
-        return 2
-    write_baseline(args.out, samples, fingerprint=environment_fingerprint())
-    print(f"baseline pinned: {args.out} ({len(samples)} run name(s))")
     return 0
 
 
 def cmd_obs_dashboard(args) -> int:
-    """Render the offline HTML dashboard from a ledger (+ optional gate)."""
+    """Render the offline HTML dashboard from a ledger."""
     try:
         entries = RunLedger.load(args.ledger)
     except FileNotFoundError as exc:
         print(f"error: ledger not found: {exc.filename or exc}", file=sys.stderr)
         return 2
-    gate_report = None
-    if args.baseline:
-        baseline = load_baseline(args.baseline)
-        gate_report = compare_samples(
-            baseline,
-            samples_from_entries(entries, last_n=args.last),
-            seed=args.seed,
-        )
     flamegraph_svg = None
     if args.profile:
         from repro.profiling import load_profile, render_flamegraph
@@ -752,17 +686,13 @@ def cmd_obs_dashboard(args) -> int:
         flamegraph_svg = render_flamegraph(load_profile(args.profile))
     html_text = render_dashboard(
         entries,
-        gate_report=gate_report,
         title=args.title,
         metrics=args.metrics or None,
         max_points=args.max_points,
         flamegraph_svg=flamegraph_svg,
     )
     Path(args.out).write_text(html_text, encoding="utf-8")
-    print(
-        f"dashboard written to {args.out} "
-        f"({len(entries)} entries{', with gate verdicts' if gate_report else ''})"
-    )
+    print(f"dashboard written to {args.out} ({len(entries)} entries)")
     return 0
 
 
@@ -1124,7 +1054,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_obs = sub.add_parser(
         "obs",
-        help="performance observability: run ledger, regression gate, "
+        help="performance observability: pinned suite, run ledger, "
         "dashboard",
     )
     obs_sub = p_obs.add_subparsers(dest="obs_command", required=True)
@@ -1144,107 +1074,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="suite summary output (default: BENCH_core.json)",
     )
-    p_bench.add_argument(
-        "--baseline-out",
-        default=None,
-        metavar="FILE",
-        help="also pin the fresh results as a gate baseline",
-    )
     p_bench.set_defaults(func=cmd_obs_bench)
-
-    def _add_gate_args(p, *, verbose_default: bool = False) -> None:
-        p.add_argument(
-            "--ledger",
-            default="obs-ledger.jsonl",
-            metavar="FILE",
-            help="run ledger holding the current samples "
-            "(default: obs-ledger.jsonl)",
-        )
-        p.add_argument(
-            "--baseline",
-            required=True,
-            metavar="FILE",
-            help="pinned baseline (from 'obs bench --baseline-out' or "
-            "'obs pin')",
-        )
-        p.add_argument(
-            "--rules",
-            default=None,
-            metavar="FILE",
-            help="JSON per-metric direction/threshold rules "
-            "(default: built-in rule set)",
-        )
-        p.add_argument(
-            "--last",
-            type=int,
-            default=1,
-            metavar="N",
-            help="most recent ledger entries per run name to judge "
-            "(default: 1)",
-        )
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=0,
-            help="bootstrap resampling seed (default: 0)",
-        )
-        p.add_argument(
-            "--json",
-            default=None,
-            metavar="FILE",
-            help="also write the verdicts as JSON",
-        )
-        p.add_argument(
-            "--verbose",
-            action="store_true",
-            default=verbose_default,
-            help="show ok/info verdicts too, not just flagged ones",
-        )
-
-    p_compare = obs_sub.add_parser(
-        "compare",
-        help="compare latest ledger entries against a baseline (always "
-        "exits 0; the reporting twin of 'gate')",
-    )
-    _add_gate_args(p_compare, verbose_default=True)
-    p_compare.set_defaults(func=cmd_obs_compare)
-
-    p_gate = obs_sub.add_parser(
-        "gate",
-        help="statistical regression gate: exit 1 when any metric's "
-        "confidence interval clears its guard band in the bad direction",
-    )
-    _add_gate_args(p_gate)
-    p_gate.add_argument(
-        "--report-only",
-        action="store_true",
-        help="report regressions but exit 0 (CI advisory mode)",
-    )
-    p_gate.set_defaults(func=cmd_obs_gate)
-
-    p_pin = obs_sub.add_parser(
-        "pin", help="pin the ledger's latest samples as a gate baseline"
-    )
-    p_pin.add_argument(
-        "--ledger",
-        default="obs-ledger.jsonl",
-        metavar="FILE",
-        help="run ledger to read (default: obs-ledger.jsonl)",
-    )
-    p_pin.add_argument(
-        "--out",
-        default="benchmarks/obs_baseline.json",
-        metavar="FILE",
-        help="baseline file to write (default: benchmarks/obs_baseline.json)",
-    )
-    p_pin.add_argument(
-        "--last",
-        type=int,
-        default=1,
-        metavar="N",
-        help="most recent entries per run name to pin (default: 1)",
-    )
-    p_pin.set_defaults(func=cmd_obs_pin)
 
     p_dash = obs_sub.add_parser(
         "dashboard",
@@ -1261,22 +1091,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="obs-dashboard.html",
         metavar="FILE",
         help="output HTML file (default: obs-dashboard.html)",
-    )
-    p_dash.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="include gate verdicts against this baseline",
-    )
-    p_dash.add_argument(
-        "--last",
-        type=int,
-        default=1,
-        metavar="N",
-        help="entries per name judged by the gate section (default: 1)",
-    )
-    p_dash.add_argument(
-        "--seed", type=int, default=0, help="bootstrap seed (default: 0)"
     )
     p_dash.add_argument(
         "--metrics",

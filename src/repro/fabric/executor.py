@@ -127,22 +127,6 @@ class FabricStats:
         registry.gauge(f"{prefix}.events_dropped", lambda: self.events_dropped)
         registry.gauge(f"{prefix}.utilization", lambda: self.utilization)
 
-    def as_dict(self) -> dict:
-        return {
-            "n_workers": self.n_workers,
-            "jobs_total": self.jobs_total,
-            "jobs_completed": self.jobs_completed,
-            "jobs_failed": self.jobs_failed,
-            "jobs_stolen": self.jobs_stolen,
-            "retries": self.retries,
-            "releases": self.releases,
-            "respawns": self.respawns,
-            "events_dropped": self.events_dropped,
-            "queue_depth": self.queue_depth,
-            "utilization": self.utilization,
-            "wall_s": self.wall_s,
-        }
-
 
 @dataclass
 class FabricOutcome:

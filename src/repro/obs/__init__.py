@@ -1,9 +1,9 @@
 """Continuous performance observability.
 
 The longitudinal layer over the simulator's per-run telemetry: a durable
-:class:`RunLedger` of fingerprinted metric snapshots, a statistical
-regression gate over it, span-level trace diffing, live progress
-reporters, the pinned core benchmark suite, and the offline HTML
+:class:`RunLedger` of fingerprinted metric snapshots, span-level trace
+diffing, live progress reporters, the pinned core benchmark suite (whose
+``BENCH_core.json`` is checked by byte equality), and the offline HTML
 dashboard. Everything here is *reporting-side* — attaching any of it to
 a run must not change the run's :class:`~repro.sim.metrics.SimResult`.
 """
@@ -17,19 +17,6 @@ from repro.obs.benchsuite import (
     write_bench_json,
 )
 from repro.obs.dashboard import render_dashboard
-from repro.obs.gate import (
-    DEFAULT_RULES,
-    GateReport,
-    GateRule,
-    MetricVerdict,
-    bootstrap_rel_delta,
-    compare_samples,
-    load_baseline,
-    load_rules,
-    rule_for,
-    samples_from_entries,
-    write_baseline,
-)
 from repro.obs.ledger import (
     KIND_BENCH,
     KIND_RUN,
@@ -56,15 +43,11 @@ from repro.obs.tracediff import (
 
 __all__ = [
     "CORE_SUITE",
-    "DEFAULT_RULES",
-    "GateReport",
-    "GateRule",
     "KIND_BENCH",
     "KIND_RUN",
     "KIND_SWEEP",
     "LEDGER_SCHEMA",
     "LedgerEntry",
-    "MetricVerdict",
     "RunLedger",
     "RunProgress",
     "SpanDelta",
@@ -72,9 +55,7 @@ __all__ = [
     "SuiteOutcome",
     "SweepProgress",
     "TraceDiff",
-    "bootstrap_rel_delta",
     "cell_name",
-    "compare_samples",
     "config_hash",
     "core_config",
     "diff_traces",
@@ -82,15 +63,10 @@ __all__ = [
     "environment_fingerprint",
     "format_trace_diff",
     "git_revision",
-    "load_baseline",
-    "load_rules",
     "merge_ledgers",
     "metric_series",
     "render_dashboard",
-    "rule_for",
     "run_core_suite",
-    "samples_from_entries",
     "span_stats",
-    "write_baseline",
     "write_bench_json",
 ]

@@ -7,26 +7,20 @@ becomes a ``kind="bench"`` ledger entry named ``core/<workload>/<scheme>``,
 and the whole suite is summarised into a repo-root ``BENCH_core.json``
 so the latest numbers are diffable in review without opening the ledger.
 
-The simulation metrics are deterministic per seed, which is what makes a
-*committed* baseline meaningful: any metric drift on an unchanged
-configuration is a code change, not noise (only ``wall_time_s`` is
-host-dependent, and the gate gives it a wide guard band).
+The simulation metrics are deterministic per seed, which is what makes
+the *committed* ``BENCH_core.json`` an exact check: any metric
+drift on an unchanged configuration is a code change, not noise. The
+host-dependent metrics (wall time, throughput, sampled shares, memory)
+stay in the ledger and out of that file.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
-from repro.obs.gate import samples_from_entries, write_baseline
-from repro.obs.ledger import (
-    KIND_BENCH,
-    LedgerEntry,
-    RunLedger,
-    environment_fingerprint,
-)
+from repro.obs.ledger import KIND_BENCH, LedgerEntry, RunLedger
 from repro.sim.config import SystemConfig
 from repro.sim.runner import run_workload
 from repro.sim.schemes import Scheme
@@ -36,8 +30,8 @@ from repro.utils.persist import save_json
 BENCH_SCHEMA = 1
 SUITE_NAME = "core"
 
-#: The pinned cells. Keep this list stable — the committed baseline and
-#: BENCH_core.json are both keyed by these names.
+#: The pinned cells. Keep this list stable — BENCH_core.json and the
+#: ledger history are both keyed by these names.
 CORE_SUITE: Tuple[Tuple[str, Scheme], ...] = (
     ("hmmer", Scheme.STATIC_7),
     ("hmmer", Scheme.RRM),
@@ -79,14 +73,12 @@ class SuiteOutcome:
     entries: List[LedgerEntry]
     ledger_path: Optional[Path] = None
     bench_json_path: Optional[Path] = None
-    baseline_path: Optional[Path] = None
 
 
 def run_core_suite(
     *,
     ledger_path=None,
     bench_json_path=None,
-    baseline_out=None,
     progress: Optional[Callable[[str], None]] = None,
     runner: Callable[..., object] = run_workload,
 ) -> SuiteOutcome:
@@ -95,7 +87,6 @@ def run_core_suite(
     Args:
         ledger_path: append each cell to this run ledger.
         bench_json_path: write the suite summary (``BENCH_core.json``).
-        baseline_out: also pin the fresh results as a gate baseline.
         progress: optional per-cell status callback (the CLI prints it).
         runner: the cell executor, injectable so tests can fake the
             ~1 s/cell simulation.
@@ -124,12 +115,6 @@ def run_core_suite(
     )
     if bench_json_path:
         outcome.bench_json_path = write_bench_json(bench_json_path, entries)
-    if baseline_out:
-        outcome.baseline_path = write_baseline(
-            baseline_out,
-            samples_from_entries(entries),
-            fingerprint=environment_fingerprint(config),
-        )
     return outcome
 
 

@@ -1,16 +1,16 @@
-"""Offline HTML dashboard: metric trends and gate verdicts, one file.
+"""Offline HTML dashboard: metric trends and run anatomy, one file.
 
-:func:`render_dashboard` turns ledger entries (and optionally a gate
-report) into a **self-contained** HTML page — inline CSS, inline SVG
-sparklines, zero external requests — so it can be archived as a CI
-artifact and opened anywhere, including air-gapped review machines.
+:func:`render_dashboard` turns ledger entries into a **self-contained**
+HTML page — inline CSS, inline SVG sparklines, zero external requests —
+so it can be archived as a CI artifact and opened anywhere, including
+air-gapped review machines.
 
 Visual conventions follow the repo's chart rules: single-series
 sparklines in the series-1 blue (no legend needed for one series),
 recessive chrome, dark mode as a *selected* palette via
-``prefers-color-scheme`` rather than an automatic inversion, and status
-colors that never carry meaning alone — every verdict chip pairs its
-color with the verdict word.
+``prefers-color-scheme`` rather than an automatic inversion, and class
+colors that never carry meaning alone — every legend chip pairs its
+color with its class word.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ DEFAULT_DASHBOARD_METRICS = (
     "attr_read_refresh_share",
 )
 
-#: Blocker-class palette for the attribution bars (fixed, never themed,
-#: like the verdict chips). Order is render order within each bar; every
-#: color is paired with its class word in the legend.
+#: Blocker-class palette for the attribution bars (fixed, never themed).
+#: Order is render order within each bar; every color is paired with its
+#: class word in the legend.
 _BLAME_CLASSES = (
     ("read", "#2a78d6"),
     ("write_fast", "#0ca30c"),
@@ -51,18 +51,6 @@ _BLAME_CLASSES = (
 
 _BANK_BLAME_RE = re.compile(r"attr_bank(\d+)_blame_([a-z_]+)$")
 
-#: Status palette (fixed, never themed) + verdict word pairing. The word
-#: is rendered next to the chip, so color never carries meaning alone.
-_VERDICT_STATUS = {
-    "regression": ("#d03b3b", "regression"),
-    "missing": ("#ec835a", "missing"),
-    "incomparable": ("#ec835a", "incomparable"),
-    "new": ("#fab219", "new"),
-    "improvement": ("#0ca30c", "improvement"),
-    "ok": ("#0ca30c", "ok"),
-    "info": ("#898781", "info"),
-}
-
 _CSS = """
 :root {
   color-scheme: light;
@@ -71,7 +59,6 @@ _CSS = """
   --text-primary: #0b0b0b;
   --text-secondary: #52514e;
   --muted: #898781;
-  --grid: #e1e0d9;
   --baseline: #c3c2b7;
   --series-1: #2a78d6;
   --border: rgba(11, 11, 11, 0.10);
@@ -84,7 +71,6 @@ _CSS = """
     --text-primary: #ffffff;
     --text-secondary: #c3c2b7;
     --muted: #898781;
-    --grid: #2c2c2a;
     --baseline: #383835;
     --series-1: #3987e5;
     --border: rgba(255, 255, 255, 0.10);
@@ -101,27 +87,12 @@ body {
 h1 { font-size: 20px; margin: 0 0 4px; }
 h2 { font-size: 15px; margin: 28px 0 10px; }
 .meta { color: var(--text-secondary); margin-bottom: 18px; }
-.tiles { display: flex; flex-wrap: wrap; gap: 10px; margin-bottom: 14px; }
-.tile {
-  background: var(--surface-1);
-  border: 1px solid var(--border);
-  border-radius: 8px;
-  padding: 10px 14px;
-  min-width: 110px;
-}
-.tile .n { font-size: 22px; }
-.tile .k { color: var(--text-secondary); font-size: 12px; }
 .chip {
   display: inline-block;
   width: 9px; height: 9px;
   border-radius: 50%;
   margin-right: 6px;
 }
-table { border-collapse: collapse; width: 100%; background: var(--surface-1);
-  border: 1px solid var(--border); border-radius: 8px; }
-th, td { text-align: left; padding: 6px 10px; border-top: 1px solid var(--grid); }
-th { color: var(--text-secondary); font-weight: 600; border-top: none; }
-td.num { font-variant-numeric: tabular-nums; }
 .cards { display: grid; grid-template-columns: repeat(auto-fill, minmax(250px, 1fr));
   gap: 10px; }
 .card {
@@ -189,62 +160,6 @@ def _pick_metrics(
     if picked:
         return picked
     return sorted(available)[:8]
-
-
-def _verdict_chip(verdict: str) -> str:
-    color, word = _VERDICT_STATUS.get(verdict, ("#898781", verdict))
-    return (
-        f'<span class="chip" style="background:{color}"></span>'
-        f"{html.escape(word)}"
-    )
-
-
-def _gate_section(gate_report) -> List[str]:
-    out = ['<h2>Gate verdicts</h2>', '<div class="tiles">']
-    counts = gate_report.counts
-    for verdict, n in sorted(
-        counts.items(), key=lambda kv: (-kv[1], kv[0])
-    ):
-        out.append(
-            f'<div class="tile"><div class="n">{n}</div>'
-            f'<div class="k">{_verdict_chip(verdict)}</div></div>'
-        )
-    if not counts:
-        out.append('<div class="tile"><div class="k">nothing compared</div></div>')
-    out.append("</div>")
-
-    flagged = [
-        v for v in gate_report.verdicts if v.verdict not in ("ok", "info")
-    ]
-    if flagged:
-        out.append(
-            "<table><tr><th>verdict</th><th>run</th><th>metric</th>"
-            "<th>baseline</th><th>current</th><th>delta</th></tr>"
-        )
-        for v in flagged:
-            delta = f"{v.delta:+.2%}" if v.delta is not None else "-"
-            base = (
-                _fmt_value(v.baseline_mean)
-                if v.baseline_mean is not None
-                else "-"
-            )
-            cur = (
-                _fmt_value(v.current_mean)
-                if v.current_mean is not None
-                else "-"
-            )
-            out.append(
-                f"<tr><td>{_verdict_chip(v.verdict)}</td>"
-                f"<td>{html.escape(v.name)}</td>"
-                f"<td>{html.escape(v.metric)}</td>"
-                f'<td class="num">{base}</td>'
-                f'<td class="num">{cur}</td>'
-                f'<td class="num">{delta}</td></tr>'
-            )
-        out.append("</table>")
-    else:
-        out.append('<p class="empty">No verdicts outside the guard bands.</p>')
-    return out
 
 
 def _bank_blame(entry: LedgerEntry) -> Dict[int, Dict[str, float]]:
@@ -491,13 +406,12 @@ def _trend_sections(
 def render_dashboard(
     entries: Sequence[LedgerEntry],
     *,
-    gate_report=None,
     title: str = "repro-rrm performance observability",
     metrics: Optional[Sequence[str]] = None,
     max_points: int = 60,
     flamegraph_svg: Optional[str] = None,
 ) -> str:
-    """Render ledger *entries* (plus an optional gate report) to HTML.
+    """Render ledger *entries* to HTML.
 
     The returned string is a complete document with no external
     references. *metrics* restricts the plotted metric set;
@@ -522,8 +436,6 @@ def render_dashboard(
         f"<h1>{html.escape(title)}</h1>",
         f'<div class="meta">{" &middot; ".join(meta_bits)}</div>',
     ]
-    if gate_report is not None:
-        body.extend(_gate_section(gate_report))
     if grouped:
         body.extend(_throughput_section(list(entries), max_points))
         body.extend(_profile_sections(grouped))

@@ -1,4 +1,4 @@
-"""Append-only run ledger: the longitudinal record behind every gate.
+"""Append-only run ledger: the longitudinal record behind the dashboard.
 
 One :class:`LedgerEntry` per finished run / sweep cell / benchmark, one
 JSON line per entry, appended in completion order. Each entry carries a
@@ -147,10 +147,11 @@ class LedgerEntry:
         Metrics are the numeric fields of ``result.as_dict()`` plus
         ``wall_time_s``, the deterministic engine event count
         (``sim_events``) and the host-dependent simulator throughput
-        (``sim_events_per_sec``, gated report-only); runs with latency
-        attribution enabled also contribute their flat ``attr_*``
-        metrics (refresh-interference share and friends), making them
-        gateable like any other number; host-profiled runs contribute
+        (``sim_events_per_sec``); runs with latency attribution enabled
+        also contribute their flat ``attr_*`` metrics
+        (refresh-interference share and friends), which the pinned suite
+        records in ``BENCH_core.json`` like any other deterministic
+        number; host-profiled runs contribute
         ``prof_*``/``mem_*`` the same way. *extra_metrics* (e.g. a
         registry snapshot's numeric values) are merged on top.
         """
@@ -176,8 +177,9 @@ class LedgerEntry:
                     if isinstance(v, (int, float)) and not isinstance(v, bool)
                 }
             )
-        # Host-profile metrics (prof_* / mem_*) ride the same way: flat,
-        # numeric, and judged only by report-only gate rules.
+        # Host-profile metrics (prof_* / mem_*) ride the same way: flat
+        # and numeric; only the deterministic prof_dispatch_* counts
+        # reach BENCH_core.json.
         profile = getattr(result, "profile", None)
         if profile:
             metrics.update(
@@ -307,7 +309,7 @@ def merge_ledgers(
 
 
 # ----------------------------------------------------------------------
-# Read-side helpers (gate and dashboard both consume these)
+# Read-side helpers (the dashboard consumes these)
 # ----------------------------------------------------------------------
 def entries_by_name(
     entries: List[LedgerEntry],

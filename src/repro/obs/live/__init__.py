@@ -1,7 +1,7 @@
 """Live operational observability for a running fleet.
 
 Everything under ``repro.obs.live`` watches the system *while it runs*,
-in contrast to the post-hoc ledger/gate/dashboard layers:
+in contrast to the post-hoc ledger/dashboard layers:
 
 - :mod:`~repro.obs.live.exposition` — Prometheus-style text rendering of
   a :class:`~repro.telemetry.registry.MetricRegistry` (``sweep

@@ -135,12 +135,6 @@ class FleetStatus:
             self._workers[worker] = dict(args)
             self._last_seen[worker] = self._clock()
 
-    def forget(self, worker: int) -> None:
-        """Drop a worker entirely (e.g. a respawned slot's old pid)."""
-        with self._lock:
-            self._workers.pop(worker, None)
-            self._last_seen.pop(worker, None)
-
     def mark_done(self, worker: int) -> None:
         """Flag a cleanly-exited worker: kept in the table (its totals
         still count) but never reported stale."""

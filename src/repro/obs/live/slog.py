@@ -27,7 +27,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, Optional
 
-__all__ = ["StructuredLogger", "parse_log_line"]
+__all__ = ["StructuredLogger"]
 
 
 class _LogSink:
@@ -132,19 +132,3 @@ class StructuredLogger:
     def warn(self, name: str, **fields: Any) -> dict:
         return self.event(name, level="warn", **fields)
 
-
-def parse_log_line(line: str) -> Optional[dict]:
-    """Parse one JSONL log line; ``None`` for non-JSON lines.
-
-    Tolerant by design: log streams get interleaved with foreign output
-    (progress lines, tracebacks), and a reader that crashes on those is
-    worse than one that skips them.
-    """
-    line = line.strip()
-    if not line.startswith("{"):
-        return None
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError:
-        return None
-    return record if isinstance(record, dict) else None

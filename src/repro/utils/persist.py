@@ -1,9 +1,9 @@
 """Atomic file persistence helpers.
 
-Durable artifacts (ledgers, gate baselines, bench pins, journals' full
-rewrites) must never be observable half-written: a worker killed
-mid-``write()`` would otherwise leave a torn JSON file that a resumed
-sweep either crashes on or — worse — silently trusts. The sanctioned
+Durable artifacts (ledgers, bench pins, journals' full rewrites) must
+never be observable half-written: a worker killed mid-``write()``
+would otherwise leave a torn JSON file that a resumed sweep either
+crashes on or — worse — silently trusts. The sanctioned
 pattern is write-to-temp-then-``os.replace``: the rename is atomic on
 POSIX, so readers see the old complete file or the new complete file,
 never a mixture. RL008 (atomic-persistence) lints the orchestration

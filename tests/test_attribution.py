@@ -1,5 +1,5 @@
 """Latency anatomy (repro.attribution): conservation, bit-identity,
-blame aggregation, CLI surfaces, ledger/gate/dashboard wiring.
+blame aggregation, CLI surfaces, ledger/dashboard wiring.
 
 The two tests that define the subsystem:
 
@@ -33,7 +33,6 @@ from repro.cli import main
 from repro.errors import ConfigError
 from repro.memctrl.request import MemRequest, RequestType
 from repro.obs.dashboard import render_dashboard
-from repro.obs.gate import DEFAULT_RULES, rule_for
 from repro.obs.ledger import LedgerEntry
 from repro.sim.config import SystemConfig
 from repro.sim.runner import run_workload
@@ -217,7 +216,7 @@ class TestInterference:
 
 
 # ======================================================================
-# Ledger / gate / dashboard wiring
+# Ledger / dashboard wiring
 # ======================================================================
 class TestObservabilityWiring:
     def test_ledger_entry_merges_attr_metrics(self, rrm_attr):
@@ -228,17 +227,6 @@ class TestObservabilityWiring:
         assert any(k.startswith("attr_bank") for k in entry.metrics)
         # plain simulation metrics are still present and unchanged
         assert entry.metrics["ipc"] == result.ipc
-
-    def test_gate_rules_precede_refresh_pattern(self):
-        share_rule = rule_for("attr_read_refresh_share", DEFAULT_RULES)
-        assert share_rule is not None
-        assert share_rule.metric == "attr_read_refresh_share"
-        assert share_rule.direction == "down"
-        conservation_rule = rule_for(
-            "attr_max_conservation_error_ns", DEFAULT_RULES
-        )
-        assert conservation_rule is not None
-        assert conservation_rule.threshold == 0.0
 
     def test_dashboard_renders_attribution_section(self, rrm_attr):
         result, _ = rrm_attr

@@ -17,7 +17,6 @@ from repro.errors import (
     LockTimeoutError,
 )
 from repro.fabric import Claim, FabricExecutor, FileLock, SharedJournal
-from repro.obs.gate import GateRule, compare_samples
 from repro.obs.ledger import KIND_SWEEP, LedgerEntry, RunLedger, merge_ledgers
 from repro.obs.progress import SweepProgress, _LineWriter
 from repro.resilience import FaultPlan, ResultJournal, RetryPolicy
@@ -342,7 +341,6 @@ class TestFabricExecutor:
         # A healthy run drops no worker events, and the counter is part
         # of the stats surface so a sick event channel is visible.
         assert stats.events_dropped == 0
-        assert stats.as_dict()["events_dropped"] == 0
 
     def test_crash_injection_recovers(self, tmp_path):
         plan = FaultPlan.parse(["crash:0:1"])
@@ -522,37 +520,6 @@ class TestLedgerSatellites:
         legacy = result.to_json_dict()
         legacy.pop("sim_events")
         assert SimResult.from_json_dict(legacy).sim_events == 0
-
-
-# ----------------------------------------------------------------------
-# Advisory gate rules
-# ----------------------------------------------------------------------
-class TestAdvisoryGate:
-    def test_report_only_regression_is_advisory_and_exits_zero(self):
-        rules = [
-            GateRule("sim_events_per_sec", "up", 0.5, report_only=True),
-            GateRule("ipc", "up", 0.01),
-        ]
-        baseline = {"cell": {"sim_events_per_sec": [1000.0], "ipc": [1.0]}}
-        current = {"cell": {"sim_events_per_sec": [100.0], "ipc": [1.0]}}
-        report = compare_samples(baseline, current, rules=rules)
-        assert [v.metric for v in report.advisories] == ["sim_events_per_sec"]
-        assert not report.regressions
-        assert report.exit_code() == 0
-        assert "ADVISORY" in report.format_text()
-
-    def test_hard_rule_still_gates(self):
-        rules = [GateRule("ipc", "up", 0.01)]
-        report = compare_samples(
-            {"cell": {"ipc": [1.0]}}, {"cell": {"ipc": [0.5]}}, rules=rules
-        )
-        assert report.exit_code() == 1
-
-    def test_default_rules_make_throughput_advisory(self):
-        baseline = {"cell": {"sim_events_per_sec": [1000.0]}}
-        current = {"cell": {"sim_events_per_sec": [100.0]}}
-        report = compare_samples(baseline, current)
-        assert report.advisories and report.exit_code() == 0
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """Tests for the performance-observability layer (repro.obs).
 
-Covers the run ledger (durability, fingerprinting), the statistical
-regression gate (rules, bootstrap, verdicts, the injected-slowdown
-acceptance case), trace diffing, the progress reporters (including the
-non-perturbation guarantee), the offline dashboard, the pinned core
-suite, and the ``repro-rrm obs`` CLI surface.
+Covers the run ledger (durability, fingerprinting), trace diffing, the
+progress reporters (including the non-perturbation guarantee), the
+offline dashboard, the pinned core suite, and the ``repro-rrm obs`` CLI
+surface.
 """
 
 from __future__ import annotations
@@ -18,29 +17,21 @@ from repro.cli import main
 from repro.errors import ConfigError, LedgerCorruptError
 from repro.obs import (
     CORE_SUITE,
-    GateRule,
     LedgerEntry,
     RunLedger,
     RunProgress,
     SweepProgress,
-    bootstrap_rel_delta,
     cell_name,
-    compare_samples,
     config_hash,
     diff_traces,
     entries_by_name,
     environment_fingerprint,
     format_trace_diff,
     git_revision,
-    load_baseline,
-    load_rules,
     metric_series,
     render_dashboard,
-    rule_for,
     run_core_suite,
-    samples_from_entries,
     span_stats,
-    write_baseline,
 )
 from repro.obs.progress import _format_count, _format_eta
 from repro.sim.config import SystemConfig
@@ -162,167 +153,6 @@ class TestFingerprint:
 
     def test_git_revision_unknown_outside_repo(self, tmp_path):
         assert git_revision(cwd=tmp_path) == "unknown"
-
-
-# ======================================================================
-# Gate: rules, statistics, verdicts
-# ======================================================================
-class TestGateRules:
-    def test_first_match_wins(self):
-        assert rule_for("ipc").direction == "up"
-        assert rule_for("refresh_writes").direction == "down"
-        assert rule_for("pcm.retention_violations").threshold == 0.0
-        assert rule_for("made_up_metric") is None
-
-    def test_invalid_rules_raise(self):
-        with pytest.raises(ConfigError):
-            GateRule("x", "sideways", 0.1)
-        with pytest.raises(ConfigError):
-            GateRule("x", "up", -0.1)
-
-    def test_load_rules_round_trip(self, tmp_path):
-        path = tmp_path / "rules.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "rules": [
-                        {"metric": "ipc", "direction": "up", "threshold": 0.02}
-                    ]
-                }
-            )
-        )
-        rules = load_rules(path)
-        assert rules[0].metric == "ipc" and rules[0].threshold == 0.02
-
-    def test_load_rules_errors(self, tmp_path):
-        with pytest.raises(ConfigError):
-            load_rules(tmp_path / "absent.json")
-        bad = tmp_path / "bad.json"
-        bad.write_text("{nope")
-        with pytest.raises(ConfigError):
-            load_rules(bad)
-        empty = tmp_path / "empty.json"
-        empty.write_text('{"rules": []}')
-        with pytest.raises(ConfigError):
-            load_rules(empty)
-        missing_key = tmp_path / "mk.json"
-        missing_key.write_text('{"rules": [{"metric": "ipc"}]}')
-        with pytest.raises(ConfigError):
-            load_rules(missing_key)
-
-
-class TestBootstrap:
-    def test_single_sample_collapses_to_point(self):
-        point, lo, hi = bootstrap_rel_delta([2.0], [3.0])
-        assert point == pytest.approx(0.5)
-        assert lo == hi == point
-
-    def test_deterministic_for_seed(self):
-        base = [1.0, 1.1, 0.9, 1.05]
-        cur = [1.2, 1.3, 1.25, 1.15]
-        assert bootstrap_rel_delta(base, cur, seed=7) == bootstrap_rel_delta(
-            base, cur, seed=7
-        )
-
-    def test_interval_brackets_point(self):
-        base = [1.0, 1.1, 0.9, 1.05, 0.95]
-        cur = [1.5, 1.6, 1.45, 1.55, 1.5]
-        point, lo, hi = bootstrap_rel_delta(base, cur, seed=1)
-        assert lo <= point <= hi
-        assert lo < hi  # repeated samples yield a real interval
-
-
-class TestCompare:
-    def test_identical_samples_all_ok(self):
-        samples = {"a": {"ipc": [2.0], "wall_time_s": [1.0]}}
-        report = compare_samples(samples, samples)
-        assert not report.regressions
-        assert report.exit_code() == 0
-        assert report.counts.get("ok") == 2
-
-    def test_injected_slowdown_flags_regression(self):
-        base = {"a": {"wall_time_s": [1.0], "ipc": [2.0]}}
-        cur = {"a": {"wall_time_s": [3.0], "ipc": [2.0]}}  # 3x slower
-        report = compare_samples(base, cur)
-        assert [v.metric for v in report.regressions] == ["wall_time_s"]
-        assert report.regressions[0].delta == pytest.approx(2.0)
-        assert report.exit_code() == 1
-        assert report.exit_code(report_only=True) == 0
-
-    def test_ipc_direction(self):
-        base = {"a": {"ipc": [2.0]}}
-        down = compare_samples(base, {"a": {"ipc": [1.8]}})
-        assert down.regressions and down.regressions[0].metric == "ipc"
-        up = compare_samples(base, {"a": {"ipc": [2.2]}})
-        assert up.improvements and not up.regressions
-
-    def test_within_guard_band_is_ok(self):
-        base = {"a": {"wall_time_s": [1.0]}}
-        report = compare_samples(base, {"a": {"wall_time_s": [1.3]}})
-        assert not report.regressions  # +30% inside the 50% band
-
-    def test_zero_baseline_growth_regresses_down_metrics(self):
-        base = {"a": {"retention_violations": [0.0]}}
-        grown = compare_samples(base, {"a": {"retention_violations": [2.0]}})
-        assert grown.regressions
-        still_zero = compare_samples(
-            base, {"a": {"retention_violations": [0.0]}}
-        )
-        assert not still_zero.regressions
-
-    def test_missing_and_new_names(self):
-        report = compare_samples(
-            {"gone": {"ipc": [1.0]}}, {"fresh": {"ipc": [1.0]}}
-        )
-        verdicts = {(v.name, v.verdict) for v in report.verdicts}
-        assert ("gone", "missing") in verdicts
-        assert ("fresh", "new") in verdicts
-
-    def test_unruled_metric_is_info_only(self):
-        base = {"a": {"mystery": [1.0]}}
-        report = compare_samples(base, {"a": {"mystery": [100.0]}})
-        assert report.by_verdict("info") and not report.regressions
-
-    def test_format_text_mentions_flags_and_summary(self):
-        report = compare_samples(
-            {"a": {"wall_time_s": [1.0]}}, {"a": {"wall_time_s": [3.0]}}
-        )
-        text = report.format_text()
-        assert "REGRESSION" in text and "wall_time_s" in text
-        assert text.splitlines()[-1].startswith("gate:")
-
-    def test_samples_from_entries_last_n(self):
-        entries = [_entry(ipc=v) for v in (1.0, 2.0, 3.0)]
-        assert samples_from_entries(entries)["core/hmmer/RRM"]["ipc"] == [
-            1.0,
-            2.0,
-            3.0,
-        ]
-        assert samples_from_entries(entries, last_n=1)["core/hmmer/RRM"][
-            "ipc"
-        ] == [3.0]
-
-
-class TestBaselineFile:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "base.json"
-        samples = {"a": {"ipc": [1.5, 1.6]}}
-        write_baseline(path, samples, fingerprint={"git_sha": "abc"})
-        assert load_baseline(path) == samples
-        payload = json.loads(path.read_text())
-        assert payload["fingerprint"]["git_sha"] == "abc"
-
-    def test_load_errors(self, tmp_path):
-        with pytest.raises(ConfigError):
-            load_baseline(tmp_path / "absent.json")
-        bad = tmp_path / "bad.json"
-        bad.write_text("{nope")
-        with pytest.raises(ConfigError):
-            load_baseline(bad)
-        no_samples = tmp_path / "ns.json"
-        no_samples.write_text('{"schema": 1}')
-        with pytest.raises(ConfigError):
-            load_baseline(no_samples)
 
 
 # ======================================================================
@@ -461,19 +291,14 @@ class TestSweepProgress:
 # Dashboard
 # ======================================================================
 class TestDashboard:
-    def test_self_contained_with_sparklines_and_verdicts(self):
+    def test_self_contained_with_sparklines(self):
         entries = [
             _entry(ipc=v, wall_time_s=1.0 + 0.1 * i)
             for i, v in enumerate((1.0, 1.2, 1.1))
         ]
-        report = compare_samples(
-            {"core/hmmer/RRM": {"ipc": [2.0]}},
-            samples_from_entries(entries, last_n=1),
-        )
-        html_text = render_dashboard(entries, gate_report=report)
+        html_text = render_dashboard(entries)
         assert html_text.startswith("<!DOCTYPE html>")
         assert "<svg" in html_text
-        assert "regression" in html_text
         assert "http" not in html_text  # no external references
         assert "prefers-color-scheme" in html_text
 
@@ -511,11 +336,9 @@ class TestBenchSuite:
     def test_suite_records_everywhere(self, tmp_path):
         ledger_path = tmp_path / "led.jsonl"
         bench_json = tmp_path / "BENCH_core.json"
-        baseline = tmp_path / "base.json"
         outcome = run_core_suite(
             ledger_path=ledger_path,
             bench_json_path=bench_json,
-            baseline_out=baseline,
             runner=lambda config, w, s, **kw: _FakeResult(w, s),
         )
         assert len(outcome.entries) == len(CORE_SUITE)
@@ -532,11 +355,6 @@ class TestBenchSuite:
         assert all(
             "wall_time_s" not in r["metrics"] for r in payload["results"]
         )
-        # The pinned baseline gates green against the same results.
-        report = compare_samples(
-            load_baseline(baseline), samples_from_entries(entries)
-        )
-        assert not report.regressions
 
     def test_progress_callback_fires_per_cell(self, tmp_path):
         seen = []
@@ -551,108 +369,52 @@ class TestBenchSuite:
 # CLI integration
 # ======================================================================
 class TestObsCLI:
-    def test_bench_gate_tamper_dashboard_flow(self, capsys, tmp_path):
-        """The acceptance path: bench -> green gate -> injected 3x
-        slowdown flags -> dashboard renders offline."""
+    def test_bench_dashboard_flow(self, capsys, tmp_path):
+        """The acceptance path: bench records the suite, the dashboard
+        renders it offline."""
         ledger = tmp_path / "led.jsonl"
         bench_json = tmp_path / "BENCH_core.json"
-        baseline = tmp_path / "base.json"
         code = main(
             ["obs", "bench", "--ledger", str(ledger),
-             "--bench-json", str(bench_json), "--baseline-out", str(baseline)]
+             "--bench-json", str(bench_json)]
         )
         assert code == 0
         assert bench_json.exists()
-        capsys.readouterr()
-
-        # Identical re-read gates green.
-        assert main(
-            ["obs", "gate", "--ledger", str(ledger),
-             "--baseline", str(baseline)]
-        ) == 0
-        capsys.readouterr()
-
-        # Inject a ~3x slowdown and the gate flags it...
-        entries = RunLedger.load(ledger)
-        slow = RunLedger(tmp_path / "slow.jsonl")
-        for e in entries:
-            m = dict(e.metrics)
-            m["wall_time_s"] *= 3.0
-            slow.append(LedgerEntry(kind=e.kind, name=e.name, metrics=m))
-        assert main(
-            ["obs", "gate", "--ledger", str(slow.path),
-             "--baseline", str(baseline)]
-        ) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-        # ...unless running report-only.
-        assert main(
-            ["obs", "gate", "--ledger", str(slow.path),
-             "--baseline", str(baseline), "--report-only"]
-        ) == 0
+        assert len(RunLedger.load(ledger)) == len(CORE_SUITE)
         capsys.readouterr()
 
         out_html = tmp_path / "dash.html"
         assert main(
             ["obs", "dashboard", "--ledger", str(ledger),
-             "--baseline", str(baseline), "--out", str(out_html)]
+             "--out", str(out_html)]
         ) == 0
         html_text = out_html.read_text()
         assert "<svg" in html_text and "http" not in html_text
 
-    def test_compare_always_exits_zero(self, capsys, tmp_path):
-        ledger = RunLedger(tmp_path / "led.jsonl")
-        ledger.append(_entry(wall_time_s=9.0))
-        baseline = tmp_path / "base.json"
-        write_baseline(baseline, {"core/hmmer/RRM": {"wall_time_s": [1.0]}})
+    def test_dashboard_missing_ledger_exit_2(self, capsys, tmp_path):
+        out_html = tmp_path / "dash.html"
         assert main(
-            ["obs", "compare", "--ledger", str(ledger.path),
-             "--baseline", str(baseline)]
-        ) == 0
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_gate_json_output(self, capsys, tmp_path):
-        ledger = RunLedger(tmp_path / "led.jsonl")
-        ledger.append(_entry(ipc=1.0))
-        baseline = tmp_path / "base.json"
-        write_baseline(baseline, {"core/hmmer/RRM": {"ipc": [1.0]}})
-        verdicts = tmp_path / "verdicts.json"
-        assert main(
-            ["obs", "gate", "--ledger", str(ledger.path),
-             "--baseline", str(baseline), "--json", str(verdicts)]
-        ) == 0
-        payload = json.loads(verdicts.read_text())
-        assert payload["counts"].get("ok") == 1
-
-    def test_gate_missing_inputs_exit_2(self, capsys, tmp_path):
-        baseline = tmp_path / "base.json"
-        write_baseline(baseline, {"a": {"ipc": [1.0]}})
-        assert main(
-            ["obs", "gate", "--ledger", str(tmp_path / "absent.jsonl"),
-             "--baseline", str(baseline)]
+            ["obs", "dashboard", "--ledger", str(tmp_path / "absent.jsonl"),
+             "--out", str(out_html)]
         ) == 2
-        assert main(
-            ["obs", "gate", "--ledger", str(tmp_path / "absent.jsonl"),
-             "--baseline", str(tmp_path / "nobase.json")]
-        ) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and len(err.splitlines()) == 1
+        assert "absent.jsonl" in err
+        assert not out_html.exists()
 
-    def test_pin_from_ledger(self, capsys, tmp_path):
-        ledger = RunLedger(tmp_path / "led.jsonl")
-        ledger.append(_entry(ipc=1.0))
-        ledger.append(_entry(ipc=2.0))
-        out = tmp_path / "pinned.json"
-        assert main(
-            ["obs", "pin", "--ledger", str(ledger.path), "--out", str(out)]
-        ) == 0
-        assert load_baseline(out) == {"core/hmmer/RRM": {"ipc": [2.0]}}
-
-    def test_pin_empty_ledger_exit_2(self, capsys, tmp_path):
-        path = tmp_path / "led.jsonl"
-        path.write_text("")
-        assert main(
-            ["obs", "pin", "--ledger", str(path),
-             "--out", str(tmp_path / "o.json")]
-        ) == 2
+    def test_removed_gate_subcommands_are_usage_errors(self, capsys, tmp_path):
+        baseline = str(tmp_path / "b.json")
+        for argv in (
+            ["obs", "gate", "--baseline", baseline],
+            ["obs", "compare", "--baseline", baseline],
+            ["obs", "pin", "--out", baseline],
+            ["obs", "bench", "--baseline-out", baseline],
+            ["obs", "dashboard", "--baseline", baseline],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "usage:" in capsys.readouterr().err
 
     def test_run_with_ledger_and_progress(self, capsys, tmp_path):
         ledger = tmp_path / "led.jsonl"

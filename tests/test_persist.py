@@ -1,6 +1,6 @@
 """Tests for repro.utils.persist: the atomic write-then-rename helpers
 that back every durable artifact on the orchestration path (journals,
-ledgers, gate pins, sweep outputs)."""
+ledgers, bench pins, sweep outputs)."""
 
 import json
 import os
@@ -68,8 +68,8 @@ class TestSaveJson:
         assert json.loads(text) == {"b": 2, "a": [1, 2]}
 
     def test_matches_previous_bare_write_format(self, tmp_path):
-        # Byte-for-byte what obs.gate / obs.benchsuite wrote before they
-        # adopted the atomic helper, so pinned artifacts do not churn.
+        # Byte-for-byte what obs.benchsuite wrote before it adopted the
+        # atomic helper, so pinned artifacts do not churn.
         payload = {"schema": 1, "entries": []}
         target = tmp_path / "pin.json"
         save_json(target, payload)
