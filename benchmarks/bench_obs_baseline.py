@@ -3,8 +3,8 @@
 Not a paper figure — this bench is the *performance contract* of the
 repo itself. It runs the fixed ``repro.obs.benchsuite.CORE_SUITE``
 matrix (tiny config, seed 1), appends every cell to a run ledger, writes
-a fresh ``BENCH_core.json`` and requires its payload to equal the
-committed repo-root file exactly.
+a fresh ``BENCH_core.json`` and requires it to equal the committed
+repo-root file byte for byte.
 
 Because the simulation is deterministic per seed, any metric drift on an
 unchanged configuration is a code change. When a change is *intentional*
@@ -59,6 +59,18 @@ def payload_differences(expected: Dict, actual: Dict) -> List[str]:
     return diffs
 
 
+def byte_differences(expected: bytes, actual: bytes) -> List[str]:
+    """Why *actual* is not byte-identical to *expected*: the
+    :func:`payload_differences` lines, or one line naming a formatting
+    change when the payloads are equal (empty when the bytes are)."""
+    if expected == actual:
+        return []
+    return payload_differences(json.loads(expected), json.loads(actual)) or [
+        "payloads are equal but the bytes differ "
+        "(indentation, key order or number formatting)"
+    ]
+
+
 def run_suite(*, ledger_path=None, bench_json_path):
     """Run the pinned suite, writing the ledger and the summary."""
     return run_core_suite(
@@ -70,7 +82,8 @@ def run_suite(*, ledger_path=None, bench_json_path):
 
 def bench_obs_baseline(benchmark, tmp_path):
     """Pytest entry: the suite runs once, and its fresh BENCH_core.json
-    must equal the committed one (host-dependent metrics are not in it)."""
+    must equal the committed one byte for byte (host-dependent metrics
+    are not in it)."""
 
     state = {}
     fresh_path = tmp_path / "BENCH_core.json"
@@ -84,11 +97,11 @@ def bench_obs_baseline(benchmark, tmp_path):
     benchmark.pedantic(once, rounds=1, iterations=1)
     outcome = state["outcome"]
     assert len(outcome.entries) == 4
-    committed = _load(COMMITTED_BENCH_JSON)
-    fresh = _load(fresh_path)
-    assert fresh == committed, "BENCH_core.json drifted:\n" + "\n".join(
-        payload_differences(committed, fresh)
+    diffs = byte_differences(
+        COMMITTED_BENCH_JSON.read_bytes(), fresh_path.read_bytes()
     )
+    assert not diffs, "BENCH_core.json drifted:\n" + "\n".join(diffs)
+    fresh = _load(fresh_path)
     n_metrics = sum(len(cell["metrics"]) for cell in fresh["results"])
     lines = [
         f"{e.name:<32} ipc={e.metrics.get('ipc', 0.0):.4f}"
@@ -115,11 +128,11 @@ def main(argv=None) -> int:
         help="suite summary to write (default: repo-root BENCH_core.json)",
     )
     args = parser.parse_args(argv)
-    committed = _load(COMMITTED_BENCH_JSON)
+    committed = COMMITTED_BENCH_JSON.read_bytes()
     outcome = run_suite(ledger_path=args.ledger, bench_json_path=args.bench_json)
     for entry in outcome.entries:
         print(f"  {entry.name:<32} ipc={entry.metrics.get('ipc', 0.0):.4f}")
-    diffs = payload_differences(committed, _load(args.bench_json))
+    diffs = byte_differences(committed, Path(args.bench_json).read_bytes())
     for line in diffs:
         print(f"  drift: {line}")
     print(

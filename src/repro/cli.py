@@ -39,11 +39,10 @@ Examples::
     repro-rrm sweep --config tiny --jobs 4 --journal sweep.jsonl \\
         --metrics-out metrics.prom --flight-dir sweep.flight
 
-    # Hot-path microscope: where does the host time go?
-    repro-rrm profile run --config tiny --out prof.json --flamegraph prof.svg
+    # Exact counts: engine dispatches per owner, cProfile calls per function
+    repro-rrm profile run --config tiny --workload hmmer --out prof.json
     repro-rrm profile report prof.json
     repro-rrm profile diff before.json after.json --check
-    repro-rrm sweep --config tiny --jobs 4 --profile sweep-prof.json
 """
 
 from __future__ import annotations
@@ -76,7 +75,6 @@ from repro.obs import (
     render_dashboard,
     run_core_suite,
 )
-from repro.profiling import DEFAULT_DIFF_TOLERANCE
 from repro.resilience import FaultPlan, RetryPolicy
 from repro.pcm.write_modes import WriteModeTable
 from repro.sim.config import SystemConfig
@@ -285,7 +283,6 @@ def cmd_sweep(args) -> int:
         retry=RetryPolicy(max_retries=args.retries),
         journal_path=args.journal,
         ledger_path=args.ledger,
-        profile_path=args.profile,
         fault_plan=fault_plan,
         recorder_dir=flight_dir,
         on_event=reporter.on_event if reporter is not None else None,
@@ -318,12 +315,6 @@ def cmd_sweep(args) -> int:
             f"wall {stats.wall_s:.1f}s",
             file=sys.stderr,
         )
-    if args.profile and Path(args.profile).exists():
-        print(
-            f"merged worker profile written to {args.profile} "
-            "('repro-rrm profile report' renders it)",
-            file=sys.stderr,
-        )
     if args.metrics_out:
         from repro.obs.live.exposition import render_exposition
         from repro.telemetry import MetricRegistry
@@ -354,45 +345,32 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_profile_run(args) -> int:
-    """Profile one simulation: sampled stacks, deterministic event-cost
-    accounting, and a memory census. Profiling is observational — the
-    run's results are bit-identical to an unprofiled run; the profile
-    rides along as a side artifact.
+    """Count one simulation: the engine's dispatches per event owner, and
+    cProfile's calls per function of ``System.run``. Both repeat exactly
+    from run to run; the run's results are bit-identical to an
+    unprofiled run.
     """
-    from repro.profiling import Profile, format_profile, render_flamegraph
+    import platform
+
+    from repro.profiling import Profile, count_calls, format_profile
 
     config = _config_from_args(args)
     scheme = scheme_from_name(args.scheme)
-    telemetry = TelemetryConfig(
-        profile=True,
-        trace=False,
-        profile_interval_s=parse_duration(args.interval),
-    )
-    system = System(config, args.workload, scheme, telemetry=telemetry)
-    if args.tracemalloc:
-        import tracemalloc
-
-        tracemalloc.start()
-    try:
-        result = system.run()
-    finally:
-        if args.tracemalloc:
-            import tracemalloc
-
-            tracemalloc.stop()
+    result = System(
+        config,
+        args.workload,
+        scheme,
+        telemetry=TelemetryConfig(profile=True, trace=False),
+    ).run()
     prof = Profile.from_json_dict(result.profile or {})
+    # The calls come from a second, uninstrumented run of the same cell,
+    # so the dispatch accounting's own calls stay out of them.
+    _, prof.ncalls = count_calls(System(config, args.workload, scheme).run)
+    prof.meta.update(
+        config=args.config, seed=args.seed, python=platform.python_version()
+    )
     prof.save(args.out)
     print(f"profile written to {args.out}", file=sys.stderr)
-    if args.flamegraph:
-        Path(args.flamegraph).write_text(
-            render_flamegraph(prof), encoding="utf-8"
-        )
-        print(f"flamegraph written to {args.flamegraph}", file=sys.stderr)
-    if args.folded:
-        Path(args.folded).write_text(
-            prof.folded_text() + "\n", encoding="utf-8"
-        )
-        print(f"folded stacks written to {args.folded}", file=sys.stderr)
     if args.ledger:
         entry = LedgerEntry.from_result(result, config, kind=KIND_RUN)
         RunLedger(args.ledger).append(entry)
@@ -402,33 +380,22 @@ def cmd_profile_run(args) -> int:
 
 
 def cmd_profile_report(args) -> int:
-    """Render a saved profile artifact (text, flamegraph, folded)."""
-    from repro.profiling import format_profile, load_profile, render_flamegraph
+    """Render a saved profile artifact."""
+    from repro.profiling import format_profile, load_profile
 
-    prof = load_profile(args.file)
-    print(format_profile(prof, top=args.top))
-    if args.flamegraph:
-        Path(args.flamegraph).write_text(
-            render_flamegraph(prof), encoding="utf-8"
-        )
-        print(f"flamegraph written to {args.flamegraph}", file=sys.stderr)
-    if args.folded:
-        Path(args.folded).write_text(
-            prof.folded_text() + "\n", encoding="utf-8"
-        )
-        print(f"folded stacks written to {args.folded}", file=sys.stderr)
+    print(format_profile(load_profile(args.file), top=args.top))
     return 0
 
 
 def cmd_profile_diff(args) -> int:
-    """Compare two profile artifacts; --check turns drift into exit 1."""
+    """Compare two profile artifacts count by count; --check turns any
+    difference into exit 1."""
     from repro.profiling import diff_profiles, format_diff, load_profile
 
     before = load_profile(args.a)
     after = load_profile(args.b)
-    diff = diff_profiles(before, after)
-    print(format_diff(diff, tolerance=args.tolerance))
-    if args.check and not diff.within(args.tolerance):
+    print(format_diff(before, after))
+    if args.check and diff_profiles(before, after):
         return 1
     return 0
 
@@ -679,17 +646,11 @@ def cmd_obs_dashboard(args) -> int:
     except FileNotFoundError as exc:
         print(f"error: ledger not found: {exc.filename or exc}", file=sys.stderr)
         return 2
-    flamegraph_svg = None
-    if args.profile:
-        from repro.profiling import load_profile, render_flamegraph
-
-        flamegraph_svg = render_flamegraph(load_profile(args.profile))
     html_text = render_dashboard(
         entries,
         title=args.title,
         metrics=args.metrics or None,
         max_points=args.max_points,
-        flamegraph_svg=flamegraph_svg,
     )
     Path(args.out).write_text(html_text, encoding="utf-8")
     print(f"dashboard written to {args.out} ({len(entries)} entries)")
@@ -744,8 +705,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="shard the sweep across N worker processes on the "
         "work-stealing fabric; results are bit-identical to --jobs 1. "
-        "With --jobs 1 the sweep runs in-process unless --timeout, "
-        "--inject-faults or --profile asks for a worker "
+        "With --jobs 1 the sweep runs in-process unless --timeout "
+        "or --inject-faults asks for a worker "
         "(composes with --journal/--resume)",
     )
     p_sweep.add_argument("--output", default=None, help="JSON output path")
@@ -807,14 +768,6 @@ def build_parser() -> argparse.ArgumentParser:
         "counters and fleet aggregates after the sweep settles",
     )
     p_sweep.add_argument(
-        "--profile",
-        default=None,
-        metavar="FILE",
-        help="sample every fabric worker's stacks and write the merged "
-        "profile artifact here (runs the sweep on the fabric, one worker "
-        "with --jobs 1; observational — results stay bit-identical)",
-    )
-    p_sweep.add_argument(
         "--flight-dir",
         default=None,
         metavar="DIR",
@@ -826,32 +779,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prof = sub.add_parser(
         "profile",
-        help="hot-path microscope: sample a run's host stacks, account "
-        "event-dispatch cost, census live memory; report and diff the "
-        "resulting artifacts",
+        help="exact host-side counts: a run's engine dispatches per event "
+        "owner and cProfile calls per function; report and diff them",
     )
     prof_sub = p_prof.add_subparsers(dest="profile_command", required=True)
 
     p_prof_run = prof_sub.add_parser(
         "run",
-        help="run one workload with the sampling profiler, event-cost "
-        "accounting and memory census on; write the profile artifact",
+        help="run one workload with dispatch accounting on, count its "
+        "calls under cProfile, and write the profile artifact",
     )
     _add_common(p_prof_run)
     p_prof_run.add_argument("--workload", default="GemsFDTD")
     p_prof_run.add_argument("--scheme", default="rrm")
-    p_prof_run.add_argument(
-        "--interval",
-        default="5ms",
-        metavar="DURATION",
-        help="host-time sampling interval, e.g. 5ms, 500us (default: 5ms)",
-    )
-    p_prof_run.add_argument(
-        "--tracemalloc",
-        action="store_true",
-        help="also trace allocations with tracemalloc (slower; adds "
-        "per-file allocation tops to the memory census)",
-    )
     p_prof_run.add_argument(
         "--out",
         default="profile.json",
@@ -859,29 +799,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="profile artifact to write (default: profile.json)",
     )
     p_prof_run.add_argument(
-        "--flamegraph",
-        default=None,
-        metavar="FILE",
-        help="also render a dependency-free SVG flamegraph",
-    )
-    p_prof_run.add_argument(
-        "--folded",
-        default=None,
-        metavar="FILE",
-        help="also write classic folded stacks (flamegraph.pl/speedscope)",
-    )
-    p_prof_run.add_argument(
         "--ledger",
         default=None,
         metavar="FILE",
-        help="append the run (with prof_*/mem_* metrics) to a run ledger",
+        help="append the run (with prof_dispatch_* metrics) to a run ledger",
     )
     p_prof_run.add_argument(
         "--top",
         type=int,
         default=15,
         metavar="N",
-        help="hottest functions / dispatch owners to list (default: 15)",
+        help="dispatch owners and functions to list (default: 15)",
     )
     p_prof_run.set_defaults(func=cmd_profile_run)
 
@@ -891,37 +819,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof_rep.add_argument("file", help="profile artifact (JSON)")
     p_prof_rep.add_argument(
         "--top", type=int, default=15, metavar="N",
-        help="hottest functions to list (default: 15)",
-    )
-    p_prof_rep.add_argument(
-        "--flamegraph", default=None, metavar="FILE",
-        help="also render an SVG flamegraph",
-    )
-    p_prof_rep.add_argument(
-        "--folded", default=None, metavar="FILE",
-        help="also write classic folded stacks",
+        help="dispatch owners and functions to list (default: 15)",
     )
     p_prof_rep.set_defaults(func=cmd_profile_report)
 
     p_prof_diff = prof_sub.add_parser(
         "diff",
-        help="compare two profile artifacts' self-time shares "
-        "(per subsystem and per function)",
+        help="compare two profile artifacts count by count "
+        "(dispatches per owner, calls per function)",
     )
     p_prof_diff.add_argument("a", help="baseline profile artifact")
     p_prof_diff.add_argument("b", help="candidate profile artifact")
     p_prof_diff.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULT_DIFF_TOLERANCE,
-        metavar="SHARE",
-        help="max per-subsystem self-share delta considered sampling "
-        f"noise (default: {DEFAULT_DIFF_TOLERANCE})",
-    )
-    p_prof_diff.add_argument(
         "--check",
         action="store_true",
-        help="exit 1 when any subsystem's share moved beyond --tolerance",
+        help="exit 1 when any count differs",
     )
     p_prof_diff.set_defaults(func=cmd_profile_diff)
 
@@ -1104,12 +1016,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=60,
         metavar="N",
         help="sparkline history cap per metric (default: 60)",
-    )
-    p_dash.add_argument(
-        "--profile",
-        default=None,
-        metavar="FILE",
-        help="embed this profile artifact's flamegraph in the dashboard",
     )
     p_dash.add_argument(
         "--title", default="repro-rrm performance observability"

@@ -40,26 +40,18 @@ def owner_label(callback: Callable) -> str:
 
 
 class EventCostAccounting:
-    """Opt-in per-owner dispatch accounting for the run loop.
+    """Opt-in per-owner dispatch counts for the run loop.
 
-    Two tables, one determinism contract:
-
-    - ``counts`` maps owner labels to callbacks dispatched — a pure
-      function of the simulated run, bit-stable across hosts, safe to
-      pin in committed benchmarks;
-    - ``host_ns`` maps owner labels to cumulative host time measured by
-      the *injected* clock (the engine itself never touches a wall
-      clock; sim-path rule RL001). With no clock, only counts accrue.
-
-    Accounting is observational: it wraps each dispatch but neither
-    reorders events nor touches simulation state, so profiled runs stay
-    bit-identical to unprofiled ones (asserted in tests).
+    ``counts`` maps owner labels to callbacks dispatched: a pure
+    function of the simulated run, bit-stable across hosts, safe to pin
+    in committed benchmarks. Accounting is observational: it wraps each
+    dispatch but neither reorders events nor touches simulation state,
+    so profiled runs stay bit-identical to unprofiled ones (asserted in
+    tests).
     """
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
-        self._clock = clock
+    def __init__(self) -> None:
         self.counts: Dict[str, int] = {}
-        self.host_ns: Dict[str, float] = {}
         self.dispatches_total = 0
 
     def register_metrics(self, registry, prefix: str = "engine.cost") -> None:
@@ -71,18 +63,7 @@ class EventCostAccounting:
         """Run *event*'s callback, charging its owner (``?`` for an event
         scheduled before accounting was on)."""
         owner = event[4] if len(event) > 4 else "?"
-        callback = event[2]
-        clock = self._clock
-        if clock is None:
-            callback(*event[3])
-        else:
-            t0 = clock()
-            try:
-                callback(*event[3])
-            finally:
-                self.host_ns[owner] = (
-                    self.host_ns.get(owner, 0.0) + (clock() - t0) * 1e9
-                )
+        event[2](*event[3])
         self.counts[owner] = self.counts.get(owner, 0) + 1
         self.dispatches_total += 1
 
@@ -131,17 +112,14 @@ class Simulator:
         registry.gauge(f"{prefix}.events_cancelled", lambda: self.events_cancelled)
         registry.gauge(f"{prefix}.pending_events", lambda: self.pending_events)
 
-    def enable_cost_accounting(
-        self, clock: Optional[Callable[[], float]] = None
-    ) -> EventCostAccounting:
-        """Turn on per-owner dispatch accounting for this simulator.
+    def enable_cost_accounting(self) -> EventCostAccounting:
+        """Turn on per-owner dispatch counts for this simulator.
 
         Must be called before events of interest are scheduled — owner
         labels are resolved at schedule time, so earlier events are
-        charged to ``?``. *clock* (injected; e.g. ``time.perf_counter``
-        passed by the caller) additionally enables host-time charging.
+        charged to ``?``.
         """
-        self._accounting = EventCostAccounting(clock=clock)
+        self._accounting = EventCostAccounting()
         return self._accounting
 
     @property

@@ -154,7 +154,6 @@ def _fabric_worker_main(
     fault_plan: Optional[FaultPlan],
     ledger_part,
     recorder_dir,
-    profile_part,
     events,
 ) -> None:
     """Worker process entry point: claim, simulate, settle, repeat.
@@ -212,14 +211,6 @@ def _fabric_worker_main(
                     detail="dropping lifecycle events; journal records "
                     "remain authoritative",
                 )
-
-    profiler = None
-    if profile_part is not None:
-        from repro.profiling import SamplingProfiler
-
-        # Samples this worker's main thread across every job it runs;
-        # the coordinator merges the per-worker parts deterministically.
-        profiler = SamplingProfiler().start()
 
     busy_s = 0.0
     jobs_done = 0
@@ -364,11 +355,6 @@ def _fabric_worker_main(
             )
             beat(None, 0)
     finally:
-        if profiler is not None:
-            profiler.stop()
-            prof = profiler.build_profile()
-            prof.meta["worker"] = worker_id
-            prof.save(profile_part)
         beat(None, 0)
         emit(
             "fabric.worker.done",
@@ -409,12 +395,6 @@ class FabricExecutor:
             ``<ledger>.w<N>.part.jsonl`` shard and the coordinator
             merges the shards deterministically on completion
             (:func:`repro.obs.ledger.merge_ledgers`).
-        profile_path: when set, each worker samples its own stacks
-            (:class:`~repro.profiling.SamplingProfiler`) into a
-            ``<profile>.w<N>.part.json`` artifact and the coordinator
-            merges the parts (:func:`repro.profiling.merge_profiles`)
-            into one profile at this path. Sampling is observational:
-            results stay bit-identical.
         on_event: observability hook ``(name, args)`` receiving the
             supervisor-compatible job lifecycle stream (``job.attempt``
             / ``job.result`` / ``job.retry`` / ``job.failed``) plus
@@ -445,7 +425,6 @@ class FabricExecutor:
         fault_plan: Optional[FaultPlan] = None,
         seed: int = 0,
         ledger_path=None,
-        profile_path=None,
         on_event: Optional[Callable[[str, dict], None]] = None,
         on_result: Optional[Callable[[Key, SimResult], None]] = None,
         on_failure: Optional[Callable[[FailedRun], None]] = None,
@@ -469,7 +448,6 @@ class FabricExecutor:
         self.fault_plan = fault_plan
         self.seed = seed
         self.ledger_path = ledger_path
-        self.profile_path = profile_path
         self.on_event = on_event
         self.on_result = on_result
         self.on_failure = on_failure
@@ -544,34 +522,11 @@ class FabricExecutor:
             merge_ledgers(parts, self.ledger_path)
             for part in parts:
                 Path(part).unlink(missing_ok=True)
-        if self.profile_path is not None:
-            self._merge_profile_parts()
         return outcome
 
     def _ledger_part(self, worker_id: int):
         base = Path(self.ledger_path)
         return base.with_name(f"{base.name}.w{worker_id}.part.jsonl")
-
-    def _profile_part(self, worker_id: int):
-        base = Path(self.profile_path)
-        return base.with_name(f"{base.name}.w{worker_id}.part.json")
-
-    def _merge_profile_parts(self) -> None:
-        """Merge worker profile parts into one artifact, oldest slot first.
-
-        A worker that crashed (or was killed) never wrote its part;
-        merging what exists keeps the surviving coverage rather than
-        failing the whole sweep over a missing observability shard.
-        """
-        from repro.profiling import load_profile, merge_profiles
-
-        parts = [self._profile_part(i) for i in range(self.n_jobs)]
-        profiles = [load_profile(p) for p in parts if Path(p).exists()]
-        merged = merge_profiles(profiles)
-        merged.meta["n_jobs"] = self.n_jobs
-        merged.save(self.profile_path)
-        for part in parts:
-            Path(part).unlink(missing_ok=True)
 
     # ------------------------------------------------------------------
     def _spawn(self, ctx, slot: _WorkerSlot, journal_path, config, keys,
@@ -579,11 +534,6 @@ class FabricExecutor:
         ledger_part = (
             self._ledger_part(slot.worker_id)
             if self.ledger_path is not None
-            else None
-        )
-        profile_part = (
-            self._profile_part(slot.worker_id)
-            if self.profile_path is not None
             else None
         )
         slot.process = ctx.Process(
@@ -601,7 +551,6 @@ class FabricExecutor:
                 self.fault_plan,
                 ledger_part,
                 self.recorder_dir,
-                profile_part,
                 events,
             ),
             daemon=True,

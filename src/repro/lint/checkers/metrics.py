@@ -87,14 +87,11 @@ class MetricsCoverageChecker(Checker):
     packages = SIM_PATH_PACKAGES
 
     def applies_to(self, module: LintModule) -> bool:
-        # The live-observability and profiling layers are held to the
-        # same bar as the sim path: a telemetry class that hoards
-        # counters (log sinks, flight recorders, heartbeat aggregates,
-        # stack samplers) is a blind spot in the very surface meant to
-        # remove blind spots.
+        # The live-observability layer is held to the same bar as the
+        # sim path: a telemetry class that hoards counters (log sinks,
+        # flight recorders, heartbeat aggregates) is a blind spot in the
+        # very surface meant to remove blind spots.
         if "repro/obs/live/" in module.relpath:
-            return True
-        if "repro/profiling/" in module.relpath:
             return True
         return super().applies_to(module)
 

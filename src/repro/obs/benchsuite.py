@@ -52,14 +52,13 @@ def core_config(seed: int = CORE_SEED) -> SystemConfig:
 
 
 def core_telemetry() -> TelemetryConfig:
-    """The suite's telemetry: attribution and host profiling on, tracing off.
+    """The suite's telemetry: attribution and dispatch counts on, tracing off.
 
     Attribution and profiling are both observational (a run with either
     is bit-identical to one without), so turning them on here costs
     nothing in determinism while making refresh-interference share
-    (``attr_read_refresh_share``), the deterministic per-subsystem
-    dispatch counts (``prof_dispatch_*``) and the advisory host-side
-    ``prof_*``/``mem_*`` numbers pinned suite metrics.
+    (``attr_read_refresh_share``) and the per-subsystem dispatch counts
+    (``prof_dispatch_*``) pinned suite metrics.
     """
     return TelemetryConfig(
         attribution=True, trace=False, detailed_metrics=False, profile=True
@@ -121,18 +120,12 @@ def run_core_suite(
 def _is_host_dependent(metric: str) -> bool:
     """Metrics that legitimately differ between two runs of the same code.
 
-    Wall time, derived throughput, sampling-profiler shares and memory
-    byte counts all move with the host; the deterministic ``sim_events``
-    count and the per-subsystem ``prof_dispatch_*`` dispatch counts (a
-    pure function of the simulated run) stay pinned.
+    Wall time and the throughput derived from it move with the host; the
+    deterministic ``sim_events`` count and the per-subsystem
+    ``prof_dispatch_*`` dispatch counts (a pure function of the
+    simulated run) stay pinned.
     """
-    if metric in ("wall_time_s", "sim_events_per_sec"):
-        return True
-    if metric.startswith("mem_"):
-        return True
-    if metric.startswith("prof_"):
-        return not metric.startswith("prof_dispatch_")
-    return False
+    return metric in ("wall_time_s", "sim_events_per_sec")
 
 
 def write_bench_json(path, entries: List[LedgerEntry]) -> Path:

@@ -20,7 +20,6 @@ import re
 from typing import Dict, List, Optional, Sequence
 
 from repro.obs.ledger import LedgerEntry, entries_by_name
-from repro.profiling.flamegraph import SUBSYSTEM_COLORS
 
 #: Metrics plotted when the caller doesn't choose, in display order.
 DEFAULT_DASHBOARD_METRICS = (
@@ -249,96 +248,6 @@ def _attribution_sections(
     ]
 
 
-_PROF_SHARE_RE = re.compile(r"prof_([a-z_]+)_self_share$")
-
-
-def _profile_shares(entry: LedgerEntry) -> Dict[str, float]:
-    """Subsystem self-time shares parsed from ``prof_*_self_share``."""
-    shares: Dict[str, float] = {}
-    for key, value in entry.metrics.items():
-        match = _PROF_SHARE_RE.match(key)
-        if match and value > 0:
-            shares[match.group(1)] = value
-    return shares
-
-
-def _share_bar(shares: Dict[str, float]) -> str:
-    """One horizontal stacked bar of host self-time shares."""
-    width, bar_h, pad = 440, 16, 3
-    total = sum(shares.values())
-    if total <= 0:
-        return ""
-    parts = [
-        f'<svg class="spark" width="{width}" height="{bar_h + 2 * pad}" '
-        f'viewBox="0 0 {width} {bar_h + 2 * pad}" role="img" '
-        f'aria-label="host self-time share by subsystem">'
-    ]
-    x = float(pad)
-    span = width - 2 * pad
-    for name in sorted(shares, key=lambda k: (-shares[k], k)):
-        w = span * shares[name] / total
-        color = SUBSYSTEM_COLORS.get(name, "#898781")
-        parts.append(
-            f'<rect x="{x:.1f}" y="{pad}" width="{max(w, 0.5):.1f}" '
-            f'height="{bar_h}" fill="{color}">'
-            f"<title>{html.escape(name)} {shares[name]:.1%}</title></rect>"
-        )
-        x += w
-    parts.append("</svg>")
-    return "".join(parts)
-
-
-def _profile_sections(grouped: Dict[str, List[LedgerEntry]]) -> List[str]:
-    """"Where the time goes": host self-time shares + memory census.
-
-    One card per run name that recorded ``prof_*`` metrics (latest entry
-    wins), sharing the flamegraph's fixed subsystem palette; the legend
-    pairs every color with its subsystem word.
-    """
-    cards: List[str] = []
-    used: set = set()
-    for name, group in sorted(grouped.items()):
-        entry = group[-1]
-        shares = _profile_shares(entry)
-        if not shares:
-            continue
-        used.update(shares)
-        bits: List[str] = []
-        engine_share = shares.get("engine")
-        if engine_share is not None:
-            bits.append(f"engine self {engine_share:.1%}")
-        per_region = entry.metrics.get("mem_bytes_per_touched_region")
-        if per_region:
-            bits.append(f"{per_region:,.0f} B/touched region")
-        mem_total = entry.metrics.get("mem_bytes_total")
-        if mem_total:
-            bits.append(f"{_fmt_value(mem_total)} B live")
-        cards.append(
-            f'<div class="card"><div class="metric">{html.escape(name)}'
-            "</div>"
-            + (
-                f'<div class="delta">{html.escape(" · ".join(bits))}</div>'
-                if bits
-                else ""
-            )
-            + _share_bar(shares)
-            + "</div>"
-        )
-    if not cards:
-        return []
-    legend = " ".join(
-        f'<span class="chip" style="background:'
-        f'{SUBSYSTEM_COLORS.get(name, "#898781")}"></span>'
-        f"{html.escape(name)}"
-        for name in sorted(used)
-    )
-    return [
-        "<h2>Where the time goes: host self-time by subsystem</h2>",
-        f'<div class="meta">{legend}</div>',
-        f'<div class="cards">{"".join(cards)}</div>',
-    ]
-
-
 def _throughput_section(
     entries: Sequence[LedgerEntry], max_points: int
 ) -> List[str]:
@@ -409,15 +318,12 @@ def render_dashboard(
     title: str = "repro-rrm performance observability",
     metrics: Optional[Sequence[str]] = None,
     max_points: int = 60,
-    flamegraph_svg: Optional[str] = None,
 ) -> str:
     """Render ledger *entries* to HTML.
 
     The returned string is a complete document with no external
     references. *metrics* restricts the plotted metric set;
-    *max_points* caps each sparkline to the most recent N runs;
-    *flamegraph_svg* (a rendered profile flamegraph) is embedded inline
-    under the profiling section when given.
+    *max_points* caps each sparkline to the most recent N runs.
     """
     grouped = entries_by_name(list(entries))
     picked = _pick_metrics(entries, metrics)
@@ -438,14 +344,10 @@ def render_dashboard(
     ]
     if grouped:
         body.extend(_throughput_section(list(entries), max_points))
-        body.extend(_profile_sections(grouped))
         body.extend(_attribution_sections(grouped))
         body.extend(_trend_sections(grouped, picked, max_points))
     else:
         body.append('<p class="empty">The ledger is empty.</p>')
-    if flamegraph_svg:
-        body.append("<h2>Flamegraph</h2>")
-        body.append(flamegraph_svg)
     body.append(
         "<footer>Self-contained report; generated offline by "
         "<code>repro-rrm obs dashboard</code>.</footer>"

@@ -17,8 +17,6 @@ truncated *final* line, and corruption anywhere earlier raises
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import json
 import platform
 import subprocess
@@ -28,6 +26,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.errors import LedgerCorruptError
+from repro.resilience.journal import config_sha256
 from repro.utils.persist import atomic_write_text
 
 LEDGER_SCHEMA = 1
@@ -60,18 +59,10 @@ def git_revision(cwd=None) -> str:
 
 
 def config_hash(config) -> str:
-    """A short stable digest of a configuration object.
-
-    Dataclasses hash their field tree; anything else hashes its
-    ``repr``. Two runs with equal hashes used the same configuration.
-    """
-    if dataclasses.is_dataclass(config) and not isinstance(config, type):
-        payload = json.dumps(
-            dataclasses.asdict(config), sort_keys=True, default=repr
-        )
-    else:
-        payload = repr(config)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    """A short stable digest of a configuration object: the first 16
+    hex characters of :func:`~repro.resilience.journal.config_sha256`.
+    Two runs with equal hashes used the same configuration."""
+    return config_sha256(config)[:16]
 
 
 def environment_fingerprint(
@@ -151,8 +142,8 @@ class LedgerEntry:
         also contribute their flat ``attr_*`` metrics
         (refresh-interference share and friends), which the pinned suite
         records in ``BENCH_core.json`` like any other deterministic
-        number; host-profiled runs contribute
-        ``prof_*``/``mem_*`` the same way. *extra_metrics* (e.g. a
+        number; profiled runs contribute their ``prof_dispatch_*``
+        counts the same way. *extra_metrics* (e.g. a
         registry snapshot's numeric values) are merged on top.
         """
         metrics: Dict[str, float] = {
@@ -177,9 +168,7 @@ class LedgerEntry:
                     if isinstance(v, (int, float)) and not isinstance(v, bool)
                 }
             )
-        # Host-profile metrics (prof_* / mem_*) ride the same way: flat
-        # and numeric; only the deterministic prof_dispatch_* counts
-        # reach BENCH_core.json.
+        # The profile's prof_dispatch_* counts ride the same way.
         profile = getattr(result, "profile", None)
         if profile:
             metrics.update(

@@ -52,6 +52,24 @@ from repro.utils.persist import atomic_write_text
 JOURNAL_VERSION = 1
 
 
+def config_sha256(config) -> str:
+    """The sha256 hex digest of a configuration object.
+
+    Dataclasses hash their field tree as sorted-key JSON (values JSON
+    cannot hold hash their ``repr``); anything else hashes its ``repr``.
+    Journal stamps (:func:`sweep_fingerprint`) carry it whole, ledger
+    fingerprints (:func:`repro.obs.ledger.config_hash`) its first 16
+    characters.
+    """
+    if dataclasses.is_dataclass(config) and not isinstance(config, type):
+        payload = json.dumps(
+            dataclasses.asdict(config), sort_keys=True, default=repr
+        )
+    else:
+        payload = repr(config)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 def sweep_fingerprint(
     config,
     workloads: Iterable[str],
@@ -62,17 +80,10 @@ def sweep_fingerprint(
     mismatched sweep instead of silently mixing results.
 
     Two sha256 digests: ``config_sha256`` over the configuration's full
-    field tree (dataclasses serialise their ``asdict``; anything else
-    hashes its ``repr``) and ``spec_sha256`` over the sweep definition
-    (workloads, schemes, max_events). Equal stamps mean the journal's
-    results are drop-in valid for the resuming sweep.
+    field tree (:func:`config_sha256`) and ``spec_sha256`` over the
+    sweep definition (workloads, schemes, max_events). Equal stamps mean
+    the journal's results are drop-in valid for the resuming sweep.
     """
-    if dataclasses.is_dataclass(config) and not isinstance(config, type):
-        config_payload = json.dumps(
-            dataclasses.asdict(config), sort_keys=True, default=repr
-        )
-    else:
-        config_payload = repr(config)
     spec_payload = json.dumps(
         {
             "workloads": list(workloads),
@@ -82,9 +93,7 @@ def sweep_fingerprint(
         sort_keys=True,
     )
     return {
-        "config_sha256": hashlib.sha256(
-            config_payload.encode("utf-8")
-        ).hexdigest(),
+        "config_sha256": config_sha256(config),
         "spec_sha256": hashlib.sha256(
             spec_payload.encode("utf-8")
         ).hexdigest(),

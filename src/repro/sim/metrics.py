@@ -129,8 +129,8 @@ class SimResult:
     #: of simulation statistics stay meaningful.
     attribution: Optional[dict] = None
     #: Host-profile artifact (repro.profiling Profile.to_json_dict) when
-    #: the run had ``TelemetryConfig(profile=True)``: folded stacks,
-    #: per-owner dispatch accounting, memory census and the flat
+    #: the run had ``TelemetryConfig(profile=True)``: the engine's
+    #: dispatch count per event owner and the flat ``prof_dispatch_*``
     #: ``ledger_metrics`` map merged into run-ledger entries. Kept off
     #: :meth:`as_dict` for the same reason as ``attribution`` — the flat
     #: view is the profiling-on == profiling-off bit-identity surface.

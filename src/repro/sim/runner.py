@@ -3,8 +3,7 @@
 Runs are independent. A plain sweep runs them one by one in-process
 under the :mod:`repro.resilience` supervisor (bounded deterministic
 retries, result validation); a sweep that needs isolation — worker
-processes, a wall-clock timeout, injected faults, or per-worker
-profiling — runs on the fabric
+processes, a wall-clock timeout or injected faults — runs on the fabric
 (:class:`~repro.fabric.executor.FabricExecutor`), with one worker when
 ``n_jobs`` is 1. Either way one bad job degrades to a structured
 :class:`FailedRun` instead of aborting the sweep. With a
@@ -91,7 +90,7 @@ class ExperimentRunner:
 
     Where a sweep runs is decided by one predicate
     (:meth:`_runs_in_process`): in-process when ``n_jobs == 1`` and
-    there is no *timeout_s*, no *fault_plan* and no *profile_path*;
+    there is no *timeout_s* and no *fault_plan*;
     otherwise on ``FabricExecutor(n_jobs)``, one worker included.
     Results are bit-identical either way for the same seeds.
 
@@ -109,9 +108,6 @@ class ExperimentRunner:
             the sweep ran, sorted by workload then scheme. In-process
             the runner appends them after the sweep; fabric workers
             append per-worker shards that are merged in the same order.
-        profile_path: optional sampling-profile artifact (runs on the
-            fabric): each worker samples its own stacks and the merged
-            profile lands here when the sweep completes.
         fault_plan: optional fault-injection plan (tests / drills; runs
             on the fabric, so an injected crash kills a worker, not the
             caller).
@@ -142,7 +138,6 @@ class ExperimentRunner:
         journal_path=None,
         lease_s: float = 300.0,
         ledger_path=None,
-        profile_path=None,
         fault_plan: Optional[FaultPlan] = None,
         tracer=NULL_TRACER,
         on_event=None,
@@ -164,7 +159,6 @@ class ExperimentRunner:
         self.journal_path = journal_path
         self.lease_s = lease_s
         self.ledger_path = ledger_path
-        self.profile_path = profile_path
         self.fault_plan = fault_plan
         self.tracer = tracer
         self.on_event = on_event
@@ -191,16 +185,11 @@ class ExperimentRunner:
     def _runs_in_process(self) -> bool:
         """Whether the sweep runs in this process rather than on the fabric.
 
-        Worker processes, timeouts, injected faults and per-worker
-        sampling all need a process to kill, crash or sample, so any of
-        them sends the sweep to the fabric.
+        Worker processes, timeouts and injected faults all need a
+        process to kill or crash, so any of them sends the sweep to the
+        fabric.
         """
-        return (
-            self.n_jobs == 1
-            and self.timeout_s is None
-            and not self.fault_plan
-            and self.profile_path is None
-        )
+        return self.n_jobs == 1 and self.timeout_s is None and not self.fault_plan
 
     # ------------------------------------------------------------------
     def run_all(self, progress=None) -> Dict[ResultKey, SimResult]:
@@ -313,7 +302,6 @@ class ExperimentRunner:
             fault_plan=self.fault_plan,
             seed=self.config.seed,
             ledger_path=self.ledger_path,
-            profile_path=self.profile_path,
             on_event=(
                 self._on_supervisor_event
                 if (self.tracer.enabled or self.on_event is not None)

@@ -34,7 +34,6 @@ from repro.workloads.synthetic import BLOCKS_PER_REGION, RegionTrafficGenerator
 if TYPE_CHECKING:
     # Instrumentation loads in System.__init__, and only when switched on.
     from repro.attribution import AttributionCollector, AttributionReport
-    from repro.profiling import SamplingProfiler
 
 # Enum member access runs Python code in the enum machinery on every
 # lookup; the per-request completion path uses these module constants.
@@ -83,17 +82,12 @@ class System:
         self.telemetry = Telemetry(telemetry, clock=lambda: self.sim.now)
         # Instrumentation modules are imported here, when switched on, and
         # never inside run(), whose wall time must not absorb an import.
-        self._profiler: Optional[SamplingProfiler] = None
         if telemetry is not None and telemetry.profile:
-            import repro.profiling
+            import repro.profiling  # noqa: F401 - _build_profile uses it
 
-            self._profiler = repro.profiling.SamplingProfiler(
-                interval_s=telemetry.profile_interval_s
-            )
             # Enabled before any event is scheduled so every owner
-            # resolves; the clock is passed as a reference — the engine
-            # itself never calls a wall clock it wasn't handed (RL001).
-            self.sim.enable_cost_accounting(clock=time.perf_counter)
+            # resolves.
+            self.sim.enable_cost_accounting()
 
         # --- PCM substrate ------------------------------------------------
         drift = DriftModel(DriftParameters(drift_scale=config.drift_scale))
@@ -210,8 +204,6 @@ class System:
             self.attribution.register_metrics(registry)
         if self.sim.cost_accounting is not None:
             self.sim.cost_accounting.register_metrics(registry)
-        if self._profiler is not None:
-            self._profiler.register_metrics(registry)
 
     # ------------------------------------------------------------------
     def _build_streams(self) -> List:
@@ -219,7 +211,6 @@ class System:
         profiles = workload_profiles(self.workload, config.n_cores)
         core_window = config.memory.n_blocks // config.n_cores
         streams = []
-        self._footprint_regions = 0
         for core_id, profile in enumerate(profiles):
             scaled = profile.scaled_footprint(config.footprint_scale)
             footprint_blocks = scaled.traffic.footprint_regions * BLOCKS_PER_REGION
@@ -233,9 +224,6 @@ class System:
                 base_block=core_id * core_window,
                 seed=config.seed * 1013 + core_id,
             )
-            # Touched-region denominator for the memory census: the
-            # regions this workload's footprint actually visits.
-            self._footprint_regions += scaled.traffic.footprint_regions
             streams.append(iter(generator))
         return streams
 
@@ -298,13 +286,7 @@ class System:
             self.rrm.start()
         self.multicore.start()
         duration_ns = s_to_ns(self.config.duration_s)
-        if self._profiler is not None:
-            # Context manager: the sampler thread is joined even when a
-            # model callback raises mid-run.
-            with self._profiler:
-                self.sim.run(until=duration_ns, max_events=max_events)
-        else:
-            self.sim.run(until=duration_ns, max_events=max_events)
+        self.sim.run(until=duration_ns, max_events=max_events)
 
         if telemetry.enabled:
             telemetry.tracer.complete(
@@ -375,10 +357,10 @@ class System:
                 "ledger_metrics": report.ledger_metrics(),
             }
 
-        if self._profiler is not None:
+        if self.sim.cost_accounting is not None:
             # Same contract as attribution: the profile rides on its own
             # side-field and as_dict() stays the bit-identity surface.
-            result.profile = self._build_profile(wall_time_s)
+            result.profile = self._build_profile()
 
         result.wear = self._wear_report(snap)
         result.energy = self._energy_report(snap, result.wear)
@@ -386,42 +368,22 @@ class System:
         return result
 
     # ------------------------------------------------------------------
-    def _build_profile(self, wall_time_s: float) -> dict:
-        """Assemble the run's host-profile artifact (sampler + engine
-        accounting + memory census)."""
-        assert self._profiler is not None
-        import repro.profiling  # loaded with the sampler in __init__
+    def _build_profile(self) -> dict:
+        """The run's dispatch counts as a profile artifact
+        (:mod:`repro.profiling`), with its ``prof_dispatch_*`` metrics."""
+        import repro.profiling  # loaded with the accounting in __init__
 
-        prof = self._profiler.build_profile()
         accounting = self.sim.cost_accounting
-        if accounting is not None:
-            prof.dispatch_counts = dict(accounting.counts)
-            prof.dispatch_time_ns = dict(accounting.host_ns)
-        # Most specific owners first: back-references (RRM -> controller,
-        # controller -> device) must not swallow their neighbours. The
-        # engine leads because every subsystem back-references the sim,
-        # while the engine reaches others only through callbacks, which
-        # the walker treats as opaque — so the event queue is charged to
-        # the engine and nothing else is.
-        roots = {
-            "engine": self.sim,
-            "pcm": (self.device, self.modes, self.wear, self.energy),
-            "memctrl": self.controller,
-            "core": self.rrm,
-            "cpu": self.multicore,
-            "attribution": self.attribution,
-            "telemetry": self.telemetry,
-        }
-        prof.memory = repro.profiling.take_census(
-            roots, touched_regions=self._footprint_regions
+        assert accounting is not None
+        prof = repro.profiling.Profile(
+            meta={
+                "workload": self.workload,
+                "scheme": self.scheme.value,
+                "duration_s": self.config.duration_s,
+            },
+            dispatch_counts=dict(accounting.counts),
         )
-        prof.meta = {
-            "workload": self.workload,
-            "scheme": self.scheme.value,
-            "duration_s": self.config.duration_s,
-            "wall_time_s": wall_time_s,
-        }
-        return prof.to_json_dict()
+        return {**prof.to_json_dict(), "ledger_metrics": prof.ledger_metrics()}
 
     def _wear_report(self, snap) -> WearReport:
         """Wear rates on the paper's timescale (see metrics module docs)."""

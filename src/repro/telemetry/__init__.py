@@ -119,12 +119,10 @@ class TelemetryConfig:
         attribution: Build per-request latency anatomies
             (:mod:`repro.attribution`). Observational only — simulation
             statistics are bit-identical either way.
-        profile: Host-side profiling (:mod:`repro.profiling`): sampling
-            CPU profiler around the run, deterministic event-cost
-            accounting on the engine, and a post-run memory census.
+        profile: Count the engine's dispatches per event owner
+            (:mod:`repro.profiling`) into ``SimResult.profile``.
             Observational only — the profiled run's ``as_dict()`` is
             bit-identical to an unprofiled one.
-        profile_interval_s: Host-time sampling period of the profiler.
     """
 
     mode: str = "full"
@@ -135,7 +133,6 @@ class TelemetryConfig:
     trace: bool = True
     attribution: bool = False
     profile: bool = False
-    profile_interval_s: float = 0.005
 
     def __post_init__(self) -> None:
         if self.mode not in TRACE_MODES:
@@ -148,8 +145,6 @@ class TelemetryConfig:
             raise ConfigError("sample_every must be positive")
         if self.metrics_interval_s is not None and self.metrics_interval_s <= 0:
             raise ConfigError("metrics_interval_s must be positive")
-        if self.profile_interval_s <= 0:
-            raise ConfigError("profile_interval_s must be positive")
 
 
 class Telemetry:

@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Dict, Optional
 
 import pytest
 from hypothesis import settings
@@ -69,22 +69,23 @@ def tiny_config() -> SystemConfig:
 
 
 @pytest.fixture
-def fresh_python() -> Callable[[str], str]:
+def fresh_python() -> Callable[..., str]:
     """Run code in a fresh interpreter (this one has imported everything
-    long ago) with this checkout's ``src`` first on the path; returns its
-    stdout and fails the test if the code fails."""
+    long ago) with this checkout's ``src`` first on the path and *env*
+    (optional) added to its environment; returns its stdout and fails
+    the test if the code fails."""
     src = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        path for path in (src, env.get("PYTHONPATH")) if path
+    base_env = dict(os.environ)
+    base_env["PYTHONPATH"] = os.pathsep.join(
+        path for path in (src, base_env.get("PYTHONPATH")) if path
     )
 
-    def run(code: str) -> str:
+    def run(code: str, env: Optional[Dict[str, str]] = None) -> str:
         proc = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
-            env=env,
+            env={**base_env, **(env or {})},
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr

@@ -387,55 +387,104 @@ class TestLintCommand:
 
 
 class TestProfileCommands:
-    """The `profile` group plus the fabric-only `sweep --profile` guard."""
+    """The `profile` group: exact counts, written, rendered and diffed."""
+
+    #: A tiny cell short enough to run twice per test.
+    RUN = ["profile", "run", "--workload", "hmmer", "--config", "tiny",
+           "--duration", "0.002", "--seed", "3"]
 
     def test_parser_profile_run_defaults(self):
         args = build_parser().parse_args(["profile", "run"])
         assert args.profile_command == "run"
         assert args.workload == "GemsFDTD"
         assert args.scheme == "rrm"
-        assert args.interval == "5ms"
         assert args.out == "profile.json"
-        assert not args.tracemalloc
+        assert args.ledger is None
+        assert args.top == 15
 
     def test_parser_profile_diff_defaults(self):
-        from repro.profiling import DEFAULT_DIFF_TOLERANCE
-
         args = build_parser().parse_args(["profile", "diff", "a.json", "b.json"])
         assert args.a == "a.json"
         assert args.b == "b.json"
-        assert args.tolerance == DEFAULT_DIFF_TOLERANCE
         assert not args.check
 
     def test_parser_profile_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["profile"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["profile", "run", "--interval", "5ms"],
+            ["profile", "run", "--tracemalloc"],
+            ["profile", "run", "--flamegraph", "f.svg"],
+            ["profile", "run", "--folded", "f.folded"],
+            ["profile", "report", "p.json", "--flamegraph", "f.svg"],
+            ["profile", "report", "p.json", "--folded", "f.folded"],
+            ["profile", "diff", "a.json", "b.json", "--tolerance", "0.1"],
+            ["sweep", "--profile", "p.json"],
+            ["obs", "dashboard", "--profile", "p.json"],
+        ],
+    )
+    def test_removed_options_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_profile_run_report_diff_round_trip(self, capsys, tmp_path):
         out = tmp_path / "prof.json"
-        svg = tmp_path / "flame.svg"
-        folded = tmp_path / "stacks.folded"
-        code = main(
-            ["profile", "run", "--workload", "hmmer", "--config", "tiny",
-             "--duration", "0.01", "--seed", "3",
-             "--out", str(out), "--flamegraph", str(svg),
-             "--folded", str(folded)]
-        )
-        assert code == 0
+        assert main([*self.RUN, "--out", str(out)]) == 0
         captured = capsys.readouterr()
         assert "event dispatch" in captured.out
-        assert out.exists()
-        assert svg.read_text().startswith("<svg")
+        assert "calls in System.run" in captured.out
         payload = json.loads(out.read_text())
-        assert payload["schema"] == 1
+        assert payload["schema"] == 2
         assert payload["dispatch_counts"]
+        assert payload["ncalls"]
+        assert payload["meta"]["seed"] == 3
 
         assert main(["profile", "report", str(out)]) == 0
         assert "event dispatch" in capsys.readouterr().out
 
         code = main(["profile", "diff", str(out), str(out), "--check"])
         assert code == 0
-        assert "within tolerance" in capsys.readouterr().out
+        assert "every count is equal" in capsys.readouterr().out
+
+    def test_counts_repeat_across_hash_seeds(self, fresh_python, tmp_path):
+        """Two fresh interpreters with different PYTHONHASHSEED count
+        the same cell identically, and `diff --check` agrees."""
+        paths = []
+        for hash_seed in ("0", "7"):
+            out = tmp_path / f"prof-{hash_seed}.json"
+            argv = [*self.RUN, "--out", str(out)]
+            fresh_python(
+                f"from repro.cli import main\nraise SystemExit(main({argv!r}))",
+                env={"PYTHONHASHSEED": hash_seed},
+            )
+            paths.append(out)
+        a, b = (json.loads(p.read_text()) for p in paths)
+        assert a["ncalls"] and a["dispatch_counts"]
+        assert a["ncalls"] == b["ncalls"]
+        assert a["dispatch_counts"] == b["dispatch_counts"]
+        assert main(["profile", "diff", *map(str, paths), "--check"]) == 0
+
+    def test_one_count_edit_fails_check(self, capsys, tmp_path):
+        before, after = tmp_path / "before.json", tmp_path / "after.json"
+        assert main([*self.RUN, "--out", str(before)]) == 0
+        payload = json.loads(before.read_text())
+        label = max(payload["ncalls"], key=payload["ncalls"].get)
+        payload["ncalls"][label] += 1
+        after.write_text(json.dumps(payload))
+        capsys.readouterr()
+
+        code = main(["profile", "diff", str(before), str(after), "--check"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "1 counts differ" in out
+        assert label in out
+        # Without --check the same diff is a report, not a failure.
+        assert main(["profile", "diff", str(before), str(after)]) == 0
 
     def test_profile_report_missing_file_exit_2(self, capsys, tmp_path):
         code = main(["profile", "report", str(tmp_path / "absent.json")])
@@ -444,18 +493,17 @@ class TestProfileCommands:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
-    def test_serial_sweep_profile_on_one_worker(self, capsys, tmp_path):
-        from repro.profiling import load_profile
-
-        sweep = ["sweep", "--workloads", "hmmer", "--schemes", "rrm",
-                 "static-7", "--config", "tiny", "--duration", "0.002",
-                 "--jobs", "1"]
-        plain, profiled = tmp_path / "plain.json", tmp_path / "profiled.json"
-        assert main([*sweep, "--output", str(plain)]) == 0
-        profile = tmp_path / "p.json"
-        assert main(
-            [*sweep, "--output", str(profiled), "--profile", str(profile)]
-        ) == 0
-        assert "merged worker profile written" in capsys.readouterr().err
-        assert load_profile(profile).meta["n_jobs"] == 1
-        assert json.loads(profiled.read_text()) == json.loads(plain.read_text())
+    def test_profile_report_sampler_artifact_exit_2(self, capsys, tmp_path):
+        old = tmp_path / "sampled.json"
+        old.write_text(json.dumps(
+            {"schema": 1, "interval_s": 0.005, "samples": 4,
+             "folded": {"repro.sim.system:System.run": 4}}
+        ))
+        code = main(["profile", "report", str(old)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:")
+        assert "schema-1" in lines[0]

@@ -31,6 +31,7 @@ NOT_ON_SIM_PATH = (
     "repro.pcm.wear_leveling",
     "repro.telemetry.summary",
     "repro.telemetry.profiler",
+    "cProfile",
 )
 
 #: Packages a serial, uninstrumented sweep never uses.
@@ -42,6 +43,10 @@ NOT_ON_SERIAL_SWEEP_PATH = (
 )
 
 INSTRUMENTATION = ("repro.attribution", "repro.profiling")
+
+#: Only ``repro-rrm profile run`` counts calls; a profiled ``System``
+#: counts dispatches and nothing else.
+NOT_IN_PROFILED_SYSTEM = ("cProfile", "_lsprof")
 
 PRELUDE = """\
 import json
@@ -120,3 +125,4 @@ class TestInstrumentedRun:
         assert set(INSTRUMENTATION) <= set(after_init)
         loaded_in_run = set(snapshots["after_run"]) - set(after_init)
         assert under(sorted(loaded_in_run), INSTRUMENTATION) == []
+        assert under(snapshots["after_run"], NOT_IN_PROFILED_SYSTEM) == []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+from dataclasses import dataclass, field
 
 import pytest
 
@@ -34,6 +35,7 @@ from repro.obs import (
     span_stats,
 )
 from repro.obs.progress import _format_count, _format_eta
+from repro.resilience.journal import sweep_fingerprint
 from repro.sim.config import SystemConfig
 from repro.sim.runner import run_workload
 from repro.sim.schemes import Scheme
@@ -145,6 +147,37 @@ class TestFingerprint:
         a = SystemConfig.tiny(seed=1)
         assert config_hash(a) == config_hash(SystemConfig.tiny(seed=1))
         assert config_hash(a) != config_hash(SystemConfig.tiny(seed=2))
+
+    def test_config_hash_is_journal_digest_prefix(self):
+        config = SystemConfig.tiny(seed=4)
+        stamp = sweep_fingerprint(config, ["hmmer"], ["RRM"])
+        assert config_hash(config) == stamp["config_sha256"][:16]
+        assert config_hash(3) == sweep_fingerprint(3, [], [])[
+            "config_sha256"
+        ][:16]
+
+    def test_journal_stamps_unchanged(self):
+        # Stamps written by earlier releases must still match, or their
+        # journals would refuse to resume.
+        @dataclass
+        class Inner:
+            rate: float = 0.5
+            tags: tuple = ("a", "b")
+
+        @dataclass
+        class Config:
+            seed: int = 7
+            inner: Inner = field(default_factory=Inner)
+            blob: object = frozenset({1})
+
+        stamp = sweep_fingerprint(Config(), ["hmmer"], ["RRM"], 100)
+        assert stamp == {
+            "config_sha256": "947a3a394c345a72a5c64eef49033ecb"
+            "4d11b8081d4eb9c415a4238395988e98",
+            "spec_sha256": "c0f81b267a6e3dafb9c493fc1b60bcef"
+            "bfb045d6f8eaad36d8572702e6edb833",
+        }
+        assert config_hash(Config()) == "947a3a394c345a72"
 
     def test_environment_fingerprint_fields(self):
         fp = environment_fingerprint(SystemConfig.tiny(seed=3))
