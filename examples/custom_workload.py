@@ -64,7 +64,7 @@ def trace_roundtrip_demo(profile: BenchmarkProfile, config: SystemConfig) -> Non
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "kvstore.trace"
         count = write_trace(path, events, header="kvstore sample trace")
-        print(f"wrote {count} events to {path.name} "
+        print(f"wrote {len(events)} events as {count} lines to {path.name} "
               f"({path.stat().st_size >> 10}KB)")
 
         # Manual assembly: engine -> device -> controller -> one core

@@ -57,9 +57,11 @@ class PromotionMonitor(RegionRetentionMonitor):
         self.fast_refreshes = 0
 
     # ------------------------------------------------------------------
-    def register_llc_write(self, block: int, was_dirty: bool) -> None:
+    def register_llc_write(
+        self, block: int, was_dirty: bool, count: int = 1
+    ) -> None:
         """LLC activity is irrelevant to this policy."""
-        self.stats.clean_writes_filtered += 1
+        self.stats.clean_writes_filtered += count
 
     def decide_write_mode(self, block: int) -> int:
         """Every write is fast; the write itself starts (or renews) the

@@ -163,52 +163,77 @@ class RegionRetentionMonitor:
     # ------------------------------------------------------------------
     # Input 1: LLC write registration (paper Section IV-D)
     # ------------------------------------------------------------------
-    def register_llc_write(self, block: int, was_dirty: bool) -> None:
-        """Record one LLC write.
+    def register_llc_write(
+        self, block: int, was_dirty: bool, count: int = 1
+    ) -> None:
+        """Record a run of *count* LLC writes to *block*.
 
         Only writes to *dirty* LLC entries are registered — a streaming
         pattern touches each line once (clean), so requiring dirtiness
         filters spatial-only locality out of the hotness statistics.
         (``config.streaming_filter=False`` disables this, for ablation.)
+
+        The run leaves the monitor exactly as *count* single
+        registrations would. The first finds or allocates the region's
+        entry; the rest are hits on it, so their lookups, LRU touches
+        and counter steps are applied at once. An allocation's eviction
+        enqueues slow rewrites, and the scheduler kick that follows can
+        run cores whose registrations evict the new entry in turn; the
+        rest of the run is then registered one by one, as singles
+        would be.
         """
         stats = self.stats
         if not was_dirty and self._streaming_filter:
-            stats.clean_writes_filtered += 1
+            stats.clean_writes_filtered += count
             return
-        stats.registrations += 1
 
         # Region and vector-bit index; the offset is in range by
         # construction, so the bit is set without the entry's check.
         region, offset = divmod(block, self._blocks_per_region)
-        # One frame per registration: ``tags.lookup(region)`` (count,
-        # LRU touch) and ``entry.record_dirty_write`` are inlined.
+        # One frame per run: ``tags.lookup(region)`` (count, LRU touch)
+        # and ``entry.record_dirty_write`` are inlined.
         tags = self.tags
-        tags.lookups += 1
         entry = self._tag_sets[region & self._set_mask].get(region)
-        if entry is None:
+        if entry is not None:
+            steps = hits = count
+        else:
             entry, victim = tags.allocate(region)
+            steps = count
             if victim is not None:
                 self._handle_eviction(victim)
-        else:
-            tags.hits += 1
-            use = tags._use_clock + 1
+                if not entry.valid:
+                    steps = 1
+            hits = steps - 1
+        stats.registrations += steps
+        tags.lookups += steps
+        if hits:
+            tags.hits += hits
+            use = tags._use_clock + hits
             tags._use_clock = use
             entry.last_use = use
 
+        # ``steps`` counter steps: the counter saturates at the
+        # threshold, and reaching it promotes a cold entry.
         hot_threshold = self._hot_threshold
         counter = entry.dirty_write_counter
         if counter < hot_threshold:
-            counter += 1
+            counter += steps
+            if counter >= hot_threshold:
+                counter = hot_threshold
+                if not entry.hot:
+                    entry.hot = True
+                    stats.promotions += 1
+                    if self.tracer.enabled:
+                        self.tracer.instant(
+                            "promotion", "monitor", args={"region": region}
+                        )
             entry.dirty_write_counter = counter
-            if counter == hot_threshold and not entry.hot:
-                entry.hot = True
-                stats.promotions += 1
-                if self.tracer.enabled:
-                    self.tracer.instant(
-                        "promotion", "monitor", args={"region": region}
-                    )
         if entry.hot:
             entry.short_retention_vector |= 1 << offset
+        if steps != count:
+            # The run's entry was evicted under it: the rest are singles.
+            for _ in range(count - 1):
+                self.register_llc_write(block, was_dirty)
 
     # ------------------------------------------------------------------
     # Input 2 / Output 1: memory write mode decision (Section IV-E)

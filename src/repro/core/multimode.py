@@ -115,27 +115,31 @@ class TieredRetentionMonitor(RegionRetentionMonitor):
     # ------------------------------------------------------------------
     # Registration: extend with the warm tier
     # ------------------------------------------------------------------
-    def register_llc_write(self, block: int, was_dirty: bool) -> None:
+    def register_llc_write(
+        self, block: int, was_dirty: bool, count: int = 1
+    ) -> None:
+        """Record a run of *count* LLC writes to *block*, one at a time:
+        which vector a step marks depends on the counter at that step."""
         if not was_dirty and self.config.streaming_filter:
-            self.stats.clean_writes_filtered += 1
+            self.stats.clean_writes_filtered += count
             return
-        self.stats.registrations += 1
-
         region = self.config.region_of_block(block)
-        entry = self.tags.lookup(region)
-        if entry is None:
-            entry, victim = self.tags.allocate(region)
-            if victim is not None:
-                self._handle_eviction(victim)
-
-        if entry.record_dirty_write(self.config.hot_threshold):
-            self.stats.promotions += 1
         offset = self.config.block_offset(block)
-        if entry.hot:
-            entry.set_vector_bit(offset)
-            entry.mid_retention_vector &= ~(1 << offset)
-        elif entry.dirty_write_counter >= self.config.effective_warm_threshold:
-            entry.set_mid_bit(offset)
+        for _ in range(count):
+            self.stats.registrations += 1
+            entry = self.tags.lookup(region)
+            if entry is None:
+                entry, victim = self.tags.allocate(region)
+                if victim is not None:
+                    self._handle_eviction(victim)
+
+            if entry.record_dirty_write(self.config.hot_threshold):
+                self.stats.promotions += 1
+            if entry.hot:
+                entry.set_vector_bit(offset)
+                entry.mid_retention_vector &= ~(1 << offset)
+            elif entry.dirty_write_counter >= self.config.effective_warm_threshold:
+                entry.set_mid_bit(offset)
 
     # ------------------------------------------------------------------
     # Mode decision: three-way

@@ -1,7 +1,7 @@
 """Single-core execution model.
 
 The core pulls a stream of workload events — tuples
-``(kind, gap, block, dirty)`` with ``kind`` one of the constants in
+``(kind, gap, block, payload)`` with ``kind`` one of the constants in
 :mod:`repro.workloads.events` — and advances a local time cursor:
 
 - ``gap`` instructions retire at ``base_cpi`` cycles each;
@@ -9,7 +9,9 @@ The core pulls a stream of workload events — tuples
   configurable fraction are *blocking* (the core waits for the data);
 - ``EV_WRITE`` enqueues an LLC writeback; the core stalls only if the
   channel's write queue is full (backpressure);
-- ``EV_REGISTER`` notifies the RRM of an LLC write (zero core time).
+- ``EV_REGISTER`` notifies the RRM of a run of ``count`` LLC writes to
+  one block, its payload being ``(dirty, count)``, in one sink call
+  (zero core time).
 
 The core re-enters the event loop whenever a stall resolves (read
 completion or queue space), so execution is fully event-driven.
@@ -20,15 +22,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional
 
 from repro.engine import Simulator
 from repro.errors import ConfigError, SimulationError
 from repro.memctrl.controller import MemoryController
 from repro.memctrl.request import MemRequest, RequestType
-from repro.workloads.events import EV_READ, EV_REGISTER, EV_WRITE
-
-WorkloadEvent = Tuple[int, int, int, bool]
+from repro.workloads.events import EV_READ, EV_REGISTER, EV_WRITE, WorkloadEvent
 
 # Enum member access runs Python code in the enum machinery on every
 # lookup; the per-request paths below use these module constants.
@@ -122,8 +122,10 @@ class CoreModel:
             events: Infinite iterator of workload events.
             write_mode_chooser: Callable block -> n_sets for writebacks
                 (the RRM's decision, or a constant for static schemes).
-            register_sink: Callable (block, was_dirty) receiving LLC write
-                registrations (the RRM, or None to drop them).
+            register_sink: Callable (block, was_dirty, count) receiving
+                each run of ``count`` LLC write registrations in one call
+                (the RRM's ``register_llc_write``, or None to drop them).
+                A two-argument sink fails at the first run.
             end_time_ns: The core parks once its time cursor passes this.
         """
         self.sim = sim
@@ -202,7 +204,7 @@ class CoreModel:
             while t < end:
                 if pending is None:
                     try:
-                        kind, gap, block, dirty = next_event()
+                        kind, gap, block, payload = next_event()
                     except StopIteration:
                         self._exhausted = True
                         return
@@ -210,31 +212,32 @@ class CoreModel:
                         t += gap * ns_per_instruction
                         stats.retired_instructions += gap
                 else:
-                    kind, _, block, dirty = pending
+                    kind, _, block, payload = pending
                     pending = None
 
                 # Anything with a time cost must happen at the cursor time.
                 if t > now:
-                    pending = (kind, 0, block, dirty)
+                    pending = (kind, 0, block, payload)
                     self._wait = _W_TIME
                     sim.schedule_at(t, self._wake_time)
                     return
 
                 if kind == EV_REGISTER:
+                    was_dirty, count = payload
                     if register is not None:
-                        register(block, dirty)
-                    stats.registrations += 1
+                        register(block, was_dirty, count)
+                    stats.registrations += count
                 elif kind == EV_READ:
                     if self._outstanding >= mlp:
                         self._wait = _W_MLP
                         stats.mlp_stalls += 1
-                        pending = (kind, 0, block, dirty)
+                        pending = (kind, 0, block, payload)
                         return  # a read completion will retry
                     if not controller.can_accept(_READ, block):
                         self._wait = _W_SPACE
                         stats.read_queue_stalls += 1
                         controller.notify_space(_READ, block, self._wake_space)
-                        pending = (kind, 0, block, dirty)
+                        pending = (kind, 0, block, payload)
                         return  # a space wake-up will retry
                     blocking = self._rng.random() < blocking_fraction
                     # Positional, in MemRequest's field order: rtype,
@@ -260,7 +263,7 @@ class CoreModel:
                         controller.notify_space(
                             _WRITE, block, self._wake_space, self._space_refused
                         )
-                        pending = (kind, 0, block, dirty)
+                        pending = (kind, 0, block, payload)
                         return  # a space wake-up will retry
                     controller.enqueue(
                         MemRequest(

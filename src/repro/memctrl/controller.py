@@ -551,7 +551,7 @@ class MemoryController:
         # The bank holds an in-flight write: if this read paused it, move
         # the write's completion event to the extended finish time.
         write_request, event = inflight_write
-        new_end = bank.write_end_time()
+        new_end = bank.last_write_end()
         if new_end is None or new_end <= write_request.finish_time_ns:
             return
         sim.cancel(event)

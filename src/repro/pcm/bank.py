@@ -198,13 +198,13 @@ class Bank:
             self.row_buffer.access(row)
         return start, finish
 
-    def write_end_time(self) -> Optional[float]:
+    def last_write_end(self) -> Optional[float]:
         """End time of the bank's most recent write, if it has had one.
 
-        The record is never cleared when the write finishes, so this
-        returns the end of the last write even after that write is over
-        (a write ending at 1000 ns, then a read at 5000 ns: still
-        1000.0). Its one production caller,
+        The record is never cleared when the write finishes, so this is
+        the end of the last write even after that write is over (a write
+        ending at 1000 ns, then a read at 5000 ns: still 1000.0), as the
+        name says. Its one production caller,
         :meth:`~repro.memctrl.controller.MemoryController._issue`,
         consults it only while the controller tracks a write in flight
         on this bank, where the value is that write's (possibly

@@ -12,9 +12,10 @@ Mechanics per LLC-miss cycle:
 
 1. draw an instruction gap (geometric, mean ``1000 / mpki``);
 2. emit one memory READ from the read mixture;
-3. with probability ``writeback_per_miss`` emit a write group: a few
-   REGISTER events (LLC stores; dirty for reuse traffic, clean for
-   streaming) followed by one memory WRITE to the same block.
+3. with probability ``writeback_per_miss`` emit a write group: one
+   REGISTER run event standing for a few LLC stores (dirty for reuse
+   traffic, clean for streaming; see :mod:`repro.workloads.events`)
+   followed by one memory WRITE to the same block.
 
 Hot regions cycle through a per-region working set of blocks so each block
 is written repeatedly — the temporal locality that makes short-retention
@@ -227,8 +228,9 @@ class RegionTrafficGenerator:
         """The event stream, one LLC-miss cycle per loop iteration.
 
         Hot path: one event per core step, so the whole cycle — gap draw,
-        read pick and write group — is inlined here, with profile
-        constants and bound RNG methods held in locals. The RNG draws
+        read pick and write group (a registration run, then the write) —
+        is inlined here, with profile constants and bound RNG methods
+        held in locals. The RNG draws
         happen in a fixed order per cycle, which is what makes a
         (profile, seed) pair reproduce its stream exactly:
 
@@ -377,10 +379,9 @@ class RegionTrafficGenerator:
                 dirty = rand() < cold_dirty_fraction
             block = base_block + region * BLOCKS_PER_REGION + offset
 
+            # The group's registrations are one run event (events.py).
             n_regs = regs_base + 1 if rand() < regs_extra else regs_base
-            register = (EV_REGISTER, 0, block, dirty)
-            for _ in range(n_regs):
-                yield register
+            yield (EV_REGISTER, 0, block, (dirty, n_regs))
             yield (EV_WRITE, 0, block, False)
             writes += 1
             if phase_interval and writes % phase_interval == 0:

@@ -12,6 +12,14 @@ where ``kind`` is ``read`` / ``write`` / ``register``, ``gap`` is the
 instruction gap, ``block`` the 64-byte block index and ``dirty`` 0/1.
 Lines starting with ``#`` are comments. The format is deliberately plain
 text: traces are small at simulator scale and diffable in review.
+
+A line is one LLC write registration, while a registration event is a
+run of them (:mod:`repro.workloads.events`). :class:`TraceWriter` writes
+a run of ``count`` as ``count`` ``register`` lines, the first with the
+run's gap and the rest with gap 0, so a trace's bytes do not depend on
+the encoding. :class:`TraceReader` merges each ``register`` line with
+the gap-0 ``register`` lines after it on the same block with the same
+dirty flag back into one run.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from repro.errors import TraceFormatError
 from repro.workloads.events import (
@@ -45,6 +53,9 @@ class TraceRecord:
     dirty: bool
 
     def as_event(self) -> WorkloadEvent:
+        """The line as an event; a ``register`` line is a run of one."""
+        if self.kind == EV_REGISTER:
+            return (self.kind, self.gap, self.block, (self.dirty, 1))
         return (self.kind, self.gap, self.block, self.dirty)
 
     def format(self) -> str:
@@ -105,8 +116,15 @@ class TraceWriter:
             self._file = None
 
     def write_event(self, event: WorkloadEvent) -> None:
-        kind, gap, block, dirty = event
-        self.write(TraceRecord(kind=kind, gap=gap, block=block, dirty=dirty))
+        """Write *event*: one line, or one line per registration of a run."""
+        kind, gap, block, payload = event
+        if kind != EV_REGISTER:
+            self.write(TraceRecord(kind=kind, gap=gap, block=block, dirty=payload))
+            return
+        dirty, count = payload
+        for _ in range(count):
+            self.write(TraceRecord(kind=kind, gap=gap, block=block, dirty=dirty))
+            gap = 0
 
     def write(self, record: TraceRecord) -> None:
         if self._file is None:
@@ -132,8 +150,28 @@ class TraceReader:
                 yield TraceRecord.parse(stripped, lineno)
 
     def events(self) -> Iterator[WorkloadEvent]:
+        """The trace's events, with registration lines merged into runs."""
+        # The first line of the registration run in hand, and its length.
+        head: Optional[TraceRecord] = None
+        count = 0
         for record in self.records():
-            yield record.as_event()
+            if head is not None:
+                if (
+                    record.kind == EV_REGISTER
+                    and record.gap == 0
+                    and record.block == head.block
+                    and record.dirty == head.dirty
+                ):
+                    count += 1
+                    continue
+                yield (EV_REGISTER, head.gap, head.block, (head.dirty, count))
+                head = None
+            if record.kind == EV_REGISTER:
+                head, count = record, 1
+            else:
+                yield record.as_event()
+        if head is not None:
+            yield (EV_REGISTER, head.gap, head.block, (head.dirty, count))
 
     def __iter__(self) -> Iterator[WorkloadEvent]:
         return self.events()

@@ -97,7 +97,7 @@ class TestWritePausing:
         )
         start, read_finish, _ = bank.schedule_read(40.0, row=1)
         service = read_finish - start
-        assert bank.write_end_time() == pytest.approx(write_end + service)
+        assert bank.last_write_end() == pytest.approx(write_end + service)
         assert bank.busy_until == pytest.approx(write_end + service)
 
     def test_read_waits_for_next_boundary(self, bank, mode7):
@@ -133,7 +133,7 @@ class TestWritePausing:
             pause_boundaries_ns=mode7.set_boundaries_ns,
         )
         bank.schedule_read(40.0, row=1)  # pause 1 (allowed)
-        write_end = bank.write_end_time()
+        write_end = bank.last_write_end()
         start, _, _ = bank.schedule_read(300.0, row=1)
         assert start >= write_end  # second pause denied
 

@@ -353,7 +353,7 @@ class TestWritePauseChain:
             r.on_complete = issue_next
             reads.append(r)
             controller.enqueue(r)
-            ends.append((w.finish_time_ns, bank.write_end_time()))
+            ends.append((w.finish_time_ns, bank.last_write_end()))
             queued.append(controller.pending_requests())
 
         sim.schedule_at(40.0, issue_next)

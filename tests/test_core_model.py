@@ -93,17 +93,35 @@ class TestWrites:
 class TestRegistrations:
     def test_register_sink_invoked(self, sim, controller, params):
         seen = []
-        events = [(EV_REGISTER, 0, 5, True), (EV_REGISTER, 0, 6, False)]
-        run_core(
+        events = [(EV_REGISTER, 0, 5, (True, 3)), (EV_REGISTER, 0, 6, (False, 1))]
+        core = run_core(
             sim, controller, events, params,
-            register_sink=lambda block, dirty: seen.append((block, dirty)),
+            register_sink=lambda block, dirty, count: seen.append(
+                (block, dirty, count)
+            ),
         )
-        assert seen == [(5, True), (6, False)]
+        assert seen == [(5, True, 3), (6, False, 1)]
+        assert core.stats.registrations == 4
 
     def test_registrations_without_sink_are_dropped(self, sim, controller, params):
-        events = [(EV_REGISTER, 0, 5, True)]
+        events = [(EV_REGISTER, 0, 5, (True, 2))]
         core = run_core(sim, controller, events, params)
-        assert core.stats.registrations == 1
+        assert core.stats.registrations == 2
+
+    def test_single_registration_encoding_fails_loudly(
+        self, sim, controller, params
+    ):
+        """A bare dirty flag is the encoding before runs: it must raise,
+        not count as one registration."""
+        with pytest.raises(TypeError):
+            run_core(sim, controller, [(EV_REGISTER, 0, 5, True)], params)
+
+    def test_two_argument_sink_fails_loudly(self, sim, controller, params):
+        with pytest.raises(TypeError):
+            run_core(
+                sim, controller, [(EV_REGISTER, 0, 5, (True, 2))], params,
+                register_sink=lambda block, dirty: None,
+            )
 
 
 class TestEndTime:

@@ -67,6 +67,20 @@ class TestStreamStructure:
                 assert prev_kind == EV_REGISTER
                 assert prev_block == block
 
+    def test_write_group_registrations_are_one_run(self, profile):
+        """``registrations_per_write`` 3.5 gives runs of 3 or 4, each one
+        event right before its write."""
+        events = take(RegionTrafficGenerator(profile, seed=1), 20000)
+        counts = Counter()
+        for i, (kind, _, _, payload) in enumerate(events):
+            if kind == EV_REGISTER:
+                dirty, count = payload
+                counts[count] += 1
+                assert isinstance(dirty, bool)
+                if i + 1 < len(events):
+                    assert events[i + 1][0] == EV_WRITE
+        assert sorted(counts) == [3, 4]
+
     def test_gap_only_on_reads(self, profile):
         events = take(RegionTrafficGenerator(profile, seed=1), 20000)
         for kind, gap, _, _ in events:
@@ -126,7 +140,7 @@ class TestLocalityShape:
         )
         generator = RegionTrafficGenerator(profile, seed=4)
         registrations = [
-            dirty for kind, _, _, dirty in take(generator, 20000)
+            payload[0] for kind, _, _, payload in take(generator, 20000)
             if kind == EV_REGISTER
         ]
         assert registrations and not any(registrations)
@@ -139,7 +153,7 @@ class TestLocalityShape:
         )
         generator = RegionTrafficGenerator(profile, seed=4)
         registrations = [
-            dirty for kind, _, _, dirty in take(generator, 20000)
+            payload[0] for kind, _, _, payload in take(generator, 20000)
             if kind == EV_REGISTER
         ]
         assert registrations and all(registrations)
@@ -329,10 +343,28 @@ def built_generators(workload):
     return built
 
 
+def one_event_per_registration(events):
+    """*events* with each registration run ``(EV_REGISTER, gap, block,
+    (dirty, count))`` spelled as ``count`` events ``(EV_REGISTER, gap,
+    block, dirty)``, the first with the run's gap and the rest with gap 0:
+    the encoding the pinned digests were taken in."""
+    for event in events:
+        kind, gap, block, payload = event
+        if kind != EV_REGISTER:
+            yield event
+            continue
+        dirty, count = payload
+        for _ in range(count):
+            yield (kind, gap, block, dirty)
+            gap = 0
+
+
 def stream_digest(generator):
-    """sha256 over the repr of the generator's first STREAM_EVENTS events."""
+    """sha256 over the repr of the generator's first STREAM_EVENTS events,
+    with registration runs spelled as single registrations."""
     digest = hashlib.sha256()
-    for event in itertools.islice(iter(generator), STREAM_EVENTS):
+    events = one_event_per_registration(iter(generator))
+    for event in itertools.islice(events, STREAM_EVENTS):
         digest.update(repr(event).encode())
         digest.update(b"\n")
     return digest.hexdigest()

@@ -1,5 +1,6 @@
 """Tests for trace file I/O."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -12,16 +13,18 @@ from repro.workloads.trace import TraceReader, TraceRecord, TraceWriter, write_t
 
 SAMPLE_EVENTS = [
     (EV_READ, 37, 1024, False),
-    (EV_REGISTER, 0, 2048, True),
+    (EV_REGISTER, 0, 2048, (True, 1)),
     (EV_WRITE, 0, 2048, False),
-    (EV_REGISTER, 0, 4096, False),
+    (EV_REGISTER, 0, 4096, (False, 1)),
 ]
 
 
 class TestRecord:
     def test_format_parse_roundtrip(self):
         for event in SAMPLE_EVENTS:
-            record = TraceRecord(*event)
+            kind, gap, block, payload = event
+            dirty = payload[0] if kind == EV_REGISTER else payload
+            record = TraceRecord(kind, gap, block, dirty)
             assert TraceRecord.parse(record.format()).as_event() == event
 
     def test_parse_rejects_wrong_field_count(self):
@@ -87,4 +90,62 @@ class TestGeneratorCapture:
         events = list(itertools.islice(iter(generator), 2000))
         path = tmp_path / "gen.trace"
         write_trace(path, events)
+        assert list(TraceReader(path)) == events
+
+
+class TestRegistrationRuns:
+    """A run is ``count`` ``register`` lines on disk and one event in
+    memory."""
+
+    def test_run_written_as_count_lines(self, tmp_path):
+        path = tmp_path / "t.trace"
+        count = write_trace(path, [(EV_REGISTER, 5, 64, (True, 3))])
+        assert count == 3
+        assert path.read_text() == (
+            "register 5 64 1\nregister 0 64 1\nregister 0 64 1\n"
+        )
+
+    def test_reader_merges_gap_zero_lines_on_one_block_and_flag(self, tmp_path):
+        path = tmp_path / "t.trace"
+        path.write_text(
+            "register 5 64 1\nregister 0 64 1\n"  # one run of 2
+            "register 0 64 0\n"                    # dirty flag differs
+            "register 0 65 0\nregister 0 65 0\n"  # block differs
+            "register 2 65 0\n"                    # nonzero gap
+            "write 0 65 0\n"
+            "register 0 65 0\n"                    # after a write
+        )
+        assert list(TraceReader(path)) == [
+            (EV_REGISTER, 5, 64, (True, 2)),
+            (EV_REGISTER, 0, 64, (False, 1)),
+            (EV_REGISTER, 0, 65, (False, 2)),
+            (EV_REGISTER, 2, 65, (False, 1)),
+            (EV_WRITE, 0, 65, False),
+            (EV_REGISTER, 0, 65, (False, 1)),
+        ]
+
+    def test_single_registration_encoding_rejected(self, tmp_path):
+        with TraceWriter(tmp_path / "t.trace") as writer:
+            with pytest.raises(TypeError):
+                writer.write_event((EV_REGISTER, 0, 64, True))
+
+    def test_generated_trace_bytes_pinned(self, tmp_path):
+        """The first 300 write groups of a generated stream, written as a
+        trace: these are the bytes the encoding with one event per
+        registration wrote, so traces stay interchangeable."""
+        profile = RegionProfile(
+            mpki=20.0, footprint_regions=256, hot_regions=8, warm_regions=32
+        )
+        events, writes = [], 0
+        for event in RegionTrafficGenerator(profile, seed=3):
+            events.append(event)
+            if event[0] == EV_WRITE:
+                writes += 1
+                if writes == 300:
+                    break
+        path = tmp_path / "gen.trace"
+        assert write_trace(path, events, header="pinned sample") == 2104
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "ac06d9993f32550de3c187cd62ef840a07437f180e2aa27769fcaffd513ccd96"
+        )
         assert list(TraceReader(path)) == events
