@@ -2,14 +2,14 @@
 
 :class:`FabricExecutor` fans one sweep out across N worker processes
 that share the checkpoint journal as a work-stealing queue
-(:class:`SharedJournal`), keeping results bit-identical to serial
-execution while crashes, timeouts, fault injection and ``--resume``
-keep composing.
+(:class:`~repro.resilience.journal.ResultJournal`), keeping results
+bit-identical to serial execution while crashes, timeouts, fault
+injection and ``--resume`` keep composing.
 """
 
 from repro.fabric.executor import FabricExecutor, FabricOutcome, FabricStats
-from repro.fabric.locking import FileLock
-from repro.fabric.sharedjournal import Claim, SharedJournal
+from repro.resilience.journal import Claim
+from repro.resilience.locking import FileLock
 
 __all__ = [
     "Claim",
@@ -17,5 +17,4 @@ __all__ = [
     "FabricOutcome",
     "FabricStats",
     "FileLock",
-    "SharedJournal",
 ]

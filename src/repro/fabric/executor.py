@@ -2,7 +2,7 @@
 
 :class:`FabricExecutor` shards a sweep's (workload, scheme) jobs across
 N worker processes over one shared checkpoint journal
-(:class:`~repro.fabric.sharedjournal.SharedJournal`). Each worker owns a
+(:class:`~repro.resilience.journal.ResultJournal`). Each worker owns a
 round-robin shard of the matrix and drains it first; when its shard is
 empty it *steals* unclaimed jobs from the rest of the sweep, so an
 unlucky shard full of slow cells never idles the fleet.
@@ -35,16 +35,19 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
-from repro.fabric.sharedjournal import Key, SharedJournal
 from repro.resilience.faultinject import FaultPlan, corrupt_result, trigger_fault
+from repro.resilience.journal import Key, ResultJournal
 from repro.resilience.policy import RetryPolicy
-from repro.resilience.supervisor import FailedRun
+from repro.resilience.supervisor import FailedRun, Job, run_attempt
 from repro.sim.metrics import SimResult
-from repro.sim.runner import _validate_sim_result, run_workload
+from repro.sim.runner import _run_job, _validate_sim_result
 from repro.sim.schemes import Scheme
+
+if TYPE_CHECKING:
+    from repro.obs.live.heartbeat import FleetStatus
 
 #: Coordinator poll period: drain events, check liveness, check the
 #: journal for completion.
@@ -83,25 +86,6 @@ class FabricStats:
     #: Per-worker wall seconds spent inside simulations.
     worker_busy_s: Dict[int, float] = field(default_factory=dict)
 
-    def reset(self, *, n_workers: int = 0, jobs_total: int = 0) -> None:
-        """Zero every counter in place for a new sweep.
-
-        In place rather than rebinding a fresh instance so that holders
-        of a live reference (the runner's telemetry registration) keep
-        seeing current numbers.
-        """
-        self.n_workers = n_workers
-        self.jobs_total = jobs_total
-        self.jobs_completed = 0
-        self.jobs_failed = 0
-        self.jobs_stolen = 0
-        self.retries = 0
-        self.releases = 0
-        self.respawns = 0
-        self.events_dropped = 0
-        self.wall_s = 0.0
-        self.worker_busy_s = {}
-
     @property
     def queue_depth(self) -> int:
         """Jobs not yet settled."""
@@ -135,6 +119,8 @@ class FabricOutcome:
     results: Dict[Key, SimResult] = field(default_factory=dict)
     failures: Dict[Key, FailedRun] = field(default_factory=dict)
     stats: FabricStats = field(default_factory=FabricStats)
+    #: The workers' last heartbeats.
+    fleet: Optional[FleetStatus] = None
     journal_path: Optional[Path] = None
 
 
@@ -165,7 +151,7 @@ def _fabric_worker_main(
     from repro.obs.live.heartbeat import HEARTBEAT_EVENT, make_heartbeat
     from repro.obs.live.slog import StructuredLogger
 
-    journal = SharedJournal(journal_path)
+    journal = ResultJournal(journal_path)
     ledger = None
     if ledger_part is not None:
         from repro.obs.ledger import KIND_SWEEP, LedgerEntry, RunLedger
@@ -257,78 +243,58 @@ def _fabric_worker_main(
                  "worker": worker_id},
             )
             beat(f"{workload}/{scheme_value}", claim.attempt)
+            cell = (config, workload, scheme_value, max_events)
             fault = (
                 fault_plan.fault_for(claim.key, claim.attempt)
                 if fault_plan
                 else None
             )
-            started = time.monotonic()
-            try:
-                if fault is not None:
-                    # A crash fault is os._exit: no excepthook, no
-                    # atexit, no SIGTERM handler. Dump the recorder
-                    # *before* pulling the trigger so the crash is
-                    # explainable from its artifact.
-                    if recorder is not None:
-                        recorder.record(
-                            "fault.trigger",
-                            {"kind": fault, "key": list(claim.key),
-                             "attempt": claim.attempt},
-                        )
-                        if fault == "crash":
-                            recorder.try_dump("injected-crash")
-                    if fault == "crash":
-                        # Flush the buffered lifecycle events too: exiting
-                        # mid-flush would lose them, or leave the shared
-                        # queue's writer lock held and silence the fleet.
-                        events.close()
-                        events.join_thread()
-                    trigger_fault(fault)  # crash/hang never return
-                result = run_workload(
-                    config, workload, Scheme(scheme_value),
-                    max_events=max_events,
-                )
-                if fault == "corrupt":
-                    result = corrupt_result(result)
-                problem = _validate_sim_result(claim.key, result)
-                if problem is not None:
-                    from repro.errors import CorruptResultError
-
-                    raise CorruptResultError(problem)
-            except Exception as exc:  # noqa: BLE001 - degrade, don't unwind
-                busy_s += time.monotonic() - started
-                error_type = type(exc).__name__
-                if retry.should_retry(claim.attempt, error_type):
-                    delay = retry.delay_s(claim.key, claim.attempt, seed)
-                    journal.release(
-                        claim.key, worker_id, f"retry:{error_type}"
-                    )
-                    emit(
-                        "job.retry",
-                        {"key": list(claim.key), "attempt": claim.attempt,
-                         "delay_s": delay, "error": error_type,
-                         "worker": worker_id},
-                    )
-                    beat(None, 0)
-                    time.sleep(delay)
-                    continue
-                from repro.errors import CorruptResultError
-
-                failed = FailedRun(
-                    key=claim.key,
-                    kind=(
-                        "corrupt"
-                        if isinstance(exc, CorruptResultError)
-                        else "error"
-                    ),
-                    message=f"{error_type}: {exc}",
-                    attempts=claim.attempt,
-                    elapsed_s=time.monotonic() - started,
-                    recorder_path=(
-                        str(recorder.path) if recorder is not None else None
-                    ),
-                )
+            if fault is None:
+                job = Job(key=claim.key, fn=_run_job, args=cell)
+            else:
+                job = Job(key=claim.key, fn=_run_faulted_job,
+                          args=(fault, *cell))
+                # A crash fault is os._exit: no excepthook, no atexit,
+                # no SIGTERM handler. Dump the recorder *before* pulling
+                # the trigger so the crash is explainable from its
+                # artifact.
                 if recorder is not None:
+                    recorder.record(
+                        "fault.trigger",
+                        {"kind": fault, "key": list(claim.key),
+                         "attempt": claim.attempt},
+                    )
+                    if fault == "crash":
+                        recorder.try_dump("injected-crash")
+                if fault == "crash":
+                    # Flush the buffered lifecycle events too: exiting
+                    # mid-flush would lose them, or leave the shared
+                    # queue's writer lock held and silence the fleet.
+                    events.close()
+                    events.join_thread()
+            started = time.monotonic()
+            outcome = run_attempt(
+                job, claim.attempt, validate=_validate_sim_result,
+                retry=retry, seed=seed, started=started, clock=time.monotonic,
+            )
+            busy_s += time.monotonic() - started
+            if outcome.retry_delay_s is not None:
+                journal.release(
+                    claim.key, worker_id, f"retry:{outcome.error}"
+                )
+                emit(
+                    "job.retry",
+                    {"key": list(claim.key), "attempt": claim.attempt,
+                     "delay_s": outcome.retry_delay_s,
+                     "error": outcome.error, "worker": worker_id},
+                )
+                beat(None, 0)
+                time.sleep(outcome.retry_delay_s)
+                continue
+            failed = outcome.failed
+            if failed is not None:
+                if recorder is not None:
+                    failed.recorder_path = str(recorder.path)
                     recorder.record("job.failed", failed.as_dict())
                     recorder.try_dump("job-failed")
                 journal.append_failure(
@@ -337,7 +303,7 @@ def _fabric_worker_main(
                 emit("job.failed", failed.as_dict())
                 beat(None, 0)
                 continue
-            busy_s += time.monotonic() - started
+            result = outcome.value
             jobs_done += 1
             sim_events_total += result.sim_events
             result_dict = result.to_json_dict()
@@ -361,6 +327,14 @@ def _fabric_worker_main(
             {"worker": worker_id, "busy_s": busy_s, "jobs": jobs_done,
              "stolen": stolen, "events_dropped": events_dropped},
         )
+
+
+def _run_faulted_job(fault, config, workload, scheme_value, max_events):
+    """A sweep cell with its injected fault: ``crash``/``hang``/``error``
+    fire before the simulation, ``corrupt`` mangles its result."""
+    trigger_fault(fault)  # crash/hang never return
+    result = _run_job(config, workload, scheme_value, max_events)
+    return corrupt_result(result) if fault == "corrupt" else result
 
 
 @dataclass
@@ -453,8 +427,9 @@ class FabricExecutor:
         self.on_failure = on_failure
         self._clock = clock
         self.recorder_dir = recorder_dir
+        #: The current (or last) sweep's counters and worker heartbeats;
+        #: :meth:`run` starts fresh ones and returns them on its outcome.
         self.stats = FabricStats(n_workers=n_jobs)
-        #: Aggregated worker heartbeats; live while a sweep runs.
         self.fleet = FleetStatus(clock=clock)
 
     def _emit(self, name: str, args: dict) -> None:
@@ -492,12 +467,14 @@ class FabricExecutor:
             tmp_dir = tempfile.TemporaryDirectory(prefix="repro-fabric-")
             journal_path = Path(tmp_dir.name) / "journal.jsonl"
             fresh = True
-        journal = SharedJournal(journal_path)
+        journal = ResultJournal(journal_path)
         if fresh or not Path(journal_path).exists():
             journal.start(meta or {})
 
-        self.stats.reset(n_workers=self.n_jobs, jobs_total=len(keys))
-        self.fleet.clear()
+        from repro.obs.live.heartbeat import FleetStatus
+
+        self.stats = FabricStats(n_workers=self.n_jobs, jobs_total=len(keys))
+        self.fleet = FleetStatus(clock=self._clock)
         if self.recorder_dir is not None:
             Path(self.recorder_dir).mkdir(parents=True, exist_ok=True)
         started = time.monotonic()
@@ -512,6 +489,7 @@ class FabricExecutor:
             else:
                 outcome_journal = Path(journal_path)
         outcome.stats = self.stats
+        outcome.fleet = self.fleet
         outcome.journal_path = outcome_journal
         if self.ledger_path is not None:
             from repro.obs.ledger import merge_ledgers
@@ -710,7 +688,7 @@ class FabricExecutor:
 
     def _settle_orphan(self, journal, slot, kind, error_type, message):
         """Turn a dead worker's outstanding lease into a retry or failure."""
-        contents = journal.load()
+        contents = journal.read()
         settled = contents.settled()
         orphans: List[Tuple[Key, int]] = []
         if slot.active is not None and slot.active[0] not in settled:
@@ -780,7 +758,7 @@ class FabricExecutor:
     # ------------------------------------------------------------------
     def _reconcile(self, journal, keys, delivered) -> FabricOutcome:
         """The journal is the truth; events were just the live stream."""
-        contents = journal.load()
+        contents = journal.read()
         outcome = FabricOutcome()
         for key in keys:
             if key in contents.results:

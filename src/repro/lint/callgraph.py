@@ -43,7 +43,7 @@ LOCK_CONSTRUCTORS = frozenset(
         "threading.BoundedSemaphore",
         "multiprocessing.Lock",
         "multiprocessing.RLock",
-        "repro.fabric.locking.FileLock",
+        "repro.resilience.locking.FileLock",
     }
 )
 

@@ -104,7 +104,7 @@ class LockDisciplineChecker(Checker):
                 f"{reason} outside any lock scope",
                 hint="wrap the call in `with <lock>:`, or move it into a "
                 "`*_locked` helper whose callers hold the lock "
-                "(see SharedJournal._append_locked)",
+                "(see ResultJournal._append_locked)",
             )
         return out
 
@@ -320,7 +320,7 @@ class WallclockLeaseChecker(Checker):
     and supervision deadlines computed from a direct ``time.time()`` /
     ``time.monotonic()`` call cannot be unit-tested without sleeping and
     cannot be replayed; an injected ``clock=`` callable (the pattern of
-    ``SharedJournal.claim_next`` and ``RunProgress``) can. Passive
+    ``ResultJournal.claim_next`` and ``RunProgress``) can. Passive
     measurement (``elapsed``, ``busy_s``, ``wall_s``, ``recorded_*``)
     is exempt.
     """
@@ -356,7 +356,7 @@ class WallclockLeaseChecker(Checker):
                 f"direct `{target}()` in lease/timeout logic "
                 f"(`{owner.qualname}`)",
                 hint="inject the clock (e.g. a `clock=time.monotonic` "
-                "parameter, as in SharedJournal.claim_next) so expiry "
+                "parameter, as in ResultJournal.claim_next) so expiry "
                 "logic is testable without sleeping",
             )
         return out

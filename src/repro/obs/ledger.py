@@ -9,15 +9,15 @@ package version — so two entries can always be judged comparable (or
 not) before their numbers are compared.
 
 Durability follows the checkpoint-journal convention
-(:mod:`repro.resilience.journal`): appends go through a temp file +
-``os.replace`` so readers never see a torn file, the loader drops a
-truncated *final* line, and corruption anywhere earlier raises
+(:mod:`repro.resilience.journal`): each entry is one
+:func:`~repro.utils.persist.append_jsonl` line, so concurrent appenders
+never lose each other's entries, the loader drops a truncated *final*
+line, and corruption anywhere earlier raises
 :class:`~repro.errors.LedgerCorruptError`.
 """
 
 from __future__ import annotations
 
-import json
 import platform
 import subprocess
 import time
@@ -27,7 +27,7 @@ from typing import Dict, List, Optional
 
 from repro.errors import LedgerCorruptError
 from repro.resilience.journal import config_sha256
-from repro.utils.persist import atomic_write_text
+from repro.utils.persist import append_jsonl, read_jsonl
 
 LEDGER_SCHEMA = 1
 
@@ -212,14 +212,7 @@ class RunLedger:
         """Durably append one entry (stamping its record time if unset)."""
         if not entry.recorded_unix_s:
             entry.recorded_unix_s = time.time()
-        existing = ""
-        if self.path.exists():
-            existing = self.path.read_text(encoding="utf-8")
-            if existing and not existing.endswith("\n"):
-                existing += "\n"
-        atomic_write_text(
-            self.path, existing + json.dumps(entry.to_json_dict()) + "\n"
-        )
+        append_jsonl(self.path, entry.to_json_dict())
         self.entries_appended += 1
         return entry
 
@@ -234,26 +227,8 @@ class RunLedger:
         anywhere earlier raises :class:`LedgerCorruptError`. A missing
         file raises :class:`FileNotFoundError` like any reader would.
         """
-        path = Path(path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        entries: List[LedgerEntry] = []
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                if lineno == len(lines):
-                    break  # torn final append: the entry simply re-records
-                raise LedgerCorruptError(
-                    f"{path}: bad ledger line {lineno}: {exc}"
-                ) from None
-            if not isinstance(record, dict):
-                raise LedgerCorruptError(
-                    f"{path}: ledger line {lineno} is not an object"
-                )
-            entries.append(LedgerEntry.from_json_dict(record))
-        return entries
+        records, _ = read_jsonl(path, LedgerCorruptError)
+        return [LedgerEntry.from_json_dict(record) for record in records]
 
 
 # ----------------------------------------------------------------------

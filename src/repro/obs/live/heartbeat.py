@@ -142,12 +142,6 @@ class FleetStatus:
             if worker in self._workers:
                 self._workers[worker]["exited"] = True
 
-    def clear(self) -> None:
-        """Forget every worker (a new sweep starts a fresh fleet)."""
-        with self._lock:
-            self._workers.clear()
-            self._last_seen.clear()
-
     # ------------------------------------------------------------------
     def workers(self) -> List[Dict[str, Any]]:
         """Latest record per worker, annotated with ``age_s``/``stale``."""

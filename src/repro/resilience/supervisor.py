@@ -9,17 +9,18 @@ unwinds the sweep.
 
 Isolation lives elsewhere: a sweep that needs a wall-clock timeout, a
 fault plan, or worker processes runs on the fabric
-(:class:`~repro.fabric.executor.FabricExecutor`), whose workers produce
-the same :class:`FailedRun` records (kinds ``timeout`` and ``crash``
-included). :meth:`repro.sim.runner.ExperimentRunner.run_all` picks one
-or the other.
+(:class:`~repro.fabric.executor.FabricExecutor`), whose workers run
+each attempt through the same :func:`run_attempt` and produce the same
+:class:`FailedRun` records (kinds ``timeout`` and ``crash`` included).
+:meth:`repro.sim.runner.ExperimentRunner.run_all` picks one or the
+other.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import (
     CorruptResultError,
@@ -93,6 +94,63 @@ class FailedRun:
         )
 
 
+class AttemptOutcome(NamedTuple):
+    """How one attempt ended: exactly one of a validated *value*, a
+    scheduled retry (*retry_delay_s*), or a final *failed* record."""
+
+    value: Any = None
+    #: Exception type name of a failed attempt (retried or final).
+    error: Optional[str] = None
+    retry_delay_s: Optional[float] = None
+    failed: Optional[FailedRun] = None
+
+
+def run_attempt(
+    job: Job,
+    attempt: int,
+    *,
+    validate: Optional[Callable[[Tuple, object], Optional[str]]],
+    retry: RetryPolicy,
+    seed: int,
+    started: float,
+    clock: Callable[[], float],
+) -> AttemptOutcome:
+    """Run attempt number *attempt* of *job*, for every sweep executor.
+
+    Calls the job and validates its value; a validation message raises
+    :class:`CorruptResultError`. Any exception then either schedules a
+    retry (:meth:`RetryPolicy.should_retry`, with the seeded
+    :meth:`RetryPolicy.delay_s`) or becomes a :class:`FailedRun` of kind
+    ``corrupt`` or ``error`` whose ``elapsed_s`` counts from *started*
+    on *clock*. The caller sleeps, journals and reports.
+    """
+    try:
+        value = job.fn(*job.args)
+        problem = validate(job.key, value) if validate else None
+        if problem is not None:
+            raise CorruptResultError(problem)
+        return AttemptOutcome(value=value)
+    except Exception as exc:  # noqa: BLE001 - degrade, don't unwind
+        error_type = type(exc).__name__
+        if retry.should_retry(attempt, error_type):
+            return AttemptOutcome(
+                error=error_type,
+                retry_delay_s=retry.delay_s(job.key, attempt, seed),
+            )
+        return AttemptOutcome(
+            error=error_type,
+            failed=FailedRun(
+                key=job.key,
+                kind=(
+                    "corrupt" if isinstance(exc, CorruptResultError) else "error"
+                ),
+                message=f"{error_type}: {exc}",
+                attempts=attempt,
+                elapsed_s=clock() - started,
+            ),
+        )
+
+
 class JobSupervisor:
     """Runs jobs in-process to completion-or-structured-failure.
 
@@ -160,47 +218,33 @@ class JobSupervisor:
             while True:
                 attempt += 1
                 self._emit("job.attempt", key=list(job.key), attempt=attempt)
-                try:
-                    value = job.fn(*job.args)
-                    problem = self.validate(job.key, value) if self.validate else None
-                    if problem is not None:
-                        raise CorruptResultError(problem)
-                    results[job.key] = value
+                outcome = run_attempt(
+                    job, attempt, validate=self.validate, retry=self.retry,
+                    seed=self.seed, started=started, clock=self._clock,
+                )
+                if outcome.retry_delay_s is not None:
+                    delay = outcome.retry_delay_s
+                    self.retries_scheduled.append((job.key, attempt, delay))
                     self._emit(
-                        "job.result", key=list(job.key), attempts=attempt
+                        "job.retry",
+                        key=list(job.key),
+                        attempt=attempt,
+                        delay_s=delay,
+                        error=outcome.error,
                     )
-                    if on_result:
-                        on_result(job.key, value)
-                    break
-                except Exception as exc:  # noqa: BLE001 - degrade, don't unwind
-                    error_type = type(exc).__name__
-                    if self.retry.should_retry(attempt, error_type):
-                        delay = self.retry.delay_s(job.key, attempt, self.seed)
-                        self.retries_scheduled.append((job.key, attempt, delay))
-                        self._emit(
-                            "job.retry",
-                            key=list(job.key),
-                            attempt=attempt,
-                            delay_s=delay,
-                            error=error_type,
-                        )
-                        self._sleep(delay)
-                        continue
-                    kind = (
-                        "corrupt" if isinstance(exc, CorruptResultError) else "error"
-                    )
-                    failed = FailedRun(
-                        key=job.key,
-                        kind=kind,
-                        message=f"{error_type}: {exc}",
-                        attempts=attempt,
-                        elapsed_s=self._clock() - started,
-                    )
-                    failures[job.key] = failed
-                    self._emit("job.failed", **failed.as_dict())
+                    self._sleep(delay)
+                    continue
+                if outcome.failed is not None:
+                    failures[job.key] = outcome.failed
+                    self._emit("job.failed", **outcome.failed.as_dict())
                     if on_failure:
-                        on_failure(failed)
+                        on_failure(outcome.failed)
                     break
+                results[job.key] = outcome.value
+                self._emit("job.result", key=list(job.key), attempts=attempt)
+                if on_result:
+                    on_result(job.key, outcome.value)
+                break
         return results, failures
 
 

@@ -102,7 +102,8 @@ class ExperimentRunner:
         retry: retry policy for failed jobs (default: 2 retries with
             exponential backoff and seeded jitter).
         journal_path: optional JSONL checkpoint journal; every settled
-            job is appended atomically so a crashed sweep can resume.
+            job is appended as one locked line so a crashed sweep can
+            resume.
         lease_s: fabric claim lease duration (unused in-process).
         ledger_path: optional run ledger receiving one entry per cell
             the sweep ran, sorted by workload then scheme. In-process
@@ -165,12 +166,10 @@ class ExperimentRunner:
         self.recorder_dir = recorder_dir
         self.results: Dict[ResultKey, SimResult] = {}
         self.failures: Dict[ResultKey, FailedRun] = {}
-        #: Live FabricStats during a fabric sweep (set before the fleet
-        #: starts, zeroed in place per sweep), so observers can scrape
-        #: mid-run.
+        #: The last fabric sweep's FabricStats, set when it finishes.
         self.fabric_stats = None
-        #: Live FleetStatus (aggregated worker heartbeats) during a
-        #: fabric sweep.
+        #: The last fabric sweep's FleetStatus (its workers' final
+        #: heartbeats), set when it finishes.
         self.fleet = None
         self._journal: Optional[ResultJournal] = None
         self._resumed = False
@@ -205,22 +204,42 @@ class ExperimentRunner:
             progress: Optional callable ``(workload, scheme, result)``
                 invoked after each run (e.g. to print a line).
         """
-        if not self._runs_in_process():
-            return self._run_fabric(progress)
-        jobs = [
-            Job(
-                key=(workload, scheme.value),
-                fn=_run_job,
-                args=(self.config, workload, scheme.value, self.max_events),
-            )
+        missing = [
+            (workload, scheme.value)
             for workload in self.workloads
             for scheme in self.schemes
             if (workload, scheme) not in self.results
         ]
-        if not jobs:
+        if not missing:
             return self.results
+        if not self._runs_in_process():
+            return self._run_fabric(progress)
+        jobs = [
+            Job(key=key, fn=_run_job, args=(self.config, *key, self.max_events))
+            for key in missing
+        ]
+        on_result, on_failure = self._settle_callbacks(
+            progress, self._ensure_journal()
+        )
+        supervisor = JobSupervisor(
+            retry=self.retry,
+            seed=self.config.seed,
+            validate=_validate_sim_result,
+            on_event=(
+                self._on_supervisor_event
+                if (self.tracer.enabled or self.on_event is not None)
+                else None
+            ),
+        )
+        supervisor.run(jobs, on_result=on_result, on_failure=on_failure)
+        if self.ledger_path is not None:
+            self._append_ledger(missing)
+        return self.results
 
-        journal = self._ensure_journal()
+    def _settle_callbacks(self, progress, journal):
+        """The ``(on_result, on_failure)`` pair both executors report
+        settled jobs to; with a *journal* they also append the record
+        (fabric workers journal their own)."""
 
         def on_result(key, result) -> None:
             workload, scheme_value = key
@@ -240,20 +259,7 @@ class ExperimentRunner:
             if journal is not None:
                 journal.append_failure(workload, scheme_value, failed.as_dict())
 
-        supervisor = JobSupervisor(
-            retry=self.retry,
-            seed=self.config.seed,
-            validate=_validate_sim_result,
-            on_event=(
-                self._on_supervisor_event
-                if (self.tracer.enabled or self.on_event is not None)
-                else None
-            ),
-        )
-        supervisor.run(jobs, on_result=on_result, on_failure=on_failure)
-        if self.ledger_path is not None:
-            self._append_ledger(job.key for job in jobs)
-        return self.results
+        return on_result, on_failure
 
     def _append_ledger(self, keys) -> None:
         """Append the cells among *keys* that produced a result, sorted
@@ -272,27 +278,7 @@ class ExperimentRunner:
         """Route the sweep through the sharded multiprocess fabric."""
         from repro.fabric.executor import FabricExecutor
 
-        remaining = [
-            (workload, scheme)
-            for workload in self.workloads
-            for scheme in self.schemes
-            if (workload, scheme) not in self.results
-        ]
-        if not remaining:
-            return self.results
-
-        def on_result(key, result) -> None:
-            workload, scheme_value = key
-            scheme = Scheme(scheme_value)
-            self.results[(workload, scheme)] = result
-            self.failures.pop((workload, scheme), None)
-            if progress is not None:
-                progress(workload, scheme, result)
-
-        def on_failure(failed: FailedRun) -> None:
-            workload, scheme_value = failed.key
-            self.failures[(workload, Scheme(scheme_value))] = failed
-
+        on_result, on_failure = self._settle_callbacks(progress, None)
         executor = FabricExecutor(
             self.n_jobs,
             journal_path=self.journal_path,
@@ -311,11 +297,6 @@ class ExperimentRunner:
             on_failure=on_failure,
             recorder_dir=self.recorder_dir,
         )
-        # Expose the live observability surfaces before the fleet
-        # starts: stats reset in place, so mid-sweep scrapes see
-        # current numbers through these references.
-        self.fabric_stats = executor.stats
-        self.fleet = executor.fleet
         outcome = executor.run(
             self.config,
             self.workloads,
@@ -326,6 +307,8 @@ class ExperimentRunner:
             # a fresh start here would wipe them.
             fresh=not self._resumed,
         )
+        self.fabric_stats = outcome.stats
+        self.fleet = outcome.fleet
         # The journal is the truth; events were only the live stream.
         for (workload, scheme_value), result in outcome.results.items():
             self.results[(workload, Scheme(scheme_value))] = result

@@ -16,7 +16,7 @@ from repro.errors import (
     ConfigError,
     LockTimeoutError,
 )
-from repro.fabric import Claim, FabricExecutor, FileLock, SharedJournal
+from repro.fabric import Claim, FabricExecutor, FileLock
 from repro.obs.ledger import KIND_SWEEP, LedgerEntry, RunLedger, merge_ledgers
 from repro.obs.progress import SweepProgress, _LineWriter
 from repro.resilience import FaultPlan, ResultJournal, RetryPolicy
@@ -44,7 +44,7 @@ def _locked_increment(path, counter, rounds) -> None:
 
 
 def _hammer_claims(journal_path, worker_id, shard, all_keys) -> None:
-    journal = SharedJournal(journal_path)
+    journal = ResultJournal(journal_path)
     while True:
         claim = journal.claim_next(
             worker_id, shard, all_keys, lease_s=60.0
@@ -115,14 +115,14 @@ class TestFileLock:
 
 
 # ----------------------------------------------------------------------
-# SharedJournal
+# ResultJournal as a shared queue
 # ----------------------------------------------------------------------
 class TestSharedJournal:
     def keys(self, n=6):
         return [(f"w{i}", "rrm") for i in range(n)]
 
     def test_claim_prefers_own_shard_then_steals(self, tmp_path):
-        journal = SharedJournal(tmp_path / "j.jsonl")
+        journal = ResultJournal(tmp_path / "j.jsonl")
         journal.start({})
         keys = self.keys(4)
         shard0 = keys[0::2]
@@ -135,7 +135,7 @@ class TestSharedJournal:
         assert stolen.key == keys[1] and stolen.stolen
 
     def test_outstanding_lease_blocks_reclaim_until_expiry(self, tmp_path):
-        journal = SharedJournal(tmp_path / "j.jsonl")
+        journal = ResultJournal(tmp_path / "j.jsonl")
         journal.start({})
         keys = self.keys(1)
         now = [1000.0]
@@ -148,7 +148,7 @@ class TestSharedJournal:
         assert second.key == keys[0] and second.attempt == 2
 
     def test_release_returns_job_to_queue(self, tmp_path):
-        journal = SharedJournal(tmp_path / "j.jsonl")
+        journal = ResultJournal(tmp_path / "j.jsonl")
         journal.start({})
         keys = self.keys(1)
         claim = journal.claim_next(0, keys, keys, lease_s=60.0)
@@ -160,7 +160,7 @@ class TestSharedJournal:
         """N processes racing over one journal settle every job exactly
         once and leave no torn lines."""
         path = tmp_path / "j.jsonl"
-        SharedJournal(path).start({"seed": 1})
+        ResultJournal(path).start({"seed": 1})
         keys = self.keys(12)
         n_procs = 4
         procs = [
@@ -188,7 +188,7 @@ class TestSharedJournal:
 
     def test_torn_tail_is_repaired_on_next_append(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        journal = SharedJournal(path)
+        journal = ResultJournal(path)
         journal.start({})
         journal.append_result("w0", "rrm", {"ok": 1})
         # Simulate a writer dying mid-line (no trailing newline).
@@ -206,7 +206,7 @@ class TestSharedJournal:
         """Fabric journals stay readable by the serial loader, leases
         and all — and resume_from drops the leases."""
         path = tmp_path / "j.jsonl"
-        journal = SharedJournal(path)
+        journal = ResultJournal(path)
         journal.start({"seed": 7})
         keys = self.keys(2)
         journal.claim_next(0, keys, keys, lease_s=60.0)
@@ -375,7 +375,7 @@ class TestFabricExecutor:
         from repro.fabric.executor import _WorkerSlot
 
         done, next_job = ("hmmer", "Static-7-SETs"), ("hmmer", "RRM")
-        journal = SharedJournal(tmp_path / "j.jsonl")
+        journal = ResultJournal(tmp_path / "j.jsonl")
         journal.start({"seed": 1})
         keys = [done, next_job]
         assert journal.claim_next(0, keys, keys, lease_s=300.0).key == done
@@ -386,7 +386,7 @@ class TestFabricExecutor:
         executor._settle_orphan(
             journal, slot, "crash", "JobCrashedError", "worker died"
         )
-        assert journal.load().releases[next_job][0]["reason"] == "crash"
+        assert journal.read().releases[next_job][0]["reason"] == "crash"
         assert executor.stats.releases == 1
 
     def test_exhausted_retries_become_failure(self, tmp_path):

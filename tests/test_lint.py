@@ -649,7 +649,7 @@ class TestCallGraph:
 
         assert expr("import threading\nthreading.Lock()")
         assert expr("self_lock = 1\nx._lock")
-        assert expr("from repro.fabric.locking import FileLock\nFileLock('j')")
+        assert expr("from repro.resilience.locking import FileLock\nFileLock('j')")
         assert not expr("import threading\nthreading.Event()")
         assert not expr("x.journal")
 

@@ -172,14 +172,6 @@ class TestFleetStatus:
         assert totals["sim_events_per_sec"] == pytest.approx(200.0)
         assert totals["rss_bytes"] == 40
 
-    def test_clear_drops_every_worker(self):
-        fleet = FleetStatus(clock=lambda: 0.0)
-        fleet.observe(make_heartbeat(worker=0))
-        fleet.observe(make_heartbeat(worker=1))
-        assert [r["worker"] for r in fleet.workers()] == [0, 1]
-        fleet.clear()
-        assert fleet.workers() == []
-
     def test_register_metrics_exposes_totals(self):
         fleet = FleetStatus(clock=lambda: 0.0)
         fleet.observe(make_heartbeat(worker=0, jobs_done=4))

@@ -163,7 +163,7 @@ class TestJournal:
         journal.start({"seed": 3})
         journal.append_result("w1", "s1", {"ipc": 1.0})
         journal.append_failure("w2", "s1", {"kind": "crash"})
-        assert not path.with_name("j.jsonl.tmp").exists()
+        assert list(tmp_path.glob("j.jsonl.tmp*")) == []
         contents = ResultJournal.load(path)
         assert contents.meta["seed"] == 3
         assert contents.results[("w1", "s1")] == {"ipc": 1.0}
@@ -297,7 +297,7 @@ class TestRunnerFailurePaths:
         (failed,) = [r for r in records if r["status"] == "failed"]
         assert failed["scheme"] == "Static-3-SETs"
         assert failed["kind"] == "crash"
-        assert not path.with_name("out.json.tmp").exists()
+        assert list(tmp_path.glob("out.json.tmp*")) == []
 
     def test_journal_records_both_outcomes(self, crashed_sweep):
         _, journal = crashed_sweep
