@@ -32,10 +32,10 @@ Examples::
     repro-rrm obs bench --ledger obs-ledger.jsonl
     repro-rrm obs dashboard --ledger obs-ledger.jsonl --out obs-dashboard.html
 
-    # Parallel sweeps on the sharded fabric (bit-identical to --jobs 1)
+    # Parallel sweeps on worker processes (bit-identical to --jobs 1)
     repro-rrm sweep --config tiny --jobs 4 --journal sweep.jsonl
 
-    # Fleet observability: a final metrics snapshot and crash flight recorders
+    # Sweep observability: a final metrics snapshot and crash flight recorders
     repro-rrm sweep --config tiny --jobs 4 --journal sweep.jsonl \\
         --metrics-out metrics.prom --flight-dir sweep.flight
 
@@ -270,9 +270,9 @@ def cmd_sweep(args) -> int:
     )
     flight_dir = args.flight_dir
     if flight_dir is None and args.journal:
-        # A journalled sweep that runs on the fabric gets flight
-        # recorders by default so injected/real crashes stay explainable
-        # from the journal alone.
+        # A journalled sweep that runs on workers gets flight recorders
+        # by default so injected/real crashes stay explainable from the
+        # journal alone.
         flight_dir = f"{args.journal}.flight"
     runner = ExperimentRunner(
         config,
@@ -304,13 +304,12 @@ def cmd_sweep(args) -> int:
             reporter.close()
     if args.ledger:
         print(f"ledger entries appended to {args.ledger}", file=sys.stderr)
-    if runner.fabric_stats is not None:
-        stats = runner.fabric_stats
+    stats = runner.stats
+    if stats is not None:
         print(
-            f"fabric: {stats.n_workers} workers, "
+            f"sweep: {stats.n_workers} workers, "
             f"{stats.jobs_completed} ok / {stats.jobs_failed} failed, "
-            f"{stats.jobs_stolen} stolen, {stats.retries} retries, "
-            f"{stats.respawns} respawns, "
+            f"{stats.retries} retries, {stats.respawns} respawns, "
             f"utilization {100 * stats.utilization:.0f}%, "
             f"wall {stats.wall_s:.1f}s",
             file=sys.stderr,
@@ -321,10 +320,8 @@ def cmd_sweep(args) -> int:
         from repro.utils.persist import atomic_write_text
 
         registry = MetricRegistry()
-        if runner.fabric_stats is not None:
-            runner.fabric_stats.register_metrics(registry)
-        if runner.fleet is not None:
-            runner.fleet.register_metrics(registry)
+        if stats is not None:
+            stats.register_metrics(registry)
         atomic_write_text(Path(args.metrics_out), render_exposition(registry))
         print(f"metrics snapshot written to {args.metrics_out}", file=sys.stderr)
     print(performance_report(runner, schemes))
@@ -703,8 +700,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="shard the sweep across N worker processes on the "
-        "work-stealing fabric; results are bit-identical to --jobs 1. "
+        help="run the sweep's cells on N worker processes, each fed "
+        "one cell at a time; results are bit-identical to --jobs 1. "
         "With --jobs 1 the sweep runs in-process unless --timeout "
         "or --inject-faults asks for a worker "
         "(composes with --journal/--resume)",
@@ -764,16 +761,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-out",
         default=None,
         metavar="FILE",
-        help="write a Prometheus text-format snapshot of the fabric "
-        "counters and fleet aggregates after the sweep settles",
+        help="write a Prometheus text-format snapshot of the sweep's "
+        "counters (fabric.* gauges) after the sweep settles",
     )
     p_sweep.add_argument(
         "--flight-dir",
         default=None,
         metavar="DIR",
         help="per-worker crash flight-recorder directory for sweeps that "
-        "run on the fabric (default: <journal>.flight when --journal is "
-        "given)",
+        "run on worker processes (default: <journal>.flight when "
+        "--journal is given)",
     )
     p_sweep.set_defaults(func=cmd_sweep)
 

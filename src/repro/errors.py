@@ -67,21 +67,6 @@ class CheckpointCorruptError(ResilienceError):
     skipped, not an error)."""
 
 
-class FabricError(ReproError):
-    """Base class for sharded-sweep-fabric failures.
-
-    These describe problems with the parallel execution fabric — worker
-    fleets and journal leases — not with the simulated system itself."""
-
-
-class LockTimeoutError(FabricError):
-    """A journal lock could not be acquired within its deadline.
-
-    Either another process is wedged while holding the lock, or the
-    lease file is stale (e.g. left behind by a SIGKILL'd coordinator on
-    a filesystem without ``flock`` support)."""
-
-
 class LedgerCorruptError(ReproError):
     """A run ledger contains an unreadable record before its final line.
 

@@ -43,7 +43,6 @@ LOCK_CONSTRUCTORS = frozenset(
         "threading.BoundedSemaphore",
         "multiprocessing.Lock",
         "multiprocessing.RLock",
-        "repro.resilience.locking.FileLock",
     }
 )
 

@@ -102,9 +102,10 @@ class LockDisciplineChecker(Checker):
                 module,
                 node,
                 f"{reason} outside any lock scope",
-                hint="wrap the call in `with <lock>:`, or move it into a "
-                "`*_locked` helper whose callers hold the lock "
-                "(see ResultJournal._append_locked)",
+                hint="wrap the call in `with <lock>:`, move it into a "
+                "`*_locked` helper whose callers hold the lock, or append "
+                "through repro.utils.persist.append_jsonl, which writes "
+                "under an flock",
             )
         return out
 
@@ -320,7 +321,7 @@ class WallclockLeaseChecker(Checker):
     and supervision deadlines computed from a direct ``time.time()`` /
     ``time.monotonic()`` call cannot be unit-tested without sleeping and
     cannot be replayed; an injected ``clock=`` callable (the pattern of
-    ``ResultJournal.claim_next`` and ``RunProgress``) can. Passive
+    ``repro.resilience.supervisor.run_jobs`` and ``RunProgress``) can. Passive
     measurement (``elapsed``, ``busy_s``, ``wall_s``, ``recorded_*``)
     is exempt.
     """
@@ -356,8 +357,8 @@ class WallclockLeaseChecker(Checker):
                 f"direct `{target}()` in lease/timeout logic "
                 f"(`{owner.qualname}`)",
                 hint="inject the clock (e.g. a `clock=time.monotonic` "
-                "parameter, as in ResultJournal.claim_next) so expiry "
-                "logic is testable without sleeping",
+                "parameter, as in repro.resilience.supervisor.run_jobs) so "
+                "expiry logic is testable without sleeping",
             )
         return out
 

@@ -28,7 +28,6 @@ from repro.obs.ledger import (
     entries_by_name,
     environment_fingerprint,
     git_revision,
-    merge_ledgers,
     metric_series,
 )
 from repro.obs.progress import RunProgress, SweepProgress
@@ -63,7 +62,6 @@ __all__ = [
     "environment_fingerprint",
     "format_trace_diff",
     "git_revision",
-    "merge_ledgers",
     "metric_series",
     "render_dashboard",
     "run_core_suite",

@@ -232,47 +232,6 @@ class RunLedger:
 
 
 # ----------------------------------------------------------------------
-# Sharded-ledger merge (the fabric's per-worker part files)
-# ----------------------------------------------------------------------
-def merge_ledgers(
-    part_paths, out_path, *, dedupe: bool = True
-) -> List[LedgerEntry]:
-    """Merge per-worker ledger shards into one ledger, deterministically.
-
-    Workers append in completion order, which varies run to run; the
-    merge sorts by ``(kind, name)`` so the combined ledger is ordered
-    exactly like an in-process sweep's (the runner appends those entries
-    sorted by workload/scheme). Lease-expiry races can make two workers
-    record the same cell — with *dedupe* (the default) only the first
-    entry per ``(kind, name)`` survives, matching the journal's
-    exactly-once merge. Missing part files are skipped (that worker
-    settled no jobs). Entries append to *out_path*, which may already
-    hold earlier sweeps. Returns the entries appended.
-    """
-    entries: List[LedgerEntry] = []
-    for path in part_paths:
-        try:
-            entries.extend(RunLedger.load(path))
-        except FileNotFoundError:
-            continue
-    entries.sort(key=lambda e: (e.kind, e.name, e.recorded_unix_s))
-    if dedupe:
-        seen = set()
-        unique: List[LedgerEntry] = []
-        for entry in entries:
-            key = (entry.kind, entry.name)
-            if key in seen:
-                continue
-            seen.add(key)
-            unique.append(entry)
-        entries = unique
-    ledger = RunLedger(out_path)
-    for entry in entries:
-        ledger.append(entry)
-    return entries
-
-
-# ----------------------------------------------------------------------
 # Read-side helpers (the dashboard consumes these)
 # ----------------------------------------------------------------------
 def entries_by_name(

@@ -4,7 +4,7 @@ A bounded ring of the most recent log/event records, dumped atomically
 when the process dies in a way post-mortems otherwise can't explain:
 an unhandled exception (``sys.excepthook``) or a SIGTERM (the
 coordinator killing a timed-out worker). Fault-injected hard crashes
-(``os._exit``) bypass every Python teardown hook, so the fabric worker
+(``os._exit``) bypass every Python teardown hook, so the sweep worker
 also dumps *explicitly* just before pulling such a trigger — the
 recorder provides :meth:`dump` for exactly that call site.
 

@@ -1,7 +1,7 @@
 """Structured JSONL logging with bound correlation fields.
 
 One log record per line, one JSON object per record, always carrying the
-correlation chain that threads the fabric together::
+correlation chain that threads a sweep together::
 
     {"stamp": 1719403055.2, "level": "info", "event": "job.claimed",
      "sweep": "sweep-001", "job": "stress_write/rrm", "worker": 2,

@@ -48,8 +48,8 @@ def _format_count(n: float) -> str:
 class _LineWriter:
     """Single-line emitter: redraw-in-place on TTYs, append elsewhere.
 
-    Emission is serialized under a lock: the fabric pumps events from a
-    coordinator thread while other threads may redraw too, and an
+    Emission is serialized under a lock: a reporter may be fed from
+    one thread while other threads redraw too, and an
     unserialized ``\\r`` redraw interleaves two updates into one torn
     line. Each ``emit`` is a single buffered write under the lock, so
     concurrent callers produce whole lines in some order.
@@ -180,10 +180,9 @@ class SweepProgress:
     """Single-line sweep progress fed by job lifecycle events.
 
     Wire :meth:`on_event` into
-    :class:`~repro.sim.runner.ExperimentRunner`, which forwards the same
-    event names whether the sweep runs in-process
-    (:class:`~repro.resilience.supervisor.JobSupervisor`) or on the
-    fabric (:class:`~repro.fabric.executor.FabricExecutor`).
+    :class:`~repro.sim.runner.ExperimentRunner`, which forwards the
+    events of the sweep loop (:func:`~repro.resilience.supervisor.run_jobs`),
+    the same names whether its cells run in-process or on workers.
     """
 
     def __init__(

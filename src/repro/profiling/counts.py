@@ -148,7 +148,12 @@ def count_calls(func: Callable[[], T]) -> Tuple[T, Dict[str, int]]:
     instead of overwriting each other.
     """
     import cProfile
+    import gc
 
+    # Start from an empty young generation. Whether a collection (and
+    # the gc callbacks and finalizers it calls) lands inside the run
+    # would otherwise depend on what the process allocated before.
+    gc.collect()
     profiler = cProfile.Profile()
     result = profiler.runcall(func)
     ncalls: Dict[str, int] = {}

@@ -1,11 +1,12 @@
 """Resilient experiment orchestration.
 
-The pieces a long sweep needs to survive real infrastructure: supervised
-in-process execution (bounded deterministic retries, result validation,
-structured failure records), crash-safe JSONL checkpointing with resume,
-and a deterministic fault-injection harness used by tests and
-operational drills alike. Timeouts and worker-crash isolation come from
-the fabric (:mod:`repro.fabric`). See DESIGN.md, "Resilient sweeps".
+The pieces a long sweep needs to survive real infrastructure: one sweep
+loop (:func:`run_jobs`) with bounded deterministic retries, result
+validation, structured failure records, and optional worker processes
+for wall-clock timeouts and crash isolation; crash-safe JSONL
+checkpointing with resume; and a deterministic fault-injection harness
+used by tests and operational drills alike. See DESIGN.md, "Resilient
+sweeps".
 """
 
 from repro.resilience.faultinject import FaultPlan, FaultSpec
@@ -14,7 +15,9 @@ from repro.resilience.policy import RetryPolicy
 from repro.resilience.supervisor import (
     FailedRun,
     Job,
-    JobSupervisor,
+    SweepOutcome,
+    SweepStats,
+    run_jobs,
     run_with_retry,
 )
 
@@ -23,9 +26,11 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "Job",
-    "JobSupervisor",
     "JournalContents",
     "ResultJournal",
     "RetryPolicy",
+    "SweepOutcome",
+    "SweepStats",
+    "run_jobs",
     "run_with_retry",
 ]

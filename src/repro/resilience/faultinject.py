@@ -1,4 +1,4 @@
-"""Deterministic fault injection for fabric sweeps.
+"""Deterministic fault injection for sweeps on worker processes.
 
 A :class:`FaultPlan` decides, per (job, attempt), whether the worker
 should misbehave and how. Faults fire inside the worker process, so from
@@ -78,7 +78,7 @@ class FaultPlan:
     """A set of fault specs bound to a concrete job list.
 
     Index targets are resolved against the job-key order passed to
-    :meth:`bind` (the executor binds the sweep's job list before
+    :meth:`bind` (the sweep runner binds the sweep's job list before
     launching), so ``crash:1`` always hits the same (workload, scheme)
     pair for a given sweep definition.
     """

@@ -14,6 +14,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import Tuple
 
+from repro.errors import ConfigError
+
 #: Exception type names that indicate a deterministic input problem; the
 #: job would fail identically on every attempt, so retrying is wasted work.
 NON_RETRYABLE_ERRORS = frozenset({"ConfigError", "TraceFormatError"})
@@ -36,11 +38,11 @@ class RetryPolicy:
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+            raise ConfigError(f"retries must be >= 0, got {self.max_retries}")
         if self.base_delay_s < 0 or self.max_delay_s < 0:
-            raise ValueError("delays must be >= 0")
+            raise ConfigError("retry delays must be >= 0")
         if not 0 <= self.jitter_fraction <= 1:
-            raise ValueError("jitter_fraction must be in [0, 1]")
+            raise ConfigError("retry jitter_fraction must be in [0, 1]")
 
     # ------------------------------------------------------------------
     def should_retry(self, attempt: int, error_type: str) -> bool:

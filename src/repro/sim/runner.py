@@ -1,16 +1,17 @@
 """Experiment orchestration: sweeps over workloads and schemes.
 
-Runs are independent. A plain sweep runs them one by one in-process
-under the :mod:`repro.resilience` supervisor (bounded deterministic
-retries, result validation); a sweep that needs isolation — worker
-processes, a wall-clock timeout or injected faults — runs on the fabric
-(:class:`~repro.fabric.executor.FabricExecutor`), with one worker when
-``n_jobs`` is 1. Either way one bad job degrades to a structured
-:class:`FailedRun` instead of aborting the sweep. With a
-``journal_path`` every settled job is checkpointed to an append-only
-JSONL journal, and :meth:`resume` restarts an interrupted sweep from its
-surviving results. Aggregation helpers follow the paper's reporting
-conventions and tolerate sweeps with failed cells.
+Runs are independent. Every sweep goes through the one sweep loop
+(:func:`repro.resilience.supervisor.run_jobs`): bounded deterministic
+retries, result validation, and a structured :class:`FailedRun` instead
+of an exception for a job that keeps failing. A plain sweep runs its
+cells in this process; one that needs isolation — several workers, a
+wall-clock timeout or injected faults — runs them on worker processes,
+one worker when ``n_jobs`` is 1. Either way this process alone writes
+the sweep's records. With a ``journal_path`` every settled job is
+checkpointed to an append-only JSONL journal, and :meth:`resume`
+restarts an interrupted sweep from its surviving results. Aggregation
+helpers follow the paper's reporting conventions and tolerate sweeps
+with failed cells.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from repro.resilience import (
     FailedRun,
     FaultPlan,
     Job,
-    JobSupervisor,
     ResultJournal,
     RetryPolicy,
+    SweepStats,
+    run_jobs,
 )
 from repro.resilience.journal import sweep_fingerprint
 from repro.sim.config import SystemConfig
@@ -38,7 +40,7 @@ from repro.telemetry import TelemetryConfig
 from repro.utils.persist import atomic_write_text
 from repro.telemetry.trace import NULL_TRACER
 from repro.utils.mathx import geomean
-from repro.workloads.mixes import all_workload_names
+from repro.workloads.mixes import all_workload_names, workload_profiles
 
 ResultKey = Tuple[str, Scheme]
 
@@ -64,14 +66,14 @@ def run_workload(
 
 
 def _run_job(config, workload, scheme_value, max_events) -> SimResult:
-    """Supervised-job entry point for the in-process sweep."""
+    """The sweep loop's job function for one cell."""
     return run_workload(
         config, workload, Scheme(scheme_value), max_events=max_events
     )
 
 
 def _validate_sim_result(key, value) -> Optional[str]:
-    """Result validation for both executors; non-None marks corruption."""
+    """The sweep loop's result validation; non-None marks corruption."""
     workload, scheme_value = key
     if not isinstance(value, SimResult):
         return f"expected a SimResult, got {type(value).__name__}"
@@ -88,42 +90,45 @@ def _validate_sim_result(key, value) -> Optional[str]:
 class ExperimentRunner:
     """Sweeps workloads x schemes and aggregates results.
 
-    Where a sweep runs is decided by one predicate
-    (:meth:`_runs_in_process`): in-process when ``n_jobs == 1`` and
-    there is no *timeout_s* and no *fault_plan*;
-    otherwise on ``FabricExecutor(n_jobs)``, one worker included.
-    Results are bit-identical either way for the same seeds.
+    Where a sweep's cells run is decided by one predicate
+    (:meth:`_runs_in_process`): in this process when ``n_jobs == 1``
+    and there is no *timeout_s* and no *fault_plan*; otherwise on
+    ``n_jobs`` worker processes, one included. Results are
+    bit-identical either way for the same seeds.
 
     Args:
-        n_jobs: fabric worker processes; the N workers share the journal
-            as a work-stealing queue.
+        n_jobs: worker processes; the sweep loop hands each one cell at
+            a time over its own pipe.
         timeout_s: optional per-attempt wall-clock limit per job; a hung
-            attempt's worker is killed (runs on the fabric).
+            attempt's worker is killed (runs on workers).
         retry: retry policy for failed jobs (default: 2 retries with
             exponential backoff and seeded jitter).
         journal_path: optional JSONL checkpoint journal; every settled
-            job is appended as one locked line so a crashed sweep can
-            resume.
-        lease_s: fabric claim lease duration (unused in-process).
+            job is appended as one line so a crashed sweep can resume.
         ledger_path: optional run ledger receiving one entry per cell
-            the sweep ran, sorted by workload then scheme. In-process
-            the runner appends them after the sweep; fabric workers
-            append per-worker shards that are merged in the same order.
+            the sweep ran, sorted by workload then scheme, appended when
+            the sweep ends.
         fault_plan: optional fault-injection plan (tests / drills; runs
-            on the fabric, so an injected crash kills a worker, not the
-            caller).
+            on workers, so an injected crash kills a worker, not the
+            caller). Bound here to the sweep's cell order.
         tracer: optional wall-clock :class:`~repro.telemetry.Tracer`
             (``Tracer.wallclock()``); job lifecycle transitions and
             journal appends are recorded as instant events (category
             ``sweep`` / ``journal``), giving an orchestration timeline.
         on_event: optional ``(name, args)`` observer for the same
-            supervisor lifecycle events the tracer sees (``job.attempt``
-            / ``job.result`` / ``job.retry`` / ``job.failed``); used by
+            lifecycle events the tracer sees (``job.attempt`` /
+            ``job.result`` / ``job.retry`` / ``job.failed``); used by
             :class:`~repro.obs.progress.SweepProgress`.
         recorder_dir: optional directory for per-worker crash flight
-            recorders when the sweep runs on the fabric; crash/timeout
+            recorders when the sweep runs on workers; crash/timeout
             failure records then carry a ``recorder_path`` post-mortem
             pointer.
+
+    Raises:
+        ConfigError: for an out-of-range option, a duplicated workload
+            or scheme, an explicitly named workload the configuration
+            cannot run, or a fault target that matches no cell — before
+            any cell runs.
     """
 
     def __init__(
@@ -137,7 +142,6 @@ class ExperimentRunner:
         timeout_s: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
         journal_path=None,
-        lease_s: float = 300.0,
         ledger_path=None,
         fault_plan: Optional[FaultPlan] = None,
         tracer=NULL_TRACER,
@@ -153,12 +157,24 @@ class ExperimentRunner:
         self.config = config
         self.workloads = list(workloads) if workloads else all_workload_names()
         self.schemes = list(schemes) if schemes else all_schemes()
+        for kind, names in (
+            ("workload", self.workloads),
+            ("scheme", [s.value for s in self.schemes]),
+        ):
+            if len(set(names)) != len(names):
+                raise ConfigError(f"duplicate {kind} in sweep: {names}")
+        if workloads:
+            for name in self.workloads:
+                workload_profiles(name, config.n_cores)
+        if fault_plan:
+            fault_plan.bind([
+                (w, s.value) for w in self.workloads for s in self.schemes
+            ])
         self.max_events = max_events
         self.n_jobs = n_jobs
         self.timeout_s = timeout_s
         self.retry = retry or RetryPolicy()
         self.journal_path = journal_path
-        self.lease_s = lease_s
         self.ledger_path = ledger_path
         self.fault_plan = fault_plan
         self.tracer = tracer
@@ -166,27 +182,24 @@ class ExperimentRunner:
         self.recorder_dir = recorder_dir
         self.results: Dict[ResultKey, SimResult] = {}
         self.failures: Dict[ResultKey, FailedRun] = {}
-        #: The last fabric sweep's FabricStats, set when it finishes.
-        self.fabric_stats = None
-        #: The last fabric sweep's FleetStatus (its workers' final
-        #: heartbeats), set when it finishes.
-        self.fleet = None
+        #: The last sweep's counters, set when it finishes.
+        self.stats: Optional[SweepStats] = None
         self._journal: Optional[ResultJournal] = None
-        self._resumed = False
 
     def _on_supervisor_event(self, name: str, args: dict) -> None:
-        """Forward supervisor lifecycle transitions to the sweep tracer
-        and to any external observer (e.g. a progress reporter)."""
+        """Forward sweep lifecycle transitions to the sweep tracer and
+        to any external observer (e.g. a progress reporter)."""
         self.tracer.instant(name, "sweep", args=args)
         if self.on_event is not None:
             self.on_event(name, args)
 
     def _runs_in_process(self) -> bool:
-        """Whether the sweep runs in this process rather than on the fabric.
+        """Whether the sweep's cells run in this process rather than on
+        worker processes.
 
-        Worker processes, timeouts and injected faults all need a
-        process to kill or crash, so any of them sends the sweep to the
-        fabric.
+        Several workers, timeouts and injected faults all need a
+        process to kill or crash, so any of them sends the cells to
+        workers.
         """
         return self.n_jobs == 1 and self.timeout_s is None and not self.fault_plan
 
@@ -212,43 +225,17 @@ class ExperimentRunner:
         ]
         if not missing:
             return self.results
-        if not self._runs_in_process():
-            return self._run_fabric(progress)
-        jobs = [
-            Job(key=key, fn=_run_job, args=(self.config, *key, self.max_events))
-            for key in missing
-        ]
-        on_result, on_failure = self._settle_callbacks(
-            progress, self._ensure_journal()
-        )
-        supervisor = JobSupervisor(
-            retry=self.retry,
-            seed=self.config.seed,
-            validate=_validate_sim_result,
-            on_event=(
-                self._on_supervisor_event
-                if (self.tracer.enabled or self.on_event is not None)
-                else None
-            ),
-        )
-        supervisor.run(jobs, on_result=on_result, on_failure=on_failure)
-        if self.ledger_path is not None:
-            self._append_ledger(missing)
-        return self.results
+        journal = self._ensure_journal()
 
-    def _settle_callbacks(self, progress, journal):
-        """The ``(on_result, on_failure)`` pair both executors report
-        settled jobs to; with a *journal* they also append the record
-        (fabric workers journal their own)."""
-
-        def on_result(key, result) -> None:
+        def on_result(key, result, attempts) -> None:
             workload, scheme_value = key
             scheme = Scheme(scheme_value)
             self.results[(workload, scheme)] = result
             self.failures.pop((workload, scheme), None)
             if journal is not None:
                 journal.append_result(
-                    workload, scheme_value, result.to_json_dict()
+                    workload, scheme_value, result.to_json_dict(),
+                    attempts=attempts,
                 )
             if progress is not None:
                 progress(workload, scheme, result)
@@ -259,11 +246,35 @@ class ExperimentRunner:
             if journal is not None:
                 journal.append_failure(workload, scheme_value, failed.as_dict())
 
-        return on_result, on_failure
+        outcome = run_jobs(
+            [
+                Job(key=key, fn=_run_job,
+                    args=(self.config, *key, self.max_events))
+                for key in missing
+            ],
+            retry=self.retry,
+            seed=self.config.seed,
+            validate=_validate_sim_result,
+            workers=0 if self._runs_in_process() else self.n_jobs,
+            timeout_s=self.timeout_s,
+            fault_plan=self.fault_plan,
+            recorder_dir=self.recorder_dir,
+            on_event=(
+                self._on_supervisor_event
+                if (self.tracer.enabled or self.on_event is not None)
+                else None
+            ),
+            on_result=on_result,
+            on_failure=on_failure,
+        )
+        self.stats = outcome.stats
+        if self.ledger_path is not None:
+            self._append_ledger(missing)
+        return self.results
 
     def _append_ledger(self, keys) -> None:
         """Append the cells among *keys* that produced a result, sorted
-        by workload then scheme (the order the fabric's merge yields)."""
+        by workload then scheme."""
         from repro.obs.ledger import KIND_SWEEP, LedgerEntry, RunLedger
 
         ledger = RunLedger(self.ledger_path)
@@ -273,50 +284,6 @@ class ExperimentRunner:
                 ledger.append(
                     LedgerEntry.from_result(result, self.config, kind=KIND_SWEEP)
                 )
-
-    def _run_fabric(self, progress=None) -> Dict[ResultKey, SimResult]:
-        """Route the sweep through the sharded multiprocess fabric."""
-        from repro.fabric.executor import FabricExecutor
-
-        on_result, on_failure = self._settle_callbacks(progress, None)
-        executor = FabricExecutor(
-            self.n_jobs,
-            journal_path=self.journal_path,
-            lease_s=self.lease_s,
-            timeout_s=self.timeout_s,
-            retry=self.retry,
-            fault_plan=self.fault_plan,
-            seed=self.config.seed,
-            ledger_path=self.ledger_path,
-            on_event=(
-                self._on_supervisor_event
-                if (self.tracer.enabled or self.on_event is not None)
-                else None
-            ),
-            on_result=on_result,
-            on_failure=on_failure,
-            recorder_dir=self.recorder_dir,
-        )
-        outcome = executor.run(
-            self.config,
-            self.workloads,
-            self.schemes,
-            max_events=self.max_events,
-            meta=self._journal_meta(),
-            # resume() already seeded the journal with surviving results;
-            # a fresh start here would wipe them.
-            fresh=not self._resumed,
-        )
-        self.fabric_stats = outcome.stats
-        self.fleet = outcome.fleet
-        # The journal is the truth; events were only the live stream.
-        for (workload, scheme_value), result in outcome.results.items():
-            self.results[(workload, Scheme(scheme_value))] = result
-        for (workload, scheme_value), failed in outcome.failures.items():
-            key = (workload, Scheme(scheme_value))
-            if key not in self.results:
-                self.failures[key] = failed
-        return self.results
 
     def _ensure_journal(self) -> Optional[ResultJournal]:
         """The active journal, starting a fresh one on first use."""
@@ -389,7 +356,10 @@ class ExperimentRunner:
         path = path if path is not None else self.journal_path
         if path is None:
             raise ConfigError("resume() needs a journal path")
-        contents = ResultJournal.load(path)
+        try:
+            contents = ResultJournal.load(path)
+        except FileNotFoundError:
+            raise ConfigError(f"journal not found: {path}") from None
         self._validate_fingerprint(path, contents.meta)
         domain = {
             (w, s.value) for w in self.workloads for s in self.schemes
@@ -407,7 +377,6 @@ class ExperimentRunner:
         self.journal_path = path
         self._journal = ResultJournal(path, tracer=self.tracer)
         self._journal.resume_from(contents, self._journal_meta())
-        self._resumed = True
         return self.run_all(progress=progress)
 
     # ------------------------------------------------------------------

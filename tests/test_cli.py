@@ -186,8 +186,22 @@ class TestCommands:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--jobs", "0"], ["--inject-faults", "bogus:0:1"]],
-        ids=["jobs-0", "unknown-fault-kind"],
+        [
+            ["--jobs", "0"],
+            ["--inject-faults", "bogus:0:1"],
+            ["--retries", "-1"],
+            ["--resume", "--journal", "/nonexistent/x.jsonl"],
+            ["--workloads", "hmmer", "hmmer"],
+            ["--workloads", "nosuch"],
+        ],
+        ids=[
+            "jobs-0",
+            "unknown-fault-kind",
+            "retries-negative",
+            "resume-missing-journal",
+            "duplicate-workload",
+            "unknown-workload",
+        ],
     )
     def test_sweep_config_error_is_one_line(self, capsys, flags):
         code = main(

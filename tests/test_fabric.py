@@ -1,23 +1,23 @@
-"""Tests for the sharded sweep fabric: locking, shared journal, executor,
-and the satellite observability pieces."""
+"""Tests for sweeps on worker processes: the journal their coordinator
+writes, the sweep loop's worker pool, and the satellite observability
+pieces."""
 
 from __future__ import annotations
 
 import io
 import json
-import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.errors import (
-    CheckpointCorruptError,
-    ConfigError,
-    LockTimeoutError,
-)
-from repro.fabric import Claim, FabricExecutor, FileLock
-from repro.obs.ledger import KIND_SWEEP, LedgerEntry, RunLedger, merge_ledgers
+from repro.errors import CheckpointCorruptError, ConfigError
+from repro.obs.ledger import KIND_SWEEP, LedgerEntry, RunLedger
 from repro.obs.progress import SweepProgress, _LineWriter
 from repro.resilience import FaultPlan, ResultJournal, RetryPolicy
 from repro.sim.config import SystemConfig
@@ -32,159 +32,21 @@ def tiny_config(seed: int = 1) -> SystemConfig:
     return SystemConfig.tiny(seed=seed)
 
 
-# ----------------------------------------------------------------------
-# Module-level worker functions (picklable / spawn-able)
-# ----------------------------------------------------------------------
-def _locked_increment(path, counter, rounds) -> None:
-    for _ in range(rounds):
-        with FileLock(path, timeout_s=30.0):
-            value = int(counter.read_text() or "0")
-            time.sleep(0.0005)  # widen the race window
-            counter.write_text(str(value + 1))
-
-
-def _hammer_claims(journal_path, worker_id, shard, all_keys) -> None:
-    journal = ResultJournal(journal_path)
-    while True:
-        claim = journal.claim_next(
-            worker_id, shard, all_keys, lease_s=60.0
-        )
-        if claim is None:
-            if not journal.unsettled(all_keys):
-                return
-            time.sleep(0.001)
-            continue
-        journal.append_result(
-            claim.key[0],
-            claim.key[1],
-            {"attempt": claim.attempt, "worker": worker_id},
-            worker=worker_id,
-        )
+def _running(pid: int) -> bool:
+    """Whether *pid* is a live (not exited, not zombie) process."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 # ----------------------------------------------------------------------
-# FileLock
-# ----------------------------------------------------------------------
-class TestFileLock:
-    def test_mutual_exclusion_across_processes(self, tmp_path):
-        target = tmp_path / "protected"
-        counter = tmp_path / "counter"
-        counter.write_text("0")
-        rounds, n_procs = 20, 3
-        procs = [
-            multiprocessing.Process(
-                target=_locked_increment, args=(target, counter, rounds)
-            )
-            for _ in range(n_procs)
-        ]
-        for p in procs:
-            p.start()
-        for p in procs:
-            p.join(60)
-        assert int(counter.read_text()) == rounds * n_procs
-
-    def test_timeout_raises(self, tmp_path):
-        target = tmp_path / "t"
-        held = FileLock(target, timeout_s=5.0).acquire()
-        try:
-            with pytest.raises(LockTimeoutError):
-                FileLock(target, timeout_s=0.05).acquire()
-        finally:
-            held.release()
-
-    def test_release_allows_reacquire(self, tmp_path):
-        lock = FileLock(tmp_path / "t", timeout_s=1.0)
-        with lock:
-            pass
-        with lock:
-            pass  # no deadlock, no stale state
-
-    def test_injected_clock_drives_timeout(self, tmp_path):
-        # With a fake clock the deadline expires on the second reading —
-        # no real waiting, which is the whole point of injecting it.
-        target = tmp_path / "t"
-        held = FileLock(target, timeout_s=5.0).acquire()
-        ticks = iter([0.0, 100.0, 200.0])
-        try:
-            with pytest.raises(LockTimeoutError):
-                FileLock(
-                    target, timeout_s=5.0, clock=lambda: next(ticks)
-                ).acquire()
-        finally:
-            held.release()
-
-
-# ----------------------------------------------------------------------
-# ResultJournal as a shared queue
+# ResultJournal
 # ----------------------------------------------------------------------
 class TestSharedJournal:
     def keys(self, n=6):
         return [(f"w{i}", "rrm") for i in range(n)]
-
-    def test_claim_prefers_own_shard_then_steals(self, tmp_path):
-        journal = ResultJournal(tmp_path / "j.jsonl")
-        journal.start({})
-        keys = self.keys(4)
-        shard0 = keys[0::2]
-        claim = journal.claim_next(0, shard0, keys, lease_s=60.0)
-        assert claim == Claim(keys[0], 1, False, claim.expires_unix_s)
-        # Drain the shard; the next claim must be a steal, in sweep order.
-        journal.append_result(*keys[0], {"ok": 1})
-        journal.append_result(*keys[2], {"ok": 1})
-        stolen = journal.claim_next(0, shard0, keys, lease_s=60.0)
-        assert stolen.key == keys[1] and stolen.stolen
-
-    def test_outstanding_lease_blocks_reclaim_until_expiry(self, tmp_path):
-        journal = ResultJournal(tmp_path / "j.jsonl")
-        journal.start({})
-        keys = self.keys(1)
-        now = [1000.0]
-        clock = lambda: now[0]  # noqa: E731
-        first = journal.claim_next(0, keys, keys, lease_s=10.0, clock=clock)
-        assert first.attempt == 1
-        assert journal.claim_next(1, keys, keys, lease_s=10.0, clock=clock) is None
-        now[0] += 11.0  # lease expired: claimable again, next attempt
-        second = journal.claim_next(1, keys, keys, lease_s=10.0, clock=clock)
-        assert second.key == keys[0] and second.attempt == 2
-
-    def test_release_returns_job_to_queue(self, tmp_path):
-        journal = ResultJournal(tmp_path / "j.jsonl")
-        journal.start({})
-        keys = self.keys(1)
-        claim = journal.claim_next(0, keys, keys, lease_s=60.0)
-        journal.release(claim.key, 0, "retry")
-        again = journal.claim_next(1, keys, keys, lease_s=60.0)
-        assert again.key == keys[0] and again.attempt == 2
-
-    def test_concurrent_claim_hammer_exactly_once(self, tmp_path):
-        """N processes racing over one journal settle every job exactly
-        once and leave no torn lines."""
-        path = tmp_path / "j.jsonl"
-        ResultJournal(path).start({"seed": 1})
-        keys = self.keys(12)
-        n_procs = 4
-        procs = [
-            multiprocessing.Process(
-                target=_hammer_claims,
-                args=(path, i, keys[i::n_procs], keys),
-            )
-            for i in range(n_procs)
-        ]
-        for p in procs:
-            p.start()
-        for p in procs:
-            p.join(60)
-            assert p.exitcode == 0
-        # Every line parses (no torn writes) ...
-        for line in path.read_text().splitlines():
-            json.loads(line)
-        # ... and the merge is exactly-once over the full key set.
-        contents = ResultJournal.load(path)
-        assert set(contents.results) == set(keys)
-        assert not contents.failures
-        # Claims never outnumber what a live fleet could issue: one per
-        # settled job here, since leases were long and nothing crashed.
-        assert all(len(c) == 1 for c in contents.claims.values())
 
     def test_torn_tail_is_repaired_on_next_append(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -203,22 +65,30 @@ class TestSharedJournal:
         assert ("w1", "rrm") in contents.results
 
     def test_loads_with_plain_result_journal(self, tmp_path):
-        """Fabric journals stay readable by the serial loader, leases
-        and all — and resume_from drops the leases."""
+        """Journals of the earlier work-queue executor load: their lease
+        records are ignored, and resume_from drops them from the file."""
         path = tmp_path / "j.jsonl"
         journal = ResultJournal(path)
         journal.start({"seed": 7})
         keys = self.keys(2)
-        journal.claim_next(0, keys, keys, lease_s=60.0)
-        journal.append_result(*keys[0], {"ok": 1}, worker=0)
+        journal.append(
+            {"type": "claim", "workload": keys[0][0], "scheme": keys[0][1],
+             "worker": 0, "attempt": 1, "expires_unix_s": 1.0}
+        )
+        journal.append(
+            {"type": "release", "workload": keys[1][0], "scheme": keys[1][1],
+             "worker": 0, "reason": "crash"}
+        )
+        journal.append(
+            {"type": "result", "workload": keys[0][0], "scheme": keys[0][1],
+             "result": {"ok": 1}, "worker": 0}
+        )
         contents = ResultJournal.load(path)
         assert contents.meta["seed"] == 7
-        assert keys[0] in contents.claims
-        serial = ResultJournal(path)
-        serial.resume_from(contents, {"seed": 7})
-        resumed = ResultJournal.load(path)
-        assert not resumed.claims and not resumed.releases
-        assert keys[0] in resumed.results
+        assert contents.results == {keys[0]: {"ok": 1}}
+        ResultJournal(path).resume_from(contents, {"seed": 7})
+        types = [json.loads(line)["type"] for line in path.read_text().splitlines()]
+        assert types == ["meta", "result"]
 
 
 # ----------------------------------------------------------------------
@@ -292,7 +162,7 @@ class TestSweepFingerprint:
 
 
 # ----------------------------------------------------------------------
-# FabricExecutor
+# The worker pool
 # ----------------------------------------------------------------------
 #: to_json_dict fields that legitimately differ between hosts/runs.
 HOST_DEPENDENT = {"wall_time_s"}
@@ -307,6 +177,8 @@ def _comparable(result) -> dict:
 
 
 class TestFabricExecutor:
+    """The sweep loop's worker pool, driven through the runner."""
+
     WORKLOADS = ["hmmer", "GemsFDTD"]
     SCHEMES = [Scheme.STATIC_7]
 
@@ -332,15 +204,14 @@ class TestFabricExecutor:
             assert _comparable(serial.results[key]) == _comparable(
                 fabric.results[key]
             ), key
-        stats = fabric.fabric_stats
+        stats = fabric.stats
         assert stats.n_workers == 2
         assert stats.jobs_completed == 2
         assert stats.jobs_failed == 0
         assert stats.wall_s > 0
         assert 0.0 < stats.utilization <= 1.0
-        # A healthy run drops no worker events, and the counter is part
-        # of the stats surface so a sick event channel is visible.
-        assert stats.events_dropped == 0
+        # The coordinator is the journal's only writer: no lock sidecar.
+        assert list(tmp_path.glob("*.lock")) == []
 
     def test_crash_injection_recovers(self, tmp_path):
         plan = FaultPlan.parse(["crash:0:1"])
@@ -358,36 +229,133 @@ class TestFabricExecutor:
         )
         runner.run_all()
         assert len(runner.results) == 2 and not runner.failures
-        assert runner.fabric_stats.respawns >= 1
+        assert runner.stats.respawns >= 1
         assert "job.retry" in events and "fabric.respawn" in events
-        # The journal records the crashed first attempt as claim #1 and
-        # the successful rerun as claim #2 — deterministic attempts.
-        contents = ResultJournal.load(tmp_path / "j.jsonl")
-        crashed_key = next(
-            key for key, claims in contents.claims.items() if len(claims) > 1
-        )
-        assert len(contents.claims[crashed_key]) == 2
+        # The journal records the crashed first attempt in the attempt
+        # count of the successful rerun — deterministic attempts.
+        assert ResultJournal.load(tmp_path / "j.jsonl").attempts == {
+            ("hmmer", Scheme.STATIC_7.value): 2,
+            ("hmmer", Scheme.RRM.value): 1,
+        }
 
-    def test_dead_worker_lease_recovered_despite_stale_attempt(self, tmp_path):
-        """A worker that dies before its last events are drained leaves
-        the coordinator's view on a job it already settled; the lease it
-        holds on its next job must still be released for a retry."""
-        from repro.fabric.executor import _WorkerSlot
+    def test_fault_plan_attempts_independent_of_workers(self, tmp_path):
+        attempts = []
+        for n_jobs in (1, 4):
+            journal = tmp_path / f"j{n_jobs}.jsonl"
+            runner = ExperimentRunner(
+                tiny_config(),
+                workloads=self.WORKLOADS,
+                schemes=[Scheme.STATIC_7, Scheme.RRM],
+                max_events=FAST,
+                n_jobs=n_jobs,
+                journal_path=journal,
+                fault_plan=FaultPlan.parse(["crash:1:1"]),
+                retry=RetryPolicy(max_retries=2, base_delay_s=0.001),
+            )
+            runner.run_all()
+            assert not runner.failures
+            attempts.append(ResultJournal.load(journal).attempts)
+        assert attempts[0] == attempts[1]
+        assert attempts[0][("hmmer", Scheme.RRM.value)] == 2
+        assert sum(attempts[0].values()) == 5
 
-        done, next_job = ("hmmer", "Static-7-SETs"), ("hmmer", "RRM")
-        journal = ResultJournal(tmp_path / "j.jsonl")
-        journal.start({"seed": 1})
-        keys = [done, next_job]
-        assert journal.claim_next(0, keys, keys, lease_s=300.0).key == done
-        journal.append_failure(*done, {"kind": "corrupt"}, worker=0)
-        assert journal.claim_next(0, keys, keys, lease_s=300.0).key == next_job
-        slot = _WorkerSlot(worker_id=0, shard=keys, active=(done, 1, 0.0))
-        executor = FabricExecutor(1, retry=RetryPolicy(max_retries=1))
-        executor._settle_orphan(
-            journal, slot, "crash", "JobCrashedError", "worker died"
+    def test_sigkilled_worker_is_retried(self, fresh_python, tmp_path):
+        """A worker SIGKILLed mid-attempt wakes the coordinator through
+        its sentinel; the cell is retried on a fresh worker. Runs in a
+        fresh interpreter, so a hang fails the test instead of stalling
+        the suite."""
+        (tmp_path / "killer.py").write_text(
+            "import os, signal\n"
+            "from pathlib import Path\n"
+            "from repro.sim.runner import run_workload\n"
+            "from repro.sim.schemes import Scheme\n"
+            f"MARKER = Path({str(tmp_path / 'killed')!r})\n"
+            "def run_job(config, workload, scheme_value, max_events):\n"
+            "    if workload == 'GemsFDTD' and not MARKER.exists():\n"
+            "        MARKER.touch()\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return run_workload(config, workload, Scheme(scheme_value),\n"
+            "                        max_events=max_events)\n",
+            encoding="utf-8",
         )
-        assert journal.read().releases[next_job][0]["reason"] == "crash"
-        assert executor.stats.releases == 1
+        journal = tmp_path / "j.jsonl"
+        fresh_python(
+            "import sys\n"
+            f"sys.path.insert(0, {str(tmp_path)!r})\n"
+            "import killer\n"
+            "import repro.sim.runner as runner_module\n"
+            "from repro.resilience import RetryPolicy\n"
+            "from repro.sim.config import SystemConfig\n"
+            "from repro.sim.schemes import Scheme\n"
+            "runner_module._run_job = killer.run_job\n"
+            "runner = runner_module.ExperimentRunner(\n"
+            "    SystemConfig.tiny(1), ['hmmer', 'GemsFDTD'], [Scheme.STATIC_7],\n"
+            f"    max_events={FAST}, n_jobs=2, journal_path={str(journal)!r},\n"
+            "    retry=RetryPolicy(max_retries=1, base_delay_s=0.001),\n"
+            ")\n"
+            "runner.run_all()\n"
+            "assert not runner.failures, runner.failures\n"
+        )
+        assert (tmp_path / "killed").exists()
+        assert ResultJournal.load(journal).attempts == {
+            ("hmmer", Scheme.STATIC_7.value): 1,
+            ("GemsFDTD", Scheme.STATIC_7.value): 2,
+        }
+
+    @pytest.mark.skipif(not Path("/proc/self").exists(), reason="needs /proc")
+    def test_workers_exit_when_the_coordinator_is_killed(self, tmp_path):
+        """SIGKILL the coordinator mid-sweep: its workers find their
+        pipes closed and exit instead of waiting for work forever."""
+        import repro
+
+        pids = tmp_path / "pids"
+        pids.mkdir()
+        (tmp_path / "napper.py").write_text(
+            "import os, time\n"
+            "from pathlib import Path\n"
+            "from repro.sim.runner import run_workload\n"
+            "from repro.sim.schemes import Scheme\n"
+            "def run_job(config, workload, scheme_value, max_events):\n"
+            f"    (Path({str(pids)!r}) / str(os.getpid())).touch()\n"
+            "    time.sleep(0.5)\n"
+            "    return run_workload(config, workload, Scheme(scheme_value),\n"
+            "                        max_events=max_events)\n",
+            encoding="utf-8",
+        )
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(tmp_path)!r})\n"
+            "import napper\n"
+            "import repro.sim.runner as runner_module\n"
+            "from repro.sim.config import SystemConfig\n"
+            "from repro.sim.schemes import Scheme\n"
+            "runner_module._run_job = napper.run_job\n"
+            "runner_module.ExperimentRunner(\n"
+            "    SystemConfig.tiny(1), ['hmmer', 'GemsFDTD', 'mcf'],\n"
+            "    [Scheme.STATIC_7, Scheme.RRM], max_events=2000, n_jobs=2,\n"
+            ").run_all()\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        coordinator = subprocess.Popen(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}
+        )
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+                workers = [int(p.name) for p in pids.iterdir()]
+            assert len(workers) == 2, "workers never started"
+            coordinator.kill()
+            coordinator.wait(timeout=30)
+            deadline = time.monotonic() + 30
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not any(map(_running, workers)), "orphaned workers"
+        finally:
+            coordinator.kill()
+            for pid in filter(_running, workers):
+                os.kill(pid, signal.SIGKILL)
 
     def test_exhausted_retries_become_failure(self, tmp_path):
         plan = FaultPlan.parse(["crash:0"])  # crash every attempt
@@ -438,7 +406,7 @@ class TestFabricExecutor:
         second.resume()
         assert set(second.results) == set(first.results)
         # Only the dropped cell re-ran.
-        assert second.fabric_stats.jobs_completed == 1
+        assert second.stats.jobs_completed == 1
 
     def test_ledger_shards_merge_to_sweep_order(self, tmp_path):
         ledger_path = tmp_path / "ledger.jsonl"
@@ -457,42 +425,20 @@ class TestFabricExecutor:
         assert len(entries) == 2
         assert all(e.kind == KIND_SWEEP for e in entries)
         assert all("sim_events_per_sec" in e.metrics for e in entries)
-        # No stray part files left behind.
+        # The coordinator wrote the ledger itself: no per-worker shards.
         assert list(tmp_path.glob("*.part.jsonl")) == []
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ConfigError):
-            FabricExecutor(0)
+            ExperimentRunner(tiny_config(), n_jobs=0)
         with pytest.raises(ConfigError):
-            FabricExecutor(2, lease_s=0)
-        with pytest.raises(ConfigError):
-            FabricExecutor(2, timeout_s=-1)
+            ExperimentRunner(tiny_config(), n_jobs=2, timeout_s=-1)
 
 
 # ----------------------------------------------------------------------
-# Ledger merge + throughput metrics
+# Ledger throughput metrics
 # ----------------------------------------------------------------------
 class TestLedgerSatellites:
-    def _entry(self, name, recorded, **metrics):
-        return LedgerEntry(
-            kind=KIND_SWEEP, name=name, metrics=metrics,
-            recorded_unix_s=recorded,
-        )
-
-    def test_merge_ledgers_sorts_and_dedupes(self, tmp_path):
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        ledger_a, ledger_b = RunLedger(a), RunLedger(b)
-        ledger_a.append(self._entry("w2/rrm", 5.0, ipc=1.0))
-        ledger_a.append(self._entry("w1/rrm", 6.0, ipc=2.0))
-        # Duplicate cell from a lease-expiry race: first record wins.
-        ledger_b.append(self._entry("w1/rrm", 7.0, ipc=2.0))
-        out = tmp_path / "merged.jsonl"
-        merged = merge_ledgers(
-            [a, b, tmp_path / "missing.jsonl"], out
-        )
-        assert [e.name for e in merged] == ["w1/rrm", "w2/rrm"]
-        assert len(RunLedger.load(out)) == 2
-
     def test_from_result_records_throughput(self):
         result = run_workload(
             tiny_config(), "hmmer", Scheme.STATIC_7, max_events=FAST

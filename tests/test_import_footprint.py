@@ -16,7 +16,6 @@ NOT_ON_SIM_PATH = (
     "repro.attribution",
     "repro.profiling",
     "repro.resilience",
-    "repro.fabric",
     "repro.obs",
     "repro.lint",
     "repro.analysis",
@@ -34,9 +33,10 @@ NOT_ON_SIM_PATH = (
     "cProfile",
 )
 
-#: Packages a serial, uninstrumented sweep never uses.
+#: Packages a serial, uninstrumented sweep never uses; the sweep loop
+#: imports ``multiprocessing`` only where it spawns workers.
 NOT_ON_SERIAL_SWEEP_PATH = (
-    "repro.fabric",
+    "multiprocessing",
     "repro.obs",
     "repro.attribution",
     "repro.profiling",

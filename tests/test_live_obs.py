@@ -1,6 +1,6 @@
-"""Tests for the live fleet observability layer (repro.obs.live):
-exposition, structured logs, heartbeats, the flight recorder, and the
-``sweep --metrics-out`` snapshot."""
+"""Tests for the live observability layer (repro.obs.live): exposition,
+structured logs, the flight recorder, and the ``sweep --metrics-out``
+snapshot."""
 
 from __future__ import annotations
 
@@ -9,17 +9,12 @@ import json
 import signal
 import subprocess
 import sys
-import time
 
 import pytest
 
 from repro.obs.live import (
-    HEARTBEAT_EVENT,
-    FleetStatus,
     FlightRecorder,
     StructuredLogger,
-    make_heartbeat,
-    read_rss_bytes,
     recorder_path_for,
     render_exposition,
     sanitize_metric_name,
@@ -128,63 +123,6 @@ class TestStructuredLogger:
 
 
 # ----------------------------------------------------------------------
-# Heartbeats / FleetStatus
-# ----------------------------------------------------------------------
-class TestFleetStatus:
-    def test_fake_clock_drives_staleness(self):
-        now = [1000.0]
-        fleet = FleetStatus(stale_after_s=10.0, clock=lambda: now[0])
-        fleet.observe(make_heartbeat(worker=0, pid=11, jobs_done=1))
-        fleet.observe(make_heartbeat(worker=1, pid=12))
-        now[0] += 5.0
-        assert [r["stale"] for r in fleet.workers()] == [False, False]
-        now[0] += 6.0  # worker beats are now 11s old
-        workers = fleet.workers()
-        assert all(r["stale"] for r in workers)
-        assert all(r["age_s"] == pytest.approx(11.0) for r in workers)
-        assert fleet.totals()["stale_workers"] == 2
-        # A fresh beat from one worker clears only that worker.
-        fleet.observe(make_heartbeat(worker=0, pid=11, jobs_done=2))
-        assert [r["stale"] for r in fleet.workers()] == [False, True]
-
-    def test_exited_workers_never_go_stale(self):
-        now = [0.0]
-        fleet = FleetStatus(stale_after_s=1.0, clock=lambda: now[0])
-        fleet.observe(make_heartbeat(worker=0, jobs_done=3))
-        fleet.mark_done(0)
-        now[0] += 100.0
-        record = fleet.workers()[0]
-        assert record["exited"] and not record["stale"]
-        # Its totals still count.
-        assert fleet.totals()["jobs_done"] == 3
-
-    def test_totals_aggregate_throughput(self):
-        fleet = FleetStatus(clock=lambda: 0.0)
-        fleet.observe(
-            make_heartbeat(worker=0, busy_s=2.0, sim_events=600, rss_bytes=10)
-        )
-        fleet.observe(
-            make_heartbeat(worker=1, busy_s=2.0, sim_events=200, rss_bytes=30)
-        )
-        totals = fleet.totals()
-        assert totals["workers"] == 2
-        assert totals["sim_events"] == 800
-        assert totals["sim_events_per_sec"] == pytest.approx(200.0)
-        assert totals["rss_bytes"] == 40
-
-    def test_register_metrics_exposes_totals(self):
-        fleet = FleetStatus(clock=lambda: 0.0)
-        fleet.observe(make_heartbeat(worker=0, jobs_done=4))
-        registry = MetricRegistry()
-        fleet.register_metrics(registry)
-        assert registry.get("fleet.jobs_done").value() == 4.0
-        assert registry.get("fleet.heartbeats_seen").value() == 1
-
-    def test_read_rss_bytes_is_positive_here(self):
-        assert read_rss_bytes() > 0
-
-
-# ----------------------------------------------------------------------
 # Flight recorder
 # ----------------------------------------------------------------------
 class TestFlightRecorder:
@@ -263,31 +201,9 @@ class TestFlightRecorder:
 
 
 # ----------------------------------------------------------------------
-# Fabric integration: heartbeats, crash linkage, bit identity
+# Worker integration: crash linkage, bit identity
 # ----------------------------------------------------------------------
 class TestFabricIntegration:
-    def test_heartbeats_feed_fleet_status(self, tmp_path):
-        events = []
-        runner = ExperimentRunner(
-            tiny_config(),
-            workloads=["hmmer"],
-            schemes=[Scheme.STATIC_7],
-            max_events=FAST,
-            n_jobs=2,
-            journal_path=tmp_path / "j.jsonl",
-            on_event=lambda name, args: events.append((name, args)),
-        )
-        runner.run_all()
-        beats = [a for n, a in events if n == HEARTBEAT_EVENT]
-        assert beats, "workers emitted no heartbeats"
-        assert {"worker", "pid", "jobs_done", "busy_s", "sim_events"} <= set(
-            beats[0]
-        )
-        totals = runner.fleet.totals()
-        assert totals["jobs_done"] == 1
-        assert totals["sim_events"] > 0
-        assert totals["sim_events_per_sec"] > 0
-
     def test_injected_crash_links_flight_recorder(self, tmp_path):
         recorder_dir = tmp_path / "flight"
         runner = ExperimentRunner(
@@ -346,7 +262,7 @@ class TestFabricIntegration:
 
 
 # ----------------------------------------------------------------------
-# sweep --metrics-out on the fabric
+# sweep --metrics-out on workers
 # ----------------------------------------------------------------------
 class TestSweepMetricsOut:
     def test_snapshot_reconciles_with_journal(self, tmp_path, capsys):
@@ -367,10 +283,8 @@ class TestSweepMetricsOut:
         capsys.readouterr()
         lines = metrics_path.read_text(encoding="utf-8").splitlines()
         assert "repro_fabric_jobs_completed 1" in lines
-        assert "repro_fleet_jobs_done 1" in lines
-        assert "repro_fleet_workers 2" in lines
+        assert "repro_fabric_workers 2" in lines
         # The snapshot's counters agree with what the journal settled.
         journal = ResultJournal.load(journal_path)
         assert f"repro_fabric_jobs_completed {len(journal.results)}" in lines
         assert f"repro_fabric_jobs_failed {len(journal.failures)}" in lines
-        assert f"repro_fleet_jobs_done {len(journal.results)}" in lines

@@ -19,9 +19,9 @@ from repro.resilience import (
     FaultPlan,
     FaultSpec,
     Job,
-    JobSupervisor,
     ResultJournal,
     RetryPolicy,
+    run_jobs,
     run_with_retry,
 )
 from repro.sim.config import SystemConfig
@@ -35,7 +35,7 @@ QUICK_RETRY = RetryPolicy(max_retries=2, base_delay_s=0.001, max_delay_s=0.01)
 
 
 # ----------------------------------------------------------------------
-# Job functions for the in-process supervisor
+# Job functions for the in-process sweep loop
 # ----------------------------------------------------------------------
 def _double(x):
     return 2 * x
@@ -118,31 +118,43 @@ class TestFaultSpecs:
 
 
 class TestSupervisorInline:
+    """The sweep loop with ``workers=0``: every attempt in this process."""
+
     def test_results_in_order(self):
-        sup = JobSupervisor(retry=NO_RETRY)
         seen = []
-        results, failures = sup.run(
+        results, failures, stats = run_jobs(
             [Job(key=(i,), fn=_double, args=(i,)) for i in range(3)],
-            on_result=lambda key, value: seen.append((key, value)),
+            retry=NO_RETRY,
+            on_result=lambda key, value, attempts: seen.append(
+                (key, value, attempts)
+            ),
         )
         assert results == {(0,): 0, (1,): 2, (2,): 4}
         assert not failures
-        assert seen == [((0,), 0), ((1,), 2), ((2,), 4)]
+        assert seen == [((0,), 0, 1), ((1,), 2, 1), ((2,), 4, 1)]
+        assert stats.jobs_completed == 3 and stats.n_workers == 1
 
     def test_error_degrades_to_failed_run(self):
-        sup = JobSupervisor(retry=QUICK_RETRY, sleep=lambda s: None)
-        results, failures = sup.run(
-            [Job(key=("bad",), fn=_boom), Job(key=("good",), fn=_double, args=(1,))]
+        slept = []
+        results, failures, stats = run_jobs(
+            [Job(key=("bad",), fn=_boom), Job(key=("good",), fn=_double, args=(1,))],
+            retry=QUICK_RETRY,
+            sleep=slept.append,
         )
         assert results == {("good",): 2}
         failed = failures[("bad",)]
         assert failed.kind == "error"
         assert failed.attempts == 3  # 1 try + 2 retries
         assert "boom" in failed.message
+        # Each retry waited out its backoff before the next attempt.
+        assert len(slept) == 2 and stats.retries == 2
 
     def test_config_error_fails_fast(self):
-        sup = JobSupervisor(retry=QUICK_RETRY, sleep=lambda s: None)
-        _, failures = sup.run([Job(key=("cfg",), fn=_bad_config)])
+        _, failures, _ = run_jobs(
+            [Job(key=("cfg",), fn=_bad_config)],
+            retry=QUICK_RETRY,
+            sleep=lambda s: None,
+        )
         assert failures[("cfg",)].attempts == 1
 
     def test_run_with_retry_raises_structured_error(self):
@@ -151,9 +163,8 @@ class TestSupervisorInline:
         assert run_with_retry(_double, (21,), key=("x",), retry=NO_RETRY) == 42
 
     def test_duplicate_keys_rejected(self):
-        sup = JobSupervisor(retry=NO_RETRY)
         with pytest.raises(ValueError):
-            sup.run([Job(key=("k",), fn=_double, args=(1,))] * 2)
+            run_jobs([Job(key=("k",), fn=_double, args=(1,))] * 2)
 
 
 class TestJournal:
@@ -198,12 +209,13 @@ class TestJournal:
         path = tmp_path / "j.jsonl"
         journal = ResultJournal(path)
         journal.start({"seed": 1})
-        journal.append_result("w1", "s1", {"ipc": 1.0})
+        journal.append_result("w1", "s1", {"ipc": 1.0}, attempts=2)
         journal.append_failure("w2", "s1", {"kind": "timeout"})
         fresh = ResultJournal(path)
         fresh.resume_from(ResultJournal.load(path), {"seed": 1})
         contents = ResultJournal.load(path)
         assert list(contents.results) == [("w1", "s1")]
+        assert contents.attempts == {("w1", "s1"): 2}
         assert not contents.failures
 
 
@@ -307,7 +319,7 @@ class TestRunnerFailurePaths:
 
 
 # ----------------------------------------------------------------------
-# Isolation on the one-worker fabric
+# Isolation on one worker process
 # ----------------------------------------------------------------------
 #: Event cap that keeps each tiny cell around a tenth of a second.
 FAST = 5_000
@@ -321,8 +333,7 @@ HANG_TIMEOUT_S = 2.0
 def one_worker_sweep(tmp_path_factory):
     """A 3x2 sweep with crash, hang and corrupt faults, ``n_jobs=1``.
 
-    The timeout and the fault plan send it to the fabric with a single
-    worker: hmmer/Static-7 crashes on every attempt, hmmer/Static-3
+    The timeout and the fault plan send it to a single worker process: hmmer/Static-7 crashes on every attempt, hmmer/Static-3
     hangs, GemsFDTD/Static-7 returns a corrupt result, GemsFDTD/Static-3
     crashes on its first attempt only, and both mcf cells are clean.
     """
@@ -353,8 +364,8 @@ def one_worker_sweep(tmp_path_factory):
 class TestOneWorkerFabric:
     def test_runs_on_one_worker(self, one_worker_sweep):
         runner, _, _ = one_worker_sweep
-        assert runner.fabric_stats.n_workers == 1
-        assert runner.fabric_stats.respawns >= 1
+        assert runner.stats.n_workers == 1
+        assert runner.stats.respawns >= 1
 
     def test_worker_crash_is_isolated(self, one_worker_sweep):
         runner, _, _ = one_worker_sweep
@@ -391,7 +402,7 @@ class TestOneWorkerFabric:
             if name == "job.retry" and tuple(args["key"]) == key
         ]
         assert retried == [1]
-        assert len(ResultJournal.load(journal).claims[key]) == 2
+        assert ResultJournal.load(journal).attempts[key] == 2
         # The retried cell is the same simulation the in-process path runs.
         expected = run_workload(
             SystemConfig.tiny(), "GemsFDTD", Scheme.STATIC_3, max_events=FAST

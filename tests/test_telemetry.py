@@ -6,7 +6,7 @@ import pytest
 
 from repro.engine import Simulator
 from repro.errors import ConfigError, TraceFormatError
-from repro.resilience import Job, JobSupervisor, ResultJournal, RetryPolicy
+from repro.resilience import Job, ResultJournal, RetryPolicy, run_jobs
 from repro.sim.config import SystemConfig
 from repro.sim.schemes import Scheme
 from repro.sim.system import System
@@ -427,21 +427,21 @@ def _bad_job():
 class TestSupervisorEvents:
     def test_lifecycle_events_for_success(self):
         seen = []
-        supervisor = JobSupervisor(
-            on_event=lambda name, args: seen.append((name, args))
+        run_jobs(
+            [Job(key=("w", "s"), fn=_ok_job)],
+            on_event=lambda name, args: seen.append((name, args)),
         )
-        supervisor.run([Job(key=("w", "s"), fn=_ok_job)])
         assert [name for name, _ in seen] == ["job.attempt", "job.result"]
         assert seen[0][1]["key"] == ["w", "s"]
 
     def test_failed_run_emits_instant(self):
         seen = []
-        supervisor = JobSupervisor(
+        _, failures, _ = run_jobs(
+            [Job(key=("w", "s"), fn=_bad_job)],
             retry=RetryPolicy(max_retries=1),
             sleep=lambda s: None,
             on_event=lambda name, args: seen.append((name, args)),
         )
-        _, failures = supervisor.run([Job(key=("w", "s"), fn=_bad_job)])
         assert ("w", "s") in failures
         names = [name for name, _ in seen]
         assert names == ["job.attempt", "job.retry", "job.attempt", "job.failed"]
