@@ -253,7 +253,7 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _config_from_args(args)
-    workloads = args.workloads or all_workload_names()
+    workloads = args.workloads or all_workload_names(config.n_cores)
     schemes = (
         [scheme_from_name(s) for s in args.schemes] if args.schemes else all_schemes()
     )
@@ -315,7 +315,7 @@ def cmd_sweep(args) -> int:
             file=sys.stderr,
         )
     if args.metrics_out:
-        from repro.obs.live.exposition import render_exposition
+        from repro.obs.exposition import render_exposition
         from repro.telemetry import MetricRegistry
         from repro.utils.persist import atomic_write_text
 

@@ -6,7 +6,7 @@ the wall clock, randomness must flow from injected seeded generators,
 time units must not silently mix (Table I retention seconds vs. device
 nanoseconds vs. core cycles), and event handlers must respect the
 engine's scheduling discipline. The orchestration path (``resilience``,
-``fabric``, ``obs``) has its own invariants: shared-file mutation only
+``obs``, ``profiling``) has its own invariants: shared-file mutation only
 under a lock, atomic persistence, fork/thread separation, and loud
 failure. ``repro.lint`` walks the package's ASTs with a set of pluggable
 :class:`~repro.lint.base.Checker` passes — the concurrency rules share a

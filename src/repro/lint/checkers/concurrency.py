@@ -1,12 +1,13 @@
 """Concurrency rules: RL007 lock-discipline, RL009 fork-thread-safety,
 RL010 exception-safe-lock, RL011 wallclock-lease-logic.
 
-PR 6 made exactly-once claiming depend on real concurrency primitives:
-flock sidecars, O_EXCL fallbacks, lease records, daemon threads. These
-rules lint the orchestration packages (``resilience``, ``fabric``,
-``obs``) for the bug classes that silently break exactly-once semantics
-and serial/parallel bit-identity. They share the per-module call graph
-and lock-context dataflow in :mod:`repro.lint.callgraph`.
+Sweeps depend on real concurrency primitives: worker processes, the
+journal's ``flock``-guarded appends, signal handlers, locks shared by
+threads. These rules lint the orchestration packages (``resilience``,
+``obs``, ``profiling``) for the bug classes that silently break
+exactly-once results and serial/parallel bit-identity. They share the
+per-module call graph and lock-context dataflow in
+:mod:`repro.lint.callgraph`.
 """
 
 from __future__ import annotations

@@ -86,15 +86,6 @@ class MetricsCoverageChecker(Checker):
     severity = "warning"
     packages = SIM_PATH_PACKAGES
 
-    def applies_to(self, module: LintModule) -> bool:
-        # The live-observability layer is held to the same bar as the
-        # sim path: a telemetry class that hoards counters (log sinks,
-        # flight recorders, heartbeat aggregates) is a blind spot in the
-        # very surface meant to remove blind spots.
-        if "repro/obs/live/" in module.relpath:
-            return True
-        return super().applies_to(module)
-
     def check(self, module: LintModule) -> List[Finding]:
         out: List[Finding] = []
         for cls in self._all_classes(module):

@@ -33,11 +33,11 @@ SIM_PATH_PACKAGES = frozenset(
 )
 
 #: ``repro`` sub-packages that form the orchestration path: code here
-#: runs across processes and threads (work-stealing fabric, checkpoint
-#: journals, run ledgers) and must uphold lock discipline, atomic
-#: persistence, and loud failure — the concurrency/durability rules
-#: RL007–RL012 target exactly these layers.
-ORCH_PATH_PACKAGES = frozenset({"resilience", "fabric", "obs", "profiling"})
+#: runs across processes and threads (the sweep loop's worker pool,
+#: checkpoint journals, run ledgers) and must uphold lock discipline,
+#: atomic persistence, and loud failure — the concurrency/durability
+#: rules RL007–RL012 target exactly these layers.
+ORCH_PATH_PACKAGES = frozenset({"resilience", "obs", "profiling"})
 
 _PRAGMA_RE = re.compile(
     r"#\s*repro-lint\s*:\s*(disable(?:-file)?)\s*=\s*([A-Za-z0-9_,\s]+)"

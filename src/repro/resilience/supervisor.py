@@ -412,7 +412,7 @@ def _worker_main(conn, worker_id: int, validate, retry, seed,
     """
     recorder = None
     if recorder_dir is not None:
-        from repro.obs.live.flightrecorder import FlightRecorder, recorder_path_for
+        from repro.resilience.flightrecorder import FlightRecorder, recorder_path_for
 
         recorder = FlightRecorder(
             recorder_path_for(recorder_dir, worker_id, os.getpid()),
@@ -599,7 +599,7 @@ def _recorder_dump(recorder_dir, slot: _Slot) -> Optional[str]:
     """
     if recorder_dir is None or slot.process.pid is None:
         return None
-    from repro.obs.live.flightrecorder import recorder_path_for
+    from repro.resilience.flightrecorder import recorder_path_for
 
     path = recorder_path_for(recorder_dir, slot.worker_id, slot.process.pid)
     return str(path) if path.exists() else None

@@ -97,6 +97,8 @@ class ExperimentRunner:
     bit-identical either way for the same seeds.
 
     Args:
+        workloads: workload names (default: every workload the config's
+            ``n_cores`` can run; the 4-core mixes need 4 cores).
         n_jobs: worker processes; the sweep loop hands each one cell at
             a time over its own pipe.
         timeout_s: optional per-attempt wall-clock limit per job; a hung
@@ -155,7 +157,9 @@ class ExperimentRunner:
         if timeout_s is not None and timeout_s <= 0:
             raise ConfigError(f"timeout_s must be positive, got {timeout_s}")
         self.config = config
-        self.workloads = list(workloads) if workloads else all_workload_names()
+        self.workloads = (
+            list(workloads) if workloads else all_workload_names(config.n_cores)
+        )
         self.schemes = list(schemes) if schemes else all_schemes()
         for kind, names in (
             ("workload", self.workloads),

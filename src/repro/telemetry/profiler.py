@@ -16,7 +16,7 @@ budgets: profiler ticks are engine events and count against them.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from repro.errors import ConfigError
 from repro.telemetry.registry import MetricRegistry, Snapshot
@@ -32,9 +32,6 @@ class Profiler:
         registry: The registry to snapshot.
         tracer: Destination for the counter events.
         interval_ns: Virtual time between samples.
-        keep_samples: Also retain ``(time_ns, snapshot)`` tuples on
-            :attr:`samples` — handy in tests and notebooks, off by
-            default to bound memory on long runs.
     """
 
     def __init__(
@@ -44,7 +41,6 @@ class Profiler:
         tracer=NULL_TRACER,
         *,
         interval_ns: float,
-        keep_samples: bool = False,
     ) -> None:
         if interval_ns <= 0:
             raise ConfigError(
@@ -54,8 +50,6 @@ class Profiler:
         self.registry = registry
         self.tracer = tracer
         self.interval_ns = interval_ns
-        self.keep_samples = keep_samples
-        self.samples: List[Tuple[float, Snapshot]] = []
         self.ticks = 0
         self._started = False
 
@@ -71,8 +65,6 @@ class Profiler:
         snapshot = self.registry.snapshot()
         for group, values in self._grouped_numeric(snapshot).items():
             self.tracer.counter(group, values, cat=group)
-        if self.keep_samples:
-            self.samples.append((self.sim.now, snapshot))
 
     @staticmethod
     def _grouped_numeric(snapshot: Snapshot) -> Dict[str, Dict[str, float]]:

@@ -7,7 +7,7 @@ four different benchmarks.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.errors import ConfigError
 from repro.workloads.spec2006 import BENCHMARKS, BenchmarkProfile, get_benchmark
@@ -47,6 +47,14 @@ def workload_profiles(name: str, n_cores: int = 4) -> List[BenchmarkProfile]:
     return [profile] * n_cores
 
 
-def all_workload_names() -> List[str]:
-    """The paper's full evaluation set: 9 benchmarks + 2 mixes."""
-    return sorted(BENCHMARKS, key=str.lower) + sorted(MIXES)
+def all_workload_names(n_cores: Optional[int] = None) -> List[str]:
+    """The paper's full evaluation set: 9 benchmarks + 2 mixes.
+
+    With *n_cores*, only the workloads a system with that many cores can
+    run: a mix needs one core per member.
+    """
+    mixes = [
+        name for name, members in sorted(MIXES.items())
+        if n_cores is None or len(members) == n_cores
+    ]
+    return sorted(BENCHMARKS, key=str.lower) + mixes

@@ -42,6 +42,11 @@ NOT_ON_SERIAL_SWEEP_PATH = (
     "repro.profiling",
 )
 
+#: Modules a sweep loads only when asked: the workers' crash flight
+#: recorder (``sweep --flight-dir``) and the Prometheus renderer
+#: (``sweep --metrics-out``).
+ON_REQUEST_ONLY = ("repro.resilience.flightrecorder", "repro.obs.exposition")
+
 INSTRUMENTATION = ("repro.attribution", "repro.profiling")
 
 #: Only ``repro-rrm profile run`` counts calls; a profiled ``System``
@@ -87,6 +92,7 @@ class TestUninstrumentedRun:
             "snapshots['after_run'] = sorted(sys.modules)\n",
         )
         assert under(snapshots["after_run"], NOT_ON_SIM_PATH) == []
+        assert under(snapshots["after_run"], ON_REQUEST_ONLY) == []
 
     def test_serial_sweep_loads_no_fabric_obs_or_instrumentation(
         self, fresh_python
@@ -103,6 +109,7 @@ class TestUninstrumentedRun:
             "snapshots['after_sweep'] = sorted(sys.modules)\n",
         )
         assert under(snapshots["after_sweep"], NOT_ON_SERIAL_SWEEP_PATH) == []
+        assert under(snapshots["after_sweep"], ON_REQUEST_ONLY) == []
 
 
 class TestInstrumentedRun:

@@ -41,7 +41,7 @@ SIM_PATH = "src/repro/engine/example.py"
 #: A path outside the sim path: only the package-agnostic rules apply.
 NON_SIM_PATH = "src/repro/analysis/example.py"
 #: A path inside an orchestration package: RL007-RL012 are active there.
-ORCH_PATH = "src/repro/fabric/example.py"
+ORCH_PATH = "src/repro/resilience/example.py"
 
 
 def lint(source, relpath=SIM_PATH):
@@ -83,13 +83,13 @@ class TestRegistry:
 
     def test_orch_path_packages_match_issue_contract(self):
         assert ORCH_PATH_PACKAGES == {
-            "resilience", "fabric", "obs", "profiling",
+            "resilience", "obs", "profiling",
         }
         assert not (ORCH_PATH_PACKAGES & SIM_PATH_PACKAGES)
 
     def test_orch_path_detection(self):
         module = LintModule("x = 1\n", ORCH_PATH)
-        assert module.package == "fabric"
+        assert module.package == "resilience"
         assert module.in_orch_path and not module.in_sim_path
 
 

@@ -1,10 +1,10 @@
-"""Tests for the live observability layer (repro.obs.live): exposition,
-structured logs, the flight recorder, and the ``sweep --metrics-out``
+"""Tests for sweep observability: the Prometheus exposition renderer
+(``repro.obs.exposition``), the workers' crash flight recorder
+(``repro.resilience.flightrecorder``), and the ``sweep --metrics-out``
 snapshot."""
 
 from __future__ import annotations
 
-import io
 import json
 import signal
 import subprocess
@@ -12,14 +12,9 @@ import sys
 
 import pytest
 
-from repro.obs.live import (
-    FlightRecorder,
-    StructuredLogger,
-    recorder_path_for,
-    render_exposition,
-    sanitize_metric_name,
-)
+from repro.obs.exposition import render_exposition, sanitize_metric_name
 from repro.resilience import FaultPlan, ResultJournal, RetryPolicy
+from repro.resilience.flightrecorder import FlightRecorder, recorder_path_for
 from repro.sim.config import SystemConfig
 from repro.sim.runner import ExperimentRunner
 from repro.sim.schemes import Scheme
@@ -83,46 +78,6 @@ class TestExposition:
 
 
 # ----------------------------------------------------------------------
-# Structured logging
-# ----------------------------------------------------------------------
-class TestStructuredLogger:
-    def test_correlation_chain_round_trips(self):
-        stream = io.StringIO()
-        root = StructuredLogger(stream, fields={"sweep": "sweep-001"}, clock=lambda: 5.0)
-        worker_log = root.bind(worker=2)
-        attempt_log = worker_log.bind(job="hmmer/RRM", attempt=1)
-        attempt_log.event("job.claimed")
-        record = json.loads(stream.getvalue().splitlines()[0])
-        assert record == {
-            "stamp": 5.0,
-            "level": "info",
-            "event": "job.claimed",
-            "sweep": "sweep-001",
-            "worker": 2,
-            "job": "hmmer/RRM",
-            "attempt": 1,
-        }
-        # Children share the parent's sink and its counters.
-        assert root.records_emitted == 1
-
-    def test_broken_stream_counts_drops_not_raises(self):
-        stream = io.StringIO()
-        stream.close()
-        log = StructuredLogger(stream)
-        log.event("x")  # must not raise
-        registry = MetricRegistry()
-        log.register_metrics(registry)
-        assert registry.get("obs.log.records_dropped").value() == 1
-        assert registry.get("obs.log.records_emitted").value() == 0
-
-    def test_mirror_taps_every_record(self):
-        seen = []
-        log = StructuredLogger(io.StringIO(), mirror=seen.append)
-        log.error("boom", detail="d")
-        assert seen[0]["event"] == "boom" and seen[0]["level"] == "error"
-
-
-# ----------------------------------------------------------------------
 # Flight recorder
 # ----------------------------------------------------------------------
 class TestFlightRecorder:
@@ -156,14 +111,6 @@ class TestFlightRecorder:
         assert recorder.try_dump("x") is None
         assert recorder.dump_failures == 1
 
-    def test_mirror_adapts_log_records(self, tmp_path):
-        recorder = FlightRecorder(tmp_path / "f.json", clock=lambda: 0.0)
-        log = StructuredLogger(io.StringIO(), mirror=recorder.mirror)
-        log.event("job.claimed", worker=1)
-        payload = json.loads(recorder.dump("x").read_text())
-        assert payload["records"][0]["kind"] == "log"
-        assert payload["records"][0]["event"] == "job.claimed"
-
     def test_recorder_path_is_deterministic(self, tmp_path):
         path = recorder_path_for(tmp_path, 3, 4242)
         assert path.name == "flight-w03-p4242.json"
@@ -179,7 +126,7 @@ class TestFlightRecorder:
         recorder_file = tmp_path / "f.json"
         code = (
             "import signal, sys, time\n"
-            "from repro.obs.live import FlightRecorder\n"
+            "from repro.resilience.flightrecorder import FlightRecorder\n"
             f"r = FlightRecorder({str(recorder_file)!r}).install()\n"
             "r.record('ready')\n"
             "print('up', flush=True)\n"

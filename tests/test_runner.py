@@ -47,9 +47,18 @@ class TestSweep:
         assert calls == [("hmmer", "Static-7-SETs")]
 
     def test_default_workloads_are_all_eleven(self):
-        r = ExperimentRunner(SystemConfig.tiny())
+        r = ExperimentRunner(SystemConfig.scaled())
         assert len(r.workloads) == 11
         assert len(r.schemes) == 6
+
+    def test_default_workloads_fit_the_core_count(self):
+        # The 4-core mixes cannot run on tiny's 2 cores, so the default
+        # list leaves them out; naming one still raises.
+        r = ExperimentRunner(SystemConfig.tiny())
+        assert len(r.workloads) == 9
+        assert not set(r.workloads) & {"MIX_1", "MIX_2"}
+        with pytest.raises(ConfigError, match="MIX_1"):
+            ExperimentRunner(SystemConfig.tiny(), workloads=["MIX_1"])
 
 
 class TestAggregation:

@@ -272,15 +272,13 @@ class TestProfiler:
         registry = MetricRegistry()
         registry.gauge("engine.now", lambda: sim.now)
         tracer = Tracer(lambda: sim.now)
-        profiler = Profiler(
-            sim, registry, tracer, interval_ns=100.0, keep_samples=True
-        )
+        profiler = Profiler(sim, registry, tracer, interval_ns=100.0)
         profiler.start()
         sim.run(until=1000.0)
         assert profiler.ticks == 10
-        assert len(profiler.samples) == 10
         counters = [e for e in tracer.events() if e.ph == "C"]
         assert len(counters) == 10
+        assert [e.ts_ns for e in counters] == [100.0 * i for i in range(1, 11)]
         assert counters[0].name == "engine"
         assert counters[0].args == {"now": 100.0}
 
