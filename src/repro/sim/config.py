@@ -117,10 +117,22 @@ class SystemConfig:
     ) -> "SystemConfig":
         """The default experiment configuration (~1000x fewer events).
 
-        Scaling keeps three dimensionless quantities at paper values:
-        per-bank utilisation (traffic and bank count shrink together, via
-        the reduced core frequency), refresh intervals per run, and decay
-        windows per run (drift scale and duration shrink together).
+        Held at paper values: refresh intervals per run and decay windows
+        per run (drift scale and duration shrink together), and each
+        workload's tier proportions (footprints shrink by 1/16 as a whole).
+
+        Not held, measured on GemsFDTD Static-7 against ``paper()``:
+        - per-bank load: 1.63M requests per bank per second here against
+          1.23M at paper width;
+        - core clock per bank: 2x (4 x 0.125 GHz over 2 banks against
+          4 x 2 GHz over 64);
+        - queue slots per bank: 8x (the paper's 32/64-entry queues behind
+          2 banks instead of 16);
+        - per-block write rate: 12.2x lower (0.0171 against 0.208
+          writes/block/s), which is what sets the lifetime estimate.
+
+        Deriving this preset from ``paper()`` by one rule that holds
+        these is ROADMAP item 5.
         """
         if duration_s is None:
             duration_s = 5.0 / drift_scale

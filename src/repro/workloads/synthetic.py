@@ -29,7 +29,7 @@ import bisect
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Tuple
 
 from repro.errors import ConfigError
 from repro.workloads.events import EV_READ, EV_REGISTER, EV_WRITE, WorkloadEvent
@@ -165,6 +165,26 @@ def _zipf_cdf(n: int, alpha: float) -> List[float]:
 BLOCKS_PER_REGION = 64
 
 
+#: Region ids 0, 1, 2, ...; see :func:`_shared_region_ids`.
+_REGION_IDS: Tuple[int, ...] = ()
+
+
+def _shared_region_ids(n: int) -> Tuple[int, ...]:
+    """Region ids ``0 … n-1`` as objects of the shared table.
+
+    Every generator builds its region order from these, so the cores of
+    a System (and the cells of a sweep) share one int object per region
+    id instead of holding a copy each. The table grows by appending, so
+    ids handed out earlier stay its own objects, and it is bounded by
+    the largest footprint requested.
+    """
+    global _REGION_IDS
+    size = len(_REGION_IDS)
+    if size < n:
+        _REGION_IDS += tuple(range(size, n))
+    return _REGION_IDS[:n]
+
+
 class RegionTrafficGenerator:
     """Generates one core's infinite LLC-level event stream.
 
@@ -174,9 +194,6 @@ class RegionTrafficGenerator:
             get disjoint windows, like separate program copies).
         seed: RNG seed; streams are fully deterministic per (profile,
             base_block, seed).
-        warm_period_events: A warm region is revisited roughly every this
-            many write groups — tuned so warm regions straddle the
-            hot_threshold boundary.
     """
 
     def __init__(
@@ -184,7 +201,6 @@ class RegionTrafficGenerator:
         profile: RegionProfile,
         base_block: int = 0,
         seed: int = 0,
-        warm_period_events: Optional[int] = None,
     ) -> None:
         if base_block < 0:
             raise ConfigError("base_block must be non-negative")
@@ -196,14 +212,17 @@ class RegionTrafficGenerator:
         shuffler = random.Random(seed ^ 0xC0FFEE)
         # Tiers are allocated in contiguous runs ("clusters") so spatially
         # adjacent regions share behaviour, as hot arrays do in real
-        # programs; the cluster order itself is shuffled.
-        cluster = min(p.tier_cluster_regions, p.footprint_regions)
-        clusters = [
-            list(range(start, min(start + cluster, p.footprint_regions)))
-            for start in range(0, p.footprint_regions, cluster)
+        # programs; the cluster order itself is shuffled. Shuffling the
+        # cluster start ids draws the same permutation as shuffling the
+        # clusters would, and the ids come from the shared table.
+        n = p.footprint_regions
+        ids = _shared_region_ids(n)
+        cluster = min(p.tier_cluster_regions, n)
+        starts = list(range(0, n, cluster))
+        shuffler.shuffle(starts)
+        region_ids = [
+            region for start in starts for region in ids[start : start + cluster]
         ]
-        shuffler.shuffle(clusters)
-        region_ids = [region for chunk in clusters for region in chunk]
         self._hot = region_ids[: p.hot_regions]
         self._warm = region_ids[p.hot_regions : p.hot_regions + p.warm_regions]
         self._cold_start = p.hot_regions + p.warm_regions

@@ -10,17 +10,22 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import random
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
+from repro.workloads import synthetic
 from repro.workloads.events import EV_READ, EV_REGISTER, EV_WRITE
 from repro.workloads.synthetic import (
     BLOCKS_PER_REGION,
     RegionProfile,
     RegionTrafficGenerator,
+    _log_spread_cdf,
 )
 
 
@@ -246,6 +251,82 @@ class TestPhaseRotation:
         assert result.rrm_stats["demotions"] > 0
 
 
+def materialised_layout(profile, seed):
+    """The reference ``(region order, hot, warm, cold ids, warm cdf)``:
+    one fresh list of ids per cluster, the clusters shuffled, then
+    flattened."""
+    p = profile
+    shuffler = random.Random(seed ^ 0xC0FFEE)
+    cluster = min(p.tier_cluster_regions, p.footprint_regions)
+    clusters = [
+        list(range(start, min(start + cluster, p.footprint_regions)))
+        for start in range(0, p.footprint_regions, cluster)
+    ]
+    shuffler.shuffle(clusters)
+    region_ids = [region for chunk in clusters for region in chunk]
+    cold_start = p.hot_regions + p.warm_regions
+    warm = region_ids[p.hot_regions : cold_start]
+    warm_cdf = _log_spread_cdf(len(warm), shuffler) if warm else []
+    return (
+        region_ids, region_ids[: p.hot_regions], warm,
+        region_ids[cold_start:], warm_cdf,
+    )
+
+
+class TestRegionLayout:
+    @settings(max_examples=settings.default.max_examples, deadline=None)
+    @given(
+        # Small footprints often, so clusters at least as large as the
+        # footprint come up.
+        footprint=st.one_of(st.integers(1, 64), st.integers(1, 30_000)),
+        cluster=st.integers(1, 64),
+        seed=st.integers(0, 2**32),
+        data=st.data(),
+    )
+    def test_layout_matches_materialised_clusters(
+        self, footprint, cluster, seed, data
+    ):
+        hot = data.draw(st.integers(0, footprint), label="hot_regions")
+        warm = data.draw(st.integers(0, footprint - hot), label="warm_regions")
+        profile = RegionProfile(
+            mpki=10.0, footprint_regions=footprint, hot_regions=hot,
+            warm_regions=warm, tier_cluster_regions=cluster,
+        )
+        generator = RegionTrafficGenerator(profile, seed=seed)
+        order, hot_ids, warm_ids, cold_ids, warm_cdf = materialised_layout(
+            profile, seed
+        )
+        assert generator._hot + generator._warm + generator._cold_ids == order
+        assert generator._hot == hot_ids
+        assert generator._warm == warm_ids
+        assert generator._cold_ids == cold_ids
+        assert generator._warm_cdf == warm_cdf
+
+    def test_paper_cores_share_the_region_id_table(self, monkeypatch):
+        """Every core of a paper-width System holds the shared table's int
+        objects, not a copy of its own."""
+        import repro.sim.system as system_module
+        from repro.sim.config import SystemConfig
+        from repro.sim.schemes import Scheme
+
+        built = []
+
+        def recording(profile, **kwargs):
+            built.append(RegionTrafficGenerator(profile, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(system_module, "RegionTrafficGenerator", recording)
+        system_module.System(SystemConfig.paper(1), "GemsFDTD", Scheme.RRM)
+        table = synthetic._REGION_IDS
+        assert len(built) == 4
+        for generator in built:
+            regions = generator._hot + generator._warm + generator._cold_ids
+            # Ids up to 256 are CPython's cached small ints, the same
+            # objects in any construction; only larger ids test sharing.
+            assert max(regions) > 256
+            assert all(region is table[region] for region in regions)
+
+
 class TestValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -317,9 +398,10 @@ STREAM_EVENTS = 50_000
 ROTATING_INTERVAL = 1_000
 
 
-def built_generators(workload):
+def built_generators(workload, config=None):
     """``(profile, kwargs)`` of every generator ``System._build_streams``
-    constructs for *workload* on the tiny config at seed 1."""
+    constructs for *workload* on *config* (default: the tiny config at
+    seed 1)."""
     import repro.sim.system as system_module
     from repro.sim.config import SystemConfig
     from repro.sim.schemes import Scheme
@@ -331,7 +413,8 @@ def built_generators(workload):
         built.append((profile, kwargs))
         return RegionTrafficGenerator(profile, **kwargs)
 
-    config = SystemConfig.tiny(1)
+    if config is None:
+        config = SystemConfig.tiny(1)
     if workload in MIXES:
         config = dataclasses.replace(config, n_cores=len(MIXES[workload]))
     original = system_module.RegionTrafficGenerator
@@ -370,26 +453,40 @@ def stream_digest(generator):
     return digest.hexdigest()
 
 
+def add_streams(streams, prefix, built, cores, rotating):
+    """Add ``{prefix}/core{n}`` for each of *cores*, plus
+    ``{prefix}/core0/rotating`` (phase rotation every ROTATING_INTERVAL
+    write groups) when *rotating*, from *built* generator arguments."""
+    for core in cores:
+        profile, kwargs = built[core]
+        streams[f"{prefix}/core{core}"] = RegionTrafficGenerator(
+            profile, **kwargs
+        )
+    if rotating:
+        profile, kwargs = built[0]
+        profile = dataclasses.replace(
+            profile, phase_interval_writes=ROTATING_INTERVAL
+        )
+        streams[f"{prefix}/core0/rotating"] = RegionTrafficGenerator(
+            profile, **kwargs
+        )
+
+
 def pinned_streams():
-    """Stream key -> generator: cores 0 and 1 of every workload, plus core
-    0 with phase rotation every ROTATING_INTERVAL write groups."""
+    """Stream key -> generator: cores 0 and 1 of every workload plus core 0
+    rotating, on the tiny config; and ``paper/...`` streams on
+    ``SystemConfig.paper(1)``, whose footprints are 32x the tiny ones."""
+    from repro.sim.config import SystemConfig
     from repro.workloads.mixes import all_workload_names
 
     streams = {}
     for workload in all_workload_names():
-        built = built_generators(workload)
-        for core in (0, 1):
-            profile, kwargs = built[core]
-            streams[f"{workload}/core{core}"] = RegionTrafficGenerator(
-                profile, **kwargs
-            )
-        profile, kwargs = built[0]
-        rotating = dataclasses.replace(
-            profile, phase_interval_writes=ROTATING_INTERVAL
-        )
-        streams[f"{workload}/core0/rotating"] = RegionTrafficGenerator(
-            rotating, **kwargs
-        )
+        add_streams(streams, workload, built_generators(workload), (0, 1), True)
+    paper = SystemConfig.paper(1)
+    add_streams(
+        streams, "paper/GemsFDTD", built_generators("GemsFDTD", paper), (0, 3), True
+    )
+    add_streams(streams, "paper/MIX_1", built_generators("MIX_1", paper), (0,), False)
     return streams
 
 
