@@ -33,6 +33,7 @@ from repro.core.monitor import RegionRetentionMonitor
 from repro.engine import Simulator
 from repro.memctrl.request import RequestType
 from repro.pcm.write_modes import WriteModeTable
+from repro.utils.units import s_to_ns
 
 
 class PromotionMonitor(RegionRetentionMonitor):
@@ -86,7 +87,7 @@ class PromotionMonitor(RegionRetentionMonitor):
             return
         deadline = None
         if self.sim is not None:
-            deadline = self.sim.now + 1e9 * self.refresh_slack_s
+            deadline = self.sim.now + s_to_ns(self.refresh_slack_s)
         for entry in list(self.tags.entries()):
             base_block = entry.region * self.config.blocks_per_region
             for offset in list(entry.short_retention_offsets()):

@@ -15,17 +15,127 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional, Protocol
+from typing import Deque, List, Optional, Protocol, Tuple
 
 from repro.core.config import RRMConfig
 from repro.core.entry import RRMEntry
 from repro.core.tag_array import RRMTagArray
 from repro.engine import Simulator
 from repro.errors import ConfigError
-from repro.memctrl.request import MemRequest, RequestType
+from repro.memctrl.request import MemRequest, RequestType, _request_ids
 from repro.pcm.write_modes import WriteModeTable
 from repro.telemetry.trace import NULL_TRACER
 from repro.utils.units import s_to_ns
+
+
+#: Bytes per waiting refresh: ``req_id << 64 | block << 8 | kind``.
+_RECORD_BYTES = 16
+_BLOCK_KIND_MASK = (1 << 64) - 1
+#: Kinds one burst can name in a record's low byte.
+_MAX_KINDS = 256
+
+
+class _Burst:
+    """Refreshes queued at one simulated instant, in queue order.
+
+    The burst's ``generated_time_ns`` and its kinds, the distinct
+    ``(rtype, n_sets, deadline_ns)`` triples its refreshes carry, are
+    stored once; each refresh adds one 16-byte record to ``records``.
+    """
+
+    __slots__ = ("generated_time_ns", "kinds", "records")
+
+    def __init__(self, generated_time_ns: Optional[float]) -> None:
+        self.generated_time_ns = generated_time_ns
+        self.kinds: List[Tuple[RequestType, int, Optional[float]]] = []
+        self.records = bytearray()
+
+
+#: A waiting refresh's request fields: ``(rtype, block, n_sets,
+#: deadline_ns, generated_time_ns, req_id)``.
+_Refresh = Tuple[RequestType, int, int, Optional[float], Optional[float], int]
+
+
+class _PendingRefreshes:
+    """FIFO of refreshes the controller's refresh queue has not yet taken.
+
+    A waiting refresh is held as the fields its ``MemRequest`` will
+    carry, in 16 bytes, so the request is built only once the queue
+    takes it. A refresh joins the newest burst when it shares that
+    burst's time object (``sim.now`` within one event) and, to share a
+    kind, its rtype, SET count and deadline object: an interrupt queues
+    all its refreshes with one deadline object, so a burst holds one to
+    three kinds however its refreshes interleave. Grouping tests object
+    identity, so records only share fields that are the same values.
+    ``len()`` counts refreshes, not bursts.
+    """
+
+    __slots__ = ("_bursts", "_count", "_head")
+
+    def __init__(self) -> None:
+        self._bursts: Deque[_Burst] = deque()
+        self._count = 0
+        #: The oldest refresh, decoded once for every look at it.
+        self._head: Optional[_Refresh] = None
+
+    def __len__(self) -> int:
+        return self._count
+
+    def push(
+        self,
+        rtype: RequestType,
+        block: int,
+        n_sets: int,
+        deadline_ns: Optional[float],
+        generated_time_ns: Optional[float],
+        req_id: int,
+    ) -> None:
+        bursts = self._bursts
+        burst = bursts[-1] if bursts else None
+        if burst is None or burst.generated_time_ns is not generated_time_ns:
+            burst = _Burst(generated_time_ns)
+            bursts.append(burst)
+        for kind, (k_rtype, k_n_sets, k_deadline) in enumerate(burst.kinds):
+            if k_rtype is rtype and k_n_sets == n_sets and k_deadline is deadline_ns:
+                break
+        else:
+            if len(burst.kinds) == _MAX_KINDS:
+                burst = _Burst(generated_time_ns)
+                bursts.append(burst)
+            kind = len(burst.kinds)
+            burst.kinds.append((rtype, n_sets, deadline_ns))
+        burst.records += (req_id << 64 | block << 8 | kind).to_bytes(
+            _RECORD_BYTES, "little"
+        )
+        self._count += 1
+
+    def head(self) -> _Refresh:
+        """The oldest refresh's request fields."""
+        head = self._head
+        if head is None:
+            burst = self._bursts[0]
+            record = int.from_bytes(burst.records[:_RECORD_BYTES], "little")
+            rtype, n_sets, deadline_ns = burst.kinds[record & 0xFF]
+            head = self._head = (
+                rtype,
+                (record & _BLOCK_KIND_MASK) >> 8,
+                n_sets,
+                deadline_ns,
+                burst.generated_time_ns,
+                record >> 64,
+            )
+        return head
+
+    def drop_head(self) -> None:
+        """Remove the oldest refresh."""
+        records = self._bursts[0].records
+        # Deleting from the front of a bytearray moves no data, and frees
+        # the buffer in halves as a burst drains.
+        del records[:_RECORD_BYTES]
+        if not records:
+            self._bursts.popleft()
+        self._count -= 1
+        self._head = None
 
 
 class RefreshSink(Protocol):
@@ -140,7 +250,7 @@ class RegionRetentionMonitor:
         #: Decay tick period: 1/16 of the refresh interval by default.
         self.decay_period_s = self.refresh_interval_s / config.decay_ticks_per_interval
 
-        self._pending_refreshes: Deque[MemRequest] = deque()
+        self._pending_refreshes = _PendingRefreshes()
         self._draining = False
         self._space_wait_registered = False
         self._started = False
@@ -374,16 +484,15 @@ class RegionRetentionMonitor:
             self.stats.slow_refreshes_issued += 1
         if self.controller is None:
             return
-        request = MemRequest(
-            rtype=rtype,
-            block=block,
-            n_sets=n_sets,
-            deadline_ns=deadline_ns,
-            # Stamp creation time so latency attribution can report the
-            # pre-queue backpressure a full refresh queue imposes.
-            generated_time_ns=self.sim.now if self.sim is not None else None,
+        self._pending_refreshes.push(
+            rtype,
+            block,
+            n_sets,
+            deadline_ns,
+            self.sim.now if self.sim is not None else None,
+            # The request's id is drawn now, as building it now would.
+            next(_request_ids),
         )
-        self._pending_refreshes.append(request)
         if not self._space_wait_registered:
             self._drain_refreshes()
 
@@ -398,20 +507,37 @@ class RegionRetentionMonitor:
         """
         if self._draining:
             return
-        assert self.controller is not None
+        controller = self.controller
+        assert controller is not None
+        pending = self._pending_refreshes
         self._draining = True
         try:
-            while self._pending_refreshes:
-                head = self._pending_refreshes[0]
-                if not self.controller.can_accept(head.rtype, head.block):
+            while pending:
+                rtype, block, n_sets, deadline_ns, generated_time_ns, req_id = (
+                    pending.head()
+                )
+                if not controller.can_accept(rtype, block):
                     if not self._space_wait_registered:
                         self._space_wait_registered = True
-                        self.controller.notify_space(
-                            head.rtype, head.block, self._on_refresh_space
+                        controller.notify_space(
+                            rtype, block, self._on_refresh_space
                         )
                     return
-                self._pending_refreshes.popleft()
-                self.controller.enqueue(head)
+                pending.drop_head()
+                # The request is built only now that the queue takes it.
+                controller.enqueue(
+                    MemRequest(
+                        rtype=rtype,
+                        block=block,
+                        n_sets=n_sets,
+                        deadline_ns=deadline_ns,
+                        # Stamp creation time so latency attribution can
+                        # report the pre-queue backpressure a full refresh
+                        # queue imposes.
+                        generated_time_ns=generated_time_ns,
+                        req_id=req_id,
+                    )
+                )
         finally:
             self._draining = False
 

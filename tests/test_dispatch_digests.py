@@ -5,7 +5,9 @@ what a run computes; these catch a change in *how* it gets there. For the
 same cells (11 workloads x 6 schemes x seeds 1-3 on ``SystemConfig.tiny``,
 plus the paper-width leg of 11 workloads x {Static-7-SETs, RRM} x seeds
 1-3 on ``SystemConfig.paper``, keyed ``paper/...``; first 4000 engine
-events each), every callback the engine dispatches is recorded as
+events each; and the refresh leg, GemsFDTD at seed 1 for the whole 20 ms
+of tiny under the RRM, ``PromotionMonitor`` and ``TieredRetentionMonitor``,
+keyed ``refresh/...``), every callback the engine dispatches is recorded as
 ``(time, module:qualname)``, in dispatch order. The cell's digest is the sha256 over that sequence plus the final
 ``events_processed``, ``events_scheduled`` and ``events_cancelled``.
 
@@ -30,6 +32,8 @@ from typing import Callable, List
 
 import pytest
 
+from repro.core.baselines import PromotionMonitor
+from repro.core.multimode import TieredRetentionMonitor, TieredRRMConfig
 from repro.engine.simulator import Simulator, owner_label
 from repro.sim.config import SystemConfig
 from repro.sim.schemes import Scheme, all_schemes
@@ -46,13 +50,18 @@ LEGS = {
     "paper/": (SystemConfig.paper, [Scheme.STATIC_7.value, Scheme.RRM.value]),
 }
 
+#: Refresh leg: cell-key prefix and the monitors it runs to the end (the
+#: other legs stop before the first refresh interrupt, at 9.04 ms).
+REFRESH = "refresh/"
+REFRESH_MONITORS = ("RRM", "promotion", "tiered")
+
 CELLS = [
     (prefix, workload, scheme, seed)
     for prefix, (_, schemes) in LEGS.items()
     for workload in all_workload_names()
     for scheme in schemes
     for seed in SEEDS
-]
+] + [(REFRESH, "GemsFDTD", monitor, 1) for monitor in REFRESH_MONITORS]
 
 
 def cell_key(prefix: str, workload: str, scheme: str, seed: int) -> str:
@@ -76,6 +85,26 @@ def recording_schedule_at(log: List[str]) -> Callable:
     return schedule_at
 
 
+def refresh_monitor_factory(monitor: str, rrm):
+    """``System``'s ``monitor_factory`` for a refresh-leg monitor (None
+    builds the stock RRM)."""
+    if monitor == "promotion":
+        return lambda modes, sim, controller: PromotionMonitor(
+            rrm, modes, sim=sim, controller=controller
+        )
+    if monitor == "tiered":
+        tiered = TieredRRMConfig(
+            n_sets=rrm.n_sets,
+            n_ways=rrm.n_ways,
+            hot_threshold=rrm.hot_threshold,
+            refresh_slack_fraction=rrm.refresh_slack_fraction,
+        )
+        return lambda modes, sim, controller: TieredRetentionMonitor(
+            tiered, modes, sim=sim, controller=controller
+        )
+    return None
+
+
 def cell_digest(prefix: str, workload: str, scheme: str, seed: int) -> str:
     """sha256 of the cell's dispatch sequence and final event counts.
 
@@ -85,11 +114,17 @@ def cell_digest(prefix: str, workload: str, scheme: str, seed: int) -> str:
     original = Simulator.schedule_at
     Simulator.schedule_at = recording_schedule_at(log)
     try:
-        config = LEGS[prefix][0](seed)
-        if workload in MIXES:
-            config = dataclasses.replace(config, n_cores=len(MIXES[workload]))
-        system = System(config, workload, Scheme(scheme))
-        system.run(max_events=MAX_EVENTS)
+        if prefix == REFRESH:
+            config = SystemConfig.tiny(seed)
+            factory = refresh_monitor_factory(scheme, config.rrm)
+            system = System(config, workload, Scheme.RRM, monitor_factory=factory)
+            system.run()
+        else:
+            config = LEGS[prefix][0](seed)
+            if workload in MIXES:
+                config = dataclasses.replace(config, n_cores=len(MIXES[workload]))
+            system = System(config, workload, Scheme(scheme))
+            system.run(max_events=MAX_EVENTS)
     finally:
         Simulator.schedule_at = original
     sim = system.sim

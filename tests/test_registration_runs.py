@@ -101,7 +101,7 @@ def state(monitor, sink):
             [(region, asdict(entry)) for region, entry in bucket.items()]
             for bucket in tags._sets
         ],
-        "pending": len(monitor._pending_refreshes),
+        "pending": monitor.pending_refresh_count,
         "requests": list(sink.requests),
     }
 

@@ -11,6 +11,13 @@ depend on the host or on instrumentation, and compared with
 ``tests/data/result_digests.json``. Tiny cells are keyed
 ``workload/scheme/seed`` and paper-width cells ``paper/workload/scheme/seed``.
 
+Those cells stop long before the first refresh interrupt (9.04 ms on
+tiny), so a third, refresh leg runs GemsFDTD at seed 1 for the whole
+20 ms of ``SystemConfig.tiny`` under each monitor that queues refreshes:
+the RRM, ``PromotionMonitor`` and ``TieredRetentionMonitor``, the last two
+through ``System``'s ``monitor_factory``. Its cells are keyed
+``refresh/GemsFDTD/monitor/1`` and pin every refresh burst's backpressure.
+
 A hot-path optimisation must keep every digest. The committed file is
 only ever rewritten by a change that means to alter simulated results::
 
@@ -26,6 +33,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.baselines import PromotionMonitor
+from repro.core.multimode import TieredRetentionMonitor, TieredRRMConfig
 from repro.sim.config import SystemConfig
 from repro.sim.schemes import Scheme, all_schemes
 from repro.sim.system import System
@@ -44,13 +53,17 @@ LEGS = {
     "paper/": (SystemConfig.paper, [Scheme.STATIC_7.value, Scheme.RRM.value]),
 }
 
+#: Refresh leg: cell-key prefix and the monitors it runs to the end.
+REFRESH = "refresh/"
+REFRESH_MONITORS = ("RRM", "promotion", "tiered")
+
 CELLS = [
     (prefix, workload, scheme, seed)
     for prefix, (_, schemes) in LEGS.items()
     for workload in all_workload_names()
     for scheme in schemes
     for seed in SEEDS
-]
+] + [(REFRESH, "GemsFDTD", monitor, 1) for monitor in REFRESH_MONITORS]
 
 
 def cell_key(prefix: str, workload: str, scheme: str, seed: int) -> str:
@@ -65,10 +78,40 @@ def leg_config(prefix: str, workload: str, seed: int) -> SystemConfig:
     return config
 
 
+def refresh_monitor_factory(monitor: str, rrm):
+    """``System``'s ``monitor_factory`` for a refresh-leg monitor (None
+    builds the stock RRM)."""
+    if monitor == "promotion":
+        return lambda modes, sim, controller: PromotionMonitor(
+            rrm, modes, sim=sim, controller=controller
+        )
+    if monitor == "tiered":
+        tiered = TieredRRMConfig(
+            n_sets=rrm.n_sets,
+            n_ways=rrm.n_ways,
+            hot_threshold=rrm.hot_threshold,
+            refresh_slack_fraction=rrm.refresh_slack_fraction,
+        )
+        return lambda modes, sim, controller: TieredRetentionMonitor(
+            tiered, modes, sim=sim, controller=controller
+        )
+    return None
+
+
+def cell_run(prefix: str, workload: str, scheme: str, seed: int):
+    """The cell's ``SimResult``: the refresh leg runs its whole duration,
+    every other leg its first ``MAX_EVENTS`` events."""
+    if prefix == REFRESH:
+        config = SystemConfig.tiny(seed)
+        factory = refresh_monitor_factory(scheme, config.rrm)
+        return System(config, workload, Scheme.RRM, monitor_factory=factory).run()
+    system = System(leg_config(prefix, workload, seed), workload, Scheme(scheme))
+    return system.run(max_events=MAX_EVENTS)
+
+
 def cell_digest(prefix: str, workload: str, scheme: str, seed: int) -> str:
     """sha256 of the cell's canonical result JSON, host fields removed."""
-    system = System(leg_config(prefix, workload, seed), workload, Scheme(scheme))
-    record = system.run(max_events=MAX_EVENTS).to_json_dict()
+    record = cell_run(prefix, workload, scheme, seed).to_json_dict()
     for field in HOST_FIELDS:
         record.pop(field, None)
     blob = json.dumps(record, sort_keys=True, separators=(",", ":"))
