@@ -28,8 +28,9 @@ from __future__ import annotations
 import bisect
 import math
 import random
+import sys
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, List
 
 from repro.errors import ConfigError
 from repro.workloads.events import EV_READ, EV_REGISTER, EV_WRITE, WorkloadEvent
@@ -68,7 +69,7 @@ class RegionProfile:
             decay mechanism exists for (obsolete hot regions must stop
             being refreshed).
         phase_rotation_fraction: Share of the hot tier replaced per phase
-            change.
+            change: at least one region when positive, none at 0.
         tier_cluster_regions: Hot/warm regions are allocated in contiguous
             runs of this many 4KB regions (hot arrays are contiguous in
             real programs — this is why the paper finds 8KB/16KB RRM
@@ -165,24 +166,52 @@ def _zipf_cdf(n: int, alpha: float) -> List[float]:
 BLOCKS_PER_REGION = 64
 
 
-#: Region ids 0, 1, 2, ...; see :func:`_shared_region_ids`.
-_REGION_IDS: Tuple[int, ...] = ()
+#: Ids written per integer by :func:`_region_id_buffer`.
+_ID_BLOCK = 1024
 
 
-def _shared_region_ids(n: int) -> Tuple[int, ...]:
-    """Region ids ``0 … n-1`` as objects of the shared table.
+def _region_id_buffer(n: int) -> memoryview:
+    """Region ids ``0 … n-1`` as a buffer of native 4-byte signed ints.
 
-    Every generator builds its region order from these, so the cores of
-    a System (and the cells of a sweep) share one int object per region
-    id instead of holding a copy each. The table grows by appending, so
-    ids handed out earlier stay its own objects, and it is bounded by
-    the largest footprint requested.
+    Each block of ``_ID_BLOCK`` ids is one integer whose 32-bit lanes
+    are the ids, written out with ``int.to_bytes``: ``ramp`` has lanes
+    0, 1, 2, …, ``ones`` has every lane 1, so ``ramp + start * ones``
+    has lanes ``start``, ``start + 1``, …. That fills the buffer without
+    an int object per id or a Python step per id, and without importing
+    a module (``array`` would load one into every run).
     """
-    global _REGION_IDS
-    size = len(_REGION_IDS)
-    if size < n:
-        _REGION_IDS += tuple(range(size, n))
-    return _REGION_IDS[:n]
+    buffer = bytearray(4 * n)
+    ramp, ones, width = 0, 1, 1
+    while width < min(n, _ID_BLOCK):
+        ramp |= (ramp + width * ones) << (32 * width)
+        ones |= ones << (32 * width)
+        width *= 2
+    for start in range(0, n, width):
+        stop = min(start + width, n)
+        lanes = (ramp + start * ones).to_bytes(4 * width, sys.byteorder)
+        buffer[4 * start : 4 * stop] = lanes[: 4 * (stop - start)]
+    return memoryview(buffer).cast("i")
+
+
+def _clustered_order(n: int, cluster: int, shuffler: random.Random) -> memoryview:
+    """Region ids ``0 … n-1`` in runs of *cluster* consecutive ids, the
+    runs in shuffled order, as a buffer of 4-byte ints.
+
+    Shuffling the run start ids draws the same permutation, with the same
+    RNG draws, as shuffling the runs would. Each run is then one slice
+    copy from the id buffer.
+    """
+    cluster = min(cluster, n)
+    ids = _region_id_buffer(n)
+    starts = list(range(0, n, cluster))
+    shuffler.shuffle(starts)
+    order = memoryview(bytearray(4 * n)).cast("i")
+    position = 0
+    for start in starts:
+        run = ids[start : start + cluster]
+        order[position : position + len(run)] = run
+        position += len(run)
+    return order
 
 
 class RegionTrafficGenerator:
@@ -212,21 +241,17 @@ class RegionTrafficGenerator:
         shuffler = random.Random(seed ^ 0xC0FFEE)
         # Tiers are allocated in contiguous runs ("clusters") so spatially
         # adjacent regions share behaviour, as hot arrays do in real
-        # programs; the cluster order itself is shuffled. Shuffling the
-        # cluster start ids draws the same permutation as shuffling the
-        # clusters would, and the ids come from the shared table.
-        n = p.footprint_regions
-        ids = _shared_region_ids(n)
-        cluster = min(p.tier_cluster_regions, n)
-        starts = list(range(0, n, cluster))
-        shuffler.shuffle(starts)
-        region_ids = [
-            region for start in starts for region in ids[start : start + cluster]
-        ]
-        self._hot = region_ids[: p.hot_regions]
-        self._warm = region_ids[p.hot_regions : p.hot_regions + p.warm_regions]
-        self._cold_start = p.hot_regions + p.warm_regions
-        self._cold_ids = region_ids[self._cold_start :]
+        # programs; the cluster order itself is shuffled. The cold tail
+        # (all but a few hundred regions) stays in the order's 4-byte int
+        # buffer, and only the hot and warm tiers, which the hot path
+        # indexes most, become lists.
+        order = _clustered_order(
+            p.footprint_regions, p.tier_cluster_regions, shuffler
+        )
+        cold_start = p.hot_regions + p.warm_regions
+        self._hot = order[: p.hot_regions].tolist()
+        self._warm = order[p.hot_regions : cold_start].tolist()
+        self._cold_ids = order[cold_start:]
 
         self._hot_cdf = _zipf_cdf(len(self._hot), p.zipf_alpha) if self._hot else []
         #: Per-hot-region rotating write cursor over the working blocks.
@@ -412,7 +437,8 @@ class RegionTrafficGenerator:
         p = self.profile
         if not self._hot or not self._cold_ids:
             return
-        count = max(1, int(len(self._hot) * p.phase_rotation_fraction))
+        fraction = p.phase_rotation_fraction
+        count = max(1, int(len(self._hot) * fraction)) if fraction > 0 else 0
         for _ in range(count):
             hot_index = rng.randrange(len(self._hot))
             cold_index = rng.randrange(len(self._cold_ids))

@@ -1,22 +1,10 @@
 """Differential result net: one committed digest per (workload, scheme, seed).
 
-Every one of the 11 workloads (9 benchmarks and 2 mixes, the mixes with
-the 4 cores they define) runs under all 6 schemes at seeds 1-3 on
-``SystemConfig.tiny`` for the first 4000 engine events. A second,
-paper-width leg runs the same workloads under Static-7-SETs and RRM at
-seeds 1-3 on ``SystemConfig.paper`` (4 channels x 16 banks), where more
-than two requests per channel can be in flight. Each cell's ``SimResult``
-is reduced to the sha256 of its canonical JSON, less the fields that
-depend on the host or on instrumentation, and compared with
-``tests/data/result_digests.json``. Tiny cells are keyed
-``workload/scheme/seed`` and paper-width cells ``paper/workload/scheme/seed``.
-
-Those cells stop long before the first refresh interrupt (9.04 ms on
-tiny), so a third, refresh leg runs GemsFDTD at seed 1 for the whole
-20 ms of ``SystemConfig.tiny`` under each monitor that queues refreshes:
-the RRM, ``PromotionMonitor`` and ``TieredRetentionMonitor``, the last two
-through ``System``'s ``monitor_factory``. Its cells are keyed
-``refresh/GemsFDTD/monitor/1`` and pin every refresh burst's backpressure.
+Every cell of ``tests/digest_cells.py`` (a tiny leg, a paper-width
+``paper/...`` leg of 4 channels x 16 banks and a ``refresh/...`` leg that
+pins every refresh burst's backpressure) reduces its ``SimResult`` to the
+sha256 of its canonical JSON, less the fields that depend on the host or
+on instrumentation, and compares it with ``tests/data/result_digests.json``.
 
 A hot-path optimisation must keep every digest. The committed file is
 only ever rewritten by a change that means to alter simulated results::
@@ -26,92 +14,29 @@ only ever rewritten by a change that means to alter simulated results::
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.core.baselines import PromotionMonitor
-from repro.core.multimode import TieredRetentionMonitor, TieredRRMConfig
-from repro.sim.config import SystemConfig
-from repro.sim.schemes import Scheme, all_schemes
-from repro.sim.system import System
-from repro.workloads.mixes import MIXES, all_workload_names
+if __name__ == "__main__":
+    # Run as a script, ``tests`` is importable only from the repo root.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from tests.digest_cells import CELLS, cell_key, run_cell  # noqa: E402
 
 DIGESTS = Path(__file__).parent / "data" / "result_digests.json"
-SEEDS = (1, 2, 3)
-MAX_EVENTS = 4_000
 #: ``SimResult.to_json_dict`` fields that depend on the host or on
 #: instrumentation.
 HOST_FIELDS = ("wall_time_s", "sim_events", "attribution", "profile")
 
-#: Configuration legs: cell-key prefix -> (``SystemConfig`` preset, schemes).
-LEGS = {
-    "": (SystemConfig.tiny, [scheme.value for scheme in all_schemes()]),
-    "paper/": (SystemConfig.paper, [Scheme.STATIC_7.value, Scheme.RRM.value]),
-}
-
-#: Refresh leg: cell-key prefix and the monitors it runs to the end.
-REFRESH = "refresh/"
-REFRESH_MONITORS = ("RRM", "promotion", "tiered")
-
-CELLS = [
-    (prefix, workload, scheme, seed)
-    for prefix, (_, schemes) in LEGS.items()
-    for workload in all_workload_names()
-    for scheme in schemes
-    for seed in SEEDS
-] + [(REFRESH, "GemsFDTD", monitor, 1) for monitor in REFRESH_MONITORS]
-
-
-def cell_key(prefix: str, workload: str, scheme: str, seed: int) -> str:
-    return f"{prefix}{workload}/{scheme}/{seed}"
-
-
-def leg_config(prefix: str, workload: str, seed: int) -> SystemConfig:
-    """The cell's configuration: its leg's preset, with a mix's cores."""
-    config = LEGS[prefix][0](seed)
-    if workload in MIXES:
-        config = dataclasses.replace(config, n_cores=len(MIXES[workload]))
-    return config
-
-
-def refresh_monitor_factory(monitor: str, rrm):
-    """``System``'s ``monitor_factory`` for a refresh-leg monitor (None
-    builds the stock RRM)."""
-    if monitor == "promotion":
-        return lambda modes, sim, controller: PromotionMonitor(
-            rrm, modes, sim=sim, controller=controller
-        )
-    if monitor == "tiered":
-        tiered = TieredRRMConfig(
-            n_sets=rrm.n_sets,
-            n_ways=rrm.n_ways,
-            hot_threshold=rrm.hot_threshold,
-            refresh_slack_fraction=rrm.refresh_slack_fraction,
-        )
-        return lambda modes, sim, controller: TieredRetentionMonitor(
-            tiered, modes, sim=sim, controller=controller
-        )
-    return None
-
-
-def cell_run(prefix: str, workload: str, scheme: str, seed: int):
-    """The cell's ``SimResult``: the refresh leg runs its whole duration,
-    every other leg its first ``MAX_EVENTS`` events."""
-    if prefix == REFRESH:
-        config = SystemConfig.tiny(seed)
-        factory = refresh_monitor_factory(scheme, config.rrm)
-        return System(config, workload, Scheme.RRM, monitor_factory=factory).run()
-    system = System(leg_config(prefix, workload, seed), workload, Scheme(scheme))
-    return system.run(max_events=MAX_EVENTS)
-
 
 def cell_digest(prefix: str, workload: str, scheme: str, seed: int) -> str:
     """sha256 of the cell's canonical result JSON, host fields removed."""
-    record = cell_run(prefix, workload, scheme, seed).to_json_dict()
+    _, result = run_cell(prefix, workload, scheme, seed)
+    record = result.to_json_dict()
     for field in HOST_FIELDS:
         record.pop(field, None)
     blob = json.dumps(record, sort_keys=True, separators=(",", ":"))

@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.workloads import synthetic
 from repro.workloads.events import EV_READ, EV_REGISTER, EV_WRITE
 from repro.workloads.synthetic import (
     BLOCKS_PER_REGION,
@@ -196,6 +195,19 @@ class TestPhaseRotation:
         assert after != before
         assert len(after) == len(before)
 
+    def test_zero_fraction_rotates_no_region(self):
+        profile = RegionProfile(
+            mpki=25.0, writeback_per_miss=0.5, footprint_regions=512,
+            hot_regions=16, warm_regions=64,
+            phase_interval_writes=100, phase_rotation_fraction=0.0,
+        )
+        generator = RegionTrafficGenerator(profile, seed=9)
+        before = list(generator._hot)
+        stream = iter(generator)
+        while generator.phase_changes < 11:
+            next(stream)
+        assert generator._hot == before
+
     def test_rotation_disabled_with_zero_interval(self):
         profile = RegionProfile(
             mpki=25.0, writeback_per_miss=0.5, footprint_regions=512,
@@ -296,35 +308,67 @@ class TestRegionLayout:
         order, hot_ids, warm_ids, cold_ids, warm_cdf = materialised_layout(
             profile, seed
         )
-        assert generator._hot + generator._warm + generator._cold_ids == order
+        cold = list(generator._cold_ids)
+        assert generator._hot + generator._warm + cold == order
         assert generator._hot == hot_ids
         assert generator._warm == warm_ids
-        assert generator._cold_ids == cold_ids
+        assert cold == cold_ids
         assert generator._warm_cdf == warm_cdf
 
-    def test_paper_cores_share_the_region_id_table(self, monkeypatch):
-        """Every core of a paper-width System holds the shared table's int
-        objects, not a copy of its own."""
-        import repro.sim.system as system_module
-        from repro.sim.config import SystemConfig
-        from repro.sim.schemes import Scheme
+    def test_first_paper_generator_holds_only_its_own_layout(
+        self, fresh_python
+    ):
+        """The first GemsFDTD generator a paper-width System builds, in a
+        fresh interpreter, holds its 16,384-region layout, popularity
+        tables included, in about 117 KiB (4 bytes per cold id) and peaks
+        at about 214 KiB while building it: no int object per cold id, no
+        process-wide id table and no list of every id."""
+        out = fresh_python(
+            "import json\n"
+            "import tracemalloc\n"
+            "import repro.sim.system as system_module\n"
+            "from repro.sim.config import SystemConfig\n"
+            "from repro.sim.schemes import Scheme\n"
+            "from repro.workloads.synthetic import RegionTrafficGenerator\n"
+            "measured = []\n"
+            "def measuring(profile, **kwargs):\n"
+            "    tracemalloc.start()\n"
+            "    generator = RegionTrafficGenerator(profile, **kwargs)\n"
+            "    if not measured:\n"
+            "        measured.append(tracemalloc.get_traced_memory())\n"
+            "    tracemalloc.stop()\n"
+            "    return generator\n"
+            "system_module.RegionTrafficGenerator = measuring\n"
+            "system_module.System(SystemConfig.paper(1), 'GemsFDTD', Scheme.RRM)\n"
+            "print(json.dumps(measured[0]))\n"
+        )
+        held, peak = json.loads(out.splitlines()[-1])
+        assert held < 150 * 1024, held
+        assert peak < 300 * 1024, peak
 
-        built = []
-
-        def recording(profile, **kwargs):
-            built.append(RegionTrafficGenerator(profile, **kwargs))
-            return built[-1]
-
-        monkeypatch.setattr(system_module, "RegionTrafficGenerator", recording)
-        system_module.System(SystemConfig.paper(1), "GemsFDTD", Scheme.RRM)
-        table = synthetic._REGION_IDS
-        assert len(built) == 4
-        for generator in built:
-            regions = generator._hot + generator._warm + generator._cold_ids
-            # Ids up to 256 are CPython's cached small ints, the same
-            # objects in any construction; only larger ids test sharing.
-            assert max(regions) > 256
-            assert all(region is table[region] for region in regions)
+    @settings(max_examples=settings.default.max_examples, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        rotations=st.integers(1, 300),
+        fraction=st.floats(0.0, 1.0),
+    )
+    def test_rotations_keep_a_permutation_of_the_footprint(
+        self, seed, rotations, fraction
+    ):
+        """Phase rotations swap ids between the hot list and the cold
+        buffer: at paper width, every region stays in exactly one tier."""
+        profile = RegionProfile(
+            mpki=26.56, footprint_regions=16384, hot_regions=144,
+            warm_regions=512, phase_rotation_fraction=fraction,
+        )
+        generator = RegionTrafficGenerator(profile, seed=seed)
+        rng = random.Random(seed)
+        for _ in range(rotations):
+            generator._rotate_phase(rng)
+        regions = generator._hot + generator._warm + list(generator._cold_ids)
+        assert sorted(regions) == list(range(profile.footprint_regions))
+        assert len(generator._hot) == profile.hot_regions
+        assert generator.phase_changes == rotations
 
 
 class TestValidation:
