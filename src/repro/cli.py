@@ -861,7 +861,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint = sub.add_parser(
         "lint",
         help="static simulator/orchestration-invariant analysis "
-        "(rules RL001-RL012)",
+        "(rules RL001-RL006, RL008, RL011, RL012)",
     )
     p_lint.add_argument(
         "paths",
@@ -898,7 +898,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="RULES",
         help="run only these rules: comma-separated ids and/or ranges "
-        "(e.g. RL007,RL010 or RL007-RL012)",
+        "(e.g. RL008,RL011 or RL001-RL006)",
     )
     p_lint.add_argument(
         "--ignore",

@@ -31,8 +31,8 @@ _RULE_ID_RE = re.compile(r"^RL(\d{3})$")
 def parse_rule_selection(spec: str) -> Set[str]:
     """Expand a ``--select``/``--ignore`` spec into a set of rule ids.
 
-    Grammar: comma-separated tokens, each either a rule id (``RL007``)
-    or an inclusive range (``RL007-RL012``). Case-insensitive.
+    Grammar: comma-separated tokens, each either a rule id (``RL008``)
+    or an inclusive range (``RL001-RL006``). Case-insensitive.
 
     Raises:
         ConfigError: empty spec, malformed token, or inverted range.
@@ -57,7 +57,7 @@ def parse_rule_selection(spec: str) -> Set[str]:
         else:
             if _RULE_ID_RE.match(token) is None:
                 raise ConfigError(
-                    f"bad rule id {token!r}: expected RLnnn (e.g. RL007)"
+                    f"bad rule id {token!r}: expected RLnnn (e.g. RL008)"
                 )
             rules.add(token)
     if not rules:
@@ -219,7 +219,7 @@ def run_lint(
             findings (preserving existing justifications), then report
             zero new findings.
         select: ``--select`` spec: only run these rules
-            (``"RL007,RL010"`` or ``"RL007-RL012"``).
+            (``"RL008,RL011"`` or ``"RL001-RL006"``).
         ignore: ``--ignore`` spec: run everything but these rules.
 
     Raises:

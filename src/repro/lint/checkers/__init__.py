@@ -5,13 +5,11 @@ base.all_checkers` does so lazily. Rules are grouped by the invariant
 family they protect, one module per family.
 """
 
-from repro.lint.checkers.concurrency import (
-    ExceptionSafeLockChecker,
-    ForkThreadSafetyChecker,
-    LockDisciplineChecker,
+from repro.lint.checkers.determinism import (
+    SeededRngChecker,
+    WallClockChecker,
     WallclockLeaseChecker,
 )
-from repro.lint.checkers.determinism import SeededRngChecker, WallClockChecker
 from repro.lint.checkers.durability import (
     AtomicPersistenceChecker,
     SilentSwallowChecker,
@@ -23,10 +21,7 @@ from repro.lint.checkers.units import FloatTimeEqualityChecker, UnitMixingChecke
 __all__ = [
     "AtomicPersistenceChecker",
     "EventDisciplineChecker",
-    "ExceptionSafeLockChecker",
     "FloatTimeEqualityChecker",
-    "ForkThreadSafetyChecker",
-    "LockDisciplineChecker",
     "MetricsCoverageChecker",
     "SeededRngChecker",
     "SilentSwallowChecker",

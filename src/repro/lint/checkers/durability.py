@@ -13,10 +13,9 @@ import re
 from typing import List, Optional
 
 from repro.lint.base import Checker, register
-from repro.lint.callgraph import ModuleCallGraph, terminal_name
 from repro.lint.context import ORCH_PATH_PACKAGES, LintModule
 from repro.lint.finding import Finding
-from repro.lint.resolve import ImportMap, resolve_call_target
+from repro.lint.resolve import ImportMap, resolve_call_target, terminal_name
 
 #: Function names whose presence in the same scope marks the write as
 #: part of an atomic tmp-file + rename sequence.
@@ -59,7 +58,6 @@ class AtomicPersistenceChecker(Checker):
 
     def check(self, module: LintModule) -> List[Finding]:
         imports = ImportMap(module.tree)
-        graph = ModuleCallGraph(module.tree, imports)
         out: List[Finding] = []
         for node in module.walk():
             if not isinstance(node, ast.Call):
@@ -67,7 +65,7 @@ class AtomicPersistenceChecker(Checker):
             what = self._bare_write(node, imports)
             if what is None:
                 continue
-            if self._scope_is_atomic(node, graph, module, imports):
+            if self._scope_is_atomic(node, module, imports):
                 continue
             self.emit(
                 out,
@@ -99,13 +97,10 @@ class AtomicPersistenceChecker(Checker):
 
     @staticmethod
     def _scope_is_atomic(
-        node: ast.Call,
-        graph: ModuleCallGraph,
-        module: LintModule,
-        imports: ImportMap,
+        node: ast.Call, module: LintModule, imports: ImportMap
     ) -> bool:
-        owner = graph.owner_of(node)
-        scope: ast.AST = owner.node if owner is not None else module.tree
+        owner = module.enclosing_function(node)
+        scope = owner[1] if owner is not None else module.tree
         for sub in ast.walk(scope):
             if not isinstance(sub, ast.Call):
                 continue

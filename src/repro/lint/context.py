@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 #: ``repro`` sub-packages that form the simulation path: code here runs
 #: under the discrete-event clock and must be bit-deterministic. The
@@ -33,10 +33,11 @@ SIM_PATH_PACKAGES = frozenset(
 )
 
 #: ``repro`` sub-packages that form the orchestration path: code here
-#: runs across processes and threads (the sweep loop's worker pool,
-#: checkpoint journals, run ledgers) and must uphold lock discipline,
-#: atomic persistence, and loud failure — the concurrency/durability
-#: rules RL007–RL012 target exactly these layers.
+#: runs the sweep loop's coordinator and worker processes and writes
+#: checkpoint journals and run ledgers, so it must persist atomically,
+#: fail loudly and take its deadlines from an injected clock — the
+#: orchestration rules RL008, RL011 and RL012 target exactly these
+#: layers.
 ORCH_PATH_PACKAGES = frozenset({"resilience", "obs", "profiling"})
 
 _PRAGMA_RE = re.compile(
@@ -84,6 +85,7 @@ class LintModule:
         #: Raises SyntaxError upward; api.run_lint turns that into RL000.
         self.tree = ast.parse(source, filename=self.relpath)
         self._line_pragmas, self._file_pragmas = parse_pragmas(self.lines)
+        self._parents: Optional[Dict[ast.AST, ast.AST]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -131,26 +133,35 @@ class LintModule:
     def walk(self):
         return ast.walk(self.tree)
 
-    def top_level_classes(self) -> List[ast.ClassDef]:
-        return [
-            node for node in self.tree.body if isinstance(node, ast.ClassDef)
-        ]
-
     def parent_map(self) -> Dict[ast.AST, ast.AST]:
         """Child -> parent map for checkers that need enclosing context."""
-        parents: Dict[ast.AST, ast.AST] = {}
-        for parent in ast.walk(self.tree):
-            for child in ast.iter_child_nodes(parent):
-                parents[child] = parent
-        return parents
+        if self._parents is None:
+            self._parents = {}
+            for parent in ast.walk(self.tree):
+                for child in ast.iter_child_nodes(parent):
+                    self._parents[child] = parent
+        return self._parents
 
-    def enclosing_class(
-        self, node: ast.AST, parents: Optional[Dict[ast.AST, ast.AST]] = None
-    ) -> Optional[ast.ClassDef]:
-        parents = parents if parents is not None else self.parent_map()
-        cursor = parents.get(node)
+    def enclosing_function(
+        self, node: ast.AST
+    ) -> Optional[Tuple[str, ast.AST]]:
+        """``(qualname, def)`` of the outermost ``def`` holding *node*
+        (or *node* itself), None at module level.
+
+        Nested functions belong to their outermost def; a method's
+        qualname is ``Class.method``, named after the innermost class
+        around that def.
+        """
+        parents = self.parent_map()
+        func: Union[ast.FunctionDef, ast.AsyncFunctionDef, None] = None
+        cls: Optional[str] = None
+        cursor: Optional[ast.AST] = node
         while cursor is not None:
-            if isinstance(cursor, ast.ClassDef):
-                return cursor
+            if isinstance(cursor, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                func, cls = cursor, None
+            elif isinstance(cursor, ast.ClassDef) and func is not None and cls is None:
+                cls = cursor.name
             cursor = parents.get(cursor)
-        return None
+        if func is None:
+            return None
+        return (f"{cls}.{func.name}" if cls else func.name), func

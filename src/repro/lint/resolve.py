@@ -39,6 +39,15 @@ class ImportMap:
         return self.aliases.get(local_name)
 
 
+def terminal_name(node: ast.AST) -> Optional[str]:
+    """Last segment of a ``Name``/``Attribute`` chain (``a.b.c`` -> ``c``)."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
 def dotted_parts(node: ast.AST) -> Optional[List[str]]:
     """``a.b.c`` attribute chain as ``["a", "b", "c"]``, else None."""
     parts: List[str] = []

@@ -21,7 +21,6 @@ simulation path, like the sweep tracer's wall clock.
 from __future__ import annotations
 
 import sys
-import threading
 import time
 from typing import Callable, Optional
 
@@ -48,39 +47,33 @@ def _format_count(n: float) -> str:
 class _LineWriter:
     """Single-line emitter: redraw-in-place on TTYs, append elsewhere.
 
-    Emission is serialized under a lock: a reporter may be fed from
-    one thread while other threads redraw too, and an
-    unserialized ``\\r`` redraw interleaves two updates into one torn
-    line. Each ``emit`` is a single buffered write under the lock, so
-    concurrent callers produce whole lines in some order.
+    A redraw pads over the previous line's leftover characters; ``close``
+    ends a redrawn line with a newline so later output starts clean.
     """
 
     def __init__(self, stream=None) -> None:
         self.stream = stream if stream is not None else sys.stderr
         self.lines_emitted = 0
         self._last_width = 0
-        self._lock = threading.Lock()
         try:
             self._tty = bool(self.stream.isatty())
         except (AttributeError, ValueError):
             self._tty = False
 
     def emit(self, line: str) -> None:
-        with self._lock:
-            if self._tty:
-                pad = max(0, self._last_width - len(line))
-                self.stream.write("\r" + line + " " * pad)
-            else:
-                self.stream.write(line + "\n")
-            self.stream.flush()
-            self._last_width = len(line)
-            self.lines_emitted += 1
+        if self._tty:
+            pad = max(0, self._last_width - len(line))
+            self.stream.write("\r" + line + " " * pad)
+        else:
+            self.stream.write(line + "\n")
+        self.stream.flush()
+        self._last_width = len(line)
+        self.lines_emitted += 1
 
     def close(self) -> None:
-        with self._lock:
-            if self._tty and self.lines_emitted:
-                self.stream.write("\n")
-                self.stream.flush()
+        if self._tty and self.lines_emitted:
+            self.stream.write("\n")
+            self.stream.flush()
 
 
 class RunProgress:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import os
 import signal
 import sys
-import threading
 import time
 from collections import deque
 from pathlib import Path
@@ -75,7 +74,6 @@ class FlightRecorder:
         self.dump_failures = 0
         self._clock = clock
         self._ring: Deque[Dict[str, Any]] = deque(maxlen=capacity)
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def record(self, kind: str, detail: Optional[Dict[str, Any]] = None) -> None:
@@ -83,27 +81,25 @@ class FlightRecorder:
         entry = {"stamp": self._clock(), "kind": kind}
         if detail:
             entry.update(detail)
-        with self._lock:
-            self.records_seen += 1
-            if len(self._ring) == self.capacity:
-                self.records_dropped += 1
-            self._ring.append(entry)
+        self.records_seen += 1
+        if len(self._ring) == self.capacity:
+            self.records_dropped += 1
+        self._ring.append(entry)
 
     # ------------------------------------------------------------------
     def dump(self, reason: str) -> Path:
         """Atomically write the ring (plus header) to :attr:`path`."""
-        with self._lock:
-            records = list(self._ring)
-            payload = {
-                "reason": reason,
-                "pid": os.getpid(),
-                "dumped_unix_s": self._clock(),
-                "capacity": self.capacity,
-                "records_seen": self.records_seen,
-                "records_dropped": self.records_dropped,
-                "context": dict(self.context),
-                "records": records,
-            }
+        records = list(self._ring)
+        payload = {
+            "reason": reason,
+            "pid": os.getpid(),
+            "dumped_unix_s": self._clock(),
+            "capacity": self.capacity,
+            "records_seen": self.records_seen,
+            "records_dropped": self.records_dropped,
+            "context": dict(self.context),
+            "records": records,
+        }
         self.path.parent.mkdir(parents=True, exist_ok=True)
         save_json(self.path, payload)
         self.dumps_written += 1

@@ -73,20 +73,22 @@ def fresh_python() -> Callable[..., str]:
     """Run code in a fresh interpreter (this one has imported everything
     long ago) with this checkout's ``src`` first on the path and *env*
     (optional) added to its environment; returns its stdout and fails
-    the test if the code fails."""
+    the test if the code fails or outlives *timeout* seconds."""
     src = str(Path(repro.__file__).resolve().parents[1])
     base_env = dict(os.environ)
     base_env["PYTHONPATH"] = os.pathsep.join(
         path for path in (src, base_env.get("PYTHONPATH")) if path
     )
 
-    def run(code: str, env: Optional[Dict[str, str]] = None) -> str:
+    def run(
+        code: str, env: Optional[Dict[str, str]] = None, timeout: float = 120
+    ) -> str:
         proc = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
             env={**base_env, **(env or {})},
-            timeout=120,
+            timeout=timeout,
         )
         assert proc.returncode == 0, proc.stderr
         return proc.stdout

@@ -351,9 +351,9 @@ class TestLintCommand:
         assert payload["findings"][0]["rule"] == "RL001"
 
     def test_lint_select_scopes_rules(self, capsys, tmp_path):
-        # The RL001 finding vanishes when only the concurrency rules run.
+        # The RL001 finding vanishes when only the orchestration rules run.
         target = self._dirty_file(tmp_path)
-        assert main(["lint", str(target), "--select", "RL007-RL012"]) == 0
+        assert main(["lint", str(target), "--select", "RL008,RL011,RL012"]) == 0
         capsys.readouterr()
         assert main(["lint", str(target), "--select", "RL001"]) == 1
         assert "RL001" in capsys.readouterr().out
@@ -367,14 +367,12 @@ class TestLintCommand:
     def test_lint_select_json_reports_active_rules(self, capsys, tmp_path):
         target = self._dirty_file(tmp_path)
         code = main(
-            ["lint", str(target), "--select", "RL007-RL012",
+            ["lint", str(target), "--select", "RL008,RL011,RL012",
              "--format", "json"]
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["rules_active"] == [
-            "RL007", "RL008", "RL009", "RL010", "RL011", "RL012",
-        ]
+        assert payload["rules_active"] == ["RL008", "RL011", "RL012"]
 
     def test_lint_unknown_rule_exit_2(self, capsys, tmp_path):
         target = self._dirty_file(tmp_path)

@@ -5,6 +5,7 @@ trigger it) and negatively (a clean snippet that must not), plus the
 pragma and baseline suppression round-trips and the JSON report schema.
 """
 
+import ast
 import json
 import textwrap
 
@@ -25,7 +26,6 @@ from repro.lint.api import (
     parse_rule_selection,
     select_checkers,
 )
-from repro.lint.callgraph import ModuleCallGraph, is_lock_expr
 from repro.lint.context import (
     ORCH_PATH_PACKAGES,
     SIM_PATH_PACKAGES,
@@ -34,13 +34,13 @@ from repro.lint.context import (
 )
 from repro.lint.finding import Finding
 from repro.lint.reporters import render_json, render_text
-from repro.lint.resolve import ImportMap
 
 #: A path inside a sim-path package: every rule is active there.
 SIM_PATH = "src/repro/engine/example.py"
 #: A path outside the sim path: only the package-agnostic rules apply.
 NON_SIM_PATH = "src/repro/analysis/example.py"
-#: A path inside an orchestration package: RL007-RL012 are active there.
+#: A path inside an orchestration package: RL008, RL011 and RL012 are
+#: active there.
 ORCH_PATH = "src/repro/resilience/example.py"
 
 
@@ -56,11 +56,11 @@ def rules_of(findings):
 # Registry / plumbing
 # ----------------------------------------------------------------------
 class TestRegistry:
-    def test_all_twelve_rules_registered(self):
+    def test_every_shipped_rule_registered(self):
         ids = [c.rule_id for c in all_checkers()]
         assert ids == [
             "RL001", "RL002", "RL003", "RL004", "RL005", "RL006",
-            "RL007", "RL008", "RL009", "RL010", "RL011", "RL012",
+            "RL008", "RL011", "RL012",
         ]
 
     def test_rule_ids_unique(self):
@@ -551,196 +551,47 @@ class TestRL006:
 
 
 # ----------------------------------------------------------------------
-# Call graph / lock-context dataflow (shared by RL007-RL012)
+# Enclosing-function lookup (read by RL008 and RL011)
 # ----------------------------------------------------------------------
-class TestCallGraph:
-    @staticmethod
-    def _graph(source):
-        module = LintModule(textwrap.dedent(source), ORCH_PATH)
-        return ModuleCallGraph(module.tree)
+class TestLintModule:
+    def test_enclosing_function_qualnames(self):
+        module = LintModule(
+            textwrap.dedent(
+                """
+                X = 1
 
-    def test_function_table_qualnames(self):
-        graph = self._graph(
-            """
-            def helper():
-                pass
-
-            class Journal:
-                def append(self):
-                    helper()
-                    self._append_locked()
-
-                def _append_locked(self):
-                    pass
-            """
-        )
-        assert set(graph.functions) == {
-            "helper", "Journal.append", "Journal._append_locked"
-        }
-
-    def test_locked_suffix_seeds_holds_lock(self):
-        graph = self._graph(
-            """
-            class J:
-                def _append_locked(self):
-                    pass
-            """
-        )
-        assert graph.function("J._append_locked").holds_lock_on_entry
-
-    def test_fixpoint_propagates_through_locked_call_sites(self):
-        graph = self._graph(
-            """
-            class J:
-                def append(self, rec):
-                    with self.lock:
-                        self._write(rec)
-
-                def _write(self, rec):
-                    pass
-            """
-        )
-        assert graph.function("J._write").holds_lock_on_entry
-
-    def test_one_unlocked_call_site_breaks_the_proof(self):
-        graph = self._graph(
-            """
-            class J:
-                def append(self, rec):
-                    with self.lock:
-                        self._write(rec)
-
-                def sneak(self, rec):
-                    self._write(rec)
-
-                def _write(self, rec):
-                    pass
-            """
-        )
-        assert not graph.function("J._write").holds_lock_on_entry
-
-    def test_transitive_callees(self):
-        graph = self._graph(
-            """
-            class S:
-                def a(self):
-                    self.b()
-
-                def b(self):
-                    self.c()
-
-                def c(self):
-                    with self._lock:
+                def helper():
+                    def inner():
                         pass
-            """
+
+                class Journal:
+                    def append(self):
+                        helper()
+
+                    class Entry:
+                        def render(self):
+                            pass
+                """
+            ),
+            ORCH_PATH,
         )
-        names = {f.qualname for f in graph.transitive_callees("S.a")}
-        assert names == {"S.a", "S.b", "S.c"}
-        assert graph.function("S.c").takes_lock
-
-    def test_is_lock_expr_shapes(self):
-        import ast as ast_module
-
-        def expr(src):
-            tree = ast_module.parse(textwrap.dedent(src))
-            imports = ImportMap(tree)
-            node = tree.body[-1].value
-            return is_lock_expr(node, imports)
-
-        assert expr("import threading\nthreading.Lock()")
-        assert expr("self_lock = 1\nx._lock")
-        assert expr("from repro.resilience.locking import FileLock\nFileLock('j')")
-        assert not expr("import threading\nthreading.Event()")
-        assert not expr("x.journal")
-
-
-# ----------------------------------------------------------------------
-# RL007 lock-discipline
-# ----------------------------------------------------------------------
-class TestRL007:
-    def test_flags_raw_os_write_outside_lock(self):
-        findings = lint(
-            """
-            import os
-
-            def append(fd, line):
-                os.write(fd, line)
-            """,
-            relpath=ORCH_PATH,
-        )
-        assert "RL007" in rules_of(findings)
-
-    def test_flags_locked_helper_called_without_lock(self):
-        findings = lint(
-            """
-            class J:
-                def sneak(self, rec):
-                    self._append_locked(rec)
-
-                def _append_locked(self, rec):
-                    pass
-            """,
-            relpath=ORCH_PATH,
-        )
-        assert "RL007" in rules_of(findings)
-
-    def test_clean_inside_with_lock(self):
-        findings = lint(
-            """
-            import os
-
-            class J:
-                def append(self, fd, rec):
-                    with self.lock:
-                        os.write(fd, rec)
-                        self._append_locked(rec)
-
-                def _append_locked(self, rec):
-                    pass
-            """,
-            relpath=ORCH_PATH,
-        )
-        assert "RL007" not in rules_of(findings)
-
-    def test_clean_inside_locked_helper_body(self):
-        findings = lint(
-            """
-            import os
-
-            class J:
-                def append(self, rec):
-                    with self.lock:
-                        self._append_locked(rec)
-
-                def _append_locked(self, rec):
-                    os.write(self.fd, rec)
-                    self.fh.truncate(10)
-            """,
-            relpath=ORCH_PATH,
-        )
-        assert "RL007" not in rules_of(findings)
-
-    def test_flags_truncate_outside_lock(self):
-        findings = lint(
-            """
-            def repair(fh):
-                fh.truncate(0)
-            """,
-            relpath=ORCH_PATH,
-        )
-        assert "RL007" in rules_of(findings)
-
-    def test_inactive_outside_orch_path(self):
-        findings = lint(
-            """
-            import os
-
-            def append(fd, line):
-                os.write(fd, line)
-            """,
-            relpath=NON_SIM_PATH,
-        )
-        assert "RL007" not in rules_of(findings)
+        owners = {
+            node.name: module.enclosing_function(node)
+            for node in module.walk()
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        assert {name: owner and owner[0] for name, owner in owners.items()} == {
+            "helper": "helper",
+            "inner": "helper",
+            "Journal": None,
+            "append": "Journal.append",
+            "Entry": None,
+            "render": "Entry.render",
+        }
+        assert module.enclosing_function(module.tree.body[0]) is None
+        call = next(n for n in module.walk() if isinstance(n, ast.Call))
+        qualname, func = module.enclosing_function(call)
+        assert qualname == "Journal.append" and func.name == "append"
 
 
 # ----------------------------------------------------------------------
@@ -816,172 +667,6 @@ class TestRL008:
             relpath=NON_SIM_PATH,
         )
         assert "RL008" not in rules_of(findings)
-
-
-# ----------------------------------------------------------------------
-# RL009 fork-thread-safety
-# ----------------------------------------------------------------------
-class TestRL009:
-    def test_flags_thread_in_forking_module(self):
-        findings = lint(
-            """
-            import threading
-            import multiprocessing
-
-            def run(work):
-                t = threading.Thread(target=work)
-                ctx = multiprocessing.get_context()
-                p = ctx.Process(target=work)
-            """,
-            relpath=ORCH_PATH,
-        )
-        assert any(
-            f.rule == "RL009" and f.severity == "error" for f in findings
-        )
-
-    def test_warns_lock_taking_daemon_target(self):
-        findings = lint(
-            """
-            import threading
-
-            class Server:
-                def start(self):
-                    t = threading.Thread(target=self._serve, daemon=True)
-                    t.start()
-
-                def _serve(self):
-                    with self._lock:
-                        pass
-            """,
-            relpath=ORCH_PATH,
-        )
-        assert any(
-            f.rule == "RL009" and f.severity == "warning" for f in findings
-        )
-
-    def test_warns_transitively_lock_taking_target(self):
-        findings = lint(
-            """
-            import threading
-
-            class Server:
-                def start(self):
-                    t = threading.Thread(target=self._serve, daemon=True)
-
-                def _serve(self):
-                    self._handle()
-
-                def _handle(self):
-                    with self._lock:
-                        pass
-            """,
-            relpath=ORCH_PATH,
-        )
-        assert "RL009" in rules_of(findings)
-
-    def test_clean_lock_free_daemon_and_non_daemon(self):
-        findings = lint(
-            """
-            import threading
-
-            class Server:
-                def start(self, work):
-                    a = threading.Thread(target=self._pump, daemon=True)
-                    b = threading.Thread(target=work)
-
-                def _pump(self):
-                    return 1
-            """,
-            relpath=ORCH_PATH,
-        )
-        assert "RL009" not in rules_of(findings)
-
-    def test_inactive_outside_orch_path(self):
-        findings = lint(
-            """
-            import threading
-            import multiprocessing
-
-            def run(work):
-                t = threading.Thread(target=work)
-                p = multiprocessing.Process(target=work)
-            """,
-            relpath=NON_SIM_PATH,
-        )
-        assert "RL009" not in rules_of(findings)
-
-
-# ----------------------------------------------------------------------
-# RL010 exception-safe-lock
-# ----------------------------------------------------------------------
-class TestRL010:
-    def test_flags_bare_acquire(self):
-        findings = lint(
-            """
-            def critical(lock):
-                lock.acquire()
-                return 1
-            """,
-            relpath=ORCH_PATH,
-        )
-        assert "RL010" in rules_of(findings)
-
-    def test_clean_acquire_then_try_finally(self):
-        findings = lint(
-            """
-            def critical(lock):
-                lock.acquire()
-                try:
-                    return 1
-                finally:
-                    lock.release()
-            """,
-            relpath=ORCH_PATH,
-        )
-        assert "RL010" not in rules_of(findings)
-
-    def test_clean_acquire_inside_try_with_finally_release(self):
-        findings = lint(
-            """
-            def critical(lock):
-                try:
-                    lock.acquire()
-                    return 1
-                finally:
-                    lock.release()
-            """,
-            relpath=ORCH_PATH,
-        )
-        assert "RL010" not in rules_of(findings)
-
-    def test_clean_with_statement_and_wrapper_methods(self):
-        findings = lint(
-            """
-            class FileLock:
-                def __enter__(self):
-                    return self.acquire()
-
-                def acquire(self):
-                    self._inner_lock.acquire()
-                    return self
-
-            def use(lock):
-                with lock:
-                    return 1
-            """,
-            relpath=ORCH_PATH,
-        )
-        assert "RL010" not in rules_of(findings)
-
-    def test_non_lock_receivers_ignored(self):
-        findings = lint(
-            """
-            def run(semantics):
-                semantics.acquire()
-            """,
-            relpath=ORCH_PATH,
-        )
-        assert "RL010" not in rules_of(findings)
 
 
 # ----------------------------------------------------------------------
@@ -1187,10 +872,8 @@ class TestRuleSelection:
                 parse_rule_selection(bad)
 
     def test_select_checkers_filters(self):
-        active = select_checkers(all_checkers(), select="RL007-RL012")
-        assert [c.rule_id for c in active] == [
-            "RL007", "RL008", "RL009", "RL010", "RL011", "RL012",
-        ]
+        active = select_checkers(all_checkers(), select="RL008,RL011,RL012")
+        assert [c.rule_id for c in active] == ["RL008", "RL011", "RL012"]
 
     def test_ignore_drops_rules(self):
         active = select_checkers(all_checkers(), ignore="RL005,RL006")
@@ -1207,14 +890,12 @@ class TestRuleSelection:
     def test_run_lint_select_scopes_findings(self, tmp_path, monkeypatch):
         _make_tree(tmp_path)
         monkeypatch.chdir(tmp_path)
-        scoped = run_lint(["src/repro"], select="RL007-RL012")
+        scoped = run_lint(["src/repro"], select="RL008,RL011,RL012")
         assert scoped.clean
-        assert scoped.rules_active == [
-            "RL007", "RL008", "RL009", "RL010", "RL011", "RL012",
-        ]
+        assert scoped.rules_active == ["RL008", "RL011", "RL012"]
         unscoped = run_lint(["src/repro"])
         assert unscoped.error_count == 1
-        assert len(unscoped.rules_active) == 12
+        assert len(unscoped.rules_active) == 9
 
     def test_rules_active_in_json_report(self, tmp_path, monkeypatch):
         _make_tree(tmp_path)
@@ -1301,14 +982,14 @@ class TestPragmas:
     def test_disable_new_concurrency_rule(self):
         findings = lint(
             """
-            import os
+            import time
 
-            def append(fd, line):
-                os.write(fd, line)  # repro-lint: disable=RL007
+            def lease_expired(deadline):
+                return time.time() > deadline  # repro-lint: disable=RL011
             """,
             relpath=ORCH_PATH,
         )
-        assert "RL007" not in rules_of(findings)
+        assert "RL011" not in rules_of(findings)
 
     def test_disable_swallow_rule_on_handler_line(self):
         findings = lint(
@@ -1654,10 +1335,8 @@ class TestSelfHosting:
         ]
 
     def test_concurrency_rules_clean_repo_wide(self):
-        # The ISSUE contract: RL007-RL012 alone, strict, zero fresh findings.
-        report = run_lint(select="RL007-RL012")
-        assert report.rules_active == [
-            "RL007", "RL008", "RL009", "RL010", "RL011", "RL012",
-        ]
+        # The orchestration rules alone, strict, zero fresh findings.
+        report = run_lint(select="RL008,RL011,RL012")
+        assert report.rules_active == ["RL008", "RL011", "RL012"]
         assert report.clean, "\n".join(f.render() for f in report.findings)
         assert report.exit_code(strict=True) == 0

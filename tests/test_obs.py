@@ -34,7 +34,7 @@ from repro.obs import (
     run_core_suite,
     span_stats,
 )
-from repro.obs.progress import _format_count, _format_eta
+from repro.obs.progress import _format_count, _format_eta, _LineWriter
 from repro.resilience.journal import sweep_fingerprint
 from repro.sim.config import SystemConfig
 from repro.sim.runner import run_workload
@@ -318,6 +318,17 @@ class TestSweepProgress:
     def test_validation(self):
         with pytest.raises(ConfigError):
             SweepProgress(-1)
+
+    def test_close_ends_a_redrawn_line(self):
+        class FakeTTY(io.StringIO):
+            def isatty(self) -> bool:
+                return True
+
+        stream = FakeTTY()
+        writer = _LineWriter(stream)
+        writer.emit("hello")
+        writer.close()
+        assert stream.getvalue() == "\rhello\n"
 
 
 # ======================================================================
