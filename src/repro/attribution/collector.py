@@ -359,10 +359,10 @@ class AttributionCollector:
             f"{prefix}.pause_preempt_total_ns",
             lambda: self.pause_preempt_total_ns,
         )
-        registry.derived(
+        registry.gauge(
             f"{prefix}.read_refresh_share", lambda: self.read_refresh_share
         )
-        registry.derived(
+        registry.gauge(
             f"{prefix}.total_blamed_ns",
             lambda: self.matrix.total_blamed_ns,
         )

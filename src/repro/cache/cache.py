@@ -91,7 +91,7 @@ class CacheStats:
                 f"{prefix}.{field_name}",
                 lambda f=field_name: getattr(self, f),
             )
-        registry.derived(f"{prefix}.miss_rate", lambda: self.miss_rate)
+        registry.gauge(f"{prefix}.miss_rate", lambda: self.miss_rate)
 
 
 @dataclass

@@ -62,7 +62,7 @@ from repro.analysis.report import (
     performance_report,
 )
 from repro.core.config import RRMConfig
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.lint import render_json, render_text, run_lint
 from repro.obs import (
     KIND_RUN,
@@ -90,6 +90,7 @@ from repro.telemetry import (
     summarize_trace,
     validate_chrome_trace,
 )
+from repro.utils.persist import atomic_write_text, save_json
 from repro.utils.units import format_bytes, parse_duration, parse_size
 from repro.workloads.mixes import all_workload_names
 
@@ -294,8 +295,7 @@ def cmd_sweep(args) -> int:
     try:
         if args.resume:
             if not args.journal:
-                print("--resume requires --journal", file=sys.stderr)
-                return 2
+                raise ConfigError("--resume requires --journal")
             runner.resume(progress=progress)
         else:
             runner.run_all(progress=progress)
@@ -317,7 +317,6 @@ def cmd_sweep(args) -> int:
     if args.metrics_out:
         from repro.obs.exposition import render_exposition
         from repro.telemetry import MetricRegistry
-        from repro.utils.persist import atomic_write_text
 
         registry = MetricRegistry()
         if stats is not None:
@@ -475,14 +474,6 @@ def cmd_table3(args) -> int:
     return 0
 
 
-def _write_json(path, payload) -> None:
-    import json as _json
-
-    Path(path).write_text(
-        _json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-    )
-
-
 def cmd_trace(args) -> int:
     """Summarise/validate one trace file, or diff two (``trace diff A B``)."""
     files = args.file
@@ -490,18 +481,14 @@ def cmd_trace(args) -> int:
         if len(files) != 3:
             print("usage: repro-rrm trace diff A B", file=sys.stderr)
             return 2
-        try:
-            events_a = load_trace(files[1])
-            events_b = load_trace(files[2])
-        except FileNotFoundError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        events_a = load_trace(files[1])
+        events_b = load_trace(files[2])
         diff = diff_traces(events_a, events_b)
         print(format_trace_diff(diff, top=args.top))
         if args.json:
             import dataclasses as _dc
 
-            _write_json(args.json, _dc.asdict(diff))
+            save_json(args.json, _dc.asdict(diff))
             print(f"diff written to {args.json}", file=sys.stderr)
         return 0
     if len(files) != 1:
@@ -510,11 +497,7 @@ def cmd_trace(args) -> int:
             file=sys.stderr,
         )
         return 2
-    try:
-        events = load_trace(files[0])
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    events = load_trace(files[0])
     if not events:
         # An empty trace is an empty recording, not a summary of zero:
         # the tracer always emits metadata, so nothing at all means a
@@ -525,7 +508,7 @@ def cmd_trace(args) -> int:
     summary = summarize_trace(events, top_spans=args.top)
     print(format_summary(summary))
     if args.json:
-        _write_json(args.json, summary.to_json_dict())
+        save_json(args.json, summary.to_json_dict())
         print(f"summary written to {args.json}", file=sys.stderr)
     if problems:
         print(f"\n{len(problems)} validation problem(s):", file=sys.stderr)
@@ -560,7 +543,7 @@ def cmd_explain(args) -> int:
         )
     )
     if args.json:
-        _write_json(args.json, report.to_json_dict())
+        save_json(args.json, report.to_json_dict())
         print(f"anatomy written to {args.json}", file=sys.stderr)
     return 0
 
@@ -638,11 +621,7 @@ def cmd_obs_bench(args) -> int:
 
 def cmd_obs_dashboard(args) -> int:
     """Render the offline HTML dashboard from a ledger."""
-    try:
-        entries = RunLedger.load(args.ledger)
-    except FileNotFoundError as exc:
-        print(f"error: ledger not found: {exc.filename or exc}", file=sys.stderr)
-        return 2
+    entries = RunLedger.load(args.ledger)
     html_text = render_dashboard(
         entries,
         title=args.title,
@@ -1024,12 +1003,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Parse *argv* and run the command; a :class:`ReproError` (a usage,
-    configuration or input problem) prints one ``error:`` line and
-    exits 2."""
+    configuration or input problem) or a missing input file prints one
+    ``error:`` line and exits 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ReproError as exc:
+    except (ReproError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

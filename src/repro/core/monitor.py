@@ -193,7 +193,7 @@ class RRMStats:
                 f"{prefix}.{field_name}",
                 lambda f=field_name: getattr(self, f),
             )
-        registry.derived(
+        registry.gauge(
             f"{prefix}.fast_write_fraction", lambda: self.fast_write_fraction
         )
 

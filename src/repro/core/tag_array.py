@@ -109,4 +109,4 @@ class RRMTagArray:
         registry.gauge(f"{prefix}.evictions", lambda: self.evictions)
         registry.gauge(f"{prefix}.allocations", lambda: self.allocations)
         registry.gauge(f"{prefix}.occupancy", lambda: self.occupancy)
-        registry.derived(f"{prefix}.hit_rate", lambda: self.hit_rate)
+        registry.gauge(f"{prefix}.hit_rate", lambda: self.hit_rate)

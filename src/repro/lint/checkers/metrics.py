@@ -102,7 +102,7 @@ class MetricsCoverageChecker(Checker):
                 f"class `{cls.name}` mutates counter(s) {names} but has "
                 "no register_metrics()",
                 hint="add register_metrics(registry, prefix) publishing "
-                "them as gauges/counters (see engine.Simulator), or "
+                "them as pull gauges (see engine.Simulator), or "
                 "suppress if the owner class registers them",
             )
         return out

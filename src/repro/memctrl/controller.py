@@ -113,13 +113,13 @@ class ControllerStats:
                 f"{prefix}.{field_name}",
                 lambda f=field_name: getattr(self, f),
             )
-        registry.derived(
+        registry.gauge(
             f"{prefix}.avg_read_latency_ns", lambda: self.avg_read_latency_ns
         )
-        registry.derived(
+        registry.gauge(
             f"{prefix}.avg_write_latency_ns", lambda: self.avg_write_latency_ns
         )
-        registry.derived(f"{prefix}.row_hit_rate", lambda: self.row_hit_rate)
+        registry.gauge(f"{prefix}.row_hit_rate", lambda: self.row_hit_rate)
 
 
 CompletionListener = Callable[[MemRequest], None]
@@ -225,9 +225,6 @@ class MemoryController:
                 for queue in queue_set.in_priority_order():
                     queue.issue_observer = attribution.on_dequeue
         self._completion_listeners: List[CompletionListener] = []
-        #: Optional latency histograms (telemetry detail metrics).
-        self._read_latency_hist = None
-        self._write_latency_hist = None
 
     # ------------------------------------------------------------------
     # Producer-facing API
@@ -236,23 +233,11 @@ class MemoryController:
         """Register a callback fired on every request completion."""
         self._completion_listeners.append(listener)
 
-    def register_metrics(self, registry, *, detailed: bool = False) -> None:
-        """Publish controller stats and queue-depth gauges into *registry*.
-
-        With *detailed*, also installs service-latency histograms — those
-        record on every completion, so they are opt-in (telemetry on).
-        """
+    def register_metrics(self, registry) -> None:
+        """Publish controller stats and queue-depth gauges into *registry*."""
         self.stats.register_metrics(registry)
         registry.gauge("memctrl.pending_requests", self.pending_requests)
         registry.gauge("memctrl.inflight_requests", self.inflight_requests)
-        if detailed:
-            bounds = [50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000]
-            self._read_latency_hist = registry.histogram(
-                "memctrl.read_latency_hist_ns", bounds
-            )
-            self._write_latency_hist = registry.histogram(
-                "memctrl.write_latency_hist_ns", bounds
-            )
 
     def can_accept(self, rtype: RequestType, block: int) -> bool:
         """Whether the queue a (*rtype*, *block*) request maps to has room."""
@@ -586,13 +571,9 @@ class MemoryController:
         if rtype is _READ:
             stats.reads_completed += 1
             stats.read_latency_sum_ns += latency
-            if self._read_latency_hist is not None:
-                self._read_latency_hist.record(latency)
         elif rtype is _WRITE:
             stats.writes_completed += 1
             stats.write_latency_sum_ns += latency
-            if self._write_latency_hist is not None:
-                self._write_latency_hist.record(latency)
             n_sets = request.n_sets
             if n_sets == self._fast_n_sets:
                 stats.fast_writes += 1

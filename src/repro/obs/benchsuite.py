@@ -60,9 +60,7 @@ def core_telemetry() -> TelemetryConfig:
     (``attr_read_refresh_share``) and the per-subsystem dispatch counts
     (``prof_dispatch_*``) pinned suite metrics.
     """
-    return TelemetryConfig(
-        attribution=True, trace=False, detailed_metrics=False, profile=True
-    )
+    return TelemetryConfig(attribution=True, trace=False, profile=True)
 
 
 @dataclass

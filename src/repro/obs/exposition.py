@@ -2,16 +2,9 @@
 
 Renders every metric in a :class:`~repro.telemetry.registry.MetricRegistry`
 as the plain-text format scrapers understand (version 0.0.4): one
-``# TYPE`` line per family followed by sample lines. Kind mapping:
-
-- ``counter`` → ``counter``;
-- ``gauge`` / ``derived`` → ``gauge`` (a derived metric is still a
-  point-in-time read from the scraper's perspective);
-- ``histogram`` → ``histogram`` with cumulative ``_bucket{le="..."}``
-  samples, ``_sum`` and ``_count``. Registry buckets are
-  half-open ``[lo, hi)`` while Prometheus ``le`` is inclusive; the
-  boundary samples land one bucket high, which is the standard loss of
-  precision for pre-bucketed data and irrelevant to trend scraping.
+``# TYPE <name> gauge`` line per family followed by its sample line.
+Every registry metric is a pull gauge, a point-in-time read from the
+scraper's perspective.
 
 Rendering is a pure read (gauges are pulled, nothing mutated), so a
 snapshot may be taken mid-run without perturbing determinism.
@@ -53,19 +46,6 @@ def _format_number(value: Union[int, float]) -> str:
     return f"{value:.10g}"
 
 
-def _render_histogram(flat: str, value: dict, out: List[str]) -> None:
-    out.append(f"# TYPE {flat} histogram")
-    cumulative = 0
-    for bound, count in zip(value["bounds"], value["counts"]):
-        cumulative += count
-        out.append(
-            f'{flat}_bucket{{le="{_format_number(float(bound))}"}} {cumulative}'
-        )
-    out.append(f'{flat}_bucket{{le="+Inf"}} {value["count"]}')
-    out.append(f"{flat}_sum {_format_number(value['sum'])}")
-    out.append(f"{flat}_count {value['count']}")
-
-
 def render_exposition(registry, *, namespace: str = "repro") -> str:
     """Render every metric in *registry* as Prometheus exposition text.
 
@@ -73,14 +53,8 @@ def render_exposition(registry, *, namespace: str = "repro") -> str:
     the same state are byte-identical — diffs and golden tests work.
     """
     out: List[str] = []
-    for name in registry.names():
-        metric = registry.get(name)
+    for name, value in registry.snapshot().items():
         flat = sanitize_metric_name(name, namespace=namespace)
-        value = metric.value()
-        if isinstance(value, dict):
-            _render_histogram(flat, value, out)
-            continue
-        kind = "counter" if metric.kind == "counter" else "gauge"
-        out.append(f"# TYPE {flat} {kind}")
+        out.append(f"# TYPE {flat} gauge")
         out.append(f"{flat} {_format_number(value)}")
     return "\n".join(out) + "\n" if out else ""

@@ -2,11 +2,11 @@
 
 One :class:`LedgerEntry` per finished run / sweep cell / benchmark, one
 JSON line per entry, appended in completion order. Each entry carries a
-flat numeric metric map (typically a metric-registry snapshot merged
-with the :class:`~repro.sim.metrics.SimResult` reporting view) plus an
-environment fingerprint — git revision, seed, configuration hash,
-package version — so two entries can always be judged comparable (or
-not) before their numbers are compared.
+flat numeric metric map (the :class:`~repro.sim.metrics.SimResult`
+reporting view plus host timing) and an environment fingerprint — git
+revision, seed, configuration hash, package version — so two entries
+can always be judged comparable (or not) before their numbers are
+compared.
 
 Durability follows the checkpoint-journal convention
 (:mod:`repro.resilience.journal`): each entry is one
@@ -131,7 +131,6 @@ class LedgerEntry:
         *,
         kind: str = KIND_RUN,
         name: Optional[str] = None,
-        extra_metrics: Optional[Dict[str, float]] = None,
     ) -> "LedgerEntry":
         """Build an entry from a :class:`~repro.sim.metrics.SimResult`.
 
@@ -143,8 +142,7 @@ class LedgerEntry:
         (refresh-interference share and friends), which the pinned suite
         records in ``BENCH_core.json`` like any other deterministic
         number; profiled runs contribute their ``prof_dispatch_*``
-        counts the same way. *extra_metrics* (e.g. a
-        registry snapshot's numeric values) are merged on top.
+        counts the same way.
         """
         metrics: Dict[str, float] = {
             key: value
@@ -178,14 +176,6 @@ class LedgerEntry:
                     if isinstance(v, (int, float)) and not isinstance(v, bool)
                 }
             )
-        if extra_metrics:
-            metrics.update(
-                {
-                    k: v
-                    for k, v in extra_metrics.items()
-                    if isinstance(v, (int, float)) and not isinstance(v, bool)
-                }
-            )
         return cls(
             kind=kind,
             name=name or f"{result.workload}/{result.scheme.value}",
@@ -202,18 +192,12 @@ class RunLedger:
 
     def __init__(self, path) -> None:
         self.path = Path(path)
-        self.entries_appended = 0
-
-    def register_metrics(self, registry, prefix: str = "obs.ledger") -> None:
-        """Publish the ledger's write counter into a telemetry registry."""
-        registry.gauge(f"{prefix}.entries_appended", lambda: self.entries_appended)
 
     def append(self, entry: LedgerEntry) -> LedgerEntry:
         """Durably append one entry (stamping its record time if unset)."""
         if not entry.recorded_unix_s:
             entry.recorded_unix_s = time.time()
         append_jsonl(self.path, entry.to_json_dict())
-        self.entries_appended += 1
         return entry
 
     def read(self) -> List[LedgerEntry]:

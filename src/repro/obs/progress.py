@@ -140,7 +140,7 @@ class RunProgress:
             ("inflt", "memctrl.inflight_requests"),
         ):
             if metric in registry:
-                parts.append(f"{label}={registry.get(metric).value():.0f}")
+                parts.append(f"{label}={registry.read(metric):.0f}")
         return " ".join(parts)
 
     def _tick(self) -> None:
@@ -199,12 +199,6 @@ class SweepProgress:
     @property
     def running(self) -> int:
         return max(self.attempts - self.completed - self.failed - self.retries, 0)
-
-    def register_metrics(self, registry, prefix: str = "obs.progress") -> None:
-        """Publish the reporter's counters into a telemetry registry."""
-        registry.gauge(f"{prefix}.attempts", lambda: self.attempts)
-        registry.gauge(f"{prefix}.completed", lambda: self.completed)
-        registry.gauge(f"{prefix}.failed", lambda: self.failed)
 
     def on_event(self, name: str, args: dict) -> None:
         """Supervisor hook: update counters and redraw the line."""

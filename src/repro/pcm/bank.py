@@ -48,7 +48,7 @@ class RowBuffer:
         """Publish row-buffer locality counters into *registry*."""
         registry.gauge(f"{prefix}.hits", lambda: self.hits)
         registry.gauge(f"{prefix}.misses", lambda: self.misses)
-        registry.derived(f"{prefix}.hit_rate", lambda: self.hit_rate)
+        registry.gauge(f"{prefix}.hit_rate", lambda: self.hit_rate)
 
 
 @dataclass(slots=True)

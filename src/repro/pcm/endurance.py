@@ -112,7 +112,7 @@ class WearTracker:
         )
         registry.gauge(f"{prefix}.uniform_wear", lambda: self.uniform_wear)
         registry.gauge(f"{prefix}.tracked_blocks", lambda: len(self.per_block))
-        registry.derived(f"{prefix}.total_writes", lambda: self.breakdown.total)
+        registry.gauge(f"{prefix}.total_writes", lambda: self.breakdown.total)
 
 
 @dataclass(frozen=True)

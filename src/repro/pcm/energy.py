@@ -105,4 +105,4 @@ class EnergyModel:
                 f"{prefix}.{field_name}",
                 lambda f=field_name: getattr(self.breakdown, f),
             )
-        registry.derived(f"{prefix}.total", lambda: self.breakdown.total)
+        registry.gauge(f"{prefix}.total", lambda: self.breakdown.total)

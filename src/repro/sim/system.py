@@ -194,7 +194,7 @@ class System:
         """
         registry = self.telemetry.registry
         self.sim.register_metrics(registry)
-        self.controller.register_metrics(registry, detailed=self.telemetry.detailed)
+        self.controller.register_metrics(registry)
         self.multicore.register_metrics(registry)
         self.wear.register_metrics(registry)
         self.energy.register_metrics(registry)

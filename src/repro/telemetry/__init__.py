@@ -3,7 +3,7 @@
 Three pillars (DESIGN.md, "Observability"):
 
 - :class:`~repro.telemetry.registry.MetricRegistry` — every subsystem's
-  counters behind one hierarchical ``snapshot()``/``diff()`` API;
+  stats as named pull gauges behind one ``snapshot()``;
 - :class:`~repro.telemetry.trace.Tracer` — simulation-time spans,
   instants and counter tracks, exportable to Chrome-trace/Perfetto JSON
   and JSONL;
@@ -31,15 +31,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro._lazy import lazy_exports
 from repro.errors import ConfigError
-from repro.telemetry.registry import (
-    Counter,
-    Derived,
-    Gauge,
-    Histogram,
-    Metric,
-    MetricRegistry,
-    Snapshot,
-)
+from repro.telemetry.registry import MetricRegistry
 from repro.telemetry.trace import (
     NULL_TRACER,
     TRACE_MODES,
@@ -60,16 +52,10 @@ if TYPE_CHECKING:
     )
 
 __all__ = [
-    "Counter",
-    "Derived",
-    "Gauge",
-    "Histogram",
-    "Metric",
     "MetricRegistry",
     "NULL_TRACER",
     "NullTracer",
     "Profiler",
-    "Snapshot",
     "Telemetry",
     "TelemetryConfig",
     "TraceEvent",
@@ -111,11 +97,9 @@ class TelemetryConfig:
         sample_every: Keep every Nth event in ``sample`` mode.
         metrics_interval_s: Period (virtual seconds) of the profiler's
             snapshot events; ``None`` disables periodic sampling.
-        detailed_metrics: Also register latency histograms (small
-            per-completion recording cost; off leaves only pull gauges).
         trace: Record trace events. Off keeps the no-op tracer, so a
-            config can enable attribution (or detail metrics) without
-            paying for event recording.
+            config can enable attribution without paying for event
+            recording.
         attribution: Build per-request latency anatomies
             (:mod:`repro.attribution`). Observational only — simulation
             statistics are bit-identical either way.
@@ -129,7 +113,6 @@ class TelemetryConfig:
     ring_size: int = 100_000
     sample_every: int = 1
     metrics_interval_s: Optional[float] = None
-    detailed_metrics: bool = True
     trace: bool = True
     attribution: bool = False
     profile: bool = False
@@ -176,11 +159,6 @@ class Telemetry:
     @property
     def enabled(self) -> bool:
         return self.tracer.enabled
-
-    @property
-    def detailed(self) -> bool:
-        """Whether components should register detail metrics (histograms)."""
-        return self.config is not None and self.config.detailed_metrics
 
     def make_profiler(self, sim, interval_ns: float) -> Profiler:
         """Build (and remember) the profiler; the caller starts it."""

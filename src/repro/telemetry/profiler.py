@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.errors import ConfigError
-from repro.telemetry.registry import MetricRegistry, Snapshot
+from repro.telemetry.registry import MetricRegistry
 from repro.telemetry.trace import NULL_TRACER
 
 
@@ -67,13 +67,12 @@ class Profiler:
             self.tracer.counter(group, values, cat=group)
 
     @staticmethod
-    def _grouped_numeric(snapshot: Snapshot) -> Dict[str, Dict[str, float]]:
-        """Numeric metrics bucketed by top-level group; histograms are
-        skipped (counter tracks need scalar series)."""
+    def _grouped_numeric(
+        snapshot: Dict[str, float]
+    ) -> Dict[str, Dict[str, float]]:
+        """Metrics bucketed by top-level group, one counter track each."""
         groups: Dict[str, Dict[str, float]] = {}
         for name, value in snapshot.items():
-            if isinstance(value, dict):
-                continue
             group, _, leaf = name.partition(".")
             groups.setdefault(group, {})[leaf or group] = value
         return groups

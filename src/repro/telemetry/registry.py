@@ -1,24 +1,15 @@
-"""Hierarchical metric registry: the simulator's single source of stats.
+"""Metric registry: the simulator's single source of stats.
 
-Every subsystem registers its counters into one :class:`MetricRegistry`
+Every subsystem registers its stats into one :class:`MetricRegistry`
 under a dot-separated path (``memctrl.reads_completed``,
 ``pcm.wear.demand_writes``), and consumers read the whole system through
-a uniform :meth:`~MetricRegistry.snapshot` / :meth:`~MetricRegistry.diff`
-API instead of reaching into per-component stats structs.
+:meth:`~MetricRegistry.snapshot` instead of reaching into per-component
+stats structs.
 
-Metric kinds:
-
-- **counter** — a monotonically increasing count owned by the registry
-  (components ``inc()`` it);
-- **gauge** — a pull-based value read at snapshot time, either a stored
-  value (``set()``) or a zero-argument callable, which is how existing
-  stats dataclasses register without being rewritten;
-- **derived** — a gauge computed from other state (rates, ratios),
-  distinguished only by kind so reports can tell raw counts from
-  derivations;
-- **histogram** — bucketed counts over explicit bounds; bucket ``i``
-  holds values ``bounds[i-1] <= v < bounds[i]`` (first bucket is
-  ``(-inf, bounds[0])``, last is ``[bounds[-1], inf)``).
+There is one metric kind: a *gauge*, a named zero-argument callable
+pulled at snapshot time. Counts, rates and ratios all register this
+way, which is how existing stats dataclasses publish without being
+rewritten.
 
 Registration is one-time wiring; snapshots are pure reads, so a registry
 can be rebuilt and snapshotted without perturbing a deterministic run.
@@ -26,245 +17,56 @@ can be rebuilt and snapshotted without perturbing a deterministic run.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import Callable, Dict, List
 
 from repro.errors import ConfigError
 
-SnapshotValue = Union[int, float, dict]
-Snapshot = Dict[str, SnapshotValue]
-
-
-class Metric:
-    """Base class: a named, snapshotable value."""
-
-    kind = "metric"
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def value(self) -> SnapshotValue:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class Counter(Metric):
-    """A monotonically increasing count owned by its registrant."""
-
-    kind = "counter"
-
-    def __init__(self, name: str) -> None:
-        super().__init__(name)
-        self._count = 0
-
-    def inc(self, n: int = 1) -> None:
-        if n < 0:
-            raise ValueError(f"{self.name}: counters only increase, got {n}")
-        self._count += n
-
-    def value(self) -> int:
-        return self._count
-
-
-class Gauge(Metric):
-    """A point-in-time value: stored (``set``) or pulled (callable)."""
-
-    kind = "gauge"
-
-    def __init__(
-        self, name: str, fn: Optional[Callable[[], float]] = None
-    ) -> None:
-        super().__init__(name)
-        self._fn = fn
-        self._value: float = 0.0
-
-    def set(self, value: float) -> None:
-        if self._fn is not None:
-            raise ConfigError(f"{self.name}: pull gauges cannot be set")
-        self._value = value
-
-    def value(self) -> float:
-        return self._fn() if self._fn is not None else self._value
-
-
-class Derived(Gauge):
-    """A gauge computed from other state (a rate, ratio, or average)."""
-
-    kind = "derived"
-
-    def __init__(self, name: str, fn: Callable[[], float]) -> None:
-        super().__init__(name, fn)
-
-
-class Histogram(Metric):
-    """Bucketed value counts over explicit, strictly increasing bounds."""
-
-    kind = "histogram"
-
-    def __init__(self, name: str, bounds: Iterable[float]) -> None:
-        super().__init__(name)
-        self.bounds: List[float] = list(bounds)
-        if not self.bounds:
-            raise ConfigError(f"{name}: histogram needs at least one bound")
-        if any(b >= a for b, a in zip(self.bounds, self.bounds[1:])):
-            raise ConfigError(
-                f"{name}: bounds must be strictly increasing: {self.bounds}"
-            )
-        self.counts: List[int] = [0] * (len(self.bounds) + 1)
-        self._count = 0
-        self._sum = 0.0
-
-    def record(self, value: float) -> None:
-        """Count *value* into its bucket (``bisect_right`` semantics, so a
-        value equal to a bound lands in the bucket above it)."""
-        self.counts[bisect_right(self.bounds, value)] += 1
-        self._count += 1
-        self._sum += value
-
-    @property
-    def mean(self) -> float:
-        return self._sum / self._count if self._count else 0.0
-
-    def value(self) -> dict:
-        return {
-            "bounds": list(self.bounds),
-            "counts": list(self.counts),
-            "count": self._count,
-            "sum": self._sum,
-        }
-
 
 class MetricRegistry:
-    """The hierarchical registry all subsystems publish into.
+    """The registry all subsystems publish into.
 
     Names are dot-separated paths; the segment before the first dot is
-    the *group* (subsystem) used by the profiler and the tree renderer.
+    the *group* (subsystem) the profiler buckets counter tracks by.
     Registering a duplicate name raises :class:`ConfigError` — two
     components publishing to one path is always a wiring bug.
     """
 
     def __init__(self) -> None:
-        self._metrics: Dict[str, Metric] = {}
+        self._gauges: Dict[str, Callable[[], float]] = {}
 
-    # ------------------------------------------------------------------
-    # Registration
-    # ------------------------------------------------------------------
-    def counter(self, name: str) -> Counter:
-        return self._add(Counter(name))
+    def gauge(self, name: str, fn: Callable[[], float]) -> None:
+        """Register *fn*, read at every snapshot, under *name*."""
+        if not name or name != name.strip():
+            raise ConfigError(f"bad metric name: {name!r}")
+        if name in self._gauges:
+            raise ConfigError(f"metric already registered: {name}")
+        self._gauges[name] = fn
 
-    def gauge(
-        self, name: str, fn: Optional[Callable[[], float]] = None
-    ) -> Gauge:
-        return self._add(Gauge(name, fn))
-
-    def derived(self, name: str, fn: Callable[[], float]) -> Derived:
-        return self._add(Derived(name, fn))
-
-    def histogram(self, name: str, bounds: Iterable[float]) -> Histogram:
-        return self._add(Histogram(name, bounds))
-
-    def _add(self, metric: Metric) -> Metric:
-        if not metric.name or metric.name != metric.name.strip():
-            raise ConfigError(f"bad metric name: {metric.name!r}")
-        if metric.name in self._metrics:
-            raise ConfigError(f"metric already registered: {metric.name}")
-        self._metrics[metric.name] = metric
-        return metric
-
-    # ------------------------------------------------------------------
-    # Reading
-    # ------------------------------------------------------------------
     def __contains__(self, name: str) -> bool:
-        return name in self._metrics
+        return name in self._gauges
 
     def __len__(self) -> int:
-        return len(self._metrics)
+        return len(self._gauges)
 
-    def get(self, name: str) -> Metric:
-        try:
-            return self._metrics[name]
-        except KeyError:
-            raise ConfigError(f"unknown metric: {name}") from None
+    def read(self, name: str) -> float:
+        """The current value of one metric."""
+        fn = self._gauges.get(name)
+        if fn is None:
+            raise ConfigError(f"unknown metric: {name}")
+        return fn()
 
     def names(self, prefix: str = "") -> List[str]:
         """All registered names (optionally under *prefix*), sorted."""
         return sorted(
-            n for n in self._metrics
+            n for n in self._gauges
             if not prefix or n == prefix or n.startswith(prefix + ".")
         )
 
-    def groups(self) -> List[str]:
-        """Distinct top-level groups (the segment before the first dot)."""
-        return sorted({name.split(".", 1)[0] for name in self._metrics})
-
-    def snapshot(self, prefix: str = "") -> Snapshot:
+    def snapshot(self, prefix: str = "") -> Dict[str, float]:
         """Read every metric (optionally under *prefix*) into a flat dict.
 
         Pure read: gauges are pulled, nothing is mutated, so snapshots
         may be taken mid-run (the profiler does, every tick).
         """
-        return {
-            name: self._metrics[name].value() for name in self.names(prefix)
-        }
-
-    @staticmethod
-    def diff(new: Snapshot, old: Snapshot) -> Snapshot:
-        """Per-metric change from *old* to *new* (``new - old``).
-
-        Metrics only present in *new* diff against zero; histogram values
-        diff bucket-wise. Metrics that vanished are dropped.
-        """
-        out: Snapshot = {}
-        for name, value in new.items():
-            base = old.get(name)
-            if isinstance(value, dict):
-                base = base or {"counts": [0] * len(value["counts"]),
-                                "count": 0, "sum": 0.0}
-                out[name] = {
-                    "bounds": list(value["bounds"]),
-                    "counts": [
-                        n - o for n, o in zip(value["counts"], base["counts"])
-                    ],
-                    "count": value["count"] - base["count"],
-                    "sum": value["sum"] - base["sum"],
-                }
-            else:
-                out[name] = value - (base or 0)
-        return out
-
-    @staticmethod
-    def as_tree(snapshot: Snapshot) -> dict:
-        """Nest a flat snapshot by its dot-separated path segments."""
-        tree: dict = {}
-        for name, value in snapshot.items():
-            node = tree
-            parts = name.split(".")
-            for part in parts[:-1]:
-                node = node.setdefault(part, {})
-                if not isinstance(node, dict):  # pragma: no cover - guard
-                    raise ConfigError(f"metric path collides with leaf: {name}")
-            node[parts[-1]] = value
-        return tree
-
-    @classmethod
-    def render_tree(cls, snapshot: Snapshot, indent: int = 2) -> str:
-        """Human-readable indented metric tree (``repro-rrm run`` output)."""
-        lines: List[str] = []
-
-        def walk(node: dict, depth: int) -> None:
-            for key in sorted(node):
-                value = node[key]
-                pad = " " * (indent * depth)
-                if isinstance(value, dict) and "counts" not in value:
-                    lines.append(f"{pad}{key}:")
-                    walk(value, depth + 1)
-                elif isinstance(value, dict):
-                    lines.append(
-                        f"{pad}{key}: count={value['count']} sum={value['sum']:g}"
-                    )
-                elif isinstance(value, float):
-                    lines.append(f"{pad}{key}: {value:g}")
-                else:
-                    lines.append(f"{pad}{key}: {value}")
-
-        walk(cls.as_tree(snapshot), 0)
-        return "\n".join(lines)
+        gauges = self._gauges
+        return {name: gauges[name]() for name in self.names(prefix)}

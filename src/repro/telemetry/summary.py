@@ -149,7 +149,6 @@ class TraceSummary:
     #: (e.g. per-request latency anatomies) were loaded but never
     #: tallied, so annotated traces summarised no richer than bare ones.
     span_args: Dict[str, Dict[str, List[float]]] = field(default_factory=dict)
-    dropped_events: Optional[int] = None
 
     @property
     def duration_us(self) -> float:

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from repro.obs.exposition import render_exposition, sanitize_metric_name
-from repro.resilience import FaultPlan, ResultJournal, RetryPolicy
+from repro.resilience import FaultPlan, ResultJournal, RetryPolicy, SweepStats
 from repro.resilience.flightrecorder import FlightRecorder, recorder_path_for
 from repro.sim.config import SystemConfig
 from repro.sim.runner import ExperimentRunner
@@ -41,36 +41,50 @@ class TestExposition:
         assert sanitize_metric_name("0weird", namespace="") == "_0weird"
 
     def test_counter_and_gauge_families(self):
+        """Counts and fractional values both render as gauge families."""
         registry = MetricRegistry()
-        registry.counter("fabric.jobs_completed").inc(3)
+        registry.gauge("fabric.jobs_completed", lambda: 3)
         registry.gauge("fleet.rss_bytes", lambda: 1.5)
         text = render_exposition(registry)
-        assert "# TYPE repro_fabric_jobs_completed counter" in text
+        assert "# TYPE repro_fabric_jobs_completed gauge" in text
         assert "repro_fabric_jobs_completed 3" in text
         assert "# TYPE repro_fleet_rss_bytes gauge" in text
         assert "repro_fleet_rss_bytes 1.5" in text
         assert text.endswith("\n")
 
-    def test_histogram_buckets_are_cumulative(self):
+    def test_sweep_stats_golden(self):
+        """The ``sweep --metrics-out`` families of a fixed SweepStats,
+        byte for byte."""
+        stats = SweepStats(
+            n_workers=4, jobs_total=6, jobs_completed=4, jobs_failed=1,
+            retries=2, respawns=1, wall_s=3.0, busy_s=5.0,
+        )
         registry = MetricRegistry()
-        hist = registry.histogram("lat", bounds=[1.0, 10.0])
-        for v in (0.5, 0.7, 5.0, 50.0):
-            hist.record(v)
-        lines = render_exposition(registry).splitlines()
-        assert "# TYPE repro_lat histogram" in lines
-        assert 'repro_lat_bucket{le="1"} 2' in lines
-        assert 'repro_lat_bucket{le="10"} 3' in lines
-        assert 'repro_lat_bucket{le="+Inf"} 4' in lines
-        assert "repro_lat_count 4" in lines
-        assert "repro_lat_sum 56.2" in lines
+        stats.register_metrics(registry)
+        assert render_exposition(registry) == (
+            "# TYPE repro_fabric_jobs_completed gauge\n"
+            "repro_fabric_jobs_completed 4\n"
+            "# TYPE repro_fabric_jobs_failed gauge\n"
+            "repro_fabric_jobs_failed 1\n"
+            "# TYPE repro_fabric_queue_depth gauge\n"
+            "repro_fabric_queue_depth 1\n"
+            "# TYPE repro_fabric_respawns gauge\n"
+            "repro_fabric_respawns 1\n"
+            "# TYPE repro_fabric_retries gauge\n"
+            "repro_fabric_retries 2\n"
+            "# TYPE repro_fabric_utilization gauge\n"
+            "repro_fabric_utilization 0.4166666667\n"
+            "# TYPE repro_fabric_workers gauge\n"
+            "repro_fabric_workers 4\n"
+        )
 
     def test_empty_registry_renders_empty(self):
         assert render_exposition(MetricRegistry()) == ""
 
     def test_snapshot_is_byte_stable(self):
         registry = MetricRegistry()
-        registry.counter("z.last").inc()
-        registry.counter("a.first").inc()
+        registry.gauge("z.last", lambda: 1)
+        registry.gauge("a.first", lambda: 1)
         first = render_exposition(registry)
         assert first == render_exposition(registry)
         # Sorted by name, not registration order.
