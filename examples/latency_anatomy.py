@@ -49,7 +49,7 @@ def main() -> None:
         result, report = run_with_anatomy(config, args.workload, scheme)
         # Conservation is exact by construction (remainder-defined
         # components; Sterbenz-exact subtractions), not approximately so.
-        assert report.max_conservation_error_ns == 0.0  # repro-lint: disable=RL004
+        assert report.max_conservation_error_ns == 0.0  # repro-lint: disable=RL004 -- exact by construction
         write_blame = sum(
             report.matrix.get("read", cls)
             for cls in (CLASS_WRITE_FAST, CLASS_WRITE_SLOW)
@@ -73,7 +73,7 @@ def main() -> None:
     (_, s7_res, s7_rep, s7_write), (_, rrm_res, rrm_rep, rrm_write) = rows
     # Exactly zero, not small: Static-7 issues no selective refreshes,
     # so no read can ever be blamed on one.
-    assert s7_rep.read_refresh_blame_ns == 0.0  # repro-lint: disable=RL004
+    assert s7_rep.read_refresh_blame_ns == 0.0  # repro-lint: disable=RL004 -- exactly zero by construction
     assert rrm_rep.read_refresh_blame_ns > 0.0  # the fast-write tax
 
     print("=== the tradeoff, causally attributed ===")

@@ -62,7 +62,7 @@ from repro.analysis.report import (
     performance_report,
 )
 from repro.core.config import RRMConfig
-from repro.errors import ConfigError, ReproError
+from repro.errors import ConfigError, ReproError, TraceFormatError
 from repro.lint import render_json, render_text, run_lint
 from repro.obs import (
     KIND_RUN,
@@ -82,7 +82,6 @@ from repro.sim.runner import ExperimentRunner
 from repro.sim.schemes import Scheme, all_schemes, scheme_from_name
 from repro.sim.system import System
 from repro.telemetry import (
-    TRACE_MODES,
     TelemetryConfig,
     Tracer,
     format_summary,
@@ -131,8 +130,7 @@ def _add_telemetry(parser: argparse.ArgumentParser) -> None:
         "--trace",
         default=None,
         metavar="FILE",
-        help="record a trace; .json gets Chrome-trace format (Perfetto / "
-        "chrome://tracing), .jsonl gets one event per line",
+        help="record a Chrome-trace JSON file (Perfetto / chrome://tracing)",
     )
     group.add_argument(
         "--metrics-interval",
@@ -142,25 +140,11 @@ def _add_telemetry(parser: argparse.ArgumentParser) -> None:
         "(simulated time; default 1ms when tracing)",
     )
     group.add_argument(
-        "--trace-mode",
-        choices=list(TRACE_MODES),
-        default="full",
-        help="memory bound: keep all events, a ring of the most recent, "
-        "or every Nth (default: full)",
-    )
-    group.add_argument(
         "--trace-ring-size",
         type=int,
-        default=100_000,
+        default=None,
         metavar="N",
-        help="event capacity in ring mode (default: 100000)",
-    )
-    group.add_argument(
-        "--trace-sample-every",
-        type=int,
-        default=1,
-        metavar="N",
-        help="keep every Nth event in sample mode (default: 1)",
+        help="keep only the newest N trace events (default: keep all)",
     )
     group.add_argument(
         "--attribution",
@@ -187,9 +171,7 @@ def _telemetry_from_args(args) -> Optional[TelemetryConfig]:
     if interval is None and tracing:
         interval = "1ms"
     return TelemetryConfig(
-        mode=args.trace_mode,
         ring_size=args.trace_ring_size,
-        sample_every=args.trace_sample_every,
         metrics_interval_s=parse_duration(interval) if interval else None,
         trace=tracing,
         attribution=attribution,
@@ -479,8 +461,7 @@ def cmd_trace(args) -> int:
     files = args.file
     if files and files[0] == "diff":
         if len(files) != 3:
-            print("usage: repro-rrm trace diff A B", file=sys.stderr)
-            return 2
+            raise ConfigError("usage: repro-rrm trace diff A B")
         events_a = load_trace(files[1])
         events_b = load_trace(files[2])
         diff = diff_traces(events_a, events_b)
@@ -492,18 +473,13 @@ def cmd_trace(args) -> int:
             print(f"diff written to {args.json}", file=sys.stderr)
         return 0
     if len(files) != 1:
-        print(
-            "usage: repro-rrm trace FILE  (or: trace diff A B)",
-            file=sys.stderr,
-        )
-        return 2
+        raise ConfigError("usage: repro-rrm trace FILE  (or: trace diff A B)")
     events = load_trace(files[0])
     if not events:
         # An empty trace is an empty recording, not a summary of zero:
         # the tracer always emits metadata, so nothing at all means a
         # truncated or never-started capture.
-        print(f"error: {files[0]}: trace contains no events", file=sys.stderr)
-        return 2
+        raise TraceFormatError(f"{files[0]}: trace contains no events")
     problems = validate_chrome_trace(events)
     summary = summarize_trace(events, top_spans=args.top)
     print(format_summary(summary))
@@ -555,19 +531,8 @@ def cmd_lint(args) -> int:
     with --strict, warnings too), 2 usage or internal error.
     """
     report = run_lint(
-        paths=args.paths or None,
-        baseline=args.baseline,
-        update_baseline=args.update_baseline,
-        select=args.select,
-        ignore=args.ignore,
+        paths=args.paths or None, select=args.select, ignore=args.ignore
     )
-    if args.update_baseline:
-        print(
-            f"baseline written to {report.baseline_path} "
-            f"({len(report.baselined)} finding(s) accepted)",
-            file=sys.stderr,
-        )
-        return 0
     if args.format == "json":
         print(render_json(report))
     else:
@@ -628,7 +593,7 @@ def cmd_obs_dashboard(args) -> int:
         metrics=args.metrics or None,
         max_points=args.max_points,
     )
-    Path(args.out).write_text(html_text, encoding="utf-8")
+    atomic_write_text(args.out, html_text)
     print(f"dashboard written to {args.out} ({len(entries)} entries)")
     return 0
 
@@ -855,19 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format (default: text)",
     )
     p_lint.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="accepted-findings file (default: .repro-lint-baseline.json "
-        "when present)",
-    )
-    p_lint.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline to accept all current findings "
-        "(existing justifications are kept)",
-    )
-    p_lint.add_argument(
         "--strict",
         action="store_true",
         help="fail (exit 1) on warnings too, not just errors",
@@ -893,8 +845,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument(
         "file",
         nargs="+",
-        help="trace file (.json Chrome-trace or .jsonl), or 'diff A B' "
-        "to report span-level deltas between two traces",
+        help="Chrome-trace JSON file, or 'diff A B' to report "
+        "span-level deltas between two traces",
     )
     p_trace.add_argument(
         "--top",

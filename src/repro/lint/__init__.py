@@ -39,9 +39,9 @@ RL008, RL011 and RL012 guard the orchestration path
 (``ORCH_PATH_PACKAGES``). The retired ids RL007, RL009 and RL010 are
 not reused, so an old selection naming them fails loudly.
 
-Suppression is explicit and reviewable: inline ``# repro-lint:
-disable=RL00x`` pragmas next to the code they excuse, or entries in
-``.repro-lint-baseline.json`` with a ``justification`` string.
+Suppression is explicit and reviewable: an inline ``# repro-lint:
+disable=RL00x -- <reason>`` pragma next to the code it excuses. A
+pragma without a reason suppresses nothing.
 
 ``ruff``/``mypy`` (configured in ``pyproject.toml``) cover generic style
 and typing; this package only checks invariants they cannot express.
@@ -56,13 +56,10 @@ from repro.lint.api import (
     select_checkers,
 )
 from repro.lint.base import Checker, all_checkers, checker_classes, register
-from repro.lint.baseline import Baseline, BaselineEntry
 from repro.lint.finding import SEVERITIES, Finding
 from repro.lint.reporters import render_json, render_text
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "Checker",
     "Finding",
     "LintReport",

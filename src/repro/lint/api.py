@@ -1,8 +1,8 @@
 """Lint engine and public entry points.
 
 :func:`run_lint` is the programmatic face of ``repro-rrm lint``: it
-discovers files, runs every registered checker, applies the baseline,
-and returns a :class:`LintReport`. :func:`lint_source` lints one source
+discovers files, runs every registered checker, and returns a
+:class:`LintReport`. :func:`lint_source` lints one source
 string — the unit-test surface for individual rules.
 """
 
@@ -15,7 +15,6 @@ from typing import Iterable, List, Optional, Sequence, Set
 
 from repro.errors import ConfigError
 from repro.lint.base import Checker, all_checkers
-from repro.lint.baseline import DEFAULT_BASELINE_NAME, Baseline
 from repro.lint.context import LintModule
 from repro.lint.finding import Finding
 
@@ -101,10 +100,7 @@ class LintReport:
     """Outcome of one lint run."""
 
     findings: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     files_scanned: int = 0
-    baseline_path: Optional[str] = None
-    baseline_updated: bool = False
     #: Rule ids that were active for this run (after select/ignore).
     rules_active: List[str] = field(default_factory=list)
 
@@ -130,14 +126,10 @@ class LintReport:
         return 0
 
     def summary_line(self) -> str:
-        parts = [
-            f"{self.files_scanned} file(s) scanned",
-            f"{self.error_count} error(s)",
-            f"{self.warning_count} warning(s)",
-        ]
-        if self.baselined:
-            parts.append(f"{len(self.baselined)} baselined")
-        return ", ".join(parts)
+        return (
+            f"{self.files_scanned} file(s) scanned, "
+            f"{self.error_count} error(s), {self.warning_count} warning(s)"
+        )
 
 
 def iter_python_files(paths: Iterable[str]) -> List[str]:
@@ -200,32 +192,23 @@ def run_lint(
     paths: Optional[Sequence[str]] = None,
     *,
     checkers: Optional[Sequence[Checker]] = None,
-    baseline: Optional[str] = None,
-    update_baseline: bool = False,
     select: Optional[str] = None,
     ignore: Optional[str] = None,
 ) -> LintReport:
-    """Lint *paths* (default: ``src/repro``) and apply the baseline.
+    """Lint *paths* (default: ``src/repro``).
 
     Args:
         paths: Files and/or directories; directories are walked for
             ``.py`` files. Relative paths are kept relative (findings
             report them as given, with forward slashes).
         checkers: Override the registered checker set (tests).
-        baseline: Baseline file path. ``None`` auto-loads
-            ``.repro-lint-baseline.json`` from the working directory
-            when present.
-        update_baseline: Rewrite the baseline to cover all current
-            findings (preserving existing justifications), then report
-            zero new findings.
         select: ``--select`` spec: only run these rules
             (``"RL008,RL011"`` or ``"RL001-RL006"``).
         ignore: ``--ignore`` spec: run everything but these rules.
 
     Raises:
-        ConfigError: A path does not exist, the baseline is malformed,
-            or select/ignore names an unregistered rule (the CLI maps
-            this to exit code 2).
+        ConfigError: A path does not exist, or select/ignore names an
+            unregistered rule (the CLI maps this to exit code 2).
     """
     roots = list(paths) if paths else [p for p in DEFAULT_ROOTS if os.path.isdir(p)]
     if not roots:
@@ -252,30 +235,8 @@ def run_lint(
         for checker in active:
             findings.extend(checker.run(module))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-
-    baseline_path = baseline
-    if baseline_path is None and os.path.isfile(DEFAULT_BASELINE_NAME):
-        baseline_path = DEFAULT_BASELINE_NAME
-
-    report = LintReport(
+    return LintReport(
+        findings=findings,
         files_scanned=len(files),
-        baseline_path=baseline_path,
         rules_active=sorted(c.rule_id for c in active),
     )
-    previous = (
-        Baseline.load(baseline_path)
-        if baseline_path and os.path.isfile(baseline_path)
-        else Baseline()
-    )
-    if update_baseline:
-        target = baseline_path or DEFAULT_BASELINE_NAME
-        Baseline.from_findings(findings, previous=previous).save(target)
-        report.baseline_path = target
-        report.baseline_updated = True
-        report.baselined = findings
-        return report
-
-    fresh, absorbed = previous.partition(findings)
-    report.findings = fresh
-    report.baselined = absorbed
-    return report

@@ -135,7 +135,7 @@ class WallClockChecker(Checker):
                     f"wall-clock read `{target}()` on the simulation path",
                     hint="use Simulator.now (simulated ns); host-time "
                     "measurement belongs in telemetry/resilience, or "
-                    "justify with `# repro-lint: disable=RL001`",
+                    "justify with `# repro-lint: disable=RL001 -- <reason>`",
                 )
         return out
 

@@ -5,16 +5,19 @@ lines, the ``repro`` sub-package it belongs to, and the parsed
 suppression pragmas. Checkers receive the module and ask it questions;
 they never re-read the file.
 
-Pragma grammar (comments, case-insensitive on the keyword)::
+Pragma grammar (comments; the rule list is case-insensitive)::
 
-    x = wallclock()          # repro-lint: disable=RL001
-    y = foo() + bar()        # repro-lint: disable=RL003,RL004
-    # repro-lint: disable-file=RL005
+    x = wallclock()    # repro-lint: disable=RL001 -- host time, report only
+    y = foo() + bar()  # repro-lint: disable=RL003,RL004 -- <reason>
+    # repro-lint: disable-file=RL005 -- <reason>
 
-``disable=`` applies to findings on any line spanned by the flagged
-statement (so a pragma on the closing paren of a multi-line call
-works). ``disable-file=`` anywhere in the file disables the listed
-rules for the whole file. ``disable=all`` disables every rule.
+Every pragma names its reason after `` -- ``; a pragma without one
+suppresses nothing, so the finding it meant to excuse still fails
+``--strict``. ``disable=`` applies to findings on any line spanned by
+the flagged statement (so a pragma on the closing paren of a
+multi-line call works). ``disable-file=`` anywhere in the file
+disables the listed rules for the whole file. ``disable=all`` disables
+every rule.
 """
 
 from __future__ import annotations
@@ -41,14 +44,15 @@ SIM_PATH_PACKAGES = frozenset(
 ORCH_PATH_PACKAGES = frozenset({"resilience", "obs", "profiling"})
 
 _PRAGMA_RE = re.compile(
-    r"#\s*repro-lint\s*:\s*(disable(?:-file)?)\s*=\s*([A-Za-z0-9_,\s]+)"
+    r"#\s*repro-lint\s*:\s*(disable(?:-file)?)\s*=\s*([A-Za-z0-9_,\s]+?)"
+    r"\s*--\s*\S"
 )
 
 
 def parse_pragmas(
     lines: List[str],
 ) -> Tuple[Dict[int, Set[str]], Set[str]]:
-    """Extract suppression pragmas from *lines*.
+    """Extract suppression pragmas that give a reason from *lines*.
 
     Returns ``(per_line, per_file)`` where ``per_line`` maps 1-based
     line numbers to the set of disabled rule ids (upper-cased; the

@@ -1,16 +1,13 @@
 """The :class:`Finding` record every checker emits.
 
-Findings are plain data so reporters, the baseline machinery, and tests
-can all consume them without knowing which checker produced them. The
-``context`` field (the stripped source line) — not the line number — is
-what baselines key on, so a baseline survives unrelated edits that shift
-lines.
+Findings are plain data so reporters and tests can consume them
+without knowing which checker produced them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 #: Severities in increasing order of badness.
 SEVERITIES = ("warning", "error")
@@ -46,11 +43,6 @@ class Finding:
     def __post_init__(self) -> None:
         if self.severity not in SEVERITIES:
             raise ValueError(f"unknown severity: {self.severity!r}")
-
-    @property
-    def baseline_key(self) -> Tuple[str, str, str]:
-        """Identity used for baseline matching: stable across reflows."""
-        return (self.rule, self.path, self.context)
 
     @property
     def location(self) -> str:

@@ -8,27 +8,19 @@ any shape change.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, Dict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.api import LintReport
 
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 
 
-def render_text(report: "LintReport", *, verbose_baseline: bool = False) -> str:
+def render_text(report: "LintReport") -> str:
     """Human-readable report: one block per finding plus a summary."""
-    lines: List[str] = []
-    for finding in report.findings:
-        lines.append(finding.render())
-    if verbose_baseline and report.baselined:
-        lines.append("")
-        lines.append(f"baselined ({len(report.baselined)} accepted):")
-        for finding in report.baselined:
-            lines.append(f"  {finding.location}: {finding.rule}")
-    lines.append("" if lines else "")
-    lines.append(report.summary_line())
-    return "\n".join(line for line in lines if line is not None).strip("\n")
+    lines = [finding.render() for finding in report.findings]
+    lines.extend(["", report.summary_line()])
+    return "\n".join(lines).strip("\n")
 
 
 def render_json(report: "LintReport") -> str:
@@ -44,7 +36,6 @@ def render_json(report: "LintReport") -> str:
         "counts": {
             "errors": report.error_count,
             "warnings": report.warning_count,
-            "baselined": len(report.baselined),
             "by_rule": dict(sorted(by_rule.items())),
         },
         "findings": [finding.as_dict() for finding in report.findings],

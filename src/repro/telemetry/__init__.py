@@ -5,8 +5,7 @@ Three pillars (DESIGN.md, "Observability"):
 - :class:`~repro.telemetry.registry.MetricRegistry` — every subsystem's
   stats as named pull gauges behind one ``snapshot()``;
 - :class:`~repro.telemetry.trace.Tracer` — simulation-time spans,
-  instants and counter tracks, exportable to Chrome-trace/Perfetto JSON
-  and JSONL;
+  instants and counter tracks, exported as Chrome-trace/Perfetto JSON;
 - :class:`~repro.telemetry.profiler.Profiler` — periodic snapshot events
   on the engine emitting per-subsystem time-series.
 
@@ -21,7 +20,7 @@ Usage::
     tcfg = TelemetryConfig(metrics_interval_s=0.001)
     system = System(SystemConfig.tiny(), "hmmer", Scheme.RRM, telemetry=tcfg)
     result = system.run()
-    system.telemetry.tracer.export_chrome("run-trace.json")
+    system.telemetry.tracer.export("run-trace.json")
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from repro.errors import ConfigError
 from repro.telemetry.registry import MetricRegistry
 from repro.telemetry.trace import (
     NULL_TRACER,
-    TRACE_MODES,
     NullTracer,
     TraceEvent,
     Tracer,
@@ -61,7 +59,6 @@ __all__ = [
     "TraceEvent",
     "TraceSummary",
     "Tracer",
-    "TRACE_MODES",
     "flatten_args",
     "format_summary",
     "load_trace",
@@ -92,9 +89,8 @@ class TelemetryConfig:
     """Switches for one run's observability.
 
     Attributes:
-        mode: Tracer memory bound — ``full`` | ``ring`` | ``sample``.
-        ring_size: Event capacity in ``ring`` mode.
-        sample_every: Keep every Nth event in ``sample`` mode.
+        ring_size: Keep only the newest *ring_size* trace events;
+            ``None`` keeps every event. The tracer validates it.
         metrics_interval_s: Period (virtual seconds) of the profiler's
             snapshot events; ``None`` disables periodic sampling.
         trace: Record trace events. Off keeps the no-op tracer, so a
@@ -109,23 +105,13 @@ class TelemetryConfig:
             bit-identical to an unprofiled one.
     """
 
-    mode: str = "full"
-    ring_size: int = 100_000
-    sample_every: int = 1
+    ring_size: Optional[int] = None
     metrics_interval_s: Optional[float] = None
     trace: bool = True
     attribution: bool = False
     profile: bool = False
 
     def __post_init__(self) -> None:
-        if self.mode not in TRACE_MODES:
-            raise ConfigError(
-                f"telemetry mode must be one of {TRACE_MODES}, got {self.mode!r}"
-            )
-        if self.ring_size <= 0:
-            raise ConfigError("ring_size must be positive")
-        if self.sample_every <= 0:
-            raise ConfigError("sample_every must be positive")
         if self.metrics_interval_s is not None and self.metrics_interval_s <= 0:
             raise ConfigError("metrics_interval_s must be positive")
 
@@ -148,12 +134,7 @@ class Telemetry:
         if config is None or not config.trace:
             self.tracer: "Tracer | NullTracer" = NULL_TRACER
         else:
-            self.tracer = Tracer(
-                clock,
-                mode=config.mode,
-                ring_size=config.ring_size,
-                sample_every=config.sample_every,
-            )
+            self.tracer = Tracer(clock, ring_size=config.ring_size)
         self.profiler: Optional[Profiler] = None
 
     @property

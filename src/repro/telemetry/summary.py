@@ -1,10 +1,10 @@
 """Trace-file loading, validation and summarisation.
 
 Backs the ``repro-rrm trace`` subcommand and the CI smoke job: load a
-trace produced by :class:`~repro.telemetry.trace.Tracer` (Chrome JSON or
-JSONL), check it against the subset of the Chrome Trace Event Format we
-emit, and print a human-readable digest (event counts per category,
-time range, longest spans, counter series).
+Chrome-trace JSON file written by :class:`~repro.telemetry.trace.Tracer`,
+check it against the subset of the Chrome Trace Event Format we emit,
+and print a human-readable digest (event counts per category, time
+range, longest spans, counter series).
 """
 
 from __future__ import annotations
@@ -46,40 +46,12 @@ def flatten_args(args: dict, prefix: str = "") -> Dict[str, float]:
 
 
 def load_trace(path) -> List[dict]:
-    """Load trace events from a Chrome JSON or JSONL file.
+    """Load the events of a Chrome-trace JSON file (microsecond ``ts``).
 
-    Chrome files yield events with microsecond ``ts``; JSONL files carry
-    nanosecond ``ts_ns`` records, which are converted to the same shape
-    so summaries work on either. Raises :class:`TraceFormatError` on
-    unparseable input.
+    Raises :class:`TraceFormatError` on unparseable input.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
-    if path.suffix == ".jsonl":
-        events = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                raise TraceFormatError(
-                    f"{path}: bad JSONL line {lineno}: {exc}"
-                ) from None
-            event = {
-                "name": record.get("name"),
-                "cat": record.get("cat", ""),
-                "ph": record.get("ph"),
-                "ts": record.get("ts_ns", 0.0) / 1000.0,
-                "pid": 1,
-                "tid": record.get("tid", 0),
-            }
-            if "dur_ns" in record:
-                event["dur"] = record["dur_ns"] / 1000.0
-            if "args" in record:
-                event["args"] = record["args"]
-            events.append(event)
-        return events
     try:
         obj = json.loads(text)
     except ValueError as exc:

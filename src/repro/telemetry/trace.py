@@ -15,11 +15,11 @@ simulator's ``now`` for in-run tracing, or a wall-clock for sweep
 orchestration — never from the wall clock implicitly, so traced runs
 stay deterministic.
 
-Memory is bounded by the recording mode: ``full`` keeps everything,
-``ring`` keeps the newest *ring_size* events, and ``sample`` keeps every
-*sample_every*-th event. Disabled tracing uses the shared
-:data:`NULL_TRACER`, whose methods are no-ops and whose ``enabled`` flag
-lets hot paths skip argument construction entirely.
+A tracer keeps every event unless it is given a *ring_size*, in which
+case it keeps the newest *ring_size* and counts the rest as dropped.
+Disabled tracing uses the shared :data:`NULL_TRACER`, whose methods are
+no-ops and whose ``enabled`` flag lets hot paths skip argument
+construction entirely.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ from repro.errors import ConfigError
 
 if TYPE_CHECKING:
     from pathlib import Path
-
-TRACE_MODES = ("full", "ring", "sample")
 
 #: Phase codes of the Chrome Trace Event Format we emit.
 PH_INSTANT = "i"
@@ -73,21 +71,6 @@ class TraceEvent:
         if self.args is not None:
             event["args"] = self.args
         return event
-
-    def to_jsonl(self) -> dict:
-        """Lossless JSONL record (timestamps kept in nanoseconds)."""
-        record: dict = {
-            "ts_ns": self.ts_ns,
-            "ph": self.ph,
-            "name": self.name,
-            "cat": self.cat,
-            "tid": self.tid,
-        }
-        if self.dur_ns is not None:
-            record["dur_ns"] = self.dur_ns
-        if self.args is not None:
-            record["args"] = self.args
-        return record
 
 
 class NullTracer:
@@ -130,9 +113,8 @@ class Tracer:
     Args:
         clock: Zero-argument callable returning the current time in
             nanoseconds (``lambda: sim.now`` for simulation traces).
-        mode: ``full`` | ``ring`` | ``sample`` (see module docs).
-        ring_size: Event capacity in ``ring`` mode.
-        sample_every: Keep every Nth event in ``sample`` mode.
+        ring_size: Keep only the newest *ring_size* events; ``None``
+            (the default) keeps every event.
     """
 
     enabled = True
@@ -141,28 +123,13 @@ class Tracer:
         self,
         clock: Optional[Callable[[], float]] = None,
         *,
-        mode: str = "full",
-        ring_size: int = 100_000,
-        sample_every: int = 1,
+        ring_size: Optional[int] = None,
     ) -> None:
-        if mode not in TRACE_MODES:
-            raise ConfigError(
-                f"trace mode must be one of {TRACE_MODES}, got {mode!r}"
-            )
-        if ring_size <= 0:
+        if ring_size is not None and ring_size <= 0:
             raise ConfigError(f"ring_size must be positive, got {ring_size}")
-        if sample_every <= 0:
-            raise ConfigError(
-                f"sample_every must be positive, got {sample_every}"
-            )
         self._clock = clock or (lambda: 0.0)
-        self.mode = mode
-        self.sample_every = sample_every
-        self._events: "deque[TraceEvent]" = deque(
-            maxlen=ring_size if mode == "ring" else None
-        )
-        self._seen = 0
-        #: Events discarded by the ring/sampling bound.
+        self._events: "deque[TraceEvent]" = deque(maxlen=ring_size)
+        #: Events discarded by the ring bound.
         self.dropped = 0
         self._thread_names: Dict[int, str] = {}
 
@@ -177,11 +144,7 @@ class Tracer:
     # Recording
     # ------------------------------------------------------------------
     def _record(self, event: TraceEvent) -> None:
-        self._seen += 1
-        if self.mode == "sample" and (self._seen - 1) % self.sample_every:
-            self.dropped += 1
-            return
-        if self._events.maxlen is not None and len(self._events) == self._events.maxlen:
+        if len(self._events) == self._events.maxlen:
             self.dropped += 1
         self._events.append(event)
 
@@ -268,37 +231,18 @@ class Tracer:
             "displayTimeUnit": "ms",
             "otherData": {
                 "clock": "simulation-ns/1000",
-                "mode": self.mode,
                 "dropped_events": self.dropped,
             },
         }
 
-    def export_chrome(self, path) -> Path:
+    def export(self, path) -> Path:
         """Write the Chrome-trace JSON; open in Perfetto/chrome://tracing."""
         # File output is opt-in: its modules load on the first export.
         import json
         from pathlib import Path
 
+        from repro.utils.persist import atomic_write_text
+
         path = Path(path)
-        path.write_text(json.dumps(self.chrome_trace()), encoding="utf-8")
+        atomic_write_text(path, json.dumps(self.chrome_trace()))
         return path
-
-    def export_jsonl(self, path) -> Path:
-        """Write one JSON record per event (nanosecond timestamps)."""
-        import json
-        from pathlib import Path
-
-        path = Path(path)
-        with path.open("w", encoding="utf-8") as fh:
-            for event in self._events:
-                fh.write(json.dumps(event.to_jsonl()) + "\n")
-        return path
-
-    def export(self, path) -> Path:
-        """Export by extension: ``.jsonl`` → JSONL, anything else → Chrome."""
-        from pathlib import Path
-
-        path = Path(path)
-        if path.suffix == ".jsonl":
-            return self.export_jsonl(path)
-        return self.export_chrome(path)

@@ -286,7 +286,7 @@ class TestTraceIntegration:
         )
         system.run()
         trace_path = tmp_path / "trace.json"
-        system.telemetry.tracer.export_chrome(trace_path)
+        system.telemetry.tracer.export(trace_path)
         from repro.telemetry import load_trace
 
         summary = summarize_trace(load_trace(trace_path))

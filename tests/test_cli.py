@@ -5,7 +5,9 @@ import json
 import pytest
 
 from repro import __version__
-from repro.cli import build_parser, main
+from repro.cli import _telemetry_from_args, build_parser, main
+from repro.telemetry import TelemetryConfig
+from repro.utils.units import parse_duration
 
 
 class TestParser:
@@ -57,19 +59,28 @@ class TestParser:
         args = build_parser().parse_args(["run"])
         assert args.trace is None
         assert args.metrics_interval is None
-        assert args.trace_mode == "full"
-        assert args.trace_ring_size == 100_000
-        assert args.trace_sample_every == 1
+        assert args.trace_ring_size is None
+        assert _telemetry_from_args(args) is None
 
     def test_run_telemetry_options(self):
         args = build_parser().parse_args(
             ["run", "--trace", "out.json", "--metrics-interval", "250us",
-             "--trace-mode", "ring", "--trace-ring-size", "500"]
+             "--trace-ring-size", "500"]
         )
         assert args.trace == "out.json"
         assert args.metrics_interval == "250us"
-        assert args.trace_mode == "ring"
         assert args.trace_ring_size == 500
+
+    def test_trace_ring_size_maps_to_telemetry_config(self):
+        args = build_parser().parse_args(["run", "--trace-ring-size", "500"])
+        # A bound alone records nothing: tracing still needs --trace.
+        assert _telemetry_from_args(args) is None
+        args = build_parser().parse_args(
+            ["run", "--trace", "t.json", "--trace-ring-size", "500"]
+        )
+        assert _telemetry_from_args(args) == TelemetryConfig(
+            ring_size=500, metrics_interval_s=parse_duration("1ms")
+        )
 
     def test_run_help_mentions_telemetry(self, capsys):
         with pytest.raises(SystemExit):
@@ -90,19 +101,18 @@ class TestParser:
         args = build_parser().parse_args(["lint"])
         assert args.paths == []
         assert args.format == "text"
-        assert args.baseline is None
-        assert not args.update_baseline
         assert not args.strict
 
     def test_lint_options(self):
         args = build_parser().parse_args(
             ["lint", "src/repro", "benchmarks", "--format", "json",
-             "--baseline", "b.json", "--strict"]
+             "--strict"]
         )
         assert args.paths == ["src/repro", "benchmarks"]
         assert args.format == "json"
-        assert args.baseline == "b.json"
         assert args.strict
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["lint", "--baseline", "b.json"])
 
     def test_lint_rejects_unknown_format(self):
         with pytest.raises(SystemExit):
@@ -311,12 +321,11 @@ class TestLintCommand:
         return target
 
     def test_lint_repo_is_clean(self, capsys):
-        # Self-hosting: the default roots plus the checked-in baseline
+        # Self-hosting: the default roots, with their reasoned pragmas,
         # must exit 0 even under --strict.
         assert main(["lint", "--strict"]) == 0
         out = capsys.readouterr().out
         assert "0 error(s)" in out
-        assert "baselined" in out
 
     def test_lint_findings_exit_1(self, capsys, tmp_path):
         target = self._dirty_file(tmp_path)
@@ -380,22 +389,6 @@ class TestLintCommand:
         assert "error:" in capsys.readouterr().err
         assert main(["lint", str(target), "--ignore", "bogus"]) == 2
         assert "error:" in capsys.readouterr().err
-
-    def test_lint_update_baseline_round_trip(self, capsys, tmp_path):
-        target = self._dirty_file(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        code = main(
-            ["lint", str(target), "--baseline", str(baseline),
-             "--update-baseline"]
-        )
-        assert code == 0
-        assert "baseline written" in capsys.readouterr().err
-        assert baseline.exists()
-        code = main(
-            ["lint", str(target), "--baseline", str(baseline), "--strict"]
-        )
-        assert code == 0
-        assert "1 baselined" in capsys.readouterr().out
 
 
 class TestProfileCommands:

@@ -2,7 +2,7 @@
 
 Every rule id is exercised both positively (a fixture snippet that must
 trigger it) and negatively (a clean snippet that must not), plus the
-pragma and baseline suppression round-trips and the JSON report schema.
+pragma suppression round-trips and the JSON report schema.
 """
 
 import ast
@@ -13,8 +13,6 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.lint import (
-    Baseline,
-    BaselineEntry,
     all_checkers,
     checker_classes,
     lint_source,
@@ -916,7 +914,7 @@ class TestPragmas:
             import time
 
             def stamp():
-                return time.time()  # repro-lint: disable=RL001
+                return time.time()  # repro-lint: disable=RL001 -- host stamp
             """
         )
         assert "RL001" not in rules_of(findings)
@@ -927,7 +925,7 @@ class TestPragmas:
             import time
 
             def stamp():
-                return time.time()  # repro-lint: disable=RL002
+                return time.time()  # repro-lint: disable=RL002 -- wrong rule
             """
         )
         assert "RL001" in rules_of(findings)
@@ -936,7 +934,7 @@ class TestPragmas:
         findings = lint(
             """
             def total(a_ns, b_s, sim):
-                return a_ns + b_s == sim.now  # repro-lint: disable=RL003,RL004
+                return a_ns + b_s == sim.now  # repro-lint: disable=RL003,RL004 -- fixture
             """
         )
         assert rules_of(findings) == set()
@@ -947,7 +945,7 @@ class TestPragmas:
             import time
 
             def stamp():
-                return time.time()  # repro-lint: disable=all
+                return time.time()  # repro-lint: disable=all -- fixture
             """
         )
         assert findings == []
@@ -955,7 +953,7 @@ class TestPragmas:
     def test_disable_file(self):
         findings = lint(
             """
-            # repro-lint: disable-file=RL001
+            # repro-lint: disable-file=RL001 -- host-side helpers
             import time
 
             def stamp():
@@ -974,7 +972,7 @@ class TestPragmas:
                 sim.schedule_at(
                     100.0,
                     cb,
-                )  # repro-lint: disable=RL006
+                )  # repro-lint: disable=RL006 -- fixture
             """
         )
         assert "RL006" not in rules_of(findings)
@@ -985,7 +983,7 @@ class TestPragmas:
             import time
 
             def lease_expired(deadline):
-                return time.time() > deadline  # repro-lint: disable=RL011
+                return time.time() > deadline  # repro-lint: disable=RL011 -- fixture
             """,
             relpath=ORCH_PATH,
         )
@@ -997,7 +995,7 @@ class TestPragmas:
             def pump(queue):
                 try:
                     queue.get()
-                except Exception:  # repro-lint: disable=RL012
+                except Exception:  # repro-lint: disable=RL012 -- fixture
                     pass
             """,
             relpath=ORCH_PATH,
@@ -1007,177 +1005,32 @@ class TestPragmas:
     def test_parse_pragmas_shapes(self):
         per_line, per_file = parse_pragmas(
             [
-                "x = 1  # repro-lint: disable=RL001, RL003",
-                "# repro-lint: disable-file=RL005",
+                "x = 1  # repro-lint: disable=RL001, RL003 -- reason",
+                "# repro-lint: disable-file=RL005 -- reason",
             ]
         )
         assert per_line == {1: {"RL001", "RL003"}}
         assert per_file == {"RL005"}
 
+    @pytest.mark.parametrize(
+        "pragma",
+        [
+            "# repro-lint: disable=RL001",
+            "# repro-lint: disable=RL001 --",
+            "# repro-lint: disable=RL001 --   ",
+        ],
+    )
+    def test_pragma_without_reason_suppresses_nothing(self, pragma):
+        source = f"import time\n\ndef stamp():\n    return time.time()  {pragma}\n"
+        assert "RL001" in rules_of(lint_source(source, SIM_PATH))
+        reasoned = source.replace(pragma, "# repro-lint: disable=RL001 -- why")
+        assert "RL001" not in rules_of(lint_source(reasoned, SIM_PATH))
 
-# ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-class TestBaseline:
-    @staticmethod
-    def _finding(context="return time.time()", rule="RL001"):
-        return Finding(
-            rule=rule,
-            severity="error",
-            path="src/repro/engine/example.py",
-            line=4,
-            col=11,
-            message="wall-clock",
-            context=context,
+    def test_file_pragma_without_reason_suppresses_nothing(self):
+        per_line, per_file = parse_pragmas(
+            ["# repro-lint: disable-file=RL005", "x = 1  # repro-lint: disable=all"]
         )
-
-    def test_partition_absorbs_matching(self):
-        finding = self._finding()
-        baseline = Baseline(
-            entries=[
-                BaselineEntry(
-                    rule=finding.rule,
-                    path=finding.path,
-                    context=finding.context,
-                    justification="known",
-                )
-            ]
-        )
-        fresh, absorbed = baseline.partition([finding])
-        assert fresh == []
-        assert absorbed == [finding]
-
-    def test_partition_count_bounds_duplicates(self):
-        finding = self._finding()
-        baseline = Baseline(
-            entries=[
-                BaselineEntry(
-                    rule=finding.rule,
-                    path=finding.path,
-                    context=finding.context,
-                    count=1,
-                )
-            ]
-        )
-        fresh, absorbed = baseline.partition([finding, finding])
-        assert len(fresh) == 1 and len(absorbed) == 1
-
-    def test_save_load_round_trip(self, tmp_path):
-        path = str(tmp_path / "baseline.json")
-        original = Baseline(
-            entries=[
-                BaselineEntry(
-                    rule="RL001",
-                    path="src/repro/sim/system.py",
-                    context="t = time.time()",
-                    count=2,
-                    justification="reporting only",
-                )
-            ]
-        )
-        original.save(path)
-        loaded = Baseline.load(path)
-        assert loaded.entries == original.entries
-
-    def test_load_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError):
-            Baseline.load(str(path))
-        path.write_text(json.dumps({"version": 99, "entries": []}))
-        with pytest.raises(ConfigError):
-            Baseline.load(str(path))
-
-    def test_from_findings_keeps_justifications(self):
-        finding = self._finding()
-        previous = Baseline(
-            entries=[
-                BaselineEntry(
-                    rule=finding.rule,
-                    path=finding.path,
-                    context=finding.context,
-                    justification="carefully reviewed",
-                )
-            ]
-        )
-        rebuilt = Baseline.from_findings([finding], previous=previous)
-        assert rebuilt.entries[0].justification == "carefully reviewed"
-
-    def test_unjustified_flags_blank_and_todo(self):
-        baseline = Baseline(
-            entries=[
-                BaselineEntry(rule="RL001", path="a.py", context="x"),
-                BaselineEntry(
-                    rule="RL007", path="b.py", context="y",
-                    justification="TODO: explain",
-                ),
-                BaselineEntry(
-                    rule="RL012", path="c.py", context="z",
-                    justification="reviewed: close of a broken pipe",
-                ),
-            ]
-        )
-        flagged = baseline.unjustified()
-        assert [(e.rule, e.path) for e in flagged] == [
-            ("RL001", "a.py"), ("RL007", "b.py"),
-        ]
-
-    def test_matches_across_invocation_directories(self):
-        # A baseline written at the repo root must still absorb findings
-        # when the scan is invoked from elsewhere with absolute paths.
-        finding = self._finding()
-        entry = BaselineEntry(
-            rule=finding.rule,
-            path="../../repo/" + finding.path,
-            context=finding.context,
-        )
-        fresh, absorbed = Baseline(entries=[entry]).partition([finding])
-        assert fresh == [] and absorbed == [finding]
-        reversed_entry = BaselineEntry(
-            rule=finding.rule, path=finding.path, context=finding.context
-        )
-        moved = Finding(
-            rule=finding.rule,
-            severity=finding.severity,
-            path="/abs/checkout/" + finding.path,
-            line=finding.line,
-            col=finding.col,
-            message=finding.message,
-            context=finding.context,
-        )
-        fresh, absorbed = Baseline(entries=[reversed_entry]).partition([moved])
-        assert fresh == [] and absorbed == [moved]
-
-    def test_different_file_same_basename_not_matched(self):
-        finding = self._finding()
-        entry = BaselineEntry(
-            rule=finding.rule,
-            path="src/repro/pcm/example.py",
-            context=finding.context,
-        )
-        fresh, absorbed = Baseline(entries=[entry]).partition([finding])
-        assert absorbed == [] and fresh == [finding]
-
-    def test_line_number_changes_do_not_invalidate(self):
-        moved = Finding(
-            rule="RL001",
-            severity="error",
-            path="src/repro/engine/example.py",
-            line=400,
-            col=0,
-            message="wall-clock",
-            context="return time.time()",
-        )
-        baseline = Baseline(
-            entries=[
-                BaselineEntry(
-                    rule=moved.rule, path=moved.path, context=moved.context
-                )
-            ]
-        )
-        fresh, absorbed = baseline.partition([moved])
-        assert fresh == []
-        assert len(absorbed) == 1
+        assert per_line == {} and per_file == set()
 
 
 # ----------------------------------------------------------------------
@@ -1224,26 +1077,6 @@ class TestRunLint:
         report = run_lint(["src/repro"])
         assert [f.rule for f in report.findings] == ["RL000"]
         assert report.exit_code() == 1
-
-    def test_update_baseline_then_clean(self, tmp_path, monkeypatch):
-        _make_tree(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        first = run_lint(["src/repro"], update_baseline=True)
-        assert first.baseline_updated
-        report = run_lint(["src/repro"])
-        assert report.clean
-        assert len(report.baselined) == 1
-        assert report.exit_code(strict=True) == 0
-
-    def test_new_finding_not_hidden_by_baseline(self, tmp_path, monkeypatch):
-        _make_tree(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        run_lint(["src/repro"], update_baseline=True)
-        extra = tmp_path / "src" / "repro" / "engine" / "extra.py"
-        extra.write_text("import time\n\nT0 = time.monotonic()\n")
-        report = run_lint(["src/repro"])
-        assert report.error_count == 1
-        assert report.findings[0].path.endswith("extra.py")
 
     def test_iter_python_files_sorted_unique(self, tmp_path):
         _make_tree(tmp_path)
@@ -1293,12 +1126,11 @@ class TestReporters:
             "version", "tool", "files_scanned", "rules_active", "counts",
             "findings",
         }
-        assert payload["version"] == 2
+        assert payload["version"] == 3
         assert payload["tool"] == "repro-lint"
         assert payload["counts"] == {
             "errors": 1,
             "warnings": 0,
-            "baselined": 0,
             "by_rule": {"RL001": 1},
         }
         (finding,) = payload["findings"]
@@ -1319,20 +1151,9 @@ class TestReporters:
 # ----------------------------------------------------------------------
 class TestSelfHosting:
     def test_repo_lints_clean_under_strict(self):
-        report = run_lint()  # default roots + checked-in baseline
+        report = run_lint()  # default roots, reasoned pragmas only
         assert report.clean, "\n".join(f.render() for f in report.findings)
         assert report.exit_code(strict=True) == 0
-        # Every baseline entry still absorbs a finding: an entry left
-        # behind by a deleted or fixed file shows up as a shortfall.
-        baseline = Baseline.load(".repro-lint-baseline.json")
-        assert len(report.baselined) == sum(e.count for e in baseline.entries)
-
-    def test_baseline_entries_all_justified(self):
-        baseline = Baseline.load(".repro-lint-baseline.json")
-        assert baseline.entries, "baseline should document accepted findings"
-        assert baseline.unjustified() == [], [
-            (e.rule, e.path) for e in baseline.unjustified()
-        ]
 
     def test_concurrency_rules_clean_repo_wide(self):
         # The orchestration rules alone, strict, zero fresh findings.

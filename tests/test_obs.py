@@ -487,8 +487,35 @@ class TestObsCLI:
         # RRM-only refresh spans disappear under static-7.
         assert "removed" in out and "dtotal=" in out
 
+    @staticmethod
+    def _one_error_line(capsys):
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+        assert captured.out == ""
+        return lines[0]
+
     def test_trace_diff_usage_errors(self, capsys, tmp_path):
         assert main(["trace", "diff", "only-one.json"]) == 2
+        assert "usage: repro-rrm trace diff A B" in self._one_error_line(capsys)
         assert main(["trace", "a.json", "b.json"]) == 2
+        assert "usage: repro-rrm trace FILE" in self._one_error_line(capsys)
         missing = tmp_path / "absent.json"
         assert main(["trace", "diff", str(missing), str(missing)]) == 2
+        self._one_error_line(capsys)
+
+    def test_trace_with_no_events_is_an_error(self, capsys, tmp_path):
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"traceEvents": []}')
+        assert main(["trace", str(empty)]) == 2
+        assert "trace contains no events" in self._one_error_line(capsys)
+
+    def test_trace_rejects_jsonl(self, capsys, tmp_path):
+        # Traces have one format, Chrome JSON; a JSON-lines file is refused.
+        jsonl = tmp_path / "run-trace.jsonl"
+        jsonl.write_text(
+            '{"ts_ns": 0.0, "ph": "i", "name": "a", "cat": "c", "tid": 0}\n'
+            '{"ts_ns": 5.0, "ph": "i", "name": "b", "cat": "c", "tid": 0}\n'
+        )
+        assert main(["trace", str(jsonl)]) == 2
+        assert str(jsonl) in self._one_error_line(capsys)

@@ -51,7 +51,7 @@ class TestReports:
 
     def test_performance_normalised_to_baseline(self, runner):
         text = performance_report(runner, baseline=Scheme.STATIC_7)
-        # Baseline column is 1.000 for every workload row.
+        # The baseline column is 1.000 for every workload row.
         row = [l for l in text.splitlines() if l.startswith("hmmer")][0]
         assert "1.000" in row
 

@@ -15,6 +15,7 @@ from repro.telemetry import (
     NULL_TRACER,
     MetricRegistry,
     Profiler,
+    Telemetry,
     TelemetryConfig,
     Tracer,
     format_summary,
@@ -102,7 +103,7 @@ class TestTracer:
         assert event.ts_ns == 0.0 and event.dur_ns == 250.0
 
     def test_ring_mode_bounds_memory(self):
-        tracer = Tracer(mode="ring", ring_size=3)
+        tracer = Tracer(ring_size=3)
         for i in range(10):
             tracer.instant(f"e{i}")
         events = tracer.events()
@@ -110,30 +111,24 @@ class TestTracer:
         assert [e.name for e in events] == ["e7", "e8", "e9"]
         assert tracer.dropped == 7
 
-    def test_sample_mode_keeps_every_nth(self):
-        tracer = Tracer(mode="sample", sample_every=3)
-        for i in range(9):
-            tracer.instant(f"e{i}")
-        assert [e.name for e in tracer.events()] == ["e0", "e3", "e6"]
-        assert tracer.dropped == 6
-
     def test_invalid_configuration(self):
         with pytest.raises(ConfigError):
-            Tracer(mode="everything")
+            Tracer(ring_size=0)
         with pytest.raises(ConfigError):
-            Tracer(mode="ring", ring_size=0)
-        with pytest.raises(ConfigError):
-            Tracer(mode="sample", sample_every=0)
+            Tracer(ring_size=-1)
 
     def test_chrome_export_round_trip(self, tmp_path):
         tracer = Tracer(_FakeClock())
         tracer.set_thread_name(0, "bank0")
         tracer.instant("violation", "memctrl", args={"block": 1})
         tracer.complete("write", "memctrl", 1000.0, 2000.0)
-        path = tracer.export_chrome(tmp_path / "trace.json")
+        path = tracer.export(tmp_path / "trace.json")
 
         raw = json.loads(path.read_text())
         assert "traceEvents" in raw
+        assert raw["otherData"] == {
+            "clock": "simulation-ns/1000", "dropped_events": 0,
+        }
         meta = raw["traceEvents"][0]
         assert meta["ph"] == "M" and meta["args"]["name"] == "bank0"
 
@@ -142,24 +137,6 @@ class TestTracer:
         # Chrome timestamps are microseconds.
         span = [e for e in events if e["ph"] == "X"][0]
         assert span["ts"] == 1.0 and span["dur"] == 2.0
-
-    def test_jsonl_export_round_trip(self, tmp_path):
-        tracer = Tracer(_FakeClock())
-        tracer.instant("a", "cat", args={"k": 1})
-        tracer.complete("b", "cat", 10.0, 5.0)
-        path = tracer.export(tmp_path / "trace.jsonl")
-        events = load_trace(path)
-        assert len(events) == 2
-        # JSONL keeps nanosecond timestamps, converted to us on load.
-        assert validate_chrome_trace(events) == []
-
-    def test_export_dispatches_on_suffix(self, tmp_path):
-        tracer = Tracer(_FakeClock())
-        tracer.instant("x")
-        chrome = tracer.export(tmp_path / "t.json")
-        assert "traceEvents" in json.loads(chrome.read_text())
-        jsonl = tracer.export(tmp_path / "t.jsonl")
-        assert json.loads(jsonl.read_text().splitlines()[0])["name"] == "x"
 
     def test_summarize(self):
         tracer = Tracer(_FakeClock())
@@ -285,7 +262,7 @@ class TestSystemTelemetry:
         categories = set(tracer.categories())
         assert {"engine", "memctrl", "cpu", "pcm", "rrm"} <= categories
 
-        path = tracer.export_chrome(tmp_path / "trace.json")
+        path = tracer.export(tmp_path / "trace.json")
         events = load_trace(path)
         assert validate_chrome_trace(events) == []
         assert len({e.get("cat") for e in events if e["ph"] != "M"}) >= 4
@@ -325,11 +302,18 @@ class TestSystemTelemetry:
 class TestTelemetryConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
-            TelemetryConfig(mode="nope")
-        with pytest.raises(ConfigError):
-            TelemetryConfig(ring_size=0)
-        with pytest.raises(ConfigError):
             TelemetryConfig(metrics_interval_s=0)
+        # The tracer owns the ring bound, so a bad one fails when the
+        # run's tracer is built.
+        with pytest.raises(ConfigError):
+            Telemetry(TelemetryConfig(ring_size=0))
+
+    def test_ring_size_reaches_the_tracer(self):
+        tracer = Telemetry(TelemetryConfig(ring_size=2)).tracer
+        for name in ("a", "b", "c"):
+            tracer.instant(name)
+        assert [e.name for e in tracer.events()] == ["b", "c"]
+        assert tracer.dropped == 1
 
 
 # ----------------------------------------------------------------------
@@ -470,33 +454,22 @@ class TestRegistryEdgeCases:
 # ----------------------------------------------------------------------
 class TestTracerBoundaries:
     def test_ring_exact_capacity_drops_nothing(self):
-        tracer = Tracer(mode="ring", ring_size=3)
+        tracer = Tracer(ring_size=3)
         for i in range(3):
             tracer.instant(f"e{i}")
         assert len(tracer.events()) == 3
         assert tracer.dropped == 0
 
     def test_ring_one_past_capacity_drops_oldest(self):
-        tracer = Tracer(mode="ring", ring_size=3)
+        tracer = Tracer(ring_size=3)
         for i in range(4):
             tracer.instant(f"e{i}")
         assert [e.name for e in tracer.events()] == ["e1", "e2", "e3"]
         assert tracer.dropped == 1
 
-    def test_sample_boundary_keeps_first_of_each_stride(self):
-        tracer = Tracer(mode="sample", sample_every=3)
-        for i in range(3):
+    def test_unbounded_by_default_drops_nothing(self):
+        tracer = Tracer()
+        for i in range(1000):
             tracer.instant(f"e{i}")
-        # Exactly one stride: only its first event is kept.
-        assert [e.name for e in tracer.events()] == ["e0"]
-        assert tracer.dropped == 2
-        tracer.instant("e3")  # first event of the next stride is kept
-        assert [e.name for e in tracer.events()] == ["e0", "e3"]
-        assert tracer.dropped == 2
-
-    def test_sample_every_one_is_lossless(self):
-        tracer = Tracer(mode="sample", sample_every=1)
-        for i in range(5):
-            tracer.instant(f"e{i}")
-        assert len(tracer.events()) == 5
+        assert len(tracer.events()) == 1000
         assert tracer.dropped == 0
