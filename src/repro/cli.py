@@ -161,9 +161,12 @@ def _telemetry_from_args(args) -> Optional[TelemetryConfig]:
     ``--trace`` alone implies periodic metric sampling at 1ms so the
     exported trace carries counter tracks, not just spans.
     ``--attribution`` alone keeps the tracer off — anatomies are built
-    without paying for event recording.
+    without paying for event recording. ``--trace-ring-size`` without
+    tracing would bound nothing, so it is refused.
     """
     tracing = bool(getattr(args, "trace", None)) or args.metrics_interval is not None
+    if args.trace_ring_size is not None and not tracing:
+        raise ConfigError("--trace-ring-size needs --trace or --metrics-interval")
     attribution = bool(getattr(args, "attribution", False))
     if not tracing and not attribution:
         return None

@@ -13,8 +13,9 @@ The core pulls a stream of workload events — tuples
   one block, its payload being ``(dirty, count)``, in one sink call
   (zero core time).
 
-The core re-enters the event loop whenever a stall resolves (read
-completion or queue space), so execution is fully event-driven.
+The event loop is a generator that yields whenever the core must wait;
+the wake path of the stall (the cursor time, a read completion or queue
+space) resumes it, so execution is fully event-driven.
 """
 
 from __future__ import annotations
@@ -93,12 +94,13 @@ class CoreStats:
         return self.retired_instructions / cycles if cycles > 0 else 0.0
 
 
-# Wait reasons (why the core's event loop is parked).
+# Wait reasons: the stall a wake path must find to resume the loop. A
+# wait for the cursor time needs none, since only its own engine event
+# resumes it.
 _W_NONE = 0
 _W_BLOCKING = 1  # waiting for a specific read's data
 _W_MLP = 2       # waiting for any read completion
 _W_SPACE = 3     # waiting for a controller queue slot
-_W_TIME = 4      # core time cursor is ahead of sim time
 
 
 class CoreModel:
@@ -145,9 +147,10 @@ class CoreModel:
         self._t = 0.0  # core-local time cursor (ns)
         self._outstanding = 0
         self._wait = _W_NONE
-        self._pending: Optional[WorkloadEvent] = None
         self._blocking_req_id: Optional[int] = None
         self._exhausted = False
+        #: Resumes the suspended event loop (:meth:`_loop`).
+        self._resume = self._loop().__next__
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -165,23 +168,36 @@ class CoreModel:
     # Event loop
     # ------------------------------------------------------------------
     def _run(self) -> None:
-        """Execute events until the core must wait or parks.
+        """Resume the event loop where it last waited.
 
-        Hot path: the time cursor, the stats, the stream's ``__next__``,
-        the register sink and the controller live in locals, and the read
-        and write attempts (MLP check, ``can_accept``, the blocking draw,
-        the request and its ``enqueue``) run in this frame. ``_t`` and
-        ``_pending`` are written back on every way out (the ``finally``).
-        Nothing reached from here reads them meanwhile: completions run
-        as separate engine events, and the space waiters that an
-        enqueue's scheduler kick may fire belong to other producers,
-        since a running core has none registered.
+        The start event, read completions and space wake-ups resume the
+        loop through here; the time wake resumes it directly.
         """
-        if self._wait not in (_W_NONE, _W_TIME):
-            return  # a stale wake-up; the real wake path will re-enter
-        self._wait = _W_NONE
+        self._resume()
+
+    def _loop(self) -> Iterator[None]:
+        """The core's event loop: execute events until the core must
+        wait, then yield until a wake path resumes it.
+
+        One generator per core, created with the core and first resumed
+        by :meth:`start`, so the time cursor, the stats, the stream's
+        ``__next__``, the register sink and the controller are read into
+        locals once, and the event the core waits to retry stays in
+        hand across the wait. The read and write attempts (MLP check,
+        ``can_accept``, the blocking draw, the request and its
+        ``enqueue``) run in this frame. The cursor is written back to
+        ``_t`` before every ``yield``, because :attr:`parked` and the
+        wake paths read it, and re-read after, because a wake path may
+        have moved it.
+
+        No wake can reach the loop while it runs (resuming a running
+        generator raises ValueError): completions run as separate
+        engine events, and the space waiters that an enqueue's
+        scheduler kick may fire belong to other producers, since a
+        running core has none registered. The loop never ends, so no
+        wake can find it finished: a parked core yields for good.
+        """
         sim = self.sim
-        now = sim.now
         end = self._end_time_ns
         if end is None:
             end = math.inf
@@ -190,98 +206,101 @@ class CoreModel:
         register = self._register
         ns_per_instruction = self._ns_per_instruction
         controller = self._controller
-        params = self.params
-        mlp = params.mlp
-        blocking_fraction = params.blocking_load_fraction
+        mlp = self.params.mlp
+        blocking_fraction = self.params.blocking_load_fraction
+        draw = self._rng.random
+        choose_mode = self._choose_mode
         core_id = self.core_id
+        on_read_complete = self._on_read_complete
+        wake_time = self._wake_time
+        wake_space = self._wake_space
+        space_refused = self._space_refused
         t = self._t
-        # The event in hand is parked in ``pending`` (its gap already
-        # retired) whenever the loop returns before consuming it.
-        pending = self._pending
-        try:
-            # Past the end time the core parks: the measurement window is
-            # over for it.
-            while t < end:
-                if pending is None:
-                    try:
-                        kind, gap, block, payload = next_event()
-                    except StopIteration:
-                        self._exhausted = True
-                        return
-                    if gap:
-                        t += gap * ns_per_instruction
-                        stats.retired_instructions += gap
-                else:
-                    kind, _, block, payload = pending
-                    pending = None
-
+        now = sim.now
+        # Past the end time the core parks: the measurement window is
+        # over for it.
+        while t < end:
+            try:
+                kind, gap, block, payload = next_event()
+            except StopIteration:
+                self._exhausted = True
+                break
+            if gap:
+                t += gap * ns_per_instruction
+                stats.retired_instructions += gap
+            # Each pass after the first retries the event after a wake.
+            while True:
                 # Anything with a time cost must happen at the cursor time.
                 if t > now:
-                    pending = (kind, 0, block, payload)
-                    self._wait = _W_TIME
-                    sim.schedule_at(t, self._wake_time)
-                    return
-
-                if kind == EV_REGISTER:
+                    sim.schedule_at(t, wake_time)
+                elif kind == EV_REGISTER:
                     was_dirty, count = payload
                     if register is not None:
                         register(block, was_dirty, count)
                     stats.registrations += count
+                    break
                 elif kind == EV_READ:
                     if self._outstanding >= mlp:
+                        # A read completion will retry.
                         self._wait = _W_MLP
                         stats.mlp_stalls += 1
-                        pending = (kind, 0, block, payload)
-                        return  # a read completion will retry
-                    if not controller.can_accept(_READ, block):
+                    elif not controller.can_accept(_READ, block):
+                        # A space wake-up will retry.
                         self._wait = _W_SPACE
                         stats.read_queue_stalls += 1
-                        controller.notify_space(_READ, block, self._wake_space)
-                        pending = (kind, 0, block, payload)
-                        return  # a space wake-up will retry
-                    blocking = self._rng.random() < blocking_fraction
-                    # Positional, in MemRequest's field order: rtype,
-                    # block, n_sets, issue_time_ns, deadline_ns, core,
-                    # on_complete (the keyword form costs twice as much).
-                    request = MemRequest(
-                        _READ, block, None, 0.0, None, core_id,
-                        self._on_read_complete,
-                    )
-                    if blocking:
-                        self._blocking_req_id = request.req_id
-                    controller.enqueue(request)
-                    self._outstanding += 1
-                    stats.reads_issued += 1
-                    if blocking:
-                        self._wait = _W_BLOCKING
-                        stats.blocking_stalls += 1
-                        return  # the core waits for this read's data
+                        controller.notify_space(_READ, block, wake_space)
+                    else:
+                        blocking = draw() < blocking_fraction
+                        # Positional, in MemRequest's field order: rtype,
+                        # block, n_sets, issue_time_ns, deadline_ns, core,
+                        # on_complete (the keyword form costs twice as much).
+                        request = MemRequest(
+                            _READ, block, None, 0.0, None, core_id,
+                            on_read_complete,
+                        )
+                        if blocking:
+                            self._blocking_req_id = request.req_id
+                        controller.enqueue(request)
+                        self._outstanding += 1
+                        stats.reads_issued += 1
+                        if blocking:
+                            # The core waits for this read's data.
+                            self._wait = _W_BLOCKING
+                            stats.blocking_stalls += 1
+                            self._t = t
+                            yield
+                            t = self._t
+                            now = sim.now
+                        break
                 elif kind == EV_WRITE:
-                    if not controller.can_accept(_WRITE, block):
-                        self._wait = _W_SPACE
-                        stats.write_queue_stalls += 1
-                        controller.notify_space(
-                            _WRITE, block, self._wake_space, self._space_refused
+                    if controller.can_accept(_WRITE, block):
+                        controller.enqueue(
+                            MemRequest(
+                                _WRITE, block, choose_mode(block), 0.0, None,
+                                core_id,
+                            )
                         )
-                        pending = (kind, 0, block, payload)
-                        return  # a space wake-up will retry
-                    controller.enqueue(
-                        MemRequest(
-                            _WRITE, block, self._choose_mode(block), 0.0, None,
-                            core_id,
-                        )
-                    )
-                    stats.writes_issued += 1
+                        stats.writes_issued += 1
+                        break
+                    # A space wake-up will retry.
+                    self._wait = _W_SPACE
+                    stats.write_queue_stalls += 1
+                    controller.notify_space(_WRITE, block, wake_space, space_refused)
                 else:
                     raise SimulationError(f"unknown workload event kind: {kind}")
-        finally:
-            self._t = t
-            self._pending = pending
+                # Wait with the event in hand.
+                self._t = t
+                yield
+                t = self._t
+                now = sim.now
+                if t >= end:
+                    break
+        self._t = t
+        while True:
+            yield
 
     def _wake_time(self) -> None:
-        if self._wait == _W_TIME:
-            self._wait = _W_NONE
-            self._run()
+        self._resume()
 
     # ------------------------------------------------------------------
     # Wake paths
@@ -303,7 +322,7 @@ class CoreModel:
             self._run()
 
     def _wake_space(self) -> None:
-        """Queue-space wake-up: re-enter the event loop at the current time.
+        """Queue-space wake-up: resume the event loop at the current time.
 
         The loop retries the parked request. Moving the cursor to now is
         exact because a core waiting on space has ``_t <= now``: it
@@ -323,8 +342,8 @@ class CoreModel:
 
         The controller calls this instead of :meth:`_wake_space` when it
         reaches this core's registration with the write queue full again,
-        and keeps the registration if it returns True. It is what a pass
-        through :meth:`_run` would do there, minus the refused retry's
+        and keeps the registration if it returns True. It is what a
+        resumed :meth:`_loop` would do there, minus the refused retry's
         ``can_accept`` and ``notify_space`` calls: a stale registration
         is dropped, a core at or past its end time parks for good with
         no stall, and any other core moves its cursor to now and counts

@@ -5,7 +5,9 @@ lines, the ``repro`` sub-package it belongs to, and the parsed
 suppression pragmas. Checkers receive the module and ask it questions;
 they never re-read the file.
 
-Pragma grammar (comments; the rule list is case-insensitive)::
+Pragma grammar (comments only, read from the tokenizer's comment
+tokens, so pragma text inside a string, such as these examples,
+suppresses nothing; the rule list is case-insensitive)::
 
     x = wallclock()    # repro-lint: disable=RL001 -- host time, report only
     y = foo() + bar()  # repro-lint: disable=RL003,RL004 -- <reason>
@@ -23,7 +25,9 @@ every rule.
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 #: ``repro`` sub-packages that form the simulation path: code here runs
@@ -43,6 +47,8 @@ SIM_PATH_PACKAGES = frozenset(
 #: layers.
 ORCH_PATH_PACKAGES = frozenset({"resilience", "obs", "profiling"})
 
+_LINE_END_RE = re.compile(r"\r\n?|\n")
+
 _PRAGMA_RE = re.compile(
     r"#\s*repro-lint\s*:\s*(disable(?:-file)?)\s*=\s*([A-Za-z0-9_,\s]+?)"
     r"\s*--\s*\S"
@@ -52,7 +58,8 @@ _PRAGMA_RE = re.compile(
 def parse_pragmas(
     lines: List[str],
 ) -> Tuple[Dict[int, Set[str]], Set[str]]:
-    """Extract suppression pragmas that give a reason from *lines*.
+    """Extract suppression pragmas that give a reason from the comments
+    of the source *lines*.
 
     Returns ``(per_line, per_file)`` where ``per_line`` maps 1-based
     line numbers to the set of disabled rule ids (upper-cased; the
@@ -61,16 +68,18 @@ def parse_pragmas(
     """
     per_line: Dict[int, Set[str]] = {}
     per_file: Set[str] = set()
-    for lineno, line in enumerate(lines, start=1):
-        if "repro-lint" not in line:
+    readline = io.StringIO("\n".join(lines) + "\n").readline
+    for token in tokenize.generate_tokens(readline):
+        if token.type != tokenize.COMMENT or "repro-lint" not in token.string:
             continue
-        match = _PRAGMA_RE.search(line)
+        match = _PRAGMA_RE.search(token.string)
         if match is None:
             continue
+        lineno = token.start[0]
         rules = {
-            token.strip().upper()
-            for token in match.group(2).split(",")
-            if token.strip()
+            rule.strip().upper()
+            for rule in match.group(2).split(",")
+            if rule.strip()
         }
         if match.group(1) == "disable-file":
             per_file |= rules
@@ -85,7 +94,10 @@ class LintModule:
     def __init__(self, source: str, relpath: str) -> None:
         self.relpath = relpath.replace("\\", "/")
         self.source = source
-        self.lines = source.splitlines()
+        #: Split only where Python ends a line, so that a form feed or
+        #: another character ``str.splitlines`` breaks on keeps the
+        #: numbering of the AST and the tokenizer.
+        self.lines = _LINE_END_RE.split(source)
         #: Raises SyntaxError upward; api.run_lint turns that into RL000.
         self.tree = ast.parse(source, filename=self.relpath)
         self._line_pragmas, self._file_pragmas = parse_pragmas(self.lines)

@@ -131,6 +131,38 @@ _WRITE = RequestType.WRITE
 _RRM_REFRESH = RequestType.RRM_REFRESH
 
 
+class _Channel:
+    """One channel's scheduler state, in one record for the hot paths.
+
+    Attributes:
+        queues: The channel's :class:`QueueSet`.
+        refresh, read, write: The entry lists of its three queues.
+        priority: Its queues in priority order (refresh, read, write).
+        draining: Write draining is on (watermark hysteresis).
+        settled: The last scan issued nothing and nothing has happened
+            since that could make an entry issuable (see
+            :meth:`MemoryController._kick`). Cleared by every completion
+            and by every issue except a direct one that leaves the
+            in-flight gate shut.
+        inflight: Issued-but-unfinished requests on the channel.
+    """
+
+    __slots__ = (
+        "queues", "refresh", "read", "write", "priority", "draining",
+        "settled", "inflight",
+    )
+
+    def __init__(self, queues: QueueSet) -> None:
+        self.queues = queues
+        self.refresh = queues.refresh_queue._entries
+        self.read = queues.read_queue._entries
+        self.write = queues.write_queue._entries
+        self.priority = tuple(queues.in_priority_order())
+        self.draining = False
+        self.settled = False
+        self.inflight = 0
+
+
 class MemoryController:
     """Schedules memory requests onto the PCM device banks."""
 
@@ -192,26 +224,16 @@ class MemoryController:
         )
         if not 0 <= self._write_drain_low <= self._write_drain_high <= write_queue_capacity:
             raise ConfigError("write drain watermarks out of order")
-        self._draining_writes = [False] * device.n_channels
-        #: Per channel: the last scan issued nothing and nothing has
-        #: happened since that could make an entry issuable (see
-        #: :meth:`_kick`). Cleared by every completion and by every issue
-        #: except a direct one that leaves the in-flight gate shut.
-        self._settled = [False] * device.n_channels
+        #: Per-channel scheduler state.
+        self._channels = [_Channel(queues) for queues in self._queues]
         #: Issued-but-unfinished request count per flat bank index.
         self._bank_inflight: List[int] = [0] * device.n_banks
-        #: Issued-but-unfinished request count per channel.
-        self._channel_inflight: List[int] = [0] * device.n_channels
         #: Banks flattened channel-major, matching the flat bank index.
         self._banks_flat = device.banks()
         self._banks_per_channel = device.banks_per_channel
         #: Per flat bank index: the in-flight write request and its
         #: completion event, so pausing reads can push the completion back.
         self._inflight_write: List[Optional[tuple]] = [None] * device.n_banks
-        #: Per-channel queue tuples in priority order (hot-path cache).
-        self._priority_queues = [
-            tuple(qs.in_priority_order()) for qs in self._queues
-        ]
         #: SET counts of the fast and slow modes, for the write-mode stats.
         self._fast_n_sets = device.modes.fast.n_sets
         self._slow_n_sets = device.modes.slow.n_sets
@@ -266,7 +288,8 @@ class MemoryController:
         request.issue_time_ns = self.sim.now
         if self._attribution is not None:
             self._attribution.on_enqueue(request)
-        queue = self._queues[channel].by_type[request.rtype]
+        ch = self._channels[channel]
+        queue = ch.queues.by_type[request.rtype]
         entries = queue._entries
         depth = len(entries)
         if depth >= queue.capacity:
@@ -276,7 +299,7 @@ class MemoryController:
         queue.total_enqueued += 1
         if depth >= queue.peak_occupancy:
             queue.peak_occupancy = depth + 1
-        self._kick(channel, request)
+        self._kick(ch, request)
 
     def notify_space(
         self,
@@ -316,20 +339,22 @@ class MemoryController:
     # ------------------------------------------------------------------
     # Scheduler core
     # ------------------------------------------------------------------
-    def _kick(self, channel: int, pushed: Optional[MemRequest] = None) -> None:
-        """Issue every request that can be serviced on *channel* right now.
+    def _kick(self, ch: _Channel, pushed: Optional[MemRequest] = None) -> None:
+        """Issue every request that can be serviced on channel *ch* now.
 
-        Hot path, so everything the scan needs is hoisted into locals and
-        each queue has its own inlined window loop. The scan is FR-FCFS
-        over at most ``SCHED_WINDOW`` entries per queue, in priority
-        order: the oldest entry whose bank has nothing in flight wins, or,
-        in the read queue only, a read whose bank holds one pausable
-        write. The refresh and write queues are gated: they are skipped
-        while the channel has as many requests in flight as it has banks.
-        The gate counts requests, not busy banks, so it can hold while a
-        bank is free, and a read that pauses a write lifts it. Writes
-        issue only while the channel drains writes (watermark hysteresis,
-        updated once per kick) or when no refresh or read waits.
+        Hot path: the channel's state is one record, and each queue has
+        its own inlined window loop. The scan is FR-FCFS over at most
+        ``SCHED_WINDOW`` entries per queue, in priority order: the
+        oldest entry whose bank has nothing in flight wins, or, in the
+        read queue only, a read whose bank holds one pausable write (the
+        only branch that reads the clock, the in-flight writes and the
+        banks). The refresh and write queues are gated: they are skipped
+        while the channel has as many requests in flight as it has
+        banks. The gate counts requests, not busy banks, so it can hold
+        while a bank is free, and a read that pauses a write lifts it.
+        Writes issue only while the channel drains writes (watermark
+        hysteresis, updated once per kick) or when no refresh or read
+        waits.
 
         After an issue the scan resumes in the issued queue at the issued
         position: the entries before it and the higher-priority queues
@@ -349,24 +374,19 @@ class MemoryController:
         nested scan already found nothing issuable and this one stops;
         if not, no waiter touched the channel and the scan resumes.
         """
-        queues = self._queues[channel]
-        write_entries = queues.write_queue._entries
-        draining = self._draining_writes
-        settled = self._settled
-        was_draining = draining[channel]
+        write_entries = ch.write
+        was_draining = ch.draining
         occupancy = len(write_entries)
         if occupancy >= self._write_drain_high:
-            draining[channel] = True
+            ch.draining = True
         elif occupancy <= self._write_drain_low:
-            draining[channel] = False
-        channel_inflight = self._channel_inflight
+            ch.draining = False
         n_banks = self._banks_per_channel
-        refresh_entries = queues.refresh_queue._entries
-        read_entries = queues.read_queue._entries
+        window = self.SCHED_WINDOW
         # Scan position: queue (0 refresh, 1 read, 2 write) and index.
         stage = i = 0
         direct = False
-        if settled[channel] and (was_draining or not draining[channel]):
+        if ch.settled and (was_draining or not ch.draining):
             # Nothing was issuable at the last scan, and since then no
             # completion or scan issue touched the channel: only *pushed*
             # can be new. Older entries kept their window, bank and
@@ -376,43 +396,47 @@ class MemoryController:
             # boundaries. The checks below are the scan's, for *pushed*.
             if pushed is None:
                 return
-            i = len(queues.by_type[pushed.rtype]._entries) - 1
-            if i >= self.SCHED_WINDOW:
-                return
-            n = self._bank_inflight[pushed.bank_index]
-            if pushed.rtype is _READ:
+            rtype = pushed.rtype
+            bank_index = pushed.bank_index
+            n = self._bank_inflight[bank_index]
+            if rtype is _READ:
                 if n > 1:
+                    return
+                i = len(ch.read) - 1
+                if i >= window:
                     return
                 if n == 1:
                     # The one request in flight must be a write that the
                     # read can pause.
-                    if self._inflight_write[pushed.bank_index] is None:
+                    if self._inflight_write[bank_index] is None:
                         return
-                    bank = self._banks_flat[pushed.bank_index]
+                    bank = self._banks_flat[bank_index]
                     if not bank.read_start_time(self.sim.now) < bank.busy_until:
                         return
                 stage = 1
-            elif n or channel_inflight[channel] == n_banks:
+            elif n or ch.inflight == n_banks:
                 return
-            elif pushed.rtype is not _WRITE:
-                stage = 0
-            elif not draining[channel] and (read_entries or refresh_entries):
-                return
-            else:
+            elif rtype is _WRITE:
+                if not ch.draining and (ch.read or ch.refresh):
+                    return
+                i = len(write_entries) - 1
+                if i >= window:
+                    return
                 stage = 2
+            else:
+                i = len(ch.refresh) - 1
+                if i >= window:
+                    return
             direct = True
 
-        priority_queues = self._priority_queues[channel]
-        now = self.sim.now
         inflight = self._bank_inflight
-        inflight_write = self._inflight_write
-        banks = self._banks_flat
-        window = self.SCHED_WINDOW
+        refresh_entries = ch.refresh
+        read_entries = ch.read
 
         while True:
             if not direct:
                 if stage == 0:
-                    if refresh_entries and channel_inflight[channel] != n_banks:
+                    if refresh_entries and ch.inflight != n_banks:
                         end = len(refresh_entries)
                         if end > window:
                             end = window
@@ -435,11 +459,11 @@ class MemoryController:
                         n = inflight[bank_index]
                         if not n:
                             break
-                        if n == 1 and inflight_write[bank_index] is not None:
-                            bank = banks[bank_index]
+                        if n == 1 and self._inflight_write[bank_index] is not None:
+                            bank = self._banks_flat[bank_index]
                             # A single in-flight pausable write lets a read
                             # cut in: the read starts before the bank frees.
-                            if bank.read_start_time(now) < bank.busy_until:
+                            if bank.read_start_time(self.sim.now) < bank.busy_until:
                                 break
                         i += 1
                     else:
@@ -448,10 +472,10 @@ class MemoryController:
                 if stage == 2:
                     if not (
                         write_entries
-                        and channel_inflight[channel] != n_banks
-                        and (draining[channel] or not (read_entries or refresh_entries))
+                        and ch.inflight != n_banks
+                        and (ch.draining or not (read_entries or refresh_entries))
                     ):
-                        settled[channel] = True
+                        ch.settled = True
                         return
                     end = len(write_entries)
                     if end > window:
@@ -461,20 +485,20 @@ class MemoryController:
                             break
                         i += 1
                     else:
-                        settled[channel] = True
+                        ch.settled = True
                         return
-            queue = priority_queues[stage]
+            queue = ch.priority[stage]
             entries = queue._entries
             request = entries[i]
             del entries[i]
             # Only a read issues at the gate, and it lifts the gate.
-            lifts_gate = channel_inflight[channel] == n_banks
+            lifts_gate = ch.inflight == n_banks
             if lifts_gate or not direct:
-                settled[channel] = False
+                ch.settled = False
             direct = False
             if self._attribution is not None:
                 queue.note_issue(request, i)
-            self._issue(channel, request)
+            self._issue(ch, request)
             waiters = queue.space_waiters
             if waiters:
                 queue.space_waiters = []
@@ -488,12 +512,12 @@ class MemoryController:
                         callback()
                     elif refuse():
                         queue.space_waiters.append(waiter)
-            if settled[channel]:
+            if ch.settled:
                 return
             if lifts_gate:
                 stage = i = 0
 
-    def _issue(self, channel: int, request: MemRequest) -> None:
+    def _issue(self, ch: _Channel, request: MemRequest) -> None:
         bank_index = request.bank_index
         bank = self._banks_flat[bank_index]
         sim = self.sim
@@ -525,8 +549,8 @@ class MemoryController:
             else:
                 self._attribution.on_read_issue(request, hit)
         self._bank_inflight[bank_index] += 1
-        self._channel_inflight[channel] += 1
-        event = sim.schedule_at(finish, self._complete, channel, request)
+        ch.inflight += 1
+        event = sim.schedule_at(finish, self._complete, ch, request)
         if is_write:
             self._inflight_write[bank_index] = (request, event)
             return
@@ -543,19 +567,19 @@ class MemoryController:
         write_request.finish_time_ns = new_end
         self._inflight_write[bank_index] = (
             write_request,
-            sim.schedule_at(new_end, self._complete, channel, write_request),
+            sim.schedule_at(new_end, self._complete, ch, write_request),
         )
         if self._attribution is not None:
             self._attribution.on_write_paused(write_request, request, new_end)
 
-    def _complete(self, channel: int, request: MemRequest) -> None:
+    def _complete(self, ch: _Channel, request: MemRequest) -> None:
         bank_index = request.bank_index
         inflight = self._bank_inflight
         inflight[bank_index] -= 1
-        self._channel_inflight[channel] -= 1
+        ch.inflight -= 1
         # A freed bank can make a queued entry issuable, and the callbacks
         # below may enqueue before the closing kick runs.
-        self._settled[channel] = False
+        ch.settled = False
         if inflight[bank_index] < 0:
             raise SimulationError("bank in-flight count went negative")
         entry = self._inflight_write[bank_index]
@@ -628,4 +652,4 @@ class MemoryController:
         for listener in self._completion_listeners:
             listener(request)
 
-        self._kick(channel)
+        self._kick(ch)

@@ -6,6 +6,7 @@ import pytest
 
 from repro import __version__
 from repro.cli import _telemetry_from_args, build_parser, main
+from repro.errors import ConfigError
 from repro.telemetry import TelemetryConfig
 from repro.utils.units import parse_duration
 
@@ -73,8 +74,9 @@ class TestParser:
 
     def test_trace_ring_size_maps_to_telemetry_config(self):
         args = build_parser().parse_args(["run", "--trace-ring-size", "500"])
-        # A bound alone records nothing: tracing still needs --trace.
-        assert _telemetry_from_args(args) is None
+        # A bound alone would record nothing: tracing still needs --trace.
+        with pytest.raises(ConfigError, match="--trace-ring-size"):
+            _telemetry_from_args(args)
         args = build_parser().parse_args(
             ["run", "--trace", "t.json", "--trace-ring-size", "500"]
         )
@@ -269,6 +271,13 @@ class TestCommands:
             e.get("cat") for e in raw["traceEvents"] if e["ph"] != "M"
         }
         assert len(categories) >= 4
+
+    def test_run_refuses_a_ring_bound_without_tracing(self, capsys):
+        code = main(["run", "--config", "tiny", "--trace-ring-size", "5"])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "--trace-ring-size" in err[0]
 
     def test_run_rejects_bad_metrics_interval(self, capsys, tmp_path):
         code = main(

@@ -512,7 +512,7 @@ class TestInflightGate:
         sim.schedule_at(
             2.5,
             lambda: states.append(
-                (controller._channel_inflight[0], late.start_time_ns)
+                (controller._channels[0].inflight, late.start_time_ns)
             ),
         )
         sim.schedule_at(3.0, controller.enqueue, read(on_bank(controller, 1, row=1)))
@@ -532,35 +532,36 @@ class FullScanController(MemoryController):
     order, and restarts from the top after every issue and its space
     waiters, each woken through its full wake callback."""
 
-    def _kick(self, channel, pushed=None):
-        queues = self._queues[channel]
-        occupancy = len(queues.write_queue)
+    def _kick(self, ch, pushed=None):
+        occupancy = len(ch.queues.write_queue)
         if occupancy >= self._write_drain_high:
-            self._draining_writes[channel] = True
+            ch.draining = True
         elif occupancy <= self._write_drain_low:
-            self._draining_writes[channel] = False
+            ch.draining = False
         while True:
-            found = self._first_issuable(channel, queues)
+            found = self._first_issuable(ch)
             if found is None:
                 return
             queue, pick = found
             request = queue._entries[pick]
             del queue._entries[pick]
-            self._issue(channel, request)
+            self._issue(ch, request)
             waiters, queue.space_waiters = queue.space_waiters, []
             for callback, _refuse in waiters:
                 callback()
 
-    def _first_issuable(self, channel, queues):
-        """``(queue, position)`` of the entry a full FR-FCFS scan picks."""
+    def _first_issuable(self, ch):
+        """``(queue, position)`` of the entry a full FR-FCFS scan picks on
+        the channel whose record is *ch*."""
+        queues = ch.queues
         now = self.sim.now
-        all_busy = self._channel_inflight[channel] == self._banks_per_channel
+        all_busy = ch.inflight == self._banks_per_channel
         for queue in queues.in_priority_order():
             if queue is not queues.read_queue:
                 if all_busy:
                     continue
                 if queue is queues.write_queue and not (
-                    self._draining_writes[channel]
+                    ch.draining
                     or not (len(queues.read_queue) or len(queues.refresh_queue))
                 ):
                     continue

@@ -1,11 +1,12 @@
-"""Differential dispatch-order net: one committed digest per cell.
+"""Differential dispatch-order net: one committed record per cell.
 
 The result digests (``tests/test_result_digests.py``) catch a change in
 what a run computes; these catch a change in *how* it gets there. For the
 same cells (``tests/digest_cells.py``), every callback the engine
 dispatches is recorded as ``(time, module:qualname)``, in dispatch order.
-The cell's digest is the sha256 over that sequence plus the final
-``events_processed``, ``events_scheduled`` and ``events_cancelled``.
+A cell's record pins the sha256 of that sequence apart from the final
+``events_processed``, ``events_scheduled`` and ``events_cancelled``, so
+a failure shows which of the four moved.
 
 Recording happens outside the run loop: ``Simulator.schedule_at`` is
 wrapped so that each scheduled callback is itself wrapped in a recorder,
@@ -56,8 +57,9 @@ def recording_schedule_at(log: List[str]) -> Callable:
     return schedule_at
 
 
-def cell_digest(prefix: str, workload: str, scheme: str, seed: int) -> str:
-    """sha256 of the cell's dispatch sequence and final event counts.
+def cell_digest(prefix: str, workload: str, scheme: str, seed: int) -> dict:
+    """The sha256 of the cell's dispatch sequence, and its final event
+    counts.
 
     Patches ``Simulator.schedule_at`` for the duration of the cell only.
     """
@@ -69,11 +71,12 @@ def cell_digest(prefix: str, workload: str, scheme: str, seed: int) -> str:
     finally:
         Simulator.schedule_at = original
     sim = system.sim
-    log.append(
-        f"processed={sim.events_processed} scheduled={sim.events_scheduled} "
-        f"cancelled={sim.events_cancelled}"
-    )
-    return hashlib.sha256("\n".join(log).encode()).hexdigest()
+    return {
+        "dispatch": hashlib.sha256("\n".join(log).encode()).hexdigest(),
+        "processed": sim.events_processed,
+        "scheduled": sim.events_scheduled,
+        "cancelled": sim.events_cancelled,
+    }
 
 
 @pytest.fixture(scope="module")

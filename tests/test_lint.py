@@ -1032,6 +1032,36 @@ class TestPragmas:
         )
         assert per_line == {} and per_file == set()
 
+    def test_pragma_inside_a_string_suppresses_nothing(self):
+        findings = lint(
+            '''
+            """Grammar: # repro-lint: disable-file=RL001 -- docs"""
+            import time
+
+            def stamp():
+                hint = "# repro-lint: disable=RL001 -- a hint"; return time.time()
+            '''
+        )
+        assert "RL001" in rules_of(findings)
+
+    def test_form_feed_keeps_pragma_lines_in_step(self):
+        source = (
+            "import time\n# page \x0c break\n\ndef stamp():\n"
+            "    return time.time()  # repro-lint: disable=RL001 -- why\n"
+        )
+        assert "RL001" not in rules_of(lint_source(source, SIM_PATH))
+
+    def test_pragma_in_a_trailing_comment_suppresses(self):
+        findings = lint(
+            """
+            import time
+
+            def stamp():
+                return time.time(), "#"  # repro-lint: disable=RL001 -- why
+            """
+        )
+        assert "RL001" not in rules_of(findings)
+
 
 # ----------------------------------------------------------------------
 # run_lint end-to-end (tmp tree) + reporters
