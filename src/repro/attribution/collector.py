@@ -22,14 +22,12 @@ stayed at exactly zero.
 from __future__ import annotations
 
 import heapq
-import math
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.attribution.model import (
     BLOCKER_SCHEDULER,
     CONSERVATION_TOLERANCE_NS,
     CLASS_READ,
-    REFRESH_CLASSES,
     BlameMatrix,
     RequestAnatomy,
     classify_request,
@@ -328,12 +326,6 @@ class AttributionCollector:
         ``BENCH_core.json``."""
         total = self.read_latency_total_ns
         return self.read_refresh_blame_ns / total if total else 0.0
-
-    def refresh_blocker_wait_ns(self) -> float:
-        """All queue wait (any victim) blamed on refresh occupancy."""
-        return math.fsum(
-            self.matrix.blocker_total(cls) for cls in REFRESH_CLASSES
-        )
 
     def register_metrics(self, registry, prefix: str = "attribution") -> None:
         """Publish collector counters into a telemetry registry."""

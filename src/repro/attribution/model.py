@@ -136,11 +136,6 @@ class RequestAnatomy:
         return self.start_ns - self.issue_ns
 
     @property
-    def service_ns(self) -> float:
-        """Measured bank service (start to finish, pauses included)."""
-        return self.finish_ns - self.start_ns
-
-    @property
     def blocked_total_ns(self) -> float:
         return math.fsum(self.blocked_ns.values())
 

@@ -956,12 +956,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_limits(args) -> None:
+    """Refuse a negative ``--top`` and a ``--max-points`` below 1: the
+    list slices they feed would count from the other end."""
+    top = getattr(args, "top", None)
+    if top is not None and top < 0:
+        raise ConfigError(f"--top must be >= 0, got {top}")
+    max_points = getattr(args, "max_points", None)
+    if max_points is not None and max_points < 1:
+        raise ConfigError(f"--max-points must be >= 1, got {max_points}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Parse *argv* and run the command; a :class:`ReproError` (a usage,
     configuration or input problem) or a missing input file prints one
     ``error:`` line and exits 2."""
     args = build_parser().parse_args(argv)
     try:
+        _check_limits(args)
         return args.func(args)
     except (ReproError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

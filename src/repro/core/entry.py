@@ -140,10 +140,6 @@ class RRMEntry:
             vector >>= 1
             offset += 1
 
-    @property
-    def mid_count(self) -> int:
-        return bin(self.mid_retention_vector).count("1")
-
     def _check_offset(self, offset: int) -> None:
         if not 0 <= offset < self.blocks_per_region:
             raise SimulationError(

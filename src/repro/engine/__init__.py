@@ -4,11 +4,6 @@ Time is a float in nanoseconds. Events are callbacks scheduled on a binary
 heap; ties break on insertion order so the simulation is deterministic.
 """
 
-from repro.engine.simulator import (
-    EventCostAccounting,
-    EventHandle,
-    Simulator,
-    owner_label,
-)
+from repro.engine.simulator import EventHandle, Simulator
 
-__all__ = ["EventCostAccounting", "EventHandle", "Simulator", "owner_label"]
+__all__ = ["EventHandle", "Simulator"]

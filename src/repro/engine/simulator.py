@@ -5,13 +5,18 @@ callback, args]`` entries, a current-time cursor, and helpers for
 periodic events.
 All higher-level behaviour (memory scheduling, refresh interrupts, decay
 ticks) is built from these primitives.
+
+There is one scheduling path and one dispatch path. Observers attach from
+outside by wrapping :meth:`Simulator.schedule_at`: the profile's dispatch
+counts (:func:`repro.profiling.count_dispatches`) and the speed
+benchmark's tracer both do.
 """
 
 from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.errors import SimulationError
 
@@ -19,53 +24,8 @@ EventCallback = Callable[..., None]
 
 
 #: A scheduled event, and its cancel handle: ``[time, seq, callback,
-#: args]``, plus the owner label while cost accounting is on.
-#: :meth:`Simulator.cancel` sets the callback to None.
+#: args]``. :meth:`Simulator.cancel` sets the callback to None.
 EventHandle = List[Any]
-
-
-def owner_label(callback: Callable) -> str:
-    """``module:qualname`` identity of a callback for cost attribution.
-
-    Bound methods resolve through ``__func__`` so the label names the
-    defining class, not the instance. Objects with neither module nor
-    qualname (rare C callables) fall back to ``?``.
-    """
-    func = getattr(callback, "__func__", callback)
-    module = getattr(func, "__module__", None) or "?"
-    qual = getattr(func, "__qualname__", None) or getattr(
-        func, "__name__", "?"
-    )
-    return f"{module}:{qual}"
-
-
-class EventCostAccounting:
-    """Opt-in per-owner dispatch counts for the run loop.
-
-    ``counts`` maps owner labels to callbacks dispatched: a pure
-    function of the simulated run, bit-stable across hosts, safe to pin
-    in committed benchmarks. Accounting is observational: it wraps each
-    dispatch but neither reorders events nor touches simulation state,
-    so profiled runs stay bit-identical to unprofiled ones (asserted in
-    tests).
-    """
-
-    def __init__(self) -> None:
-        self.counts: Dict[str, int] = {}
-        self.dispatches_total = 0
-
-    def register_metrics(self, registry, prefix: str = "engine.cost") -> None:
-        """Publish accounting totals into a telemetry registry."""
-        registry.gauge(f"{prefix}.dispatches_total", lambda: self.dispatches_total)
-        registry.gauge(f"{prefix}.owners", lambda: len(self.counts))
-
-    def dispatch(self, event: EventHandle) -> None:
-        """Run *event*'s callback, charging its owner (``?`` for an event
-        scheduled before accounting was on)."""
-        owner = event[4] if len(event) > 4 else "?"
-        event[2](*event[3])
-        self.counts[owner] = self.counts.get(owner, 0) + 1
-        self.dispatches_total += 1
 
 
 class Simulator:
@@ -92,7 +52,6 @@ class Simulator:
         self.events_cancelled = 0
         self._running = False
         self._stopped = False
-        self._accounting: Optional[EventCostAccounting] = None
 
     @property
     def events_scheduled(self) -> int:
@@ -112,36 +71,14 @@ class Simulator:
         registry.gauge(f"{prefix}.events_cancelled", lambda: self.events_cancelled)
         registry.gauge(f"{prefix}.pending_events", lambda: self.pending_events)
 
-    def enable_cost_accounting(self) -> EventCostAccounting:
-        """Turn on per-owner dispatch counts for this simulator.
-
-        Must be called before events of interest are scheduled — owner
-        labels are resolved at schedule time, so earlier events are
-        charged to ``?``.
-        """
-        self._accounting = EventCostAccounting()
-        return self._accounting
-
-    @property
-    def cost_accounting(self) -> Optional[EventCostAccounting]:
-        return self._accounting
-
     def schedule_at(
-        self,
-        time: float,
-        callback: EventCallback,
-        *args: Any,
-        owner: Optional[str] = None,
+        self, time: float, callback: EventCallback, *args: Any
     ) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute *time* (ns). Returns
         the heap entry, which is also the handle :meth:`cancel` takes.
 
         Passing a bound method and its arguments, rather than a closure,
-        spares the hot paths one function object per event. *owner*
-        overrides the cost-accounting attribution label; by default the
-        label is derived from the callback itself (and only when
-        accounting is enabled — the default path stays allocation-
-        identical to the unprofiled engine).
+        spares the hot paths one function object per event.
         """
         if time < self.now:
             raise SimulationError(
@@ -152,8 +89,6 @@ class Simulator:
         # ``seq`` is unique, so the heap's list comparison is decided by
         # ``(time, seq)`` and never reaches the callback.
         event: EventHandle = [time, seq, callback, args]
-        if self._accounting is not None:
-            event.append(owner if owner is not None else owner_label(callback))
         heappush(self._queue, event)
         return event
 
@@ -164,16 +99,12 @@ class Simulator:
         event[2] = None
 
     def schedule_after(
-        self,
-        delay: float,
-        callback: EventCallback,
-        *args: Any,
-        owner: Optional[str] = None,
+        self, delay: float, callback: EventCallback, *args: Any
     ) -> EventHandle:
         """Schedule ``callback(*args)`` after *delay* ns from now."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self.schedule_at(self.now + delay, callback, *args, owner=owner)
+        return self.schedule_at(self.now + delay, callback, *args)
 
     def schedule_periodic(
         self,
@@ -192,20 +123,18 @@ class Simulator:
         if period <= 0:
             raise SimulationError(f"period must be positive, got {period}")
         first = self.now + period if start is None else start
-        # Attribute the whole periodic chain to the wrapped callback,
-        # not this engine-local closure.
-        chain_owner = (
-            owner_label(callback) if self._accounting is not None else None
-        )
 
         def tick() -> None:
             try:
                 callback()
             except StopIteration:
                 return
-            self.schedule_after(period, tick, owner=chain_owner)
+            self.schedule_after(period, tick)
 
-        return self.schedule_at(first, tick, owner=chain_owner)
+        # Names the repeated callback, so a dispatch observer can charge
+        # the chain to it rather than to this closure.
+        tick.__wrapped__ = callback  # type: ignore[attr-defined]
+        return self.schedule_at(first, tick)
 
     def stop(self) -> None:
         """Stop the run loop after the current callback returns."""
@@ -228,7 +157,6 @@ class Simulator:
         self._running = True
         self._stopped = False
         queue = self._queue
-        accounting = self._accounting
         horizon = math.inf if until is None else until
         # The run ends before the callback that would exceed max_events.
         last = (
@@ -248,10 +176,7 @@ class Simulator:
                     heappush(queue, entry)
                     break
                 self.now = time
-                if accounting is None:
-                    callback(*entry[3])
-                else:
-                    accounting.dispatch(entry)
+                callback(*entry[3])
                 self.events_processed += 1
         finally:
             self._running = False

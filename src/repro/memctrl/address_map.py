@@ -32,11 +32,6 @@ class DecodedAddress:
     row: int
     column: int
 
-    @property
-    def bank_key(self) -> "tuple[int, int]":
-        """(channel, bank) pair, the unit of service contention."""
-        return (self.channel, self.bank)
-
 
 @dataclass(frozen=True)
 class AddressMap:

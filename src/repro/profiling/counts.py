@@ -4,9 +4,9 @@ Two tables, each a pure function of the code, the configuration and the
 interpreter version, never of the host's speed or load:
 
 - ``dispatch_counts``: events the engine dispatched per owner (the
-  callback's ``module:qualname``), from
-  :class:`repro.engine.EventCostAccounting`. Their per-subsystem sums
-  are the ``prof_dispatch_*`` metrics pinned in ``BENCH_core.json``.
+  callback's ``module:qualname``, :func:`owner_label`), from
+  :func:`count_dispatches`. Their per-subsystem sums are the
+  ``prof_dispatch_*`` metrics pinned in ``BENCH_core.json``.
 - ``ncalls``: cProfile's call count per ``file:line:function`` over
   ``System.run``, set-up excluded. Files are named relative to the
   ``sys.path`` entry that holds them (``repro/engine/simulator.py``),
@@ -26,8 +26,9 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Tuple, TypeVar, Union
+from typing import Any, Callable, Dict, List, Tuple, TypeVar, Union
 
+from repro.engine import EventHandle, Simulator
 from repro.errors import ReproError
 from repro.utils.persist import save_json
 
@@ -41,6 +42,51 @@ T = TypeVar("T")
 
 class ProfileError(ReproError):
     """A profile artifact is missing, torn, or of another schema."""
+
+
+def owner_label(callback: Callable) -> str:
+    """``module:qualname`` identity of a callback, the key of
+    ``dispatch_counts``.
+
+    Bound methods resolve through ``__func__`` so the label names the
+    defining class, not the instance. Objects with neither module nor
+    qualname (rare C callables) fall back to ``?``.
+    """
+    func = getattr(callback, "__func__", callback)
+    module = getattr(func, "__module__", None) or "?"
+    qual = getattr(func, "__qualname__", None) or getattr(
+        func, "__name__", "?"
+    )
+    return f"{module}:{qual}"
+
+
+def count_dispatches(sim: Simulator) -> Dict[str, int]:
+    """Count *sim*'s dispatches per owner: wrap its ``schedule_at`` so
+    each callback, once it returns, adds one to its :func:`owner_label`.
+    Returns the live ``{label: count}`` table.
+
+    Attach before anything caches ``sim.schedule_at`` or schedules an
+    event: earlier events are not counted. A periodic chain is charged
+    to the callback it repeats (the engine's ``tick`` names it in
+    ``__wrapped__``), not to the chain's closure. Counting only observes:
+    events keep their order and the run its results.
+    """
+    counts: Dict[str, int] = {}
+    schedule_at = sim.schedule_at
+
+    def counted_schedule_at(
+        time: float, callback: Callable[..., None], *args: Any
+    ) -> EventHandle:
+        label = owner_label(getattr(callback, "__wrapped__", callback))
+
+        def dispatch(*call_args: Any) -> None:
+            callback(*call_args)
+            counts[label] = counts.get(label, 0) + 1
+
+        return schedule_at(time, dispatch, *args)
+
+    sim.schedule_at = counted_schedule_at  # type: ignore[method-assign]
+    return counts
 
 
 def subsystem_of(label: str) -> str:
@@ -62,7 +108,7 @@ class Profile:
     #: Provenance: workload, scheme, duration; ``profile run`` adds the
     #: config name, seed and Python version.
     meta: Dict[str, object] = field(default_factory=dict)
-    #: Engine accounting: owner label -> events dispatched.
+    #: :func:`count_dispatches`: owner label -> events dispatched.
     dispatch_counts: Dict[str, int] = field(default_factory=dict)
     #: cProfile over ``System.run``: ``file:line:function`` -> calls.
     ncalls: Dict[str, int] = field(default_factory=dict)
@@ -114,11 +160,6 @@ def load_profile(path: Union[str, Path]) -> Profile:
     if not isinstance(payload, dict):
         raise ProfileError(f"profile artifact {p} is not a JSON object")
     schema = payload.get("schema")
-    if schema == 1:
-        raise ProfileError(
-            f"{p} is a schema-1 sampling profile, which is no longer "
-            "read; re-run 'repro-rrm profile run' for exact counts"
-        )
     if schema != PROFILE_SCHEMA:
         raise ProfileError(
             f"profile artifact {p} has schema {schema!r}, "

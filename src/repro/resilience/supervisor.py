@@ -96,17 +96,6 @@ class FailedRun:
             d["recorder_path"] = self.recorder_path
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FailedRun":
-        return cls(
-            key=tuple(d["key"]),
-            kind=d["kind"],
-            message=d["message"],
-            attempts=d["attempts"],
-            elapsed_s=d.get("elapsed_s", 0.0),
-            recorder_path=d.get("recorder_path"),
-        )
-
 
 class AttemptOutcome(NamedTuple):
     """How one attempt ended: exactly one of a validated *value*, a

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.monitor import RegionRetentionMonitor
 from repro.cpu.multicore import Multicore
@@ -80,14 +80,16 @@ class System:
         self.scheme = scheme
         self.sim = Simulator()
         self.telemetry = Telemetry(telemetry, clock=lambda: self.sim.now)
+        #: Live dispatch counts per owner while profiling, else None.
+        self._dispatch_counts: Optional[Dict[str, int]] = None
         # Instrumentation modules are imported here, when switched on, and
         # never inside run(), whose wall time must not absorb an import.
         if telemetry is not None and telemetry.profile:
-            import repro.profiling  # noqa: F401 - _build_profile uses it
+            from repro.profiling import count_dispatches
 
-            # Enabled before any event is scheduled so every owner
-            # resolves.
-            self.sim.enable_cost_accounting()
+            # Attached before any component caches or schedules, so
+            # every dispatch is counted.
+            self._dispatch_counts = count_dispatches(self.sim)
 
         # --- PCM substrate ------------------------------------------------
         drift = DriftModel(DriftParameters(drift_scale=config.drift_scale))
@@ -202,8 +204,6 @@ class System:
             self.rrm.register_metrics(registry)
         if self.attribution is not None:
             self.attribution.register_metrics(registry)
-        if self.sim.cost_accounting is not None:
-            self.sim.cost_accounting.register_metrics(registry)
 
     # ------------------------------------------------------------------
     def _build_streams(self) -> List:
@@ -357,7 +357,7 @@ class System:
                 "ledger_metrics": report.ledger_metrics(),
             }
 
-        if self.sim.cost_accounting is not None:
+        if self._dispatch_counts is not None:
             # Same contract as attribution: the profile rides on its own
             # side-field and as_dict() stays the bit-identity surface.
             result.profile = self._build_profile()
@@ -371,17 +371,16 @@ class System:
     def _build_profile(self) -> dict:
         """The run's dispatch counts as a profile artifact
         (:mod:`repro.profiling`), with its ``prof_dispatch_*`` metrics."""
-        import repro.profiling  # loaded with the accounting in __init__
+        import repro.profiling  # loaded with the counts in __init__
 
-        accounting = self.sim.cost_accounting
-        assert accounting is not None
+        assert self._dispatch_counts is not None
         prof = repro.profiling.Profile(
             meta={
                 "workload": self.workload,
                 "scheme": self.scheme.value,
                 "duration_s": self.config.duration_s,
             },
-            dispatch_counts=dict(accounting.counts),
+            dispatch_counts=dict(self._dispatch_counts),
         )
         return {**prof.to_json_dict(), "ledger_metrics": prof.ledger_metrics()}
 

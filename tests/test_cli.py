@@ -225,6 +225,35 @@ class TestCommands:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["profile", "run", "--config", "tiny", "--top", "-2"],
+            ["profile", "report", "p.json", "--top", "-1"],
+            ["trace", "diff", "a.json", "b.json", "--top", "-1"],
+            ["explain", "--config", "tiny", "--top", "-1"],
+            ["obs", "dashboard", "--max-points", "0"],
+            ["obs", "dashboard", "--max-points", "-1"],
+        ],
+        ids=[
+            "profile-run-top",
+            "profile-report-top",
+            "trace-diff-top",
+            "explain-top",
+            "dashboard-max-points-0",
+            "dashboard-max-points-negative",
+        ],
+    )
+    def test_out_of_range_limit_is_one_line(self, capsys, argv):
+        flag = argv[-2]
+        code = main(argv)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {flag} must be >= ")
+
     def test_sweep_ledger_order_independent_of_jobs(self, capsys, tmp_path):
         from repro.obs.ledger import RunLedger
 
@@ -520,4 +549,4 @@ class TestProfileCommands:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error:")
-        assert "schema-1" in lines[0]
+        assert "has schema 1, not 2" in lines[0]

@@ -28,13 +28,14 @@ from repro.cpu.core_model import (
     _WRITE,
     CoreModel,
 )
-from repro.engine.simulator import Simulator, owner_label
+from repro.engine.simulator import Simulator
 from repro.errors import SimulationError
 from repro.memctrl.request import MemRequest
 from repro.sim.config import SystemConfig
 from repro.sim.schemes import Scheme
 from repro.sim.system import System
 from repro.workloads.events import EV_READ, EV_REGISTER, EV_WRITE
+from tests.test_dispatch_digests import recording_schedule_at
 
 #: Wait reason of the reference only: the cursor is ahead of sim time.
 _W_TIME = 4
@@ -154,21 +155,9 @@ REFERENCE_LABEL = f"{ReenteredCore.__module__}:ReenteredCore."
 CORE_LABEL = f"{CoreModel.__module__}:CoreModel."
 
 
-def recording_schedule_at(log):
-    """A ``Simulator.schedule_at`` whose callbacks append ``time label``
-    to *log* when dispatched, as the dispatch digests record them."""
-    original = Simulator.schedule_at
-
-    def schedule_at(self, time, callback, *args, owner=None):
-        label = owner_label(callback).replace(REFERENCE_LABEL, CORE_LABEL)
-
-        def recorded(*call_args):
-            log.append(f"{self.now!r} {label}")
-            callback(*call_args)
-
-        return original(self, time, recorded, *args, owner=owner)
-
-    return schedule_at
+def as_core_label(label):
+    """*label*, a reference callback's renamed to the core's own."""
+    return label.replace(REFERENCE_LABEL, CORE_LABEL)
 
 
 def run_system(
@@ -193,7 +182,7 @@ def run_system(
 
     log = []
     with mock.patch.object(
-        Simulator, "schedule_at", recording_schedule_at(log)
+        Simulator, "schedule_at", recording_schedule_at(log, as_core_label)
     ), mock.patch.object(System, "_build_streams", streams), mock.patch.object(
         repro.cpu.multicore, "CoreModel", build_core
     ):

@@ -25,11 +25,12 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Callable, List
+from typing import Callable, List, Optional
 
 import pytest
 
-from repro.engine.simulator import Simulator, owner_label
+from repro.engine.simulator import Simulator
+from repro.profiling import owner_label
 
 if __name__ == "__main__":
     # Run as a script, ``tests`` is importable only from the repo root.
@@ -40,19 +41,27 @@ from tests.digest_cells import CELLS, cell_key, run_cell  # noqa: E402
 DIGESTS = Path(__file__).parent / "data" / "dispatch_digests.json"
 
 
-def recording_schedule_at(log: List[str]) -> Callable:
+def recording_schedule_at(
+    log: List[str], relabel: Optional[Callable[[str], str]] = None
+) -> Callable:
     """A ``Simulator.schedule_at`` that wraps every callback so its
-    dispatch appends ``time label`` to *log*."""
+    dispatch appends ``time label`` to *log*, the label passed through
+    *relabel* when one is given.
+
+    The label is the scheduled callback's own: a periodic chain records
+    the engine's ``tick`` closure, not the callback it repeats."""
     original = Simulator.schedule_at
 
-    def schedule_at(self, time, callback, *args, owner=None):
+    def schedule_at(self, time, callback, *args):
         label = owner_label(callback)
+        if relabel is not None:
+            label = relabel(label)
 
         def recorded(*call_args):
             log.append(f"{self.now!r} {label}")
             callback(*call_args)
 
-        return original(self, time, recorded, *args, owner=owner)
+        return original(self, time, recorded, *args)
 
     return schedule_at
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.engine import owner_label
 from repro.errors import SimulationError
 
 
@@ -67,35 +66,6 @@ class TestCallbackArgs:
         sim.schedule_after(1.0, lambda *args: log.append(args), "a", 2)
         sim.run()
         assert log == [("a", 2), (10.0, "x")]
-
-    def test_schedule_after_args_and_owner_under_cost_accounting(self, sim):
-        accounting = sim.enable_cost_accounting()
-        log = []
-        event = sim.schedule_after(3.0, log.append, 7, owner="custom")
-        sim.run()
-        assert log == [7]
-        # The owner label rides on the heap entry, after the arguments.
-        assert event[4] == "custom"
-        assert accounting.counts == {"custom": 1}
-
-    def test_args_and_owner_under_cost_accounting(self, sim):
-        class Widget:
-            def __init__(self):
-                self.seen = []
-
-            def poke(self, a, b):
-                self.seen.append((a, b))
-
-        accounting = sim.enable_cost_accounting()
-        widget = Widget()
-        event = sim.schedule_at(1.0, widget.poke, 1, b"x")
-        sim.run()
-        assert widget.seen == [(1, b"x")]
-        # The label names the defining class, not the instance.
-        owner = event[4]
-        assert owner == owner_label(Widget.poke)
-        assert owner.endswith(".<locals>.Widget.poke")
-        assert accounting.counts == {owner: 1}
 
 
 class TestRunBounds:

@@ -1,9 +1,10 @@
 """Tests for the exact-count profile (repro.profiling).
 
 Covers the Profile artifact (round trip, schema checks, ledger metrics,
-exact diff, report), cProfile call counting, the engine's event-cost
-accounting, and — load-bearing for everything else — that a profiled
-run is bit-identical to an unprofiled one.
+exact diff, report), cProfile call counting, the dispatch counts that
+``count_dispatches`` records from outside the engine, and — load-bearing
+for everything else — that a profiled run is bit-identical to an
+unprofiled one.
 """
 
 import json
@@ -11,16 +12,20 @@ import threading
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.engine import EventCostAccounting, Simulator, owner_label
+from repro.engine import Simulator
 from repro.profiling import (
     Profile,
     ProfileError,
     count_calls,
+    count_dispatches,
     diff_profiles,
     format_diff,
     format_profile,
     load_profile,
+    owner_label,
     subsystem_of,
 )
 from repro.sim.config import SystemConfig
@@ -82,7 +87,7 @@ class TestProfileArtifact:
     def test_load_sampler_schema_rejected(self, tmp_path):
         old = tmp_path / "old.json"
         old.write_text('{"schema": 1, "folded": {"a:f": 3}, "samples": 3}')
-        with pytest.raises(ProfileError, match="schema-1") as info:
+        with pytest.raises(ProfileError, match="has schema 1, not 2") as info:
             load_profile(old)
         assert "\n" not in str(info.value)
 
@@ -155,38 +160,139 @@ class TestCountCalls:
         assert len(inits) == 1
 
 
-class TestEventCostAccounting:
-    def test_dispatch_counts_by_owner(self):
-        ticks = {"n": 0}
+class _Actor:
+    """Engine callbacks that log ``(now, name, args)`` when dispatched."""
 
-        def on_tick():
-            ticks["n"] += 1
+    def __init__(self, sim, log, name, repeats=1):
+        self.sim = sim
+        self.log = log
+        self.name = name
+        self.left = repeats
 
+    def fire(self, *args):
+        self.log.append((self.sim.now, self.name, args))
+
+    def tick(self):
+        """One periodic firing; the last of ``repeats`` ends the chain."""
+        self.fire()
+        self.left -= 1
+        if self.left == 0:
+            raise StopIteration
+
+
+FIRE = owner_label(_Actor.fire)
+TICK = owner_label(_Actor.tick)
+
+#: One scheduled event: kind, time (or period), repeats of a chain.
+EVENT = st.tuples(
+    st.sampled_from(["once", "periodic", "cancelled"]),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=5),
+)
+
+
+def drive(sim, events, until):
+    """Schedule *events* on *sim*, run it and return the dispatch log."""
+    log = []
+    for name, (kind, time, repeats) in enumerate(events):
+        actor = _Actor(sim, log, name, repeats)
+        if kind == "periodic":
+            sim.schedule_periodic(float(time), actor.tick)
+        else:
+            event = sim.schedule_at(float(time), actor.fire, kind)
+            if kind == "cancelled":
+                sim.cancel(event)
+    sim.run(until=until)
+    return log
+
+
+class TestCountDispatches:
+    def test_periodic_chain_charged_to_its_callback(self):
         sim = Simulator()
-        sim.enable_cost_accounting()
-        sim.schedule_periodic(1e-3, on_tick)
-        sim.run(until=5.5e-3)
-        accounting = sim.cost_accounting
-        assert isinstance(accounting, EventCostAccounting)
-        assert ticks["n"] == 5
-        label = owner_label(on_tick)
-        assert accounting.counts[label] == ticks["n"]
-        assert accounting.dispatches_total >= ticks["n"]
+        counts = count_dispatches(sim)
+        log = []
+        actor = _Actor(sim, log, "chain", repeats=3)
+        sim.schedule_periodic(10.0, actor.tick)
+        sim.run(until=100.0)
+        # The firing that raises StopIteration was dispatched and counts;
+        # the chain then schedules nothing more.
+        assert [t for t, _, _ in log] == [10.0, 20.0, 30.0]
+        assert counts == {TICK: 3}
+        assert sim.events_processed == 3
 
-    def test_owner_label_resolves_bound_methods(self):
+    def test_bound_method_labelled_with_defining_class(self):
         class Widget:
-            def poke(self):
-                pass
+            def poke(self, a, b):
+                self.seen = (a, b)
 
-        label = owner_label(Widget().poke)
-        assert label.endswith(":TestEventCostAccounting."
-                              "test_owner_label_resolves_bound_methods."
-                              "<locals>.Widget.poke")
-
-    def test_accounting_off_means_no_owner_stamping(self):
         sim = Simulator()
-        sim.schedule_at(1e-6, lambda: None)
-        assert sim.cost_accounting is None
+        counts = count_dispatches(sim)
+        widget = Widget()
+        sim.schedule_at(1.0, widget.poke, 1, b"x")
+        sim.run()
+        assert widget.seen == (1, b"x")
+        label = owner_label(widget.poke)
+        assert label == owner_label(Widget.poke)
+        assert label.endswith(
+            ":TestCountDispatches.test_bound_method_labelled_with_defining_"
+            "class.<locals>.Widget.poke"
+        )
+        assert counts == {label: 1}
+
+    def test_counted_after_the_callback_returns(self):
+        sim = Simulator()
+        counts = count_dispatches(sim)
+        seen = []
+        log = []
+        actor = _Actor(sim, log, "a")
+        sim.schedule_at(1.0, lambda: seen.append(dict(counts)))
+        sim.schedule_at(2.0, actor.fire)
+        sim.run()
+        assert seen == [{}]
+        assert counts[FIRE] == 1
+
+    def test_cancelled_event_counts_nothing(self):
+        sim = Simulator()
+        counts = count_dispatches(sim)
+        log = []
+        kept = sim.schedule_at(1.0, _Actor(sim, log, "kept").fire)
+        dropped = sim.schedule_at(2.0, _Actor(sim, log, "dropped").fire)
+        sim.cancel(dropped)
+        sim.run()
+        assert [name for _, name, _ in log] == ["kept"]
+        assert counts == {FIRE: 1}
+        assert sim.events_cancelled == 1
+
+    def test_unprofiled_system_leaves_schedule_at_unwrapped(self):
+        config = SystemConfig.tiny(seed=3).with_duration(0.002)
+        plain = System(config, "hmmer", Scheme.RRM)
+        assert "schedule_at" not in vars(plain.sim)
+        profiled = System(
+            config,
+            "hmmer",
+            Scheme.RRM,
+            telemetry=TelemetryConfig(profile=True, trace=False),
+        )
+        assert "schedule_at" in vars(profiled.sim)
+
+    @settings(max_examples=settings.default.max_examples, deadline=None)
+    @given(
+        events=st.lists(EVENT, max_size=25),
+        until=st.one_of(st.none(), st.integers(min_value=0, max_value=120)),
+    )
+    def test_counts_every_dispatch_in_unchanged_order(self, events, until):
+        plain = Simulator()
+        recorded = Simulator()
+        counts = count_dispatches(recorded)
+        log = drive(recorded, events, until)
+        assert log == drive(plain, events, until)
+        assert recorded.now == plain.now
+        assert sum(counts.values()) == recorded.events_processed
+        assert recorded.events_processed == len(log)
+        assert recorded.events_cancelled == plain.events_cancelled
+        ticks = sum(1 for _, name, args in log if events[name][0] == "periodic")
+        assert counts.get(TICK, 0) == ticks
+        assert counts.get(FIRE, 0) == len(log) - ticks
 
 
 class TestBitIdentity:
