@@ -53,6 +53,12 @@ def bench_fig07_rrm_performance(sweep, benchmark):
     )
     write_report("fig07_rrm_performance", text)
 
+    # Retention integrity: no RRM fast refresh finishes past its deadline.
+    violations = {
+        w: sweep.get(w, Scheme.RRM).retention_violations for w in workloads
+    }
+    assert all(v == 0 for v in violations.values()), violations
+
     # Shape: RRM beats Static-7 and the second-best static, trails Static-3.
     assert rrm > 1.05
     assert rrm > s4

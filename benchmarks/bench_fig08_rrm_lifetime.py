@@ -41,6 +41,12 @@ def bench_fig08_rrm_lifetime(sweep, benchmark):
     )
     write_report("fig08_rrm_lifetime", text)
 
+    # Retention integrity: no RRM fast refresh finishes past its deadline.
+    violations = {
+        w: sweep.get(w, Scheme.RRM).retention_violations for w in workloads
+    }
+    assert all(v == 0 for v in violations.values()), violations
+
     # Shape: RRM lifetime sits between Static-7 and the fast statics, and
     # is at least several times Static-3's.
     assert s3 < s4 < rrm <= s7

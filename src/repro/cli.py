@@ -465,6 +465,10 @@ def cmd_trace(args) -> int:
     if files and files[0] == "diff":
         if len(files) != 3:
             raise ConfigError("usage: repro-rrm trace diff A B")
+        if args.check:
+            raise ConfigError(
+                "--check validates one trace; trace diff does not take it"
+            )
         events_a = load_trace(files[1])
         events_b = load_trace(files[2])
         diff = diff_traces(events_a, events_b)
@@ -530,17 +534,15 @@ def cmd_explain(args) -> int:
 def cmd_lint(args) -> int:
     """Run the simulator-invariant static analyzer (repro.lint).
 
-    Exit codes follow the CLI convention: 0 clean, 1 findings (errors;
-    with --strict, warnings too), 2 usage or internal error.
+    Exit codes follow the CLI convention: 0 clean, 1 any finding, 2 usage
+    or internal error.
     """
-    report = run_lint(
-        paths=args.paths or None, select=args.select, ignore=args.ignore
-    )
+    report = run_lint(paths=args.paths or None)
     if args.format == "json":
         print(render_json(report))
     else:
         print(render_text(report))
-    return report.exit_code(strict=args.strict)
+    return report.exit_code()
 
 
 def cmd_table8(args) -> int:
@@ -808,7 +810,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint = sub.add_parser(
         "lint",
         help="static simulator/orchestration-invariant analysis "
-        "(rules RL001-RL006, RL008, RL011, RL012)",
+        "(rules RL001, RL004-RL006, RL008, RL011, RL012); any finding "
+        "exits 1",
     )
     p_lint.add_argument(
         "paths",
@@ -821,24 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["text", "json"],
         default="text",
         help="report format (default: text)",
-    )
-    p_lint.add_argument(
-        "--strict",
-        action="store_true",
-        help="fail (exit 1) on warnings too, not just errors",
-    )
-    p_lint.add_argument(
-        "--select",
-        default=None,
-        metavar="RULES",
-        help="run only these rules: comma-separated ids and/or ranges "
-        "(e.g. RL008,RL011 or RL001-RL006)",
-    )
-    p_lint.add_argument(
-        "--ignore",
-        default=None,
-        metavar="RULES",
-        help="skip these rules (same grammar as --select)",
     )
     p_lint.set_defaults(func=cmd_lint)
 

@@ -1,16 +1,13 @@
 """Static simulator-invariant analysis (``repro-rrm lint``).
 
 A determinism-critical discrete-event simulator has invariants no
-general-purpose linter knows about: simulation-path code must never read
-the wall clock, randomness must flow from injected seeded generators,
-time units must not silently mix (Table I retention seconds vs. device
-nanoseconds vs. core cycles), and event handlers must respect the
-engine's scheduling discipline. The orchestration path (``resilience``,
-``obs``, ``profiling``) has its own invariants: atomic persistence,
-deadlines on an injected clock, and loud failure. ``repro.lint`` walks
-the package's ASTs with a set of pluggable
-:class:`~repro.lint.base.Checker` passes and reports violations as
-structured :class:`~repro.lint.finding.Finding` records.
+general-purpose linter knows about. ``repro.lint`` walks the package's
+ASTs with the :class:`~repro.lint.base.Checker` classes in ``CHECKERS``
+and reports violations as :class:`~repro.lint.base.Finding` records;
+every finding fails the run. A rule ships only while a realistic
+seeded instance of its defect gets past every tier-1 test (the audit
+table is in CHANGES.md); a defect the result digests or another test
+already catch needs no rule.
 
 Rules shipped:
 
@@ -18,8 +15,6 @@ Rules shipped:
 Rule      Name                    Guards against
 ========  ======================  =====================================
 RL001     no-wallclock            wall-clock reads in sim-path packages
-RL002     seeded-rng              module-level (unseeded) RNG use
-RL003     unit-mixing             arithmetic across `_ns`/`_s`/... units
 RL004     float-time-equality     ``==`` on simulation-time floats
 RL005     metrics-coverage        counters invisible to the telemetry
                                   registry (no ``register_metrics``)
@@ -34,10 +29,10 @@ RL012     silent-swallow          broad ``except`` that leaves no
                                   evidence (no log/record/counter)
 ========  ======================  =====================================
 
-RL001–RL006 guard the simulation path (``SIM_PATH_PACKAGES``);
-RL008, RL011 and RL012 guard the orchestration path
-(``ORCH_PATH_PACKAGES``). The retired ids RL007, RL009 and RL010 are
-not reused, so an old selection naming them fails loudly.
+RL001, RL005 and RL006 guard the simulation path
+(``SIM_PATH_PACKAGES``), RL004 every file, and RL008, RL011 and RL012
+the orchestration path (``ORCH_PATH_PACKAGES``). The retired ids
+RL002, RL003, RL007, RL009 and RL010 are not reused.
 
 Suppression is explicit and reviewable: an inline ``# repro-lint:
 disable=RL00x -- <reason>`` pragma next to the code it excuses. A
@@ -51,27 +46,21 @@ from repro.lint.api import (
     LintReport,
     iter_python_files,
     lint_source,
-    parse_rule_selection,
+    render_json,
+    render_text,
     run_lint,
-    select_checkers,
 )
-from repro.lint.base import Checker, all_checkers, checker_classes, register
-from repro.lint.finding import SEVERITIES, Finding
-from repro.lint.reporters import render_json, render_text
+from repro.lint.base import Checker, Finding
+from repro.lint.checkers import CHECKERS
 
 __all__ = [
+    "CHECKERS",
     "Checker",
     "Finding",
     "LintReport",
-    "SEVERITIES",
-    "all_checkers",
-    "checker_classes",
     "iter_python_files",
     "lint_source",
-    "parse_rule_selection",
-    "register",
     "render_json",
     "render_text",
     "run_lint",
-    "select_checkers",
 ]

@@ -1,45 +1,77 @@
-"""Checker plugin base class and registry.
+"""The :class:`Finding` record and the :class:`Checker` base class.
 
-A checker is one rule: it owns a rule id, a default severity, and a
-``check(module)`` pass over one file's AST. Checkers are registered with
-the :func:`register` decorator at import time; :func:`all_checkers`
-instantiates the full set (importing :mod:`repro.lint.checkers` for its
-registration side effects), so adding a rule is one new class in one
-file.
+A checker is one rule: it owns a rule id and a ``check(module)`` pass
+over one file's AST, and emits plain-data findings that reporters and
+tests consume without knowing which checker produced them. The shipped
+set is the ``CHECKERS`` tuple in :mod:`repro.lint.checkers`, so adding
+a rule is one new class plus one entry there.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List, Optional, Type
+from dataclasses import asdict, dataclass
+from typing import Dict, FrozenSet, List, Optional
 
 from repro.lint.context import LintModule
-from repro.lint.finding import Finding
+
+
+@dataclass(frozen=True)
+class Finding:
+    """One rule violation at one source location; every finding fails
+    the lint run.
+
+    Attributes:
+        rule: Rule identifier (``RL001`` ... ``RL012``; ``RL000`` is
+            reserved for files the analyzer itself could not parse).
+        path: Path of the offending file, relative to the lint root,
+            with forward slashes.
+        line: 1-based source line.
+        col: 0-based column.
+        message: What is wrong, concretely.
+        hint: How to fix it (or how to legitimately suppress it).
+        context: The stripped text of the offending source line.
+    """
+
+    rule: str
+    path: str
+    line: int
+    col: int
+    message: str
+    hint: str = ""
+    context: str = ""
+
+    @property
+    def location(self) -> str:
+        return f"{self.path}:{self.line}:{self.col + 1}"
+
+    def as_dict(self) -> Dict[str, object]:
+        """JSON-stable representation (schema covered by tests)."""
+        return asdict(self)
+
+    def render(self) -> str:
+        text = f"{self.location}: {self.rule} {self.message}"
+        if self.hint:
+            text += f"\n    hint: {self.hint}"
+        return text
 
 
 class Checker:
     """One lint rule.
 
-    Subclasses set :attr:`rule_id`, :attr:`name`, :attr:`severity`, and
-    optionally :attr:`packages` (restrict the rule to specific ``repro``
+    Subclasses set :attr:`rule_id`, :attr:`name` and optionally
+    :attr:`packages` (restrict the rule to specific ``repro``
     sub-packages; ``None`` means every scanned file), then implement
     :meth:`check`, emitting findings with :meth:`emit` so inline pragmas
     are honoured against the full source span of the offending node.
     """
 
-    #: ``RLnnn`` identifier; must be unique across registered checkers.
+    #: ``RLnnn`` identifier; unique across ``CHECKERS``.
     rule_id: str = ""
     #: Short kebab-case name used in reports (``no-wallclock``).
     name: str = ""
-    #: Default severity of this rule's findings.
-    severity: str = "error"
     #: Restrict to these ``repro`` sub-packages, or None for all files.
-    packages: Optional[Iterable[str]] = None
-
-    def applies_to(self, module: LintModule) -> bool:
-        if self.packages is None:
-            return True
-        return module.package in set(self.packages)
+    packages: Optional[FrozenSet[str]] = None
 
     def check(self, module: LintModule) -> List[Finding]:
         raise NotImplementedError
@@ -53,7 +85,6 @@ class Checker:
         message: str,
         *,
         hint: str = "",
-        severity: Optional[str] = None,
     ) -> None:
         """Append a Finding anchored at *node* unless a pragma on any
         line the node spans suppresses this rule."""
@@ -64,7 +95,6 @@ class Checker:
         out.append(
             Finding(
                 rule=self.rule_id,
-                severity=severity or self.severity,
                 path=module.relpath,
                 line=line,
                 col=col,
@@ -76,32 +106,6 @@ class Checker:
 
     def run(self, module: LintModule) -> List[Finding]:
         """``check()`` gated on this rule's package restriction."""
-        if not self.applies_to(module):
+        if self.packages is not None and module.package not in self.packages:
             return []
-        return list(self.check(module))
-
-
-#: Registered checker classes in registration order.
-_REGISTRY: List[Type[Checker]] = []
-
-
-def register(cls: Type[Checker]) -> Type[Checker]:
-    """Class decorator adding *cls* to the global checker registry."""
-    if not cls.rule_id:
-        raise ValueError(f"{cls.__name__} has no rule_id")
-    if any(existing.rule_id == cls.rule_id for existing in _REGISTRY):
-        raise ValueError(f"duplicate rule id: {cls.rule_id}")
-    _REGISTRY.append(cls)
-    return cls
-
-
-def checker_classes() -> List[Type[Checker]]:
-    """All registered checker classes, importing the built-in set."""
-    import repro.lint.checkers  # noqa: F401  (registration side effect)
-
-    return list(_REGISTRY)
-
-
-def all_checkers() -> List[Checker]:
-    """Fresh instances of every registered checker, sorted by rule id."""
-    return [cls() for cls in sorted(checker_classes(), key=lambda c: c.rule_id)]
+        return self.check(module)

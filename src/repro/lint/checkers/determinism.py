@@ -1,12 +1,11 @@
-"""Determinism rules: RL001 no-wallclock, RL002 seeded-rng, RL011
-wallclock-lease-logic.
+"""Determinism rules: RL001 no-wallclock, RL011 wallclock-lease-logic.
 
 The paper's trade-off curves (Figs. 7-13) are reproduced by replaying
-identical event streams; any wall-clock read or global-RNG draw on the
-simulation path makes two runs with the same seed diverge. RL001 and
-RL002 make that class of bug un-mergeable instead of un-debuggable;
-RL011 keeps the sweep loop's deadlines and backoff on an injected
-clock, so they replay in tests without sleeping.
+identical event streams. A wall-clock read on the simulation path that
+changes results is caught by the result digests; RL001 catches the
+ones that only bite on a slow host, such as a host-time budget that
+cuts an event loop short. RL011 keeps the sweep loop's deadlines and
+backoff on an injected clock, so they replay in tests without sleeping.
 """
 
 from __future__ import annotations
@@ -15,9 +14,8 @@ import ast
 import re
 from typing import Dict, List
 
-from repro.lint.base import Checker, register
+from repro.lint.base import Checker, Finding
 from repro.lint.context import ORCH_PATH_PACKAGES, SIM_PATH_PACKAGES, LintModule
-from repro.lint.finding import Finding
 from repro.lint.resolve import ImportMap, resolve_call_target
 
 #: Callables that read the host clock. ``perf_counter`` is included on
@@ -54,57 +52,7 @@ _MEASURE_VOCAB_RE = re.compile(
     re.IGNORECASE,
 )
 
-#: The module-level convenience API of :mod:`random` — every call draws
-#: from (or reseeds) the hidden global generator. ``random.Random`` /
-#: ``random.SystemRandom`` construction is deliberately absent: an
-#: injected seeded instance is the sanctioned pattern.
-GLOBAL_RANDOM_FUNCS = frozenset(
-    {
-        "betavariate",
-        "choice",
-        "choices",
-        "expovariate",
-        "gammavariate",
-        "gauss",
-        "getrandbits",
-        "lognormvariate",
-        "normalvariate",
-        "paretovariate",
-        "randbytes",
-        "randint",
-        "random",
-        "randrange",
-        "sample",
-        "seed",
-        "shuffle",
-        "triangular",
-        "uniform",
-        "vonmisesvariate",
-        "weibullvariate",
-    }
-)
 
-#: numpy's legacy global-state RNG surface (``np.random.<fn>``).
-NUMPY_GLOBAL_FUNCS = frozenset(
-    {
-        "choice",
-        "exponential",
-        "normal",
-        "permutation",
-        "poisson",
-        "rand",
-        "randint",
-        "randn",
-        "random",
-        "random_sample",
-        "seed",
-        "shuffle",
-        "uniform",
-    }
-)
-
-
-@register
 class WallClockChecker(Checker):
     """RL001: no wall-clock reads in simulation-path packages.
 
@@ -117,7 +65,6 @@ class WallClockChecker(Checker):
 
     rule_id = "RL001"
     name = "no-wallclock"
-    severity = "error"
     packages = SIM_PATH_PACKAGES
 
     def check(self, module: LintModule) -> List[Finding]:
@@ -140,68 +87,6 @@ class WallClockChecker(Checker):
         return out
 
 
-@register
-class SeededRngChecker(Checker):
-    """RL002: randomness must come from an injected seeded generator.
-
-    The module-level ``random.*`` / ``numpy.random.*`` APIs share hidden
-    global state: import order, test order, or a library reseeding it
-    changes every downstream draw. Components instead accept a seed and
-    own a ``random.Random`` instance (see workloads/cpu/cache for the
-    pattern).
-    """
-
-    rule_id = "RL002"
-    name = "seeded-rng"
-    severity = "error"
-    packages = None  # global RNG state is poison everywhere
-
-    def check(self, module: LintModule) -> List[Finding]:
-        imports = ImportMap(module.tree)
-        out: List[Finding] = []
-        for node in module.walk():
-            if not isinstance(node, ast.Call):
-                continue
-            target = resolve_call_target(node.func, imports)
-            if target is None:
-                continue
-            if (
-                target.startswith("random.")
-                and target.split(".", 1)[1] in GLOBAL_RANDOM_FUNCS
-            ):
-                self.emit(
-                    out,
-                    module,
-                    node,
-                    f"module-level `{target}()` draws from the global RNG",
-                    hint="thread a seeded `random.Random(seed)` instance "
-                    "through the constructor instead",
-                )
-            elif target.startswith("numpy.random."):
-                func = target.rsplit(".", 1)[1]
-                if func in NUMPY_GLOBAL_FUNCS:
-                    self.emit(
-                        out,
-                        module,
-                        node,
-                        f"global numpy RNG call `{target}()`",
-                        hint="use `numpy.random.default_rng(seed)` held by "
-                        "the component",
-                    )
-                elif func == "default_rng" and not node.args and not node.keywords:
-                    self.emit(
-                        out,
-                        module,
-                        node,
-                        "`numpy.random.default_rng()` without a seed is "
-                        "entropy-seeded",
-                        hint="pass an explicit seed derived from the run "
-                        "configuration",
-                    )
-        return out
-
-
-@register
 class WallclockLeaseChecker(Checker):
     """RL011: lease/retry/timeout logic must use an injected clock.
 
@@ -217,7 +102,6 @@ class WallclockLeaseChecker(Checker):
 
     rule_id = "RL011"
     name = "wallclock-lease-logic"
-    severity = "error"
     packages = ORCH_PATH_PACKAGES
 
     def check(self, module: LintModule) -> List[Finding]:

@@ -12,9 +12,8 @@ import ast
 import re
 from typing import List, Optional
 
-from repro.lint.base import Checker, register
+from repro.lint.base import Checker, Finding
 from repro.lint.context import ORCH_PATH_PACKAGES, LintModule
-from repro.lint.finding import Finding
 from repro.lint.resolve import ImportMap, resolve_call_target, terminal_name
 
 #: Function names whose presence in the same scope marks the write as
@@ -39,7 +38,6 @@ def _open_mode(call: ast.Call) -> Optional[str]:
     return None
 
 
-@register
 class AtomicPersistenceChecker(Checker):
     """RL008: durable artifacts are written atomically.
 
@@ -53,7 +51,6 @@ class AtomicPersistenceChecker(Checker):
 
     rule_id = "RL008"
     name = "atomic-persistence"
-    severity = "error"
     packages = ORCH_PATH_PACKAGES
 
     def check(self, module: LintModule) -> List[Finding]:
@@ -127,7 +124,6 @@ _ERROR_TARGET_RE = re.compile(r"error|failure|fail", re.IGNORECASE)
 _BROAD_TYPES = frozenset({"Exception", "BaseException"})
 
 
-@register
 class SilentSwallowChecker(Checker):
     """RL012: broad exception handlers must leave evidence.
 
@@ -140,7 +136,6 @@ class SilentSwallowChecker(Checker):
 
     rule_id = "RL012"
     name = "silent-swallow"
-    severity = "error"
     packages = ORCH_PATH_PACKAGES
 
     def check(self, module: LintModule) -> List[Finding]:

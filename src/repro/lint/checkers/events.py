@@ -14,9 +14,8 @@ from __future__ import annotations
 import ast
 from typing import List, Optional
 
-from repro.lint.base import Checker, register
+from repro.lint.base import Checker, Finding
 from repro.lint.context import SIM_PATH_PACKAGES, LintModule
-from repro.lint.finding import Finding
 
 _SCHEDULE_METHODS = ("schedule_after", "schedule_at", "schedule_periodic")
 
@@ -36,7 +35,6 @@ def _numeric_literal(node: ast.AST) -> Optional[float]:
     return None
 
 
-@register
 class EventDisciplineChecker(Checker):
     """RL006: scheduling calls and clock ownership.
 
@@ -53,7 +51,6 @@ class EventDisciplineChecker(Checker):
 
     rule_id = "RL006"
     name = "event-discipline"
-    severity = "error"
     packages = SIM_PATH_PACKAGES
 
     def check(self, module: LintModule) -> List[Finding]:

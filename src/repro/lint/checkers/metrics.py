@@ -16,9 +16,8 @@ import ast
 import re
 from typing import List, Set
 
-from repro.lint.base import Checker, register
+from repro.lint.base import Checker, Finding
 from repro.lint.context import SIM_PATH_PACKAGES, LintModule
-from repro.lint.finding import Finding
 
 #: Attribute-name shapes that read as event counters. Deliberately a
 #: vocabulary of this codebase's domain nouns rather than "any +=":
@@ -70,7 +69,6 @@ def is_counter_name(name: str) -> bool:
     )
 
 
-@register
 class MetricsCoverageChecker(Checker):
     """RL005: counter-mutating sim-path classes must register metrics.
 
@@ -83,7 +81,6 @@ class MetricsCoverageChecker(Checker):
 
     rule_id = "RL005"
     name = "metrics-coverage"
-    severity = "warning"
     packages = SIM_PATH_PACKAGES
 
     def check(self, module: LintModule) -> List[Finding]:

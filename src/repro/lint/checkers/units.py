@@ -1,60 +1,22 @@
-"""Unit-safety rules: RL003 unit-mixing, RL004 float-time-equality.
+"""Time-safety rule: RL004 float-time-equality.
 
-The simulator keeps time in nanoseconds internally, speaks seconds at
-its edges (Table I retention values, CLI durations), counts core time in
-cycles, and sizes in bytes (``utils/units`` owns all conversions).
-Identifiers carry their unit as a suffix (``latency_ns``,
-``retention_s``, ``size_bytes``), which makes a whole family of unit
-bugs statically visible: adding or comparing two identifiers whose
-suffixes disagree is almost always a missing conversion.
+The simulator keeps time in float nanoseconds, and identifiers carry
+their unit as a suffix (``latency_ns``, ``retention_s``). Exact
+equality on such a value holds in tests whose latencies are whole
+nanoseconds and silently stops holding once a constant gains a
+fractional part.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from repro.lint.base import Checker, register
+from repro.lint.base import Checker, Finding
 from repro.lint.context import LintModule
-from repro.lint.finding import Finding
 
-#: suffix -> (dimension, unit). Same dimension but different unit still
-#: conflicts (ns + s is exactly the bug this rule exists for).
-UNIT_SUFFIXES = {
-    "_ns": ("time", "ns"),
-    "_us": ("time", "us"),
-    "_ms": ("time", "ms"),
-    "_s": ("time", "s"),
-    "_years": ("time", "years"),
-    "_cycles": ("cycles", "cycles"),
-    "_bytes": ("size", "bytes"),
-    "_kb": ("size", "kb"),
-    "_mb": ("size", "mb"),
-    "_gb": ("size", "gb"),
-    "_ghz": ("freq", "ghz"),
-    "_mhz": ("freq", "mhz"),
-}
-
-#: Time-dimension suffixes, for RL004.
-TIME_SUFFIXES = frozenset(
-    suffix for suffix, (dim, _) in UNIT_SUFFIXES.items() if dim == "time"
-)
-
-
-def unit_of(node: ast.AST) -> Optional[Tuple[str, str, str]]:
-    """(identifier, dimension, unit) when *node* names a suffixed value."""
-    if isinstance(node, ast.Name):
-        ident = node.id
-    elif isinstance(node, ast.Attribute):
-        ident = node.attr
-    else:
-        return None
-    lowered = ident.lower()
-    for suffix in sorted(UNIT_SUFFIXES, key=len, reverse=True):
-        if lowered.endswith(suffix):
-            dim, unit = UNIT_SUFFIXES[suffix]
-            return ident, dim, unit
-    return None
+#: Identifier suffixes that mark a time value.
+TIME_SUFFIXES = ("_ns", "_us", "_ms", "_s", "_years")
 
 
 def _is_tolerance_call(node: ast.AST) -> bool:
@@ -85,105 +47,6 @@ def _is_time_like(node: ast.AST) -> Optional[str]:
     return None
 
 
-@register
-class UnitMixingChecker(Checker):
-    """RL003: additive arithmetic/comparison across unit suffixes.
-
-    Flags ``a_ns + b_s``, ``a_cycles - b_ns``, ``a_bytes < b_ns`` and
-    friends. Multiplication and division are conversions by nature and
-    are never flagged. A second, weaker pattern (warning) is a bare
-    numeric literal passed as a ``*_ns=`` keyword argument: call sites
-    are where magnitude mistakes happen, and ``utils/units`` exists so
-    they don't (``duration_ns=s_to_ns(0.1)``, ``parse_duration("1ms")``).
-    Class-level field defaults are exempt — the dataclass declaration is
-    where a unit's canonical value is documented.
-    """
-
-    rule_id = "RL003"
-    name = "unit-mixing"
-    severity = "error"
-    packages = None
-
-    #: Additive/comparative operators where mixed units are a bug.
-    _ADDITIVE = (ast.Add, ast.Sub)
-
-    def check(self, module: LintModule) -> List[Finding]:
-        out: List[Finding] = []
-        for node in module.walk():
-            if isinstance(node, ast.BinOp) and isinstance(node.op, self._ADDITIVE):
-                self._check_pair(out, module, node, node.left, node.right, "+/-")
-            elif isinstance(node, ast.Compare):
-                operands = [node.left] + list(node.comparators)
-                for left, right in zip(operands, operands[1:]):
-                    self._check_pair(out, module, node, left, right, "comparison")
-            elif isinstance(node, ast.Call):
-                self._check_literal_kwargs(out, module, node)
-        return out
-
-    def _check_pair(
-        self,
-        out: List[Finding],
-        module: LintModule,
-        node: ast.AST,
-        left: ast.AST,
-        right: ast.AST,
-        op_label: str,
-    ) -> None:
-        left_unit = unit_of(left)
-        right_unit = unit_of(right)
-        if left_unit is None or right_unit is None:
-            return
-        (l_ident, l_dim, l_unit) = left_unit
-        (r_ident, r_dim, r_unit) = right_unit
-        if l_unit == r_unit:
-            return
-        if l_dim != r_dim:
-            message = (
-                f"{op_label} between different dimensions: "
-                f"`{l_ident}` [{l_unit}] vs `{r_ident}` [{r_unit}]"
-            )
-        else:
-            message = (
-                f"{op_label} between mismatched {l_dim} units: "
-                f"`{l_ident}` [{l_unit}] vs `{r_ident}` [{r_unit}]"
-            )
-        self.emit(
-            out,
-            module,
-            node,
-            message,
-            hint="convert explicitly via utils/units (s_to_ns, ns_to_s, "
-            "parse_size) before combining",
-        )
-
-    def _check_literal_kwargs(
-        self, out: List[Finding], module: LintModule, node: ast.Call
-    ) -> None:
-        for keyword in node.keywords:
-            if keyword.arg is None or not keyword.arg.lower().endswith("_ns"):
-                continue
-            value = keyword.value
-            if isinstance(value, ast.UnaryOp) and isinstance(value.op, ast.USub):
-                value = value.operand
-            if (
-                isinstance(value, ast.Constant)
-                and isinstance(value.value, (int, float))
-                and not isinstance(value.value, bool)
-                and value.value != 0
-            ):
-                self.emit(
-                    out,
-                    module,
-                    node,
-                    f"bare numeric literal for `{keyword.arg}=` at a call "
-                    "site hides its unit provenance",
-                    hint="derive it via utils/units (e.g. s_to_ns(...)) or "
-                    "a named, unit-suffixed constant",
-                    severity="warning",
-                )
-
-
-@register
 class FloatTimeEqualityChecker(Checker):
     """RL004: no ``==``/``!=`` on simulation-time expressions.
 
@@ -198,8 +61,6 @@ class FloatTimeEqualityChecker(Checker):
 
     rule_id = "RL004"
     name = "float-time-equality"
-    severity = "warning"
-    packages = None
 
     def check(self, module: LintModule) -> List[Finding]:
         out: List[Finding] = []

@@ -10,16 +10,14 @@ tokens, so pragma text inside a string, such as these examples,
 suppresses nothing; the rule list is case-insensitive)::
 
     x = wallclock()    # repro-lint: disable=RL001 -- host time, report only
-    y = foo() + bar()  # repro-lint: disable=RL003,RL004 -- <reason>
-    # repro-lint: disable-file=RL005 -- <reason>
+    y = foo() + bar()  # repro-lint: disable=RL001,RL004 -- <reason>
 
 Every pragma names its reason after `` -- ``; a pragma without one
-suppresses nothing, so the finding it meant to excuse still fails
-``--strict``. ``disable=`` applies to findings on any line spanned by
-the flagged statement (so a pragma on the closing paren of a
-multi-line call works). ``disable-file=`` anywhere in the file
-disables the listed rules for the whole file. ``disable=all`` disables
-every rule.
+suppresses nothing, so the finding it meant to excuse still fails the
+run. A pragma applies to findings on any line spanned by the flagged
+statement (so a pragma on the closing paren of a multi-line call
+works). There is no file-wide or all-rules form: each excused finding
+names its rule next to its code.
 """
 
 from __future__ import annotations
@@ -50,24 +48,14 @@ ORCH_PATH_PACKAGES = frozenset({"resilience", "obs", "profiling"})
 _LINE_END_RE = re.compile(r"\r\n?|\n")
 
 _PRAGMA_RE = re.compile(
-    r"#\s*repro-lint\s*:\s*(disable(?:-file)?)\s*=\s*([A-Za-z0-9_,\s]+?)"
-    r"\s*--\s*\S"
+    r"#\s*repro-lint\s*:\s*disable\s*=\s*([A-Za-z0-9_,\s]+?)\s*--\s*\S"
 )
 
 
-def parse_pragmas(
-    lines: List[str],
-) -> Tuple[Dict[int, Set[str]], Set[str]]:
-    """Extract suppression pragmas that give a reason from the comments
-    of the source *lines*.
-
-    Returns ``(per_line, per_file)`` where ``per_line`` maps 1-based
-    line numbers to the set of disabled rule ids (upper-cased; the
-    token ``ALL`` disables everything) and ``per_file`` is the set of
-    file-wide disabled rules.
-    """
+def parse_pragmas(lines: List[str]) -> Dict[int, Set[str]]:
+    """Map 1-based line numbers of the source *lines* to the rule ids
+    (upper-cased) their reasoned suppression pragmas disable."""
     per_line: Dict[int, Set[str]] = {}
-    per_file: Set[str] = set()
     readline = io.StringIO("\n".join(lines) + "\n").readline
     for token in tokenize.generate_tokens(readline):
         if token.type != tokenize.COMMENT or "repro-lint" not in token.string:
@@ -75,17 +63,12 @@ def parse_pragmas(
         match = _PRAGMA_RE.search(token.string)
         if match is None:
             continue
-        lineno = token.start[0]
-        rules = {
+        per_line.setdefault(token.start[0], set()).update(
             rule.strip().upper()
-            for rule in match.group(2).split(",")
+            for rule in match.group(1).split(",")
             if rule.strip()
-        }
-        if match.group(1) == "disable-file":
-            per_file |= rules
-        else:
-            per_line.setdefault(lineno, set()).update(rules)
-    return per_line, per_file
+        )
+    return per_line
 
 
 class LintModule:
@@ -93,14 +76,13 @@ class LintModule:
 
     def __init__(self, source: str, relpath: str) -> None:
         self.relpath = relpath.replace("\\", "/")
-        self.source = source
         #: Split only where Python ends a line, so that a form feed or
         #: another character ``str.splitlines`` breaks on keeps the
         #: numbering of the AST and the tokenizer.
         self.lines = _LINE_END_RE.split(source)
         #: Raises SyntaxError upward; api.run_lint turns that into RL000.
         self.tree = ast.parse(source, filename=self.relpath)
-        self._line_pragmas, self._file_pragmas = parse_pragmas(self.lines)
+        self._pragmas = parse_pragmas(self.lines)
         self._parents: Optional[Dict[ast.AST, ast.AST]] = None
 
     # ------------------------------------------------------------------
@@ -116,14 +98,6 @@ class LintModule:
         subpath = parts[index + 1 : -1]
         return subpath[0] if subpath else ""
 
-    @property
-    def in_sim_path(self) -> bool:
-        return self.package in SIM_PATH_PACKAGES
-
-    @property
-    def in_orch_path(self) -> bool:
-        return self.package in ORCH_PATH_PACKAGES
-
     # ------------------------------------------------------------------
     def line_text(self, lineno: int) -> str:
         if 1 <= lineno <= len(self.lines):
@@ -132,18 +106,14 @@ class LintModule:
 
     def is_disabled(self, rule: str, node: ast.AST) -> bool:
         """True when a pragma suppresses *rule* at *node*'s location."""
-        rule = rule.upper()
-        if rule in self._file_pragmas or "ALL" in self._file_pragmas:
-            return True
         start = getattr(node, "lineno", None)
         if start is None:
             return False
         end = getattr(node, "end_lineno", None) or start
-        for lineno in range(start, end + 1):
-            disabled = self._line_pragmas.get(lineno)
-            if disabled and (rule in disabled or "ALL" in disabled):
-                return True
-        return False
+        return any(
+            rule in self._pragmas.get(lineno, ())
+            for lineno in range(start, end + 1)
+        )
 
     # ------------------------------------------------------------------
     def walk(self):

@@ -1,12 +1,12 @@
 """Lightweight import-aware name resolution.
 
-The determinism checkers need to know that ``t.monotonic()`` is really
-``time.monotonic()`` and that ``from random import shuffle as mix;
-mix(x)`` is ``random.shuffle(x)``. :class:`ImportMap` records a file's
+The wall-clock and persistence checkers need to know that ``t.monotonic()`` is really
+``time.monotonic()`` and that ``from time import perf_counter as pc;
+pc()`` is ``time.perf_counter()``. :class:`ImportMap` records a file's
 import aliases; :func:`resolve_call_target` turns a ``Name`` /
 ``Attribute`` chain into a dotted origin string, or ``None`` when the
-root is a local object (``self._rng.random()`` resolves to ``None`` —
-exactly right, since instance RNGs are the sanctioned pattern).
+root is a local object (``self._clock()`` resolves to ``None`` —
+exactly right, since an injected clock is the sanctioned pattern).
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Trace diffing: aligned span aggregates between two recorded traces.
 
-``repro-rrm trace diff A B`` loads two Chrome/JSONL traces (any mix of
-formats — :func:`~repro.telemetry.summary.load_trace` normalises both to
-microsecond events), aggregates their complete events per span name, and
-reports per-name deltas of count, total time, mean and p95. Spans that
+``repro-rrm trace diff A B`` loads two Chrome-trace JSON files (with
+:func:`~repro.telemetry.summary.load_trace`, which reads that one
+format), aggregates their complete events per span name, and reports
+per-name deltas of count, total time, mean and p95. Spans that
 exist in only one trace are reported as added/removed rather than
 silently dropped — a renamed hot path should look like a rename, not a
 disappearance.
