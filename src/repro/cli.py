@@ -70,8 +70,6 @@ from repro.obs import (
     RunLedger,
     RunProgress,
     SweepProgress,
-    diff_traces,
-    format_trace_diff,
     render_dashboard,
     run_core_suite,
 )
@@ -84,7 +82,9 @@ from repro.sim.system import System
 from repro.telemetry import (
     TelemetryConfig,
     Tracer,
+    diff_summaries,
     format_summary,
+    format_trace_diff,
     load_trace,
     summarize_trace,
     validate_chrome_trace,
@@ -459,6 +459,29 @@ def cmd_table3(args) -> int:
     return 0
 
 
+def _read_trace(path, top: int):
+    """Load, validate and summarise one trace file: ``(summary,
+    problems)``."""
+    events = load_trace(path)
+    if not events:
+        # An empty trace is an empty recording, not a summary of zero:
+        # the tracer always emits metadata, so nothing at all means a
+        # truncated or never-started capture.
+        raise TraceFormatError(f"{path}: trace contains no events")
+    problems = validate_chrome_trace(events)
+    return summarize_trace(events, top_spans=top), problems
+
+
+def _print_problems(path, problems) -> None:
+    if problems:
+        print(
+            f"\n{path}: {len(problems)} validation problem(s):",
+            file=sys.stderr,
+        )
+        for problem in problems:
+            print(f"  - {problem}", file=sys.stderr)
+
+
 def cmd_trace(args) -> int:
     """Summarise/validate one trace file, or diff two (``trace diff A B``)."""
     files = args.file
@@ -469,34 +492,27 @@ def cmd_trace(args) -> int:
             raise ConfigError(
                 "--check validates one trace; trace diff does not take it"
             )
-        events_a = load_trace(files[1])
-        events_b = load_trace(files[2])
-        diff = diff_traces(events_a, events_b)
+        path_a, path_b = files[1:]
+        summary_a, problems_a = _read_trace(path_a, args.top)
+        summary_b, problems_b = _read_trace(path_b, args.top)
+        diff = diff_summaries(summary_a, summary_b)
         print(format_trace_diff(diff, top=args.top))
         if args.json:
             import dataclasses as _dc
 
             save_json(args.json, _dc.asdict(diff))
             print(f"diff written to {args.json}", file=sys.stderr)
+        _print_problems(path_a, problems_a)
+        _print_problems(path_b, problems_b)
         return 0
     if len(files) != 1:
         raise ConfigError("usage: repro-rrm trace FILE  (or: trace diff A B)")
-    events = load_trace(files[0])
-    if not events:
-        # An empty trace is an empty recording, not a summary of zero:
-        # the tracer always emits metadata, so nothing at all means a
-        # truncated or never-started capture.
-        raise TraceFormatError(f"{files[0]}: trace contains no events")
-    problems = validate_chrome_trace(events)
-    summary = summarize_trace(events, top_spans=args.top)
+    summary, problems = _read_trace(files[0], args.top)
     print(format_summary(summary))
     if args.json:
         save_json(args.json, summary.to_json_dict())
         print(f"summary written to {args.json}", file=sys.stderr)
-    if problems:
-        print(f"\n{len(problems)} validation problem(s):", file=sys.stderr)
-        for problem in problems:
-            print(f"  - {problem}", file=sys.stderr)
+    _print_problems(files[0], problems)
     if args.check:
         return 1 if problems else 0
     return 0

@@ -7,10 +7,11 @@ interpreter version, never of the host's speed or load:
   callback's ``module:qualname``, :func:`owner_label`), from
   :func:`count_dispatches`. Their per-subsystem sums are the
   ``prof_dispatch_*`` metrics pinned in ``BENCH_core.json``.
-- ``ncalls``: cProfile's call count per ``file:line:function`` over
+- ``ncalls``: cProfile's call count per ``file:qualname`` over
   ``System.run``, set-up excluded. Files are named relative to the
   ``sys.path`` entry that holds them (``repro/engine/simulator.py``),
-  and C functions as cProfile names them, under ``~:0:``. Only
+  and C functions as cProfile names them, under ``~:``. No line number
+  enters a label, so moving code within its file relabels nothing. Only
   ``repro-rrm profile run`` collects these: cProfile roughly doubles a
   run's host time, so neither ``System`` nor the pinned suite runs it.
 
@@ -21,18 +22,20 @@ change in what the simulator did.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import CodeType
 from typing import Any, Callable, Dict, List, Tuple, TypeVar, Union
 
 from repro.engine import EventHandle, Simulator
 from repro.errors import ReproError
 from repro.utils.persist import save_json
 
-PROFILE_SCHEMA = 2
+PROFILE_SCHEMA = 3
 
 #: The count tables an artifact carries, in report and diff order.
 COUNT_TABLES = ("dispatch_counts", "ncalls")
@@ -110,7 +113,7 @@ class Profile:
     meta: Dict[str, object] = field(default_factory=dict)
     #: :func:`count_dispatches`: owner label -> events dispatched.
     dispatch_counts: Dict[str, int] = field(default_factory=dict)
-    #: cProfile over ``System.run``: ``file:line:function`` -> calls.
+    #: cProfile over ``System.run``: ``file:qualname`` -> calls.
     ncalls: Dict[str, int] = field(default_factory=dict)
 
     def ledger_metrics(self) -> Dict[str, float]:
@@ -180,13 +183,44 @@ def _short_path(filename: str) -> str:
     return filename[len(best):]
 
 
+_COMPREHENSIONS = ("<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>")
+
+
+def _qualnames(filename: str) -> Dict[Tuple[int, str], str]:
+    """``(co_firstlineno, co_name) -> qualified name`` of every code
+    object compiled from *filename*, named as Python 3.11's
+    ``co_qualname`` names it (3.10 has no ``co_qualname``); empty when
+    the source cannot be read. The compiler's own nesting places each
+    scope: only functions and lambdas put ``<locals>`` below them."""
+    try:
+        module = compile(Path(filename).read_bytes(), filename, "exec")
+    except (OSError, SyntaxError, ValueError):
+        return {}
+    names: Dict[Tuple[int, str], str] = {}
+
+    def visit(parent: CodeType, prefix: str) -> None:
+        for code in parent.co_consts:
+            if isinstance(code, CodeType):
+                qual = prefix + code.co_name
+                # Scopes nested on their parent's line share its label.
+                names.setdefault((code.co_firstlineno, code.co_name), qual)
+                function = (code.co_flags & inspect.CO_NEWLOCALS
+                            and code.co_name not in _COMPREHENSIONS)
+                visit(code, qual + (".<locals>." if function else "."))
+
+    visit(module, "")
+    return names
+
+
 def count_calls(func: Callable[[], T]) -> Tuple[T, Dict[str, int]]:
     """Run *func* under cProfile; return its result and the call count
-    per ``file:line:function``.
+    per ``file:qualname``.
 
-    Entries are summed per label, so code objects that share one (every
-    dataclass-generated ``__init__`` is ``<string>:2:__init__``) add up
-    instead of overwriting each other.
+    Qualified names are read from the source once the run is over
+    (:func:`_qualnames`); a code object whose source is not on disk
+    keeps its bare name. Entries are summed per label, so code objects
+    that share one (every dataclass-generated ``__init__`` is
+    ``<string>:__init__``) add up instead of overwriting each other.
     """
     import cProfile
     import gc
@@ -198,15 +232,19 @@ def count_calls(func: Callable[[], T]) -> Tuple[T, Dict[str, int]]:
     profiler = cProfile.Profile()
     result = profiler.runcall(func)
     ncalls: Dict[str, int] = {}
+    qualnames: Dict[str, Dict[Tuple[int, str], str]] = {}
     for entry in profiler.getstats():
         code = entry.code
         if isinstance(code, str):
-            label = f"~:0:{code}"
+            label = f"~:{code}"
         else:
-            label = (
-                f"{_short_path(code.co_filename)}:"
-                f"{code.co_firstlineno}:{code.co_name}"
+            filename = code.co_filename
+            if filename not in qualnames:
+                qualnames[filename] = _qualnames(filename)
+            qual = qualnames[filename].get(
+                (code.co_firstlineno, code.co_name), code.co_name
             )
+            label = f"{_short_path(filename)}:{qual}"
         ncalls[label] = ncalls.get(label, 0) + entry.callcount
     return result, ncalls
 

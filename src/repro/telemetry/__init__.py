@@ -42,8 +42,10 @@ if TYPE_CHECKING:
     from repro.telemetry.profiler import Profiler
     from repro.telemetry.summary import (
         TraceSummary,
+        diff_summaries,
         flatten_args,
         format_summary,
+        format_trace_diff,
         load_trace,
         summarize_trace,
         validate_chrome_trace,
@@ -59,8 +61,10 @@ __all__ = [
     "TraceEvent",
     "TraceSummary",
     "Tracer",
+    "diff_summaries",
     "flatten_args",
     "format_summary",
+    "format_trace_diff",
     "load_trace",
     "summarize_trace",
     "validate_chrome_trace",
@@ -74,8 +78,10 @@ __getattr__, __dir__ = lazy_exports(
         "repro.telemetry.profiler": ("Profiler",),
         "repro.telemetry.summary": (
             "TraceSummary",
+            "diff_summaries",
             "flatten_args",
             "format_summary",
+            "format_trace_diff",
             "load_trace",
             "summarize_trace",
             "validate_chrome_trace",

@@ -1,10 +1,11 @@
-"""Trace-file loading, validation and summarisation.
+"""Trace-file loading, validation, summarisation and diffing.
 
-Backs the ``repro-rrm trace`` subcommand and the CI smoke job: load a
-Chrome-trace JSON file written by :class:`~repro.telemetry.trace.Tracer`,
-check it against the subset of the Chrome Trace Event Format we emit,
-and print a human-readable digest (event counts per category, time
-range, longest spans, counter series).
+The one reader of trace files. Backs ``repro-rrm trace`` and ``trace
+diff`` and the CI smoke job: load a Chrome-trace JSON file written by
+:class:`~repro.telemetry.trace.Tracer`, check it against the subset of
+the Chrome Trace Event Format we emit, and summarise it in one pass
+(event counts per category, time range, longest spans, counter series,
+per-name span durations). A diff aligns two such summaries by span name.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 from collections import Counter as TallyCounter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import TraceFormatError
 from repro.telemetry.trace import (
@@ -102,11 +103,36 @@ def validate_chrome_trace(events: List[dict]) -> List[str]:
     return problems
 
 
+def percentile(sorted_values: Sequence[float], q: float) -> float:
+    """The *q*-quantile (0..1) of pre-sorted values, nearest-rank style
+    with linear interpolation between adjacent ranks."""
+    if not sorted_values:
+        return 0.0
+    pos = q * (len(sorted_values) - 1)
+    lo = int(pos)
+    hi = min(lo + 1, len(sorted_values) - 1)
+    frac = pos - lo
+    return sorted_values[lo] * (1.0 - frac) + sorted_values[hi] * frac
+
+
+@dataclass
+class SpanStats:
+    """Durations of one span name within one trace (times in us)."""
+
+    count: int
+    total_us: float
+    mean_us: float
+    p95_us: float
+    max_us: float
+
+
 @dataclass
 class TraceSummary:
     """Digest of one trace file."""
 
+    #: Events other than metadata; ``n_rows`` counts every row.
     n_events: int = 0
+    n_rows: int = 0
     t_min_us: float = 0.0
     t_max_us: float = 0.0
     by_phase: Dict[str, int] = field(default_factory=dict)
@@ -121,6 +147,8 @@ class TraceSummary:
     #: (e.g. per-request latency anatomies) were loaded but never
     #: tallied, so annotated traces summarised no richer than bare ones.
     span_args: Dict[str, Dict[str, List[float]]] = field(default_factory=dict)
+    #: span name -> durations of its complete events.
+    span_durations: Dict[str, SpanStats] = field(default_factory=dict)
 
     @property
     def duration_us(self) -> float:
@@ -154,7 +182,8 @@ class TraceSummary:
 
 def summarize_trace(events: List[dict], top_spans: int = 10) -> TraceSummary:
     """Aggregate a loaded trace into a :class:`TraceSummary`."""
-    summary = TraceSummary()
+    summary = TraceSummary(n_rows=len(events))
+    durations: Dict[str, List[float]] = {}
     phases: TallyCounter = TallyCounter()
     cats: TallyCounter = TallyCounter()
     spans: List[Tuple[float, str, str, float]] = []
@@ -185,15 +214,15 @@ def summarize_trace(events: List[dict], top_spans: int = 10) -> TraceSummary:
             if not isinstance(dur, (int, float)):
                 dur = 0.0
             end = ts + dur
+            name = str(event.get("name") or "?")
             spans.append(
-                (float(dur), str(event.get("name") or "?"),
-                 str(event.get("cat") or "default"), float(ts))
+                (float(dur), name, str(event.get("cat") or "default"),
+                 float(ts))
             )
+            durations.setdefault(name, []).append(float(dur))
             args = event.get("args")
             if isinstance(args, dict) and args:
-                tally = summary.span_args.setdefault(
-                    str(event.get("name") or "?"), {}
-                )
+                tally = summary.span_args.setdefault(name, {})
                 for key, value in flatten_args(args).items():
                     cell = tally.setdefault(key, [0, 0.0])
                     cell[0] += 1
@@ -213,6 +242,16 @@ def summarize_trace(events: List[dict], top_spans: int = 10) -> TraceSummary:
     summary.by_phase = dict(phases)
     summary.by_category = dict(cats)
     summary.longest_spans = sorted(spans, reverse=True)[:top_spans]
+    for name, durs in durations.items():
+        durs.sort()
+        total = sum(durs)
+        summary.span_durations[name] = SpanStats(
+            count=len(durs),
+            total_us=total,
+            mean_us=total / len(durs),
+            p95_us=percentile(durs, 0.95),
+            max_us=durs[-1],
+        )
     return summary
 
 
@@ -251,4 +290,85 @@ def format_summary(summary: TraceSummary) -> str:
             lines.append(
                 f"  {dur:10.3f} us  {name:<18} cat={cat:<10} at {ts:.3f} us"
             )
+    return "\n".join(lines)
+
+
+@dataclass
+class SpanDelta:
+    """One aligned row of a trace diff; either side may be absent."""
+
+    name: str
+    a: Optional[SpanStats]
+    b: Optional[SpanStats]
+
+    @property
+    def status(self) -> str:
+        if self.a is None:
+            return "added"
+        if self.b is None:
+            return "removed"
+        return "common"
+
+    def delta(self, field_name: str) -> float:
+        """B minus A of one :class:`SpanStats` field; a missing side is 0."""
+        return getattr(self.b, field_name, 0) - getattr(self.a, field_name, 0)
+
+
+@dataclass
+class TraceDiff:
+    """The aligned per-name span diff of two traces."""
+
+    rows: List[SpanDelta]
+    n_events_a: int
+    n_events_b: int
+
+
+def diff_summaries(a: TraceSummary, b: TraceSummary) -> TraceDiff:
+    """Align two summaries' span durations by name.
+
+    Spans that exist in only one trace are reported as added/removed
+    rather than silently dropped, so a renamed hot path looks like a
+    rename, not a disappearance. Rows are ordered by descending absolute
+    total-time delta, so the spans that moved the run the most lead.
+    """
+    stats_a, stats_b = a.span_durations, b.span_durations
+    rows = [
+        SpanDelta(name=name, a=stats_a.get(name), b=stats_b.get(name))
+        for name in sorted(stats_a.keys() | stats_b.keys())
+    ]
+    rows.sort(key=lambda r: (-abs(r.delta("total_us")), r.name))
+    return TraceDiff(rows=rows, n_events_a=a.n_rows, n_events_b=b.n_rows)
+
+
+def _fmt_side(stats: Optional[SpanStats]) -> str:
+    if stats is None:
+        return "-"
+    return f"{stats.count}x {stats.total_us:.1f}us p95={stats.p95_us:.2f}"
+
+
+def format_trace_diff(diff: TraceDiff, *, top: int = 20) -> str:
+    """Render a :class:`TraceDiff` as the ``trace diff`` subcommand output."""
+    statuses = TallyCounter(row.status for row in diff.rows)
+    lines = [
+        f"events          A={diff.n_events_a}  B={diff.n_events_b}",
+        f"span names      {statuses['common']} common, "
+        f"{statuses['added']} added, {statuses['removed']} removed",
+    ]
+    shown = diff.rows[:top]
+    if shown:
+        lines.append("largest span deltas (B - A):")
+    for row in shown:
+        lines.append(
+            f"  {row.name:<22} {row.status:<8} "
+            f"dcount={row.delta('count'):+d}  "
+            f"dtotal={row.delta('total_us'):+.1f}us  "
+            f"dp95={row.delta('p95_us'):+.3f}us"
+        )
+        lines.append(
+            f"    A: {_fmt_side(row.a):<36} B: {_fmt_side(row.b)}"
+        )
+    if len(diff.rows) > top:
+        lines.append(f"  ... ({len(diff.rows) - top} more span names)")
+    if not diff.rows:
+        lines.append("no spans in either trace")
     return "\n".join(lines)

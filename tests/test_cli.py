@@ -465,7 +465,7 @@ class TestProfileCommands:
         assert "event dispatch" in captured.out
         assert "calls in System.run" in captured.out
         payload = json.loads(out.read_text())
-        assert payload["schema"] == 2
+        assert payload["schema"] == 3
         assert payload["dispatch_counts"]
         assert payload["ncalls"]
         assert payload["meta"]["seed"] == 3
@@ -532,4 +532,19 @@ class TestProfileCommands:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error:")
-        assert "has schema 1, not 2" in lines[0]
+        assert "has schema 1, not 3" in lines[0]
+
+    def test_profile_diff_refuses_line_numbered_labels(self, capsys, tmp_path):
+        # Schema 2 keyed calls by file:line:function; its labels cannot be
+        # compared with file:qualname ones, so diff refuses the artifact.
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_text(json.dumps(
+            {"schema": 2, "meta": {}, "dispatch_counts": {},
+             "ncalls": {"repro/engine/simulator.py:129:schedule_at": 3}}
+        ))
+        assert main([*self.RUN, "--out", str(new)]) == 0
+        capsys.readouterr()
+        assert main(["profile", "diff", str(old), str(new)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "has schema 2, not 3" in captured.err

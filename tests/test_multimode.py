@@ -4,8 +4,10 @@ import pytest
 
 from repro.core.config import RRMConfig
 from repro.core.multimode import TieredRetentionMonitor, TieredRRMConfig
+from repro.engine import Simulator
 from repro.errors import ConfigError
 from repro.memctrl.request import RequestType
+from repro.utils.units import s_to_ns
 
 
 class StubController:
@@ -106,6 +108,21 @@ class TestMidRefresh:
         mid = [r for r in controller.requests if r.n_sets == 5]
         assert [r.block for r in mid] == [3]
         assert mid[0].rtype is RequestType.RRM_REFRESH
+
+    def test_mid_refresh_deadline_is_the_slack_after_now(self, config, modes):
+        sim = Simulator()
+        sim.run(until=12_345.0)
+        monitor = TieredRetentionMonitor(
+            config, modes, sim=sim, controller=StubController()
+        )
+        write_n(monitor, 3, 9)       # region 0: warm, mid bit set
+        write_n(monitor, 64 + 7, 9)  # region 1: warm, mid bit set
+        monitor.on_mid_refresh_interrupt()
+        mid = [r for r in monitor.controller.requests if r.n_sets == 5]
+        assert sorted(r.block for r in mid) == [3, 64 + 7]
+        expected = sim.now + s_to_ns(monitor.mid_refresh_slack_s)
+        assert sim.now > 0
+        assert all(r.deadline_ns == expected for r in mid)
 
     def test_fast_interrupt_ignores_mid_blocks(self, monitor):
         write_n(monitor, 3, 9)

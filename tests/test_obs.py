@@ -24,15 +24,12 @@ from repro.obs import (
     SweepProgress,
     cell_name,
     config_hash,
-    diff_traces,
     entries_by_name,
     environment_fingerprint,
-    format_trace_diff,
     git_revision,
     metric_series,
     render_dashboard,
     run_core_suite,
-    span_stats,
 )
 from repro.obs.progress import _format_count, _format_eta, _LineWriter
 from repro.resilience.journal import sweep_fingerprint
@@ -40,6 +37,12 @@ from repro.sim.config import SystemConfig
 from repro.sim.runner import run_workload
 from repro.sim.schemes import Scheme
 from repro.sim.system import System
+from repro.telemetry.summary import (
+    diff_summaries,
+    format_trace_diff,
+    percentile,
+    summarize_trace,
+)
 
 
 def _entry(name="core/hmmer/RRM", **metrics) -> LedgerEntry:
@@ -187,6 +190,10 @@ def _span(name, dur, ts=0.0):
     return {"ph": "X", "name": name, "cat": "c", "ts": ts, "dur": dur}
 
 
+def _diff(events_a, events_b):
+    return diff_summaries(summarize_trace(events_a), summarize_trace(events_b))
+
+
 class TestTraceDiff:
     def test_span_stats_aggregates_complete_events_only(self):
         events = [
@@ -195,7 +202,7 @@ class TestTraceDiff:
             {"ph": "i", "name": "write", "ts": 0.0},
             {"ph": "M", "name": "meta"},
         ]
-        stats = span_stats(events)
+        stats = summarize_trace(events).span_durations
         assert stats["write"].count == 2
         assert stats["write"].total_us == pytest.approx(6.0)
         assert stats["write"].mean_us == pytest.approx(3.0)
@@ -204,33 +211,64 @@ class TestTraceDiff:
     def test_diff_alignment_and_ordering(self):
         a = [_span("read", 1.0), _span("read", 1.0), _span("old", 5.0)]
         b = [_span("read", 1.0), _span("fresh", 50.0)]
-        diff = diff_traces(a, b)
-        assert [r.name for r in diff.added] == ["fresh"]
-        assert [r.name for r in diff.removed] == ["old"]
-        assert [r.name for r in diff.common] == ["read"]
+        diff = _diff(a, b)
         # Largest |total delta| first: fresh (+50) > old (-5) > read (-1).
-        assert [r.name for r in diff.rows] == ["fresh", "old", "read"]
-        read = diff.common[0]
-        assert read.count_delta == -1
-        assert read.total_delta_us == pytest.approx(-1.0)
+        assert [(r.name, r.status) for r in diff.rows] == [
+            ("fresh", "added"), ("old", "removed"), ("read", "common"),
+        ]
+        read = diff.rows[2]
+        assert read.delta("count") == -1
+        assert read.delta("total_us") == pytest.approx(-1.0)
 
     def test_format_reports_counts_and_deltas(self):
-        text = format_trace_diff(
-            diff_traces([_span("x", 1.0)], [_span("x", 3.0)])
-        )
+        text = format_trace_diff(_diff([_span("x", 1.0)], [_span("x", 3.0)]))
         assert "1 common, 0 added, 0 removed" in text
         assert "dtotal=+2.0us" in text
 
     def test_format_empty(self):
-        assert "no spans" in format_trace_diff(diff_traces([], []))
+        assert "no spans" in format_trace_diff(_diff([], []))
 
     def test_percentile_interpolation(self):
-        from repro.obs.tracediff import percentile
-
         assert percentile([], 0.95) == 0.0
         assert percentile([7.0], 0.5) == 7.0
         assert percentile([0.0, 10.0], 0.5) == pytest.approx(5.0)
         assert percentile([0.0, 10.0], 0.95) == pytest.approx(9.5)
+
+    @staticmethod
+    def _write(tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    def test_diff_reports_non_object_events_as_trace_does(
+        self, capsys, tmp_path
+    ):
+        good = self._write(
+            tmp_path, "good.json",
+            '{"traceEvents": [{"ph":"X","name":"a","ts":0,"dur":1}]}',
+        )
+        bad = self._write(
+            tmp_path, "bad.json",
+            '{"traceEvents": [{"ph":"X","name":"a","ts":0,"dur":1}, 5]}',
+        )
+        assert main(["trace", bad]) == 0
+        trace_err = capsys.readouterr().err
+        assert "event 1: not an object" in trace_err
+        assert main(["trace", "diff", good, bad]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.err == trace_err
+        assert "1 common, 0 added, 0 removed" in captured.out
+
+    def test_diff_against_an_empty_trace_is_an_error(self, capsys, tmp_path):
+        good = self._write(
+            tmp_path, "good.json",
+            '{"traceEvents": [{"ph":"X","name":"a","ts":0,"dur":1}]}',
+        )
+        empty = self._write(tmp_path, "empty.json", '{"traceEvents": []}')
+        assert main(["trace", "diff", good, empty]) == 2
+        line = TestObsCLI._one_error_line(capsys)
+        assert line.endswith(f"{empty}: trace contains no events")
 
 
 # ======================================================================

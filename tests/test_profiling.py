@@ -8,7 +8,9 @@ unprofiled one.
 """
 
 import json
+import sys
 import threading
+import types
 from dataclasses import dataclass
 
 import pytest
@@ -28,6 +30,7 @@ from repro.profiling import (
     owner_label,
     subsystem_of,
 )
+from repro.profiling.counts import _qualnames
 from repro.sim.config import SystemConfig
 from repro.sim.schemes import Scheme
 from repro.sim.system import System
@@ -44,8 +47,8 @@ class TestProfileArtifact:
                 "repro.memctrl.controller:MemoryController._complete": 5,
             },
             ncalls={
-                "repro/engine/simulator.py:129:schedule_at": 12,
-                "~:0:<built-in method builtins.len>": 30,
+                "repro/engine/simulator.py:Simulator.schedule_at": 12,
+                "~:<built-in method builtins.len>": 30,
             },
         )
 
@@ -66,7 +69,7 @@ class TestProfileArtifact:
         prof = self._sample_profile()
         path = tmp_path / "p.json"
         prof.save(path)
-        assert json.loads(path.read_text())["schema"] == 2
+        assert json.loads(path.read_text())["schema"] == 3
         loaded = load_profile(path)
         assert loaded == prof
 
@@ -74,7 +77,7 @@ class TestProfileArtifact:
         with pytest.raises(ProfileError):
             load_profile(tmp_path / "absent.json")
         torn = tmp_path / "torn.json"
-        torn.write_text('{"schema": 2, "ncalls"')
+        torn.write_text('{"schema": 3, "ncalls"')
         with pytest.raises(ProfileError):
             load_profile(torn)
 
@@ -87,7 +90,7 @@ class TestProfileArtifact:
     def test_load_sampler_schema_rejected(self, tmp_path):
         old = tmp_path / "old.json"
         old.write_text('{"schema": 1, "folded": {"a:f": 3}, "samples": 3}')
-        with pytest.raises(ProfileError, match="has schema 1, not 2") as info:
+        with pytest.raises(ProfileError, match="has schema 1, not 3") as info:
             load_profile(old)
         assert "\n" not in str(info.value)
 
@@ -99,11 +102,11 @@ class TestProfileArtifact:
     def test_diff_flags_real_movement(self):
         a = self._sample_profile()
         b = self._sample_profile()
-        b.ncalls["repro/engine/simulator.py:129:schedule_at"] = 13
+        b.ncalls["repro/engine/simulator.py:Simulator.schedule_at"] = 13
         b.dispatch_counts["repro.core.monitor:Monitor.tick"] = 1
         assert diff_profiles(a, b) == [
             ("dispatch_counts", "repro.core.monitor:Monitor.tick", 0, 1),
-            ("ncalls", "repro/engine/simulator.py:129:schedule_at", 12, 13),
+            ("ncalls", "repro/engine/simulator.py:Simulator.schedule_at", 12, 13),
         ]
         text = format_diff(a, b)
         assert "2 counts differ" in text
@@ -141,23 +144,96 @@ class TestCountCalls:
 
         result, ncalls = count_calls(root)
         assert result == 5
-        (leaf_label,) = [k for k in ncalls if k.endswith(":leaf")]
+        (leaf_label,) = [k for k in ncalls if k.endswith(".leaf")]
+        assert leaf_label.endswith(
+            ":TestCountCalls.test_counts_calls_per_function.<locals>.leaf"
+        )
         assert ncalls[leaf_label] == 5
         # Named relative to its sys.path entry, not by absolute path.
         assert leaf_label.split(":")[0].endswith("test_profiling.py")
         assert not leaf_label.startswith("/")
-        assert "~:0:<built-in method builtins.sum>" in ncalls
+        assert "~:<built-in method builtins.sum>" in ncalls
 
     def test_shared_labels_add_up(self):
         # Every dataclass __init__ is compiled from a string, so two
-        # classes share one file:line:function label.
+        # classes share one file:qualname label, <string>:__init__.
         def build():
             return [_PointA(1), _PointB(2), _PointB(3)]
 
         _, ncalls = count_calls(build)
         inits = {k: v for k, v in ncalls.items() if k.endswith(":__init__")}
-        assert sum(inits.values()) == 3
-        assert len(inits) == 1
+        assert inits == {"<string>:__init__": 3}
+
+    @staticmethod
+    def _count_module(path, source):
+        """Count one call of ``work()`` from *source*, saved as *path*."""
+        import importlib.util
+
+        path.write_text(source)
+        spec = importlib.util.spec_from_file_location("moved_mod", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return count_calls(module.work)[1]
+
+    def test_moving_a_function_within_its_file_relabels_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.syspath_prepend(str(tmp_path))
+        helper = (
+            "class Box:\n"
+            "    @staticmethod\n"
+            "    def size(items):\n"
+            "        return sum(1 for i in items if i)\n"
+        )
+        work = (
+            "def work():\n"
+            "    return sum(Box.size(range(n)) for n in range(4))\n"
+        )
+        path = tmp_path / "moved_mod.py"
+        before = self._count_module(path, helper + "\n\n" + work)
+        after = self._count_module(path, work + "\n\n\n# moved\n" + helper)
+        assert before == after
+        assert before["moved_mod.py:Box.size"] == 4
+        assert before["moved_mod.py:Box.size.<locals>.<genexpr>"] > 0
+        assert before["moved_mod.py:work.<locals>.<genexpr>"] == 5
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11), reason="co_qualname is new in 3.11"
+    )
+    def test_source_qualnames_match_co_qualname(self, tmp_path):
+        # Every scope gets the name the interpreter gives it: decorated
+        # methods, classes inside functions, comprehensions whose first
+        # iterable is another comprehension, lambdas in defaults.
+        source = (
+            "def deco(f):\n"
+            "    return f\n"
+            "class Outer:\n"
+            "    @deco\n"
+            "    @deco\n"
+            "    def method(self, key=lambda v: v):\n"
+            "        class Local:\n"
+            "            def inner(self):\n"
+            "                return [x for x in (y for y in range(2))]\n"
+            "        return {k: [j for j in range(k)] for k in range(3)}\n"
+            "    class Nested:\n"
+            "        async def coro(self):\n"
+            "            return (lambda: None)\n"
+        )
+        path = tmp_path / "scopes.py"
+        path.write_text(source)
+
+        def walk(code):
+            for const in code.co_consts:
+                if isinstance(const, types.CodeType):
+                    yield const
+                    yield from walk(const)
+
+        scopes = list(walk(compile(source, str(path), "exec")))
+        assert len(scopes) >= 10
+        names = _qualnames(str(path))
+        for code in scopes:
+            key = (code.co_firstlineno, code.co_name)
+            assert names[key] == code.co_qualname
 
 
 class _Actor:
